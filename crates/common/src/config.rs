@@ -58,7 +58,11 @@ pub struct ImcsConfig {
     /// Number of sorted partitions of the IM-ADG commit table (§III.D.1).
     pub commit_table_partitions: usize,
     /// Fraction of invalid rows in an IMCU above which repopulation is
-    /// triggered (repopulation heuristic, paper §II.B).
+    /// triggered (repopulation heuristic, paper §II.B). Every journaled
+    /// row costs each scan a row-store fetch, and a rebuild shares every
+    /// column its changed rows left untouched, so the default (0.5 %)
+    /// keeps journals short with rebuilds that re-encode only the touched
+    /// columns.
     pub repopulate_threshold: f64,
     /// Minimum published QuerySCN advance between repopulations of the same
     /// IMCU, to avoid thrashing the hot edge IMCU (paper §IV.A.2).
@@ -95,7 +99,7 @@ impl Default for ImcsConfig {
             imcu_max_rows: 2 * 1024,
             journal_buckets: 128,
             commit_table_partitions: 4,
-            repopulate_threshold: 0.02,
+            repopulate_threshold: 0.005,
             repopulate_min_scn_gap: 2000,
             build_pause_micros: 1000,
             commit_flag_annotation: true,

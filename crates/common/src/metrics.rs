@@ -937,6 +937,10 @@ pub struct PopulationMetrics {
     pub imcus_built: Counter,
     /// Stale IMCUs rebuilt.
     pub imcus_repopulated: Counter,
+    /// Encoded columns a repopulation shared with the unit it replaced.
+    pub columns_shared: Counter,
+    /// Encoded columns a repopulation re-encoded.
+    pub columns_encoded: Counter,
     /// Population passes run.
     pub passes: Counter,
     /// Rows populated across column stores (sampled).
@@ -949,6 +953,8 @@ impl PopulationMetrics {
         PopulationSnapshot {
             imcus_built: self.imcus_built.get(),
             imcus_repopulated: self.imcus_repopulated.get(),
+            columns_shared: self.columns_shared.get(),
+            columns_encoded: self.columns_encoded.get(),
             passes: self.passes.get(),
             populated_rows: self.populated_rows.get(),
         }
@@ -962,6 +968,10 @@ pub struct PopulationSnapshot {
     pub imcus_built: u64,
     /// Stale IMCUs rebuilt.
     pub imcus_repopulated: u64,
+    /// Encoded columns repopulations shared with the units they replaced.
+    pub columns_shared: u64,
+    /// Encoded columns repopulations re-encoded.
+    pub columns_encoded: u64,
     /// Population passes.
     pub passes: u64,
     /// Sampled populated rows.
@@ -1698,10 +1708,13 @@ impl fmt::Display for MetricsSnapshot {
         )?;
         writeln!(
             f,
-            "population: populated_rows={} imcus_built={} imcus_repopulated={}",
+            "population: populated_rows={} imcus_built={} imcus_repopulated={} \
+             columns_shared={} columns_encoded={}",
             self.population.populated_rows,
             self.population.imcus_built,
             self.population.imcus_repopulated,
+            self.population.columns_shared,
+            self.population.columns_encoded,
         )?;
         writeln!(
             f,

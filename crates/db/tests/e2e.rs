@@ -542,6 +542,73 @@ fn ddl_scan_rows_match_row_store_images() {
     assert!(stats.imcu_rows > 0 && stats.fallback_rows > 0, "{stats:?}");
 }
 
+/// On the paper's 101-column wide table, an update-only burst on `n1`
+/// repopulates standby units by re-encoding `n1` alone: every rebuild
+/// shares at least 99 of its 101 columns with the unit it replaces, and
+/// the rebuilt units answer exactly what the row store holds.
+#[test]
+fn update_only_repopulation_shares_untouched_columns() {
+    let mut cols = vec![("id".to_string(), ColumnType::Int)];
+    cols.extend((1..=50).map(|i| (format!("n{i}"), ColumnType::Int)));
+    cols.extend((1..=50).map(|i| (format!("c{i}"), ColumnType::Varchar)));
+    let named: Vec<(&str, ColumnType)> = cols.iter().map(|(n, t)| (n.as_str(), *t)).collect();
+    let c = NodeBuilder::new()
+        .tune(|s| {
+            s.imcs.imcu_max_rows = 256;
+            s.imcs.repopulate_min_scn_gap = 0;
+            s.imcs.build_pause_micros = 0;
+        })
+        .build()
+        .unwrap();
+    c.create_table(TableSpec {
+        id: OBJ,
+        name: "wide".into(),
+        tenant: TenantId::DEFAULT,
+        schema: Schema::of(&named),
+        key_ordinal: 0,
+        rows_per_block: 64,
+    })
+    .unwrap();
+    c.set_placement(OBJ, Placement::StandbyOnly).unwrap();
+    let p = c.primary();
+    let mut tx = p.txm.begin(TenantId::DEFAULT);
+    for k in 0..1024i64 {
+        let mut row = vec![Value::Int(k)];
+        row.extend((1..=50).map(|i| Value::Int((k * i) % 97)));
+        row.extend((1..=50).map(|i| Value::str(format!("v{}", (k + i) % 31))));
+        p.txm.insert(&mut tx, OBJ, row).unwrap();
+    }
+    p.txm.commit(tx);
+    c.sync().unwrap();
+    let before = c.standby().metrics().population;
+
+    // 1 row in 16 of every unit: over the repopulation threshold, far
+    // below the quarter past which a rebuild re-encodes everything.
+    let mut tx = p.txm.begin(TenantId::DEFAULT);
+    for k in (0..1024i64).step_by(16) {
+        p.txm.update_column_by_key(&mut tx, OBJ, k, "n1", Value::Int(1000 + k)).unwrap();
+    }
+    p.txm.commit(tx);
+    c.sync().unwrap();
+
+    let after = c.standby().metrics().population;
+    let rebuilt = after.imcus_repopulated - before.imcus_repopulated;
+    let shared = after.columns_shared - before.columns_shared;
+    let encoded = after.columns_encoded - before.columns_encoded;
+    assert!(rebuilt >= 4, "every unit repopulates: {after:?}");
+    assert_eq!(shared + encoded, 101 * rebuilt);
+    assert!(shared >= 99 * rebuilt, "shared {shared} of {} columns", 101 * rebuilt);
+
+    let s = c.standby();
+    let f = filter(&c, "n1", Value::Int(1016));
+    let out = s.query(&QueryRequest::scan(OBJ).filter(f)).unwrap();
+    assert!(out.used_imcs);
+    assert_eq!(out.rows.len(), 1);
+    assert_eq!(out.rows[0][0], Value::Int(16));
+    let stats = out.stats.unwrap();
+    assert_eq!(stats.fallback_rows, 0, "the rebuild absorbed the burst: {stats:?}");
+}
+
 #[test]
 fn shipping_latency_delays_visibility() {
     let c = cluster(NodeBuilder::new().latency(std::time::Duration::from_millis(60)));

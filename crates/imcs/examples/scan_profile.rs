@@ -1,12 +1,14 @@
 //! Phase decomposition of one vectorized scan — run with
 //! `cargo run --release -p imadg-imcs --example scan_profile` to see
-//! where a scan's time goes (kernel, validity, row-image fetch, driver).
+//! where a scan's time goes (kernel, validity, row-image fetch, driver) —
+//! followed by the per-unit cost of repopulating a 101-column unit, full
+//! build against shared-column rebuild.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use imadg_common::{ImcsConfig, ObjectId, ScnService, TenantId};
-use imadg_imcs::{Filter, ImcsStore, PopulationEngine, Predicate, SnapshotSource};
+use imadg_imcs::{Filter, ImcsStore, Imcu, PopulationEngine, Predicate, SnapshotSource};
 use imadg_redo::LogBuffer;
 use imadg_storage::{ColumnType, DbaAllocator, Row, RowLoc, Schema, Store, TableSpec, Value};
 use imadg_txn::{InMemoryRegistry, LockTable, TxnIdService, TxnManager};
@@ -20,15 +22,7 @@ fn main() {
         std::env::var("IMADG_BENCH_ROWS").ok().and_then(|v| v.parse().ok()).unwrap_or(400_000);
     let store = Arc::new(Store::new());
     let scns = Arc::new(ScnService::new());
-    let txm = TxnManager::new(
-        store.clone(),
-        scns.clone(),
-        Arc::new(LogBuffer::new(imadg_common::RedoThreadId(1))),
-        Arc::new(TxnIdService::new()),
-        Arc::new(LockTable::new()),
-        Arc::new(InMemoryRegistry::new()),
-        Arc::new(DbaAllocator::default()),
-    );
+    let txm = manager(&store, &scns);
     let schema = Schema::of(&[
         ("id", ColumnType::Int),
         ("n1", ColumnType::Int),
@@ -179,4 +173,84 @@ fn main() {
     time("full scan_parallel d1 again", &mut || {
         imadg_imcs::scan_parallel(&imcs, &store, OBJ, &q, snapshot, 1).unwrap().unwrap().rows.len()
     });
+
+    repopulation_profile();
+}
+
+fn manager(store: &Arc<Store>, scns: &Arc<ScnService>) -> TxnManager {
+    TxnManager::new(
+        store.clone(),
+        scns.clone(),
+        Arc::new(LogBuffer::new(imadg_common::RedoThreadId(1))),
+        Arc::new(TxnIdService::new()),
+        Arc::new(LockTable::new()),
+        Arc::new(InMemoryRegistry::new()),
+        Arc::new(DbaAllocator::default()),
+    )
+}
+
+/// Per-unit repopulation cost on the paper's 101-column wide table
+/// (id, n1..n50, c1..c50; 64 rows per block): a full 2 048-row build
+/// against a rebuild after 0.5 % of the unit's rows had `n1` updated.
+fn repopulation_profile() {
+    const WIDE: ObjectId = ObjectId(2);
+    const UNIT_ROWS: i64 = 2048;
+    let store = Arc::new(Store::new());
+    let scns = Arc::new(ScnService::new());
+    let txm = manager(&store, &scns);
+    let mut cols = vec![("id".to_string(), ColumnType::Int)];
+    cols.extend((1..=50).map(|i| (format!("n{i}"), ColumnType::Int)));
+    cols.extend((1..=50).map(|i| (format!("c{i}"), ColumnType::Varchar)));
+    let named: Vec<(&str, ColumnType)> = cols.iter().map(|(n, t)| (n.as_str(), *t)).collect();
+    let schema = Schema::of(&named);
+    txm.create_table(TableSpec {
+        id: WIDE,
+        name: "wide".into(),
+        tenant: TenantId::DEFAULT,
+        schema: schema.clone(),
+        key_ordinal: 0,
+        rows_per_block: 64,
+    })
+    .unwrap();
+    let mut rng = SmallRng::seed_from_u64(2);
+    let mut tx = txm.begin(TenantId::DEFAULT);
+    for k in 0..UNIT_ROWS {
+        let mut row = vec![Value::Int(k)];
+        row.extend((0..50).map(|_| Value::Int(rng.gen_range(0..1000))));
+        row.extend((0..50).map(|_| Value::str(format!("val_{:06}", rng.gen_range(0..1000)))));
+        txm.insert(&mut tx, WIDE, row).unwrap();
+    }
+    txm.commit(tx);
+    let dbas = store.block_dbas(WIDE).unwrap();
+    let build = |snapshot| {
+        Imcu::build(&store, WIDE, TenantId::DEFAULT, dbas.clone(), snapshot, &schema).unwrap()
+    };
+    let unit = build(scns.current());
+
+    let mut tx = txm.begin(TenantId::DEFAULT);
+    let touched = UNIT_ROWS / 200; // 0.5 %
+    for _ in 0..touched {
+        let key = rng.gen_range(0..UNIT_ROWS);
+        txm.update_column_by_key(&mut tx, WIDE, key, "n1", Value::Int(rng.gen_range(0..1000)))
+            .unwrap();
+    }
+    txm.commit(tx);
+    let snapshot = scns.current();
+
+    let time = |label: &str, iters: u32, f: &mut dyn FnMut() -> Imcu| {
+        let mut unit = f();
+        let t = Instant::now();
+        for _ in 0..iters {
+            unit = f();
+        }
+        let us = t.elapsed().as_secs_f64() * 1e6 / f64::from(iters);
+        println!("{label:<28} {us:>10.1} us  ({} rows)", unit.rows());
+    };
+    println!("101-column unit, {UNIT_ROWS} rows, {touched} rows' n1 updated");
+    time("full build", 10, &mut || build(snapshot));
+    time("rebuild (shared columns)", 50, &mut || {
+        unit.rebuild(&store, snapshot, &schema, &[]).unwrap()
+    });
+    let rebuilt = unit.rebuild(&store, snapshot, &schema, &[]).unwrap();
+    println!("columns shared by the rebuild: {} of 101", rebuilt.columns_shared_with(&unit));
 }

@@ -149,16 +149,21 @@ impl ColdTier {
             return Ok(false);
         };
         let schema = table.schema.read().clone();
-        let Some(snapshot) = self.source.capture_and_register(|_| {}) else {
+        // Throttle on a lock-free peek before taking the quiesce lock, as
+        // repopulation does.
+        let Some(current) = self.source.peek() else {
             return Ok(false); // no consistency point yet
         };
-        if snapshot <= cold.meta.snapshot
+        if current <= cold.meta.snapshot
             || (!all_invalid
-                && snapshot.0.saturating_sub(cold.meta.snapshot.0)
+                && current.0.saturating_sub(cold.meta.snapshot.0)
                     < self.config.repopulate_min_scn_gap)
         {
             return Ok(false); // nothing newer to absorb / gap throttle
         }
+        let Some(snapshot) = self.source.capture_and_register(|_| {}) else {
+            return Ok(false);
+        };
         let exprs = self.imcs.expressions(object);
         let rebuilt = Imcu::build_with_expressions(
             &self.store,

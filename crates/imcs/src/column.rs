@@ -122,8 +122,9 @@ impl ColumnCu {
     }
 
     /// Serialize into `buf`: a one-byte encoding tag, then the encoding's
-    /// own payload (the cold columnar page body).
-    pub(crate) fn to_bytes(&self, buf: &mut Vec<u8>) {
+    /// own payload (the cold columnar page body). Two columns with equal
+    /// bytes are the same encoding of the same cells.
+    pub fn to_bytes(&self, buf: &mut Vec<u8>) {
         use crate::coldstore::codec::put_u8;
         match self {
             ColumnCu::Plain(c) => {

@@ -3,15 +3,20 @@
 //! An IMCU is a read-only columnar snapshot of a DBA range of one object,
 //! consistent as of its snapshot SCN (paper §II.B). It never changes after
 //! construction; transactional drift is tracked in the accompanying SMU and
-//! resolved by the scan engine.
+//! resolved by the scan engine. Repopulation ([`Imcu::rebuild`]) produces a
+//! successor unit that shares every encoded column the changed rows left
+//! untouched.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use imadg_common::{Dba, ObjectId, Result, Scn, TenantId};
 use imadg_storage::{Row, RowLoc, Schema, Store, Value};
 
 use crate::column::ColumnCu;
 use crate::expression::ImExpression;
+use crate::predicate::Predicate;
+use crate::storage_index::StorageIndex;
 
 /// Pre-computed per-column aggregates of one unit.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -21,8 +26,23 @@ pub struct ColAgg {
     /// Number of non-null values.
     pub non_null: u64,
 }
-use crate::predicate::Predicate;
-use crate::storage_index::StorageIndex;
+
+impl ColAgg {
+    fn of(values: &[Value]) -> ColAgg {
+        let mut agg = ColAgg::default();
+        for v in values {
+            match v {
+                Value::Int(x) => {
+                    agg.sum += i128::from(*x);
+                    agg.non_null += 1;
+                }
+                Value::Str(_) => agg.non_null += 1,
+                Value::Null => {}
+            }
+        }
+        agg
+    }
+}
 
 /// A populated columnar unit.
 #[derive(Debug)]
@@ -41,11 +61,21 @@ pub struct Imcu {
     pub schema_version: u32,
     /// Row-number → physical location.
     locs: Vec<RowLoc>,
-    /// Physical location → row number (SMU reconciliation).
-    loc_index: HashMap<RowLoc, u32>,
+    /// Physical location → row number (SMU reconciliation). Shared with
+    /// the successor when a rebuild keeps the row set.
+    loc_index: Arc<HashMap<RowLoc, u32>>,
+    /// The row-store images this unit encoded, in row-number order — one
+    /// `Arc` per row, shared with the block version chains. A rebuild
+    /// tells unchanged rows by image identity ([`Row::ptr_eq`]). Memory
+    /// bound: an image the row store has since replaced stays alive only
+    /// until the next rebuild, so at most the repopulation threshold's
+    /// share of rows is held twice. Empty for pending and cold-restored
+    /// units, whose next rebuild is a full encode.
+    images: Vec<Row>,
     /// Encoded columns: base columns at schema ordinals, then one virtual
-    /// column per in-memory expression (paper §V).
-    columns: Vec<ColumnCu>,
+    /// column per in-memory expression (paper §V). Shared between a unit
+    /// and its rebuilt successor when no changed row touched the column.
+    columns: Vec<Arc<ColumnCu>>,
     /// Names of the virtual (expression) columns, in storage order after
     /// the base columns.
     virtual_names: Vec<String>,
@@ -88,62 +118,153 @@ impl Imcu {
         schema: &Schema,
         exprs: &[ImExpression],
     ) -> Result<Imcu> {
-        let base_arity = schema.arity();
-        let mut locs: Vec<RowLoc> = Vec::new();
-        let mut col_values: Vec<Vec<Value>> = vec![Vec::new(); base_arity + exprs.len()];
-        store.scan_blocks(&dbas, snapshot, |loc, row| {
-            locs.push(loc);
-            for (ord, col) in col_values.iter_mut().enumerate().take(base_arity) {
-                col.push(row.get(ord).clone());
-            }
-            for (i, e) in exprs.iter().enumerate() {
-                col_values[base_arity + i].push(e.expr.eval(row));
-            }
-        })?;
-        let mut columns: Vec<ColumnCu> = schema
-            .all_columns()
-            .iter()
-            .enumerate()
-            .map(|(ord, def)| ColumnCu::build(def.ctype, &col_values[ord]))
-            .collect();
-        for (i, e) in exprs.iter().enumerate() {
-            let ctype = e.expr.result_type(schema)?;
-            columns.push(ColumnCu::build(ctype, &col_values[base_arity + i]));
+        let (locs, images) = scan_images(store, &dbas, snapshot)?;
+        Imcu::encode(object, tenant, dbas, snapshot, schema, exprs, locs, images)
+    }
+
+    /// Encode every column of the rows `scan_images` read.
+    #[allow(clippy::too_many_arguments)]
+    fn encode(
+        object: ObjectId,
+        tenant: TenantId,
+        dbas: Vec<Dba>,
+        snapshot: Scn,
+        schema: &Schema,
+        exprs: &[ImExpression],
+        locs: Vec<RowLoc>,
+        images: Vec<Row>,
+    ) -> Result<Imcu> {
+        let mut scratch = Vec::with_capacity(images.len());
+        let mut columns = Vec::with_capacity(schema.arity() + exprs.len());
+        let mut col_aggs = Vec::with_capacity(schema.arity() + exprs.len());
+        for (ord, def) in schema.all_columns().iter().enumerate() {
+            scratch.clear();
+            scratch.extend(images.iter().map(|row| row.get(ord).clone()));
+            columns.push(Arc::new(ColumnCu::build(def.ctype, &scratch)));
+            col_aggs.push(ColAgg::of(&scratch));
         }
-        let col_aggs: Vec<ColAgg> = col_values
-            .iter()
-            .map(|vals| {
-                let mut agg = ColAgg::default();
-                for v in vals {
-                    match v {
-                        Value::Int(x) => {
-                            agg.sum += i128::from(*x);
-                            agg.non_null += 1;
-                        }
-                        Value::Str(_) => agg.non_null += 1,
-                        Value::Null => {}
-                    }
-                }
-                agg
-            })
-            .collect();
-        let storage_index = StorageIndex::new(columns.iter().map(|c| c.min_max()).collect());
-        let loc_index = locs.iter().enumerate().map(|(i, &l)| (l, i as u32)).collect();
+        for e in exprs {
+            let ctype = e.expr.result_type(schema)?;
+            scratch.clear();
+            scratch.extend(images.iter().map(|row| e.expr.eval(row)));
+            columns.push(Arc::new(ColumnCu::build(ctype, &scratch)));
+            col_aggs.push(ColAgg::of(&scratch));
+        }
+        let loc_index = Arc::new(locs.iter().enumerate().map(|(i, &l)| (l, i as u32)).collect());
         Ok(Imcu {
             object,
             tenant,
             dbas,
             snapshot,
             schema_version: schema.version(),
+            storage_index: StorageIndex::of_columns(&columns),
             locs,
             loc_index,
+            images,
             columns,
             virtual_names: exprs.iter().map(|e| e.name.clone()).collect(),
-            base_arity,
+            base_arity: schema.arity(),
             col_aggs,
-            storage_index,
             pending: false,
         })
+    }
+
+    /// Repopulate: the unit [`Imcu::build_with_expressions`] would build
+    /// over the same blocks at `snapshot`, sharing every encoded column
+    /// the changed rows left untouched.
+    ///
+    /// The blocks are re-read from the row store exactly as a build reads
+    /// them, so the result never trusts the SMU (a missed invalidation
+    /// heals as a full build heals it). A row is unchanged when its image
+    /// is the very allocation this unit encoded; a column is shared (with
+    /// its aggregates) when every changed row holds the same cell in it,
+    /// and re-encoded from the new images otherwise — encodings are a
+    /// function of the cell values, so either way the column is the one a
+    /// build would produce. The whole unit is re-encoded when the row set
+    /// changed (an insert or delete in a covered block), the schema
+    /// version differs, in-memory expressions are registered, this unit
+    /// holds no images (pending or cold-restored), or more than a quarter
+    /// of its rows changed.
+    pub fn rebuild(
+        &self,
+        store: &Store,
+        snapshot: Scn,
+        schema: &Schema,
+        exprs: &[ImExpression],
+    ) -> Result<Imcu> {
+        let (locs, images) = scan_images(store, &self.dbas, snapshot)?;
+        let same_rows = !self.pending
+            && self.images.len() == self.rows()
+            && self.schema_version == schema.version()
+            && self.columns.len() == schema.arity()
+            && exprs.is_empty()
+            && locs == self.locs;
+        let changed: Vec<usize> = if same_rows {
+            (0..images.len()).filter(|&rn| !Row::ptr_eq(&images[rn], &self.images[rn])).collect()
+        } else {
+            Vec::new()
+        };
+        // Past a quarter of the rows, most columns are touched anyway.
+        if !same_rows || changed.len() * 4 > images.len() {
+            let dbas = self.dbas.clone();
+            return Imcu::encode(
+                self.object,
+                self.tenant,
+                dbas,
+                snapshot,
+                schema,
+                exprs,
+                locs,
+                images,
+            );
+        }
+        let mut scratch = Vec::new();
+        let mut columns = Vec::with_capacity(self.columns.len());
+        let mut col_aggs = Vec::with_capacity(self.columns.len());
+        for (ord, def) in schema.all_columns().iter().enumerate() {
+            if changed.iter().all(|&rn| images[rn].get(ord) == self.images[rn].get(ord)) {
+                columns.push(self.columns[ord].clone());
+                col_aggs.push(self.col_aggs[ord]);
+                continue;
+            }
+            scratch.clear();
+            scratch.extend(images.iter().map(|row| row.get(ord).clone()));
+            columns.push(Arc::new(ColumnCu::build(def.ctype, &scratch)));
+            col_aggs.push(ColAgg::of(&scratch));
+        }
+        Ok(Imcu {
+            object: self.object,
+            tenant: self.tenant,
+            dbas: self.dbas.clone(),
+            snapshot,
+            schema_version: self.schema_version,
+            storage_index: StorageIndex::of_columns(&columns),
+            locs,
+            loc_index: self.loc_index.clone(),
+            images,
+            columns,
+            virtual_names: Vec::new(),
+            base_arity: self.base_arity,
+            col_aggs,
+            pending: false,
+        })
+    }
+
+    /// How many of this unit's encoded columns are the very same
+    /// allocations as `prev`'s — what a [`Imcu::rebuild`] from `prev`
+    /// shared instead of re-encoding.
+    pub fn columns_shared_with(&self, prev: &Imcu) -> usize {
+        self.columns.iter().zip(&prev.columns).filter(|(a, b)| Arc::ptr_eq(a, b)).count()
+    }
+
+    /// Number of encoded columns, base then virtual.
+    pub fn column_count(&self) -> usize {
+        self.columns.len()
+    }
+
+    /// The encoded column at `ordinal` (base then virtual), if stored.
+    pub fn column(&self, ordinal: usize) -> Option<&ColumnCu> {
+        self.columns.get(ordinal).map(|c| &**c)
     }
 
     /// Storage ordinal of a virtual (expression) column, if this unit
@@ -175,7 +296,8 @@ impl Imcu {
             snapshot,
             schema_version,
             locs: Vec::new(),
-            loc_index: HashMap::new(),
+            loc_index: Arc::default(),
+            images: Vec::new(),
             columns: Vec::new(),
             virtual_names: Vec::new(),
             base_arity: 0,
@@ -287,10 +409,13 @@ impl Imcu {
     }
 
     /// Approximate DRAM footprint of the encoded unit (the cold tier's
-    /// budget currency). Pending units hold no data and cost nothing.
+    /// budget currency). Pending units hold no data and cost nothing. The
+    /// retained images count as one handle each: their values belong to
+    /// the row store.
     pub fn approx_bytes(&self) -> usize {
         self.columns.iter().map(|c| c.approx_bytes()).sum::<usize>()
             + self.locs.len() * (std::mem::size_of::<RowLoc>() + 24)
+            + self.images.len() * std::mem::size_of::<Row>()
     }
 
     /// Row locations in row-number order (cold serialization input).
@@ -299,7 +424,7 @@ impl Imcu {
     }
 
     /// Encoded columns, base then virtual (cold serialization input).
-    pub(crate) fn columns(&self) -> &[ColumnCu] {
+    pub(crate) fn columns(&self) -> &[Arc<ColumnCu>] {
         &self.columns
     }
 
@@ -320,7 +445,8 @@ impl Imcu {
 
     /// Reassemble a unit from decoded cold-tier parts. The loc index is
     /// rebuilt; the unit comes back non-pending, byte-identical in
-    /// behavior to the unit that was serialized.
+    /// behavior to the unit that was serialized. It holds no row images,
+    /// so its next rebuild is a full encode.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         object: ObjectId,
@@ -334,24 +460,37 @@ impl Imcu {
         base_arity: usize,
         col_aggs: Vec<ColAgg>,
     ) -> Imcu {
-        let storage_index = StorageIndex::new(columns.iter().map(|c| c.min_max()).collect());
-        let loc_index = locs.iter().enumerate().map(|(i, &l)| (l, i as u32)).collect();
+        let columns: Vec<Arc<ColumnCu>> = columns.into_iter().map(Arc::new).collect();
+        let loc_index = Arc::new(locs.iter().enumerate().map(|(i, &l)| (l, i as u32)).collect());
         Imcu {
             object,
             tenant,
             dbas,
             snapshot,
             schema_version,
+            storage_index: StorageIndex::of_columns(&columns),
             locs,
             loc_index,
+            images: Vec::new(),
             columns,
             virtual_names,
             base_arity,
             col_aggs,
-            storage_index,
             pending: false,
         }
     }
+}
+
+/// Read the visible rows of `dbas` at `snapshot`: locations and shared
+/// images, in row-number order.
+fn scan_images(store: &Store, dbas: &[Dba], snapshot: Scn) -> Result<(Vec<RowLoc>, Vec<Row>)> {
+    let mut locs = Vec::new();
+    let mut images = Vec::new();
+    store.scan_blocks(dbas, snapshot, |loc, row| {
+        locs.push(loc);
+        images.push(row.clone());
+    })?;
+    Ok((locs, images))
 }
 
 #[cfg(test)]
@@ -487,6 +626,69 @@ mod tests {
         assert_eq!(aggs.sum, 6);
         assert_eq!(aggs.min, Some(Value::Int(0)));
         assert_eq!(aggs.max, Some(Value::Int(3)));
+    }
+
+    /// Commit `rows` (slot, image) as one transaction at `scn`.
+    fn commit_images(s: &Store, scn: u64, rows: &[(u16, Row)]) {
+        s.txns().begin(TxnId(scn));
+        let b = s.cache().get(Dba(1)).unwrap();
+        for (slot, row) in rows {
+            b.write().chain_mut(*slot).unwrap().push(RowVersion {
+                txn: TxnId(scn),
+                scn: Scn(scn),
+                data: Some(row.clone()),
+            });
+        }
+        s.txns().commit(TxnId(scn), Scn(scn));
+    }
+
+    fn column_bytes(imcu: &Imcu, ord: usize) -> Vec<u8> {
+        let mut buf = Vec::new();
+        imcu.column(ord).unwrap().to_bytes(&mut buf);
+        buf
+    }
+
+    #[test]
+    fn rebuild_shares_untouched_columns() {
+        let s = store_with_rows(10);
+        let sc = schema();
+        let old =
+            Imcu::build(&s, ObjectId(1), TenantId::DEFAULT, vec![Dba(1)], Scn(5), &sc).unwrap();
+        commit_images(&s, 8, &[(4, Row::new(vec![Value::Int(4), Value::str("new")]))]);
+        let rebuilt = old.rebuild(&s, Scn(9), &sc, &[]).unwrap();
+        assert_eq!(rebuilt.snapshot, Scn(9));
+        assert_eq!(rebuilt.columns_shared_with(&old), 1, "only `c` is re-encoded");
+        assert_eq!(rebuilt.value(4, 1), Value::str("new"));
+        let full =
+            Imcu::build(&s, ObjectId(1), TenantId::DEFAULT, vec![Dba(1)], Scn(9), &sc).unwrap();
+        for ord in 0..2 {
+            assert_eq!(column_bytes(&rebuilt, ord), column_bytes(&full, ord));
+            assert_eq!(rebuilt.column_agg(ord), full.column_agg(ord));
+        }
+        // A rewrite with equal cells changes no column.
+        commit_images(&s, 10, &[(2, Row::new(vec![Value::Int(2), Value::str("s2")]))]);
+        let again = rebuilt.rebuild(&s, Scn(11), &sc, &[]).unwrap();
+        assert_eq!(again.columns_shared_with(&rebuilt), 2);
+    }
+
+    #[test]
+    fn rebuild_re_encodes_everything_when_the_row_set_changes() {
+        let s = store_with_rows(10);
+        let sc = schema();
+        let old =
+            Imcu::build(&s, ObjectId(1), TenantId::DEFAULT, vec![Dba(1)], Scn(5), &sc).unwrap();
+        commit_images(&s, 8, &[(10, Row::new(vec![Value::Int(10), Value::str("s1")]))]);
+        let rebuilt = old.rebuild(&s, Scn(9), &sc, &[]).unwrap();
+        assert_eq!(rebuilt.rows(), 11);
+        assert_eq!(rebuilt.columns_shared_with(&old), 0);
+        // So does a rebuild of more than a quarter of the rows.
+        let many: Vec<(u16, Row)> = (0..4)
+            .map(|i| (i, Row::new(vec![Value::Int(100 + i64::from(i)), Value::str("x")])))
+            .collect();
+        commit_images(&s, 10, &many);
+        let again = rebuilt.rebuild(&s, Scn(11), &sc, &[]).unwrap();
+        assert_eq!(again.columns_shared_with(&rebuilt), 0);
+        assert_eq!(again.value(3, 0), Value::Int(103));
     }
 
     #[test]

@@ -45,6 +45,16 @@ pub enum SnapshotSource {
 }
 
 impl SnapshotSource {
+    /// The snapshot a capture would return right now, read without the
+    /// quiesce lock — good enough to decide whether a capture is worth
+    /// taking, never a consistency point itself.
+    pub(crate) fn peek(&self) -> Option<Scn> {
+        match self {
+            SnapshotSource::Primary(scns) => Some(scns.current()).filter(|&s| s != Scn::ZERO),
+            SnapshotSource::Standby { query_scn, .. } => query_scn.get(),
+        }
+    }
+
     /// Capture a population snapshot, registering `pending` at the same
     /// consistency point. Returns the snapshot, or `None` when the standby
     /// has not published a QuerySCN yet. Shared with the cold-tier engine,
@@ -200,12 +210,19 @@ impl PopulationEngine {
         let meta = self.store.table(object)?;
         let obj_imcs = self.imcs.ensure_object(object, meta.tenant);
         let dbas = self.store.block_dbas(object)?;
-        let uncovered: Vec<_> = dbas
-            .into_iter()
+        // Segments only append blocks and an object's coverage only grows,
+        // so a block once found covered (or homed on another instance)
+        // stays so: a pass checks only the blocks past that prefix instead of
+        // looking up every block of the segment.
+        let settled = obj_imcs.settled_blocks().min(dbas.len());
+        let uncovered: Vec<_> = dbas[settled..]
+            .iter()
+            .copied()
             .filter(|d| !obj_imcs.covers(*d))
             .filter(|d| self.home_filter.as_ref().is_none_or(|f| f(*d)))
             .collect();
         if uncovered.is_empty() {
+            obj_imcs.settle_blocks(dbas.len());
             return Ok(0);
         }
         let mut built = 0usize;
@@ -252,6 +269,9 @@ impl PopulationEngine {
         let meta = self.store.table(object)?;
         let mut rebuilt = 0usize;
         for handle in obj_imcs.handles() {
+            if !handle.stale_enough(self.config.repopulate_threshold) {
+                continue;
+            }
             // Cold units hide behind pending placeholders; rebuilding them
             // here would defeat eviction (the pending-forced rebuild below
             // would recall every evicted unit on the next pass). Their
@@ -260,37 +280,31 @@ impl PopulationEngine {
                 continue;
             }
             let (imcu, smu) = handle.pair();
-            let stale_enough =
-                imcu.is_pending() || smu.staleness(imcu.rows()) >= self.config.repopulate_threshold;
-            if !stale_enough {
-                continue;
-            }
-            let schema = meta.schema.read().clone();
-            let dbas = imcu.dbas.clone();
-            let snapshot = self.source.capture_and_register(|_| {});
-            let Some(snapshot) = snapshot else { return Ok(rebuilt) };
-            // Throttle: don't rebuild for tiny snapshot advances unless the
-            // unit is unusable (pending or coarse-invalidated).
-            let forced = imcu.is_pending() || smu.view().all_invalid();
+            // Throttle on a lock-free read of the published snapshot before
+            // taking the quiesce lock: don't rebuild for tiny snapshot
+            // advances unless the unit is unusable (pending or
+            // coarse-invalidated). Snapshots only move forward, so the
+            // captured one passes whatever the peek passed.
+            let Some(current) = self.source.peek() else { return Ok(rebuilt) };
+            let forced = imcu.is_pending() || smu.read().all_invalid();
             if !forced
-                && snapshot.0.saturating_sub(imcu.snapshot.0) < self.config.repopulate_min_scn_gap
+                && current.0.saturating_sub(imcu.snapshot.0) < self.config.repopulate_min_scn_gap
             {
                 continue;
             }
-            if snapshot <= imcu.snapshot && !imcu.is_pending() {
+            if current <= imcu.snapshot && !imcu.is_pending() {
                 continue; // nothing newer to absorb
             }
+            let Some(snapshot) = self.source.capture_and_register(|_| {}) else {
+                return Ok(rebuilt);
+            };
+            let schema = meta.schema.read().clone();
             let exprs = self.imcs.expressions(object);
-            let rebuiltu = Imcu::build_with_expressions(
-                &self.store,
-                object,
-                meta.tenant,
-                dbas,
-                snapshot,
-                &schema,
-                &exprs,
-            )?;
-            handle.swap(rebuiltu);
+            let successor = imcu.rebuild(&self.store, snapshot, &schema, &exprs)?;
+            let shared = successor.columns_shared_with(&imcu);
+            self.metrics.columns_shared.add(shared as u64);
+            self.metrics.columns_encoded.add((successor.column_count() - shared) as u64);
+            handle.swap(successor);
             rebuilt += 1;
             self.build_pause();
         }

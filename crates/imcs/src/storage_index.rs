@@ -2,9 +2,11 @@
 //! let the scan engine skip entire IMCUs whose value range cannot satisfy
 //! the predicate (paper §II.B, "in-memory storage indexes").
 
+use std::sync::Arc;
+
 use imadg_storage::Value;
 
-use crate::column::MinMax;
+use crate::column::{ColumnCu, MinMax};
 use crate::predicate::{CmpOp, Predicate};
 
 /// Min/max summaries for every column of one IMCU.
@@ -17,6 +19,11 @@ impl StorageIndex {
     /// Build from per-column summaries (ordinal-indexed).
     pub fn new(summaries: Vec<MinMax>) -> StorageIndex {
         StorageIndex { summaries }
+    }
+
+    /// Summarize every encoded column of a unit (ordinal-indexed).
+    pub(crate) fn of_columns(columns: &[Arc<ColumnCu>]) -> StorageIndex {
+        StorageIndex::new(columns.iter().map(|c| c.min_max()).collect())
     }
 
     /// The summary for `ordinal`, if stored.

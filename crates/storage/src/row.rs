@@ -42,6 +42,15 @@ impl Row {
         self.0.get(ordinal).unwrap_or(&Value::Null)
     }
 
+    /// Do `a` and `b` share one image allocation? Images are immutable, so
+    /// `true` proves equal contents; `false` proves nothing (equal values
+    /// may live in two allocations). While a holder keeps `a` alive its
+    /// address cannot be reused, so a later image never aliases it.
+    #[inline]
+    pub fn ptr_eq(a: &Row, b: &Row) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+
     /// Produce a new row with `ordinal` replaced by `value`, widening with
     /// NULLs if the ordinal lies beyond the current arity.
     pub fn with(&self, ordinal: usize, value: Value) -> Row {
@@ -109,5 +118,14 @@ mod tests {
         let r = Row::new(vec![Value::Int(1)]);
         let c = r.clone();
         assert!(Arc::ptr_eq(&r.0, &c.0));
+    }
+
+    #[test]
+    fn ptr_eq_is_identity_not_equality() {
+        let r = Row::new(vec![Value::Int(1)]);
+        assert!(Row::ptr_eq(&r, &r.clone()));
+        let twin = Row::new(vec![Value::Int(1)]);
+        assert_eq!(r, twin);
+        assert!(!Row::ptr_eq(&r, &twin), "equal contents, distinct images");
     }
 }

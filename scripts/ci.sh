@@ -73,6 +73,13 @@ cargo test -p imadg-db --test crash_recovery -q
 echo "==> kernel parity (vectorized vs scalar reference)"
 cargo test -p imadg-imcs --test kernel_parity -q
 
+# Repopulation parity gate: a rebuild that shares untouched columns must
+# produce exactly the unit a full build at the same snapshot produces —
+# rows, aggregates, min/max, and byte-identical encodings — under random
+# update/insert/delete histories, AddColumn, and in-memory expressions.
+echo "==> rebuild parity (shared-column rebuild vs full build)"
+cargo test -p imadg-imcs --test rebuild_parity -q
+
 # Cold-tier gate: the evict → scan-from-disk → recall round-trip must be
 # value-identical to the always-hot scalar oracle across encodings, null
 # densities, and journaled DML on both sides of the eviction; torn files
