@@ -62,7 +62,8 @@ pub struct ImcsConfig {
     /// row costs each scan a row-store fetch, and a rebuild shares every
     /// column its changed rows left untouched, so the default (0.5 %)
     /// keeps journals short with rebuilds that re-encode only the touched
-    /// columns.
+    /// columns. The cold tier never re-compacts or shields from eviction
+    /// below 2 %: a cold rebuild rewrites the whole unit.
     pub repopulate_threshold: f64,
     /// Minimum published QuerySCN advance between repopulations of the same
     /// IMCU, to avoid thrashing the hot edge IMCU (paper §IV.A.2).

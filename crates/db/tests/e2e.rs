@@ -582,8 +582,7 @@ fn update_only_repopulation_shares_untouched_columns() {
     c.sync().unwrap();
     let before = c.standby().metrics().population;
 
-    // 1 row in 16 of every unit: over the repopulation threshold, far
-    // below the quarter past which a rebuild re-encodes everything.
+    // 1 row in 16 of every unit: over the repopulation threshold.
     let mut tx = p.txm.begin(TenantId::DEFAULT);
     for k in (0..1024i64).step_by(16) {
         p.txm.update_column_by_key(&mut tx, OBJ, k, "n1", Value::Int(1000 + k)).unwrap();

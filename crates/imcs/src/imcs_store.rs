@@ -3,7 +3,7 @@
 //! DBIM-on-ADG flush component writes through.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use imadg_common::{Dba, ObjectId, Scn, TenantId};
@@ -64,14 +64,6 @@ impl ImcuHandle {
     /// The current SMU (flush target).
     pub fn smu(&self) -> Arc<Smu> {
         self.pair.read().1.clone()
-    }
-
-    /// Is the unit due for repopulation: pending, or journaling at least
-    /// `threshold` of its rows? Read under the pair lock without cloning
-    /// the pair — population asks this of every unit on every pass.
-    pub(crate) fn stale_enough(&self, threshold: f64) -> bool {
-        let g = self.pair.read();
-        g.0.is_pending() || g.1.staleness(g.0.rows()) >= threshold
     }
 
     /// Install a rebuilt unit, carrying over SMU entries newer than its
@@ -215,9 +207,6 @@ pub struct ObjectImcs {
     pub tenant: TenantId,
     handles: RwLock<Vec<Arc<ImcuHandle>>>,
     by_dba: RwLock<HashMap<Dba, Arc<ImcuHandle>>>,
-    /// Leading blocks of the object's segment the population engine has
-    /// found covered or homed elsewhere (see [`ObjectImcs::settle_blocks`]).
-    settled: AtomicUsize,
 }
 
 impl ObjectImcs {
@@ -227,21 +216,7 @@ impl ObjectImcs {
             tenant,
             handles: RwLock::new(Vec::new()),
             by_dba: RwLock::new(HashMap::new()),
-            settled: AtomicUsize::new(0),
         }
-    }
-
-    /// How many leading segment blocks are settled.
-    pub(crate) fn settled_blocks(&self) -> usize {
-        self.settled.load(Ordering::Relaxed)
-    }
-
-    /// Record that the first `blocks` segment blocks need no population
-    /// here. Sound because coverage only grows (units are registered,
-    /// never unregistered, until the whole object is dropped) and
-    /// segments only append blocks.
-    pub(crate) fn settle_blocks(&self, blocks: usize) {
-        self.settled.fetch_max(blocks, Ordering::Relaxed);
     }
 
     /// Register a handle (pending or built) and claim its DBA range.

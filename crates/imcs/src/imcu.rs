@@ -119,10 +119,16 @@ impl Imcu {
         exprs: &[ImExpression],
     ) -> Result<Imcu> {
         let (locs, images) = scan_images(store, &dbas, snapshot)?;
-        Imcu::encode(object, tenant, dbas, snapshot, schema, exprs, locs, images)
+        Imcu::encode(object, tenant, dbas, snapshot, schema, exprs, locs, images, None)
     }
 
-    /// Encode every column of the rows `scan_images` read.
+    /// Encode the rows `scan_images` read. With a predecessor — a unit
+    /// over the same row set and schema version, and the row numbers
+    /// whose images differ from its own — a base column no changed row
+    /// holds a different cell in is shared with it, aggregates included,
+    /// instead of re-encoded. Encodings are a function of the cell
+    /// values, so either way the column is the one a full encode yields.
+    /// Virtual columns are always evaluated afresh.
     #[allow(clippy::too_many_arguments)]
     fn encode(
         object: ObjectId,
@@ -133,11 +139,19 @@ impl Imcu {
         exprs: &[ImExpression],
         locs: Vec<RowLoc>,
         images: Vec<Row>,
+        prev: Option<(&Imcu, &[usize])>,
     ) -> Result<Imcu> {
         let mut scratch = Vec::with_capacity(images.len());
         let mut columns = Vec::with_capacity(schema.arity() + exprs.len());
         let mut col_aggs = Vec::with_capacity(schema.arity() + exprs.len());
         for (ord, def) in schema.all_columns().iter().enumerate() {
+            if let Some((prev, changed)) = prev {
+                if changed.iter().all(|&rn| images[rn].get(ord) == prev.images[rn].get(ord)) {
+                    columns.push(prev.columns[ord].clone());
+                    col_aggs.push(prev.col_aggs[ord]);
+                    continue;
+                }
+            }
             scratch.clear();
             scratch.extend(images.iter().map(|row| row.get(ord).clone()));
             columns.push(Arc::new(ColumnCu::build(def.ctype, &scratch)));
@@ -150,7 +164,10 @@ impl Imcu {
             columns.push(Arc::new(ColumnCu::build(ctype, &scratch)));
             col_aggs.push(ColAgg::of(&scratch));
         }
-        let loc_index = Arc::new(locs.iter().enumerate().map(|(i, &l)| (l, i as u32)).collect());
+        let loc_index = match prev {
+            Some((prev, _)) => prev.loc_index.clone(),
+            None => Arc::new(locs.iter().enumerate().map(|(i, &l)| (l, i as u32)).collect()),
+        };
         Ok(Imcu {
             object,
             tenant,
@@ -170,21 +187,17 @@ impl Imcu {
     }
 
     /// Repopulate: the unit [`Imcu::build_with_expressions`] would build
-    /// over the same blocks at `snapshot`, sharing every encoded column
-    /// the changed rows left untouched.
+    /// over the same blocks at `snapshot`, sharing every encoded base
+    /// column the changed rows left untouched.
     ///
     /// The blocks are re-read from the row store exactly as a build reads
     /// them, so the result never trusts the SMU (a missed invalidation
     /// heals as a full build heals it). A row is unchanged when its image
-    /// is the very allocation this unit encoded; a column is shared (with
-    /// its aggregates) when every changed row holds the same cell in it,
-    /// and re-encoded from the new images otherwise — encodings are a
-    /// function of the cell values, so either way the column is the one a
-    /// build would produce. The whole unit is re-encoded when the row set
-    /// changed (an insert or delete in a covered block), the schema
-    /// version differs, in-memory expressions are registered, this unit
-    /// holds no images (pending or cold-restored), or more than a quarter
-    /// of its rows changed.
+    /// is the very allocation this unit encoded. Sharing needs the same
+    /// row set and schema version; the whole unit is re-encoded when the
+    /// row set changed (an insert or delete in a covered block), the
+    /// schema version differs, or this unit holds no images (pending or
+    /// cold-restored).
     pub fn rebuild(
         &self,
         store: &Store,
@@ -196,58 +209,15 @@ impl Imcu {
         let same_rows = !self.pending
             && self.images.len() == self.rows()
             && self.schema_version == schema.version()
-            && self.columns.len() == schema.arity()
-            && exprs.is_empty()
             && locs == self.locs;
         let changed: Vec<usize> = if same_rows {
             (0..images.len()).filter(|&rn| !Row::ptr_eq(&images[rn], &self.images[rn])).collect()
         } else {
             Vec::new()
         };
-        // Past a quarter of the rows, most columns are touched anyway.
-        if !same_rows || changed.len() * 4 > images.len() {
-            let dbas = self.dbas.clone();
-            return Imcu::encode(
-                self.object,
-                self.tenant,
-                dbas,
-                snapshot,
-                schema,
-                exprs,
-                locs,
-                images,
-            );
-        }
-        let mut scratch = Vec::new();
-        let mut columns = Vec::with_capacity(self.columns.len());
-        let mut col_aggs = Vec::with_capacity(self.columns.len());
-        for (ord, def) in schema.all_columns().iter().enumerate() {
-            if changed.iter().all(|&rn| images[rn].get(ord) == self.images[rn].get(ord)) {
-                columns.push(self.columns[ord].clone());
-                col_aggs.push(self.col_aggs[ord]);
-                continue;
-            }
-            scratch.clear();
-            scratch.extend(images.iter().map(|row| row.get(ord).clone()));
-            columns.push(Arc::new(ColumnCu::build(def.ctype, &scratch)));
-            col_aggs.push(ColAgg::of(&scratch));
-        }
-        Ok(Imcu {
-            object: self.object,
-            tenant: self.tenant,
-            dbas: self.dbas.clone(),
-            snapshot,
-            schema_version: self.schema_version,
-            storage_index: StorageIndex::of_columns(&columns),
-            locs,
-            loc_index: self.loc_index.clone(),
-            images,
-            columns,
-            virtual_names: Vec::new(),
-            base_arity: self.base_arity,
-            col_aggs,
-            pending: false,
-        })
+        let prev = same_rows.then_some((self, changed.as_slice()));
+        let dbas = self.dbas.clone();
+        Imcu::encode(self.object, self.tenant, dbas, snapshot, schema, exprs, locs, images, prev)
     }
 
     /// How many of this unit's encoded columns are the very same
@@ -681,14 +651,14 @@ mod tests {
         let rebuilt = old.rebuild(&s, Scn(9), &sc, &[]).unwrap();
         assert_eq!(rebuilt.rows(), 11);
         assert_eq!(rebuilt.columns_shared_with(&old), 0);
-        // So does a rebuild of more than a quarter of the rows.
-        let many: Vec<(u16, Row)> = (0..4)
-            .map(|i| (i, Row::new(vec![Value::Int(100 + i64::from(i)), Value::str("x")])))
+        // Rewriting most rows still shares the column none of them changed.
+        let many: Vec<(u16, Row)> = (0..8)
+            .map(|i| (i, Row::new(vec![Value::Int(i64::from(i)), Value::str("x")])))
             .collect();
         commit_images(&s, 10, &many);
         let again = rebuilt.rebuild(&s, Scn(11), &sc, &[]).unwrap();
-        assert_eq!(again.columns_shared_with(&rebuilt), 0);
-        assert_eq!(again.value(3, 0), Value::Int(103));
+        assert_eq!(again.columns_shared_with(&rebuilt), 1);
+        assert_eq!(again.value(3, 1), Value::str("x"));
     }
 
     #[test]

@@ -210,19 +210,12 @@ impl PopulationEngine {
         let meta = self.store.table(object)?;
         let obj_imcs = self.imcs.ensure_object(object, meta.tenant);
         let dbas = self.store.block_dbas(object)?;
-        // Segments only append blocks and an object's coverage only grows,
-        // so a block once found covered (or homed on another instance)
-        // stays so: a pass checks only the blocks past that prefix instead of
-        // looking up every block of the segment.
-        let settled = obj_imcs.settled_blocks().min(dbas.len());
-        let uncovered: Vec<_> = dbas[settled..]
-            .iter()
-            .copied()
+        let uncovered: Vec<_> = dbas
+            .into_iter()
             .filter(|d| !obj_imcs.covers(*d))
             .filter(|d| self.home_filter.as_ref().is_none_or(|f| f(*d)))
             .collect();
         if uncovered.is_empty() {
-            obj_imcs.settle_blocks(dbas.len());
             return Ok(0);
         }
         let mut built = 0usize;
@@ -269,9 +262,6 @@ impl PopulationEngine {
         let meta = self.store.table(object)?;
         let mut rebuilt = 0usize;
         for handle in obj_imcs.handles() {
-            if !handle.stale_enough(self.config.repopulate_threshold) {
-                continue;
-            }
             // Cold units hide behind pending placeholders; rebuilding them
             // here would defeat eviction (the pending-forced rebuild below
             // would recall every evicted unit on the next pass). Their
@@ -280,6 +270,11 @@ impl PopulationEngine {
                 continue;
             }
             let (imcu, smu) = handle.pair();
+            let stale_enough =
+                imcu.is_pending() || smu.staleness(imcu.rows()) >= self.config.repopulate_threshold;
+            if !stale_enough {
+                continue;
+            }
             // Throttle on a lock-free read of the published snapshot before
             // taking the quiesce lock: don't rebuild for tiny snapshot
             // advances unless the unit is unusable (pending or

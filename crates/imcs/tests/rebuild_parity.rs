@@ -199,24 +199,26 @@ proptest! {
         }
     }
 
-    /// Update-only histories below a quarter of the rows always share the
-    /// columns nobody wrote.
+    /// Update-only histories share every base column nobody wrote, with
+    /// or without a registered expression (whose column is re-evaluated).
     #[test]
     fn update_only_rebuild_shares_unwritten_columns(
-        keys in proptest::collection::vec(0i64..ROWS, 1..16),
+        keys in proptest::collection::vec(0i64..ROWS, 1..ROWS as usize),
         value in 0i64..4,
+        with_expression in 0u8..2,
     ) {
         let f = fixture();
         let dbas = f.store.block_dbas(OBJ).unwrap();
-        let unit = f.build(&dbas, f.scns.current(), &[]);
+        let exprs = if with_expression == 1 { vec![expression()] } else { vec![] };
+        let unit = f.build(&dbas, f.scns.current(), &exprs);
         let mut tx = f.txm.begin(TenantId::DEFAULT);
         for &k in &keys {
             f.txm.update_column_by_key(&mut tx, OBJ, k, "n1", Value::Int(value)).unwrap();
         }
         f.txm.commit(tx);
         let snapshot = f.scns.current();
-        let rebuilt = unit.rebuild(&f.store, snapshot, &f.schema(), &[]).unwrap();
-        assert_same_unit(&rebuilt, &f.build(&dbas, snapshot, &[]));
+        let rebuilt = unit.rebuild(&f.store, snapshot, &f.schema(), &exprs).unwrap();
+        assert_same_unit(&rebuilt, &f.build(&dbas, snapshot, &exprs));
         let n1_changed = keys.iter().any(|&k| k % 3 != value);
         let expect_shared = if n1_changed { 3 } else { 4 };
         prop_assert_eq!(rebuilt.columns_shared_with(&unit), expect_shared);
