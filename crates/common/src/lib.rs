@@ -10,6 +10,7 @@
 pub mod clock;
 pub mod config;
 pub mod cpu;
+pub mod envelope;
 pub mod error;
 pub mod export;
 pub mod fxhash;

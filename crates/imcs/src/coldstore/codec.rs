@@ -1,4 +1,5 @@
-//! Little-endian byte codec plus CRC32 for the cold columnar file format.
+//! Little-endian byte codec for the cold columnar file format (pages are
+//! framed and checksummed by the shared [`imadg_common::envelope`]).
 //!
 //! Deliberately tiny: fixed-width little-endian primitives written into a
 //! `Vec<u8>` and read back through a bounds-checked [`Reader`]. Every
@@ -81,30 +82,16 @@ impl<'a> Reader<'a> {
         (n <= MAX_LEN).then_some(n)
     }
 
-    pub(crate) fn str(&mut self) -> Option<String> {
+    /// A length-prefixed UTF-8 string, borrowed from the page so the
+    /// caller allocates it once, in the type it keeps.
+    pub(crate) fn str(&mut self) -> Option<&'a str> {
         let n = self.len_u32()?;
-        std::str::from_utf8(self.take(n)?).ok().map(str::to_string)
+        std::str::from_utf8(self.take(n)?).ok()
     }
 
     pub(crate) fn is_done(&self) -> bool {
         self.pos == self.buf.len()
     }
-}
-
-/// CRC-32 (IEEE 802.3 polynomial, reflected) over `bytes`. Matches the
-/// framing checksum used by the durable redo log so torn cold files and
-/// torn wal segments fail the same way.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    const POLY: u32 = 0xEDB8_8320;
-    let mut crc = u32::MAX;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (POLY & mask);
-        }
-    }
-    !crc
 }
 
 #[cfg(test)]
@@ -124,7 +111,7 @@ mod tests {
         assert_eq!(r.u32(), Some(0xDEAD_BEEF));
         assert_eq!(r.u64(), Some(u64::MAX - 3));
         assert_eq!(r.i64(), Some(i64::MIN));
-        assert_eq!(r.str().as_deref(), Some("colonne"));
+        assert_eq!(r.str(), Some("colonne"));
         assert!(r.is_done());
     }
 
@@ -138,12 +125,5 @@ mod tests {
         let mut buf = Vec::new();
         put_u32(&mut buf, u32::MAX);
         assert_eq!(Reader::new(&buf).len_u32(), None);
-    }
-
-    #[test]
-    fn crc32_known_vector() {
-        // The classic check value for CRC-32/IEEE.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 }

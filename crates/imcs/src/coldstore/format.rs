@@ -13,10 +13,11 @@
 //! [footer_off u64][magic u32]                      fixed 12-byte trailer
 //! ```
 //!
-//! The entry framing mirrors the durable redo log's `[len][crc][payload]`
-//! scheme, so a torn cold file fails exactly like a torn wal segment: the
-//! CRC rejects the entry and the caller degrades — here, to a row-store
-//! scan of the unit's block range, never a panic and never a wrong answer.
+//! Each entry is the shared [`imadg_common::envelope`] the durable redo
+//! log and the wire use, so a torn cold file fails exactly like a torn wal
+//! segment: the CRC rejects the entry and the caller degrades — here, to a
+//! row-store scan of the unit's block range, never a panic and never a
+//! wrong answer.
 //! The footer carries everything the tier needs without touching column
 //! data: per-column min/max + null counts + pre-computed aggregates, the
 //! covered DBAs, the row count, and each column entry's file offset.
@@ -25,7 +26,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use imadg_common::{Dba, ObjectId, Scn, TenantId};
+use imadg_common::{envelope, Dba, ObjectId, Scn, TenantId};
 use imadg_storage::RowLoc;
 
 use super::codec::{self, Reader};
@@ -124,36 +125,24 @@ impl ColdUnit {
     }
 }
 
-/// Append one CRC-framed entry; returns its file offset.
-fn frame(out: &mut Vec<u8>, payload: &[u8]) -> u64 {
-    let off = out.len() as u64;
-    codec::put_u32(out, payload.len() as u32);
-    codec::put_u32(out, codec::crc32(payload));
-    out.extend_from_slice(payload);
-    off
-}
-
 /// Serialize `imcu` into the cold file byte image plus its footer meta.
 fn serialize(imcu: &Imcu) -> (Vec<u8>, ColdMeta) {
     let mut out = Vec::new();
     codec::put_u32(&mut out, MAGIC);
     codec::put_u32(&mut out, VERSION);
 
-    let mut col_offsets = Vec::with_capacity(imcu.columns().len());
-    let mut scratch = Vec::new();
-    for col in imcu.columns() {
-        scratch.clear();
-        col.to_bytes(&mut scratch);
-        col_offsets.push(frame(&mut out, &scratch));
-    }
-
-    scratch.clear();
-    codec::put_u64(&mut scratch, imcu.rows() as u64);
-    for loc in imcu.locs() {
-        codec::put_u64(&mut scratch, loc.dba.0);
-        codec::put_u32(&mut scratch, u32::from(loc.slot));
-    }
-    let locs_offset = frame(&mut out, &scratch);
+    let col_offsets: Vec<u64> = imcu
+        .columns()
+        .iter()
+        .map(|col| envelope::write(&mut out, |out| col.to_bytes(out)) as u64)
+        .collect();
+    let locs_offset = envelope::write(&mut out, |out| {
+        codec::put_u64(out, imcu.rows() as u64);
+        for loc in imcu.locs() {
+            codec::put_u64(out, loc.dba.0);
+            codec::put_u32(out, u32::from(loc.slot));
+        }
+    }) as u64;
 
     let rows = imcu.rows() as u64;
     let null_counts: Vec<u64> =
@@ -174,9 +163,7 @@ fn serialize(imcu: &Imcu) -> (Vec<u8>, ColdMeta) {
         locs_offset,
     };
 
-    scratch.clear();
-    footer_bytes(&meta, &mut scratch);
-    let footer_off = frame(&mut out, &scratch);
+    let footer_off = envelope::write(&mut out, |out| footer_bytes(&meta, out)) as u64;
     codec::put_u64(&mut out, footer_off);
     codec::put_u32(&mut out, MAGIC);
     (out, meta)
@@ -221,7 +208,8 @@ fn footer_from_bytes(payload: &[u8]) -> Option<ColdMeta> {
     let dbas = (0..n_dbas).map(|_| r.u64().map(Dba)).collect::<Option<Vec<_>>>()?;
     let base_arity = r.len_u32()?;
     let n_virtual = r.len_u32()?;
-    let virtual_names = (0..n_virtual).map(|_| r.str()).collect::<Option<Vec<_>>>()?;
+    let virtual_names =
+        (0..n_virtual).map(|_| r.str().map(str::to_owned)).collect::<Option<Vec<_>>>()?;
     let n_cols = r.len_u32()?;
     if n_cols != base_arity + n_virtual && n_cols != 0 {
         return None;
@@ -397,22 +385,12 @@ impl ColdUnitFile {
     }
 }
 
-/// The CRC-framed entry at `offset`, verified.
+/// The CRC-framed entry at `offset`, verified. Entries live between the
+/// header and the trailer; one running into the trailer is corrupt.
 fn entry_at(bytes: &[u8], offset: u64) -> Option<&[u8]> {
-    let offset = usize::try_from(offset).ok()?;
-    if offset < HEADER || offset.checked_add(8)? > bytes.len() {
-        return None;
-    }
-    let mut r = Reader::new(&bytes[offset..offset + 8]);
-    let len = r.len_u32()?;
-    let crc = r.u32()?;
-    let start = offset + 8;
-    let end = start.checked_add(len)?;
-    if end > bytes.len().saturating_sub(TRAILER) {
-        return None;
-    }
-    let payload = &bytes[start..end];
-    (codec::crc32(payload) == crc).then_some(payload)
+    let offset = usize::try_from(offset).ok().filter(|&o| o >= HEADER)?;
+    let entries = bytes.get(offset..bytes.len().checked_sub(TRAILER)?)?;
+    envelope::read(entries).ok().map(|(payload, _)| payload)
 }
 
 #[cfg(test)]

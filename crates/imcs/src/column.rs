@@ -1,6 +1,8 @@
 //! Column units: the encoded per-column payload of an IMCU, with the
 //! encoding selector.
 
+use std::sync::Arc;
+
 use imadg_storage::{ColumnType, Value};
 
 use crate::aggregate::Aggregates;
@@ -16,7 +18,7 @@ pub enum MinMax {
     /// Integer bounds.
     Int(i64, i64),
     /// Lexicographic string bounds.
-    Str(std::sync::Arc<str>, std::sync::Arc<str>),
+    Str(Arc<str>, Arc<str>),
     /// Column is entirely NULL in this unit.
     AllNull,
 }
@@ -178,7 +180,7 @@ impl MinMax {
     pub(crate) fn from_bytes(r: &mut crate::coldstore::codec::Reader<'_>) -> Option<MinMax> {
         match r.u8()? {
             0 => Some(MinMax::Int(r.i64()?, r.i64()?)),
-            1 => Some(MinMax::Str(r.str()?.into(), r.str()?.into())),
+            1 => Some(MinMax::Str(Arc::from(r.str()?), Arc::from(r.str()?))),
             2 => Some(MinMax::AllNull),
             _ => None,
         }

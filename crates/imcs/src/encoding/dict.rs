@@ -205,7 +205,7 @@ impl DictStrCu {
         let dict_len = r.len_u32()?;
         let mut dict: Vec<Arc<str>> = Vec::with_capacity(dict_len);
         for _ in 0..dict_len {
-            dict.push(r.str()?.into());
+            dict.push(Arc::from(r.str()?));
         }
         // The dictionary must be sorted — code_bounds binary-searches it.
         if dict.windows(2).any(|w| w[0] >= w[1]) {

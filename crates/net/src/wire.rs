@@ -1,21 +1,21 @@
 //! Wire format for framed redo links.
 //!
-//! Every frame travels as `[len: u32 LE][crc32: u32 LE][payload]` where
-//! `len` is the payload length and the CRC-32 (IEEE) covers the payload
-//! only. The payload is a tag-prefixed binary encoding of [`Frame`]; the
-//! record-level encoding lives in [`imadg_redo::codec`] and is shared with
-//! the on-disk segment format, so a batch persisted by the durable log is
-//! bit-identical to the one that travelled the link.
+//! Every frame travels in the shared [`imadg_common::envelope`],
+//! `[len: u32 LE][crc32: u32 LE][payload]`, where `len` is the payload
+//! length and the CRC-32 (IEEE) covers the payload only — the envelope
+//! WAL segment entries and cold file pages use too. The payload is a
+//! tag-prefixed binary encoding of [`Frame`]; the record-level encoding
+//! lives in [`imadg_redo::codec`] and is shared with the on-disk segment
+//! format, so a batch persisted by the durable log is bit-identical to the
+//! one that travelled the link.
 //!
 //! Data frames carry a per-link sequence number assigned by the reliable
 //! sender; the `retransmit` flag marks frames re-served from the retained
 //! window in answer to a NAK, so the receiver can attribute them.
 
-use imadg_common::{Error, RedoThreadId, Result};
+use imadg_common::{envelope, Error, RedoThreadId, Result};
 use imadg_redo::codec::{self, Cur};
 use imadg_redo::record::RedoRecord;
-
-pub use imadg_redo::codec::crc32;
 
 /// A protocol frame on a redo link.
 #[derive(Debug, Clone)]
@@ -77,42 +77,40 @@ const TAG_PING: u8 = 4;
 
 // ---- frame codec ---------------------------------------------------------
 
-fn encode_payload(frame: &Frame) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
+fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
     match frame {
         Frame::Hello { thread, next_seq } => {
-            codec::put_u8(&mut out, TAG_HELLO);
-            codec::put_u8(&mut out, thread.0);
-            codec::put_u64(&mut out, *next_seq);
+            codec::put_u8(out, TAG_HELLO);
+            codec::put_u8(out, thread.0);
+            codec::put_u64(out, *next_seq);
         }
         Frame::Data { thread, seq, retransmit, records } => {
-            codec::put_u8(&mut out, TAG_DATA);
-            codec::put_u8(&mut out, thread.0);
-            codec::put_u64(&mut out, *seq);
-            codec::put_u8(&mut out, u8::from(*retransmit));
-            codec::put_u32(&mut out, records.len() as u32);
+            codec::put_u8(out, TAG_DATA);
+            codec::put_u8(out, thread.0);
+            codec::put_u64(out, *seq);
+            codec::put_u8(out, u8::from(*retransmit));
+            codec::put_u32(out, records.len() as u32);
             for r in records {
-                codec::put_record(&mut out, r);
+                codec::put_record(out, r);
             }
         }
         Frame::Nak { thread, from, to } => {
-            codec::put_u8(&mut out, TAG_NAK);
-            codec::put_u8(&mut out, thread.0);
-            codec::put_u64(&mut out, *from);
-            codec::put_u64(&mut out, *to);
+            codec::put_u8(out, TAG_NAK);
+            codec::put_u8(out, thread.0);
+            codec::put_u64(out, *from);
+            codec::put_u64(out, *to);
         }
         Frame::Ack { thread, through } => {
-            codec::put_u8(&mut out, TAG_ACK);
-            codec::put_u8(&mut out, thread.0);
-            codec::put_u64(&mut out, *through);
+            codec::put_u8(out, TAG_ACK);
+            codec::put_u8(out, thread.0);
+            codec::put_u64(out, *through);
         }
         Frame::Ping { thread, next_seq } => {
-            codec::put_u8(&mut out, TAG_PING);
-            codec::put_u8(&mut out, thread.0);
-            codec::put_u64(&mut out, *next_seq);
+            codec::put_u8(out, TAG_PING);
+            codec::put_u8(out, thread.0);
+            codec::put_u64(out, *next_seq);
         }
     }
-    out
 }
 
 fn decode_payload(payload: &[u8]) -> Result<Frame> {
@@ -139,37 +137,24 @@ fn decode_payload(payload: &[u8]) -> Result<Frame> {
     Ok(frame)
 }
 
-/// Frame header size on the wire: `[len u32][crc32 u32]`.
-pub const WIRE_HEADER: usize = 8;
-
 /// Encode a frame into its full wire representation
-/// (`[len][crc32][payload]`).
+/// (`[len][crc32][payload]`), the payload written in place behind the
+/// reserved header.
 pub fn encode(frame: &Frame) -> Vec<u8> {
-    let payload = encode_payload(frame);
-    let mut out = Vec::with_capacity(WIRE_HEADER + payload.len());
-    codec::put_u32(&mut out, payload.len() as u32);
-    codec::put_u32(&mut out, crc32(&payload));
-    out.extend_from_slice(&payload);
+    let mut out = Vec::with_capacity(envelope::HEADER + 64);
+    envelope::write(&mut out, |out| encode_payload(frame, out));
     out
 }
 
 /// Decode one complete wire frame (as produced by [`encode`]), verifying
 /// length and checksum.
 pub fn decode(wire: &[u8]) -> Result<Frame> {
-    if wire.len() < WIRE_HEADER {
-        return Err(Error::WireCorrupt("short frame header".into()));
-    }
-    let len = u32::from_le_bytes(wire[0..4].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(wire[4..8].try_into().unwrap());
-    let payload = &wire[WIRE_HEADER..];
-    if payload.len() != len {
+    let (payload, rest) = envelope::read(wire)?;
+    if !rest.is_empty() {
         return Err(Error::WireCorrupt(format!(
-            "frame length mismatch: header says {len}, got {}",
-            payload.len()
+            "frame length mismatch: {} bytes past the payload",
+            rest.len()
         )));
-    }
-    if crc32(payload) != crc {
-        return Err(Error::WireCorrupt("checksum mismatch".into()));
     }
     decode_payload(payload)
 }
@@ -193,14 +178,13 @@ impl FrameAssembler {
 
     /// Pop the next complete wire frame, if one is fully buffered.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>> {
-        if self.buf.len() < WIRE_HEADER {
+        let Some(len) = envelope::payload_len(&self.buf) else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.buf[0..4].try_into().unwrap()) as usize;
+        };
         if len > Self::MAX_FRAME {
             return Err(Error::WireCorrupt(format!("frame of {len} bytes exceeds limit")));
         }
-        let total = WIRE_HEADER + len;
+        let total = envelope::HEADER + len;
         if self.buf.len() < total {
             return Ok(None);
         }
@@ -351,6 +335,33 @@ mod tests {
     }
 
     #[test]
+    fn crc_valid_frame_with_a_bad_string_is_corrupt() {
+        // Damage the string inside a Data frame, then re-seal the CRC: the
+        // envelope verifies, so only the borrowed-slice decode can catch
+        // it — it must answer WireCorrupt, never a truncated row.
+        type Damage = fn(&mut Vec<u8>, usize);
+        let damages: [(&str, Damage); 2] = [
+            ("invalid utf-8", |wire, at| wire[at] = 0xFF),
+            ("length past the payload", |wire, at| {
+                wire[at - 4..at].copy_from_slice(&0x00FF_FFFFu32.to_le_bytes())
+            }),
+        ];
+        for (what, damage) in damages {
+            let mut wire = encode(&Frame::Data {
+                thread: RedoThreadId(1),
+                seq: 1,
+                retransmit: false,
+                records: sample_records(),
+            });
+            let at = wire.windows(6).position(|w| w == b"\x02\0\0\0hi").unwrap() + 4;
+            damage(&mut wire, at);
+            let crc = envelope::crc32(&wire[envelope::HEADER..]);
+            wire[4..envelope::HEADER].copy_from_slice(&crc.to_le_bytes());
+            assert!(matches!(decode(&wire), Err(Error::WireCorrupt(_))), "{what}");
+        }
+    }
+
+    #[test]
     fn assembler_reassembles_split_and_batched_frames() {
         let a = encode(&Frame::Ack { thread: RedoThreadId(1), through: 1 });
         let b = encode(&Frame::Nak { thread: RedoThreadId(1), from: 2, to: 4 });
@@ -369,11 +380,5 @@ mod tests {
             }
         }
         assert_eq!(got, vec![a, b]);
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // IEEE CRC-32 of "123456789" is the classic check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 }

@@ -19,19 +19,6 @@ use imadg_storage::{ChangeOp, ChangeVector, ColumnDef, ColumnType, Row, Schema, 
 use crate::marker::{DdlKind, RedoMarker};
 use crate::record::{CommitRecord, RedoPayload, RedoRecord};
 
-/// CRC-32 (IEEE 802.3, reflected poly 0xEDB88320), bitwise — no table, no
-/// external crate. Guards both wire frames and on-disk segment entries.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            crc = (crc >> 1) ^ (0xEDB8_8320 & 0u32.wrapping_sub(crc & 1));
-        }
-    }
-    !crc
-}
-
 // ---- primitive writers ---------------------------------------------------
 
 /// Append one byte.
@@ -110,11 +97,11 @@ impl<'a> Cur<'a> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Read a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String> {
+    /// Read a length-prefixed UTF-8 string, borrowed from the buffer so
+    /// the caller allocates it once, in the type it keeps.
+    pub fn str(&mut self) -> Result<&'a str> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(self.take(len)?)
             .map_err(|_| Error::WireCorrupt("invalid utf-8 string".into()))
     }
 
@@ -176,11 +163,7 @@ pub fn put_row(out: &mut Vec<u8>, row: &Row) {
 /// Decode one row image.
 pub fn get_row(c: &mut Cur<'_>) -> Result<Row> {
     let n = c.u16()? as usize;
-    let mut vals = Vec::with_capacity(n);
-    for _ in 0..n {
-        vals.push(get_value(c)?);
-    }
-    Ok(Row::new(vals))
+    Row::try_build(n, || get_value(c))
 }
 
 /// Encode one change operation.
@@ -277,12 +260,12 @@ pub fn put_spec(out: &mut Vec<u8>, spec: &TableSpec) {
 /// Decode one table spec.
 pub fn get_spec(c: &mut Cur<'_>) -> Result<TableSpec> {
     let id = ObjectId(c.u32()?);
-    let name = c.str()?;
+    let name = c.str()?.to_owned();
     let tenant = TenantId(c.u16()?);
     let ncols = c.u16()? as usize;
     let mut cols = Vec::with_capacity(ncols);
     for _ in 0..ncols {
-        let cname = c.str()?;
+        let cname = c.str()?.to_owned();
         let ctype = get_ctype(c)?;
         let dropped = c.bool()?;
         cols.push(ColumnDef { name: cname, ctype, dropped });
@@ -326,8 +309,8 @@ pub fn get_marker(c: &mut Cur<'_>) -> Result<RedoMarker> {
     let tenant = TenantId(c.u16()?);
     let ddl = match c.u8()? {
         0 => DdlKind::CreateTable(get_spec(c)?),
-        1 => DdlKind::AddColumn { name: c.str()?, ctype: get_ctype(c)? },
-        2 => DdlKind::DropColumn { name: c.str()? },
+        1 => DdlKind::AddColumn { name: c.str()?.to_owned(), ctype: get_ctype(c)? },
+        2 => DdlKind::DropColumn { name: c.str()?.to_owned() },
         3 => DdlKind::SetInMemory { enabled: c.bool()? },
         t => return Err(Error::WireCorrupt(format!("bad ddl tag {t}"))),
     };
@@ -510,11 +493,5 @@ mod tests {
             let mut c = Cur::new(&buf[..cut]);
             assert!(get_record(&mut c).is_err(), "cut at {cut} must not decode");
         }
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // IEEE CRC-32 of "123456789" is the classic check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 }

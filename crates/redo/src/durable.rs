@@ -9,8 +9,9 @@
 //!
 //! ## Segment format
 //!
-//! A segment file is `[magic u32][version u32]` followed by entries of
-//! `[len u32][crc32 u32][payload]`, where the CRC covers the payload:
+//! A segment file is `[magic u32][version u32]` followed by entries in
+//! the shared [`imadg_common::envelope`], `[len u32][crc32 u32][payload]`
+//! — the envelope wire frames use too — where the CRC covers the payload:
 //! `[seq u64][count u32][record…]` in the [`crate::codec`] encoding —
 //! bit-identical to the records that travelled the link. Segments are
 //! named by their first sequence number; when the active segment exceeds
@@ -40,7 +41,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use imadg_common::metrics::DurabilityMetrics;
-use imadg_common::{Error, Result, Scn};
+use imadg_common::{envelope, Error, Result, Scn};
 use parking_lot::Mutex;
 
 use crate::codec;
@@ -53,8 +54,6 @@ const SEGMENT_MAGIC: u32 = 0x4C52_4D49;
 const SEGMENT_VERSION: u32 = 1;
 /// Segment header size: `[magic u32][version u32]`.
 const SEGMENT_HEADER: u64 = 8;
-/// Entry header size: `[len u32][crc32 u32]`.
-const ENTRY_HEADER: usize = 8;
 
 fn io_err(ctx: &str, e: std::io::Error) -> Error {
     Error::Io(format!("{ctx}: {e}"))
@@ -109,21 +108,10 @@ fn read_segment(path: &Path) -> Result<(Vec<DiskBatch>, u64)> {
         return Err(Error::Io(format!("{}: unknown segment version {version}", path.display())));
     }
     let mut batches = Vec::new();
-    let mut pos = SEGMENT_HEADER as usize;
-    loop {
-        if pos + ENTRY_HEADER > bytes.len() {
-            break;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        let start = pos + ENTRY_HEADER;
-        let Some(end) = start.checked_add(len).filter(|&e| e <= bytes.len()) else {
-            break; // torn tail: length runs past the file
-        };
-        let payload = &bytes[start..end];
-        if codec::crc32(payload) != crc {
-            break; // torn tail: entry half-written when the crash hit
-        }
+    let mut rest = &bytes[SEGMENT_HEADER as usize..];
+    // A torn tail — a length running past the file, or an entry half
+    // written when the crash hit — fails the envelope and ends the scan.
+    while let Ok((payload, tail)) = envelope::read(rest) {
         let mut c = codec::Cur::new(payload);
         let seq = c.u64()?;
         let count = c.u32()? as usize;
@@ -133,9 +121,9 @@ fn read_segment(path: &Path) -> Result<(Vec<DiskBatch>, u64)> {
         }
         c.done()?;
         batches.push((seq, records));
-        pos = end;
+        rest = tail;
     }
-    Ok((batches, pos as u64))
+    Ok((batches, (bytes.len() - rest.len()) as u64))
 }
 
 struct ActiveSegment {
@@ -251,20 +239,16 @@ impl DurableLog {
             // NAK-served frames through the same path).
             return Ok(());
         }
-        let mut payload = Vec::with_capacity(64);
-        codec::put_u64(&mut payload, seq);
-        codec::put_u32(&mut payload, records.len() as u32);
-        for r in records {
-            codec::put_record(&mut payload, r);
-        }
         if inner.buf.is_empty() {
             inner.buf_first_seq = seq;
         }
-        let crc = codec::crc32(&payload);
-        let len = payload.len() as u32;
-        inner.buf.extend_from_slice(&len.to_le_bytes());
-        inner.buf.extend_from_slice(&crc.to_le_bytes());
-        inner.buf.extend_from_slice(&payload);
+        envelope::write(&mut inner.buf, |out| {
+            codec::put_u64(out, seq);
+            codec::put_u32(out, records.len() as u32);
+            for r in records {
+                codec::put_record(out, r);
+            }
+        });
         inner.buf_records += records.len() as u64;
         inner.appended_seq = seq;
         let m = self.metrics();
@@ -608,6 +592,66 @@ mod tests {
         assert_eq!(log.durable_seq(), 3, "complete entries survive the torn tail");
         assert_eq!(log.read_from(1).unwrap().len(), 3);
         let _ = fs::remove_dir_all(dir);
+    }
+
+    /// A string-carrying change record whose string bytes are easy to find.
+    fn string_rec(scn: u64) -> RedoRecord {
+        use imadg_common::{Dba, ObjectId, TenantId, TxnId};
+        use imadg_storage::{ChangeOp, ChangeVector, Row, Value};
+        RedoRecord {
+            thread: RedoThreadId(1),
+            scn: Scn(scn),
+            born_us: 0,
+            payload: RedoPayload::Change(vec![ChangeVector {
+                dba: Dba(1),
+                object: ObjectId(1),
+                tenant: TenantId::DEFAULT,
+                txn: TxnId(1),
+                op: ChangeOp::Insert {
+                    slot: 0,
+                    row: Row::new(vec![Value::Int(1), Value::str("PROBE"), Value::Null]),
+                },
+            }]),
+        }
+    }
+
+    #[test]
+    fn crc_valid_entry_with_a_bad_string_fails_replay() {
+        // Damage the string inside an entry, then re-seal the entry's CRC:
+        // the envelope verifies, so only the borrowed-slice decode can
+        // catch it — and it must fail the replay, never yield a row.
+        type Damage = fn(&mut Vec<u8>, usize);
+        let damages: [(&str, Damage); 2] = [
+            ("invalid utf-8", |seg, at| seg[at] = 0xFF),
+            ("length past the payload", |seg, at| {
+                seg[at - 4..at].copy_from_slice(&0x00FF_FFFFu32.to_le_bytes())
+            }),
+        ];
+        for (what, damage) in damages {
+            let dir = tmpdir("badstr");
+            let log = DurableLog::open(&dir, 1 << 20).unwrap();
+            log.append_batch(1, &[rec(1), string_rec(2)]).unwrap();
+            log.sync_if_pending().unwrap();
+            let seg = list_segments(&dir.join("wal")).unwrap().pop().unwrap().1;
+            let mut bytes = fs::read(&seg).unwrap();
+            let at = bytes.windows(9).position(|w| w == b"\x05\0\0\0PROBE").unwrap() + 4;
+            damage(&mut bytes, at);
+            let entry = SEGMENT_HEADER as usize;
+            let crc = envelope::crc32(&bytes[entry + envelope::HEADER..]);
+            bytes[entry + 4..entry + envelope::HEADER].copy_from_slice(&crc.to_le_bytes());
+            fs::write(&seg, &bytes).unwrap();
+
+            assert!(
+                matches!(log.read_from(1), Err(Error::WireCorrupt(_))),
+                "{what}: replay must surface the corrupt entry"
+            );
+            drop(log);
+            assert!(
+                matches!(DurableLog::open(&dir, 1 << 20), Err(Error::WireCorrupt(_))),
+                "{what}: reopening must surface the corrupt entry"
+            );
+            let _ = fs::remove_dir_all(dir);
+        }
     }
 
     #[test]

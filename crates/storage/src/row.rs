@@ -20,6 +20,17 @@ impl Row {
         Row(values.into())
     }
 
+    /// Build a row of `len` values pulled from `next`, in one allocation
+    /// (no intermediate `Vec`); the first error `next` returns aborts it.
+    pub fn try_build<E>(len: usize, mut next: impl FnMut() -> Result<Value, E>) -> Result<Row, E> {
+        let mut values: Arc<[Value]> = std::iter::repeat_n(Value::Null, len).collect();
+        let slots = Arc::get_mut(&mut values).expect("a freshly built Arc is unique");
+        for slot in slots {
+            *slot = next()?;
+        }
+        Ok(Row(values))
+    }
+
     /// Number of stored values.
     pub fn len(&self) -> usize {
         self.0.len()

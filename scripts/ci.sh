@@ -80,6 +80,13 @@ cargo test -p imadg-imcs --test kernel_parity -q
 echo "==> rebuild parity (shared-column rebuild vs full build)"
 cargo test -p imadg-imcs --test rebuild_parity -q
 
+# Format gate: a Data frame, a WAL segment and a cold columnar file must
+# encode to their pinned bytes. All three share one length/CRC envelope;
+# a drift in it, or in any field layout, would strand every WAL segment
+# and cold file already on disk.
+echo "==> format golden bytes (wire frame, WAL segment, cold file)"
+cargo test -p imadg-net --test format_golden -q
+
 # Cold-tier gate: the evict → scan-from-disk → recall round-trip must be
 # value-identical to the always-hot scalar oracle across encodings, null
 # densities, and journaled DML on both sides of the eviction; torn files
