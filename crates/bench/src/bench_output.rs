@@ -196,8 +196,7 @@ impl BenchOltapDoc {
 /// One measured recovery scenario inside the recovery benchmark document.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchRecoveryRun {
-    /// Scenario name (`restart_checkpointed`, `restart_uncheckpointed`,
-    /// `promotion`).
+    /// Scenario name (`restart`, `promotion`).
     pub name: String,
     /// Committed rows on the standby when disaster struck.
     pub committed_rows: u64,
@@ -206,8 +205,6 @@ pub struct BenchRecoveryRun {
     /// Records replayed from wal + archive during recovery (0 for
     /// promotion-only runs).
     pub replayed_records: u64,
-    /// Observer (mining) calls skipped below the checkpoint watermark.
-    pub mining_skipped: u64,
     /// Wall-clock from disaster to a converged, queryable node, ms.
     pub recovery_ms: f64,
     /// Replay throughput (`replayed_records / recovery time`); 0 when
@@ -222,8 +219,8 @@ pub struct BenchRecoveryRun {
 }
 
 /// The recovery benchmark document (`BENCH_recovery.json`), emitted by
-/// the `exp_recovery` binary: standby crash-restart (with and without a
-/// recent checkpoint) and standby→primary promotion, timed end to end.
+/// the `exp_recovery` binary: standby crash-restart and standby→primary
+/// promotion, timed end to end.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchRecoveryDoc {
     /// Schema version ([`BENCH_SCHEMA_VERSION`]).
@@ -705,11 +702,10 @@ mod tests {
             rows: 1000,
             cores: 4,
             runs: vec![BenchRecoveryRun {
-                name: "restart_checkpointed".into(),
+                name: "restart".into(),
                 committed_rows: 1000,
                 records_persisted: 1003,
                 replayed_records: 1003,
-                mining_skipped: 900,
                 recovery_ms: 12.5,
                 replayed_records_per_sec: 80_240.0,
                 staleness_p50_us: 420.0,

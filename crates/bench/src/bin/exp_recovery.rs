@@ -3,18 +3,13 @@
 //! Times the two disasters the durable-redo layer exists for, end to end
 //! on a real on-disk log:
 //!
-//! * `restart_checkpointed`   — standby hard crash with a tight applied-SCN
-//!   checkpoint cadence; restart replays wal + archive but skips re-mining
-//!   below the watermark.
-//! * `restart_uncheckpointed` — same crash with checkpointing disabled;
-//!   restart must re-mine the entire history (the cost the checkpoint
-//!   cadence buys back).
-//! * `promotion`              — primary loss; the standby drains the tail
-//!   and is rebuilt as the new primary.
+//! * `restart`   — standby hard crash; restart replays and re-mines the
+//!   whole wal + archive.
+//! * `promotion` — primary loss; the standby drains the tail and is
+//!   rebuilt as the new primary.
 //!
 //! Each scenario reports wall-clock from disaster to a converged,
-//! queryable node, plus the durability counters (records replayed,
-//! mining skipped) that explain the time.
+//! queryable node, plus the records replayed that explain the time.
 //!
 //! Scale knobs: `IMADG_BENCH_ROWS` (default 20 000 committed rows),
 //! `IMADG_BENCH_OUT` (default `BENCH_recovery.json`). Validate emitted
@@ -41,17 +36,12 @@ fn var<T: std::str::FromStr>(name: &str, default: T) -> T {
 
 /// A durable framed deployment over a fresh log directory, loaded with
 /// `rows` committed rows shipped, mined, and populated on the standby.
-fn loaded_cluster(
-    dir: &std::path::Path,
-    rows: usize,
-    checkpoint_interval: u64,
-) -> std::sync::Arc<AdgCluster> {
+fn loaded_cluster(dir: &std::path::Path, rows: usize) -> std::sync::Arc<AdgCluster> {
     let _ = std::fs::remove_dir_all(dir);
     let c = NodeBuilder::new()
         .link(LinkMode::Framed)
         .durability(dir.to_string_lossy())
         .segment_bytes(64 * 1024)
-        .checkpoint_interval(checkpoint_interval)
         .build()
         .expect("build cluster");
     c.create_table(TableSpec {
@@ -74,8 +64,8 @@ fn loaded_cluster(
             k += 1;
         }
         p.txm.commit(tx);
-        // Per-batch sync: checkpoints and sealed segments accumulate the
-        // way they would under a steady commit stream.
+        // Per-batch sync: sealed segments accumulate the way they would
+        // under a steady commit stream.
         c.sync().expect("sync");
     }
     c
@@ -87,8 +77,8 @@ fn standby_count(c: &AdgCluster) -> u64 {
 
 /// Crash the standby, restart it from disk, and converge; returns the
 /// measured run.
-fn restart_scenario(name: &str, dir: &std::path::Path, rows: usize, ckpt: u64) -> BenchRecoveryRun {
-    let c = loaded_cluster(dir, rows, ckpt);
+fn restart_scenario(dir: &std::path::Path, rows: usize) -> BenchRecoveryRun {
+    let c = loaded_cluster(dir, rows);
     let persisted = c.standby().metrics().durability.records_persisted;
 
     let start = Instant::now();
@@ -98,21 +88,19 @@ fn restart_scenario(name: &str, dir: &std::path::Path, rows: usize, ckpt: u64) -
     let elapsed = start.elapsed();
 
     let d = c.standby().metrics().durability;
-    assert_eq!(committed, rows as u64, "{name}: committed rows lost in recovery");
+    assert_eq!(committed, rows as u64, "restart: committed rows lost in recovery");
     let secs = elapsed.as_secs_f64().max(1e-9);
     println!(
-        "{name}: {committed} rows back in {:.1} ms ({} replayed, {} mining-skipped)",
+        "restart: {committed} rows back in {:.1} ms ({} replayed)",
         secs * 1e3,
-        d.replayed_records,
-        d.mining_skipped
+        d.replayed_records
     );
     let staleness = &c.standby().metrics().staleness.e2e;
     BenchRecoveryRun {
-        name: name.into(),
+        name: "restart".into(),
         committed_rows: committed,
         records_persisted: persisted,
         replayed_records: d.replayed_records,
-        mining_skipped: d.mining_skipped,
         recovery_ms: secs * 1e3,
         replayed_records_per_sec: d.replayed_records as f64 / secs,
         staleness_p50_us: staleness.p50() as f64,
@@ -122,7 +110,7 @@ fn restart_scenario(name: &str, dir: &std::path::Path, rows: usize, ckpt: u64) -
 
 /// Lose the primary and promote the standby; returns the measured run.
 fn promotion_scenario(dir: &std::path::Path, rows: usize) -> BenchRecoveryRun {
-    let c = loaded_cluster(dir, rows, 2);
+    let c = loaded_cluster(dir, rows);
     let persisted = c.standby().metrics().durability.records_persisted;
 
     let start = Instant::now();
@@ -142,7 +130,6 @@ fn promotion_scenario(dir: &std::path::Path, rows: usize) -> BenchRecoveryRun {
         committed_rows: committed,
         records_persisted: persisted,
         replayed_records: 0,
-        mining_skipped: 0,
         recovery_ms: secs * 1e3,
         replayed_records_per_sec: 0.0,
         staleness_p50_us: staleness.p50() as f64,
@@ -159,8 +146,7 @@ fn main() -> ExitCode {
 
     let base = std::env::temp_dir().join(format!("imadg-exp-recovery-{}", std::process::id()));
     let runs = vec![
-        restart_scenario("restart_checkpointed", &base.join("ckpt"), rows, 2),
-        restart_scenario("restart_uncheckpointed", &base.join("nockpt"), rows, u64::MAX),
+        restart_scenario(&base.join("restart"), rows),
         promotion_scenario(&base.join("promo"), rows),
     ];
     let _ = std::fs::remove_dir_all(&base);

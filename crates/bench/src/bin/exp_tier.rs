@@ -194,7 +194,6 @@ fn durable_cluster(dir: &std::path::Path, rows: usize, budget: usize) -> Arc<Adg
         .link(LinkMode::Framed)
         .durability(dir.to_string_lossy())
         .segment_bytes(64 * 1024)
-        .checkpoint_interval(2)
         .tune(|s| {
             s.imcs.imcu_max_rows = rows.div_ceil(UNITS);
             s.imcs.repopulate_min_scn_gap = 0;

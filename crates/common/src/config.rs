@@ -252,24 +252,22 @@ impl TransportConfig {
     }
 }
 
-/// Redo durability configuration: the segmented on-disk log, the archive
-/// tier, and the standby checkpoint cadence.
+/// Redo durability configuration: the segmented on-disk log and the
+/// archive tier.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DurabilityConfig {
     /// Root directory for durable state (`<dir>/primary/tN`,
-    /// `<dir>/standby/tN`, `<dir>/standby/checkpoint.json`). `None`
-    /// disables persistence — redo lives only in memory, as before.
+    /// `<dir>/standby/tN`). `None` disables persistence — redo lives only
+    /// in memory, as before.
     pub dir: Option<String>,
     /// Size bound after which the active wal segment is sealed and becomes
     /// eligible for archival.
     pub segment_max_bytes: u64,
-    /// Checkpoint every N successful QuerySCN advancements.
-    pub checkpoint_interval: u64,
 }
 
 impl Default for DurabilityConfig {
     fn default() -> Self {
-        DurabilityConfig { dir: None, segment_max_bytes: 256 * 1024, checkpoint_interval: 4 }
+        DurabilityConfig { dir: None, segment_max_bytes: 256 * 1024 }
     }
 }
 
@@ -281,13 +279,8 @@ impl DurabilityConfig {
 
     /// Validate the knobs.
     pub fn validate(&self) -> Result<()> {
-        if self.enabled() {
-            if self.segment_max_bytes < 1024 {
-                return Err(Error::Config("segment_max_bytes must be >= 1024".into()));
-            }
-            if self.checkpoint_interval == 0 {
-                return Err(Error::Config("checkpoint_interval must be > 0".into()));
-            }
+        if self.enabled() && self.segment_max_bytes < 1024 {
+            return Err(Error::Config("segment_max_bytes must be >= 1024".into()));
         }
         Ok(())
     }
@@ -403,8 +396,7 @@ mod tests {
         c.segment_max_bytes = 16;
         assert!(c.validate().is_err());
         c.segment_max_bytes = 4096;
-        c.checkpoint_interval = 0;
-        assert!(c.validate().is_err());
+        c.validate().unwrap();
     }
 
     #[test]

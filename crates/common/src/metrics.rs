@@ -831,10 +831,10 @@ pub struct FlushSnapshot {
     pub scn_gap: u64,
 }
 
-/// Redo durability: the on-disk segmented log (group commit + archiver),
-/// the standby checkpoint, and restart replay. Each side updates its own
-/// registry — the primary counts wal appends/fsyncs/archive retransmits,
-/// the standby additionally counts checkpoints, replay, and gated mining.
+/// Redo durability: the on-disk segmented log (group commit + archiver)
+/// and restart replay. Each side updates its own registry — the primary
+/// counts wal appends/fsyncs/archive retransmits, the standby additionally
+/// counts replay.
 #[derive(Debug, Default)]
 pub struct DurabilityMetrics {
     /// Batches appended to the durable log (buffered for group commit).
@@ -853,19 +853,12 @@ pub struct DurabilityMetrics {
     /// NAK gap-resolutions served from the durable log because the
     /// requested sequence had left the in-memory retained window.
     pub archive_retransmits: Counter,
-    /// Standby checkpoints written (applied-SCN watermark).
-    pub checkpoints: Counter,
     /// Batches replayed from disk during a hard restart.
     pub replayed_batches: Counter,
     /// Records replayed from disk during a hard restart.
     pub replayed_records: Counter,
-    /// DBIM observer calls skipped during restart replay because the
-    /// record's SCN was at or below the checkpoint watermark.
-    pub mining_skipped: Counter,
     /// Highest sequence fsynced to disk (sampled).
     pub durable_seq: Gauge,
-    /// The checkpointed SCN watermark (sampled).
-    pub checkpoint_scn: Gauge,
     /// Segment files in the wal tier (sampled).
     pub wal_segments: Gauge,
     /// Segment files in the archive tier (sampled).
@@ -883,12 +876,10 @@ impl DurabilityMetrics {
             segments_sealed: self.segments_sealed.get(),
             segments_archived: self.segments_archived.get(),
             archive_retransmits: self.archive_retransmits.get(),
-            checkpoints: self.checkpoints.get(),
             replayed_batches: self.replayed_batches.get(),
             replayed_records: self.replayed_records.get(),
-            mining_skipped: self.mining_skipped.get(),
+            mining_skipped: 0,
             durable_seq: self.durable_seq.get(),
-            checkpoint_scn: self.checkpoint_scn.get(),
             wal_segments: self.wal_segments.get(),
             archived_segments: self.archived_segments.get(),
         }
@@ -912,18 +903,15 @@ pub struct DurabilitySnapshot {
     pub segments_archived: u64,
     /// Retransmits served from the durable log.
     pub archive_retransmits: u64,
-    /// Checkpoints written.
-    pub checkpoints: u64,
     /// Batches replayed on restart.
     pub replayed_batches: u64,
     /// Records replayed on restart.
     pub replayed_records: u64,
-    /// Observer calls skipped below the checkpoint watermark.
+    /// Always 0: restart re-mines the whole log, so no observer call is
+    /// skipped. Kept only because the benchmark harness still reads it.
     pub mining_skipped: u64,
     /// Sampled durable sequence.
     pub durable_seq: u64,
-    /// Sampled checkpoint SCN.
-    pub checkpoint_scn: u64,
     /// Sampled wal-tier segment count.
     pub wal_segments: u64,
     /// Sampled archive-tier segment count.
@@ -1551,7 +1539,7 @@ pub struct MetricsRegistry {
     pub commit_table: Arc<CommitTableMetrics>,
     /// Invalidation flush + advancement.
     pub flush: Arc<FlushMetrics>,
-    /// Redo durability (on-disk log, checkpoint, restart replay).
+    /// Redo durability (on-disk log, restart replay).
     pub durability: Arc<DurabilityMetrics>,
     /// Population engine.
     pub population: Arc<PopulationMetrics>,
@@ -1613,7 +1601,7 @@ pub struct MetricsSnapshot {
     pub commit_table: CommitTableSnapshot,
     /// Invalidation flush + advancement.
     pub flush: FlushSnapshot,
-    /// Redo durability (on-disk log, checkpoint, restart replay).
+    /// Redo durability (on-disk log, restart replay).
     pub durability: DurabilitySnapshot,
     /// Population engine.
     pub population: PopulationSnapshot,
@@ -1696,14 +1684,12 @@ impl fmt::Display for MetricsSnapshot {
         writeln!(
             f,
             "durability: fsyncs={} records_persisted={} durable_seq={} segments_archived={} \
-             archive_retransmits={} checkpoints={} checkpoint_scn={} replayed_records={}",
+             archive_retransmits={} replayed_records={}",
             self.durability.fsyncs,
             self.durability.records_persisted,
             self.durability.durable_seq,
             self.durability.segments_archived,
             self.durability.archive_retransmits,
-            self.durability.checkpoints,
-            self.durability.checkpoint_scn,
             self.durability.replayed_records,
         )?;
         writeln!(

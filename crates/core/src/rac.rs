@@ -344,9 +344,9 @@ mod tests {
         let h1 = unit_on(&stores[&InstanceId(1)], 1, &[5]);
         target.flush_group(&group(1, 9, &[(1, 0), (5, 0)]));
         target.synchronize();
-        assert!(h0.smu().view().is_invalid(RowLoc { dba: Dba(1), slot: 0 }), "local applied");
+        assert!(h0.smu().read().is_invalid(RowLoc { dba: Dba(1), slot: 0 }), "local applied");
         assert!(
-            h1.smu().view().is_invalid(RowLoc { dba: Dba(5), slot: 0 }),
+            h1.smu().read().is_invalid(RowLoc { dba: Dba(5), slot: 0 }),
             "remote applied after sync"
         );
     }
@@ -372,7 +372,7 @@ mod tests {
         assert_eq!(target.messages_sent.load(Ordering::Relaxed), 0);
         target.synchronize();
         assert_eq!(target.messages_sent.load(Ordering::Relaxed), 1);
-        assert!(h1.smu().view().is_invalid(RowLoc { dba: Dba(5), slot: 3 }));
+        assert!(h1.smu().read().is_invalid(RowLoc { dba: Dba(5), slot: 3 }));
     }
 
     #[test]
@@ -382,8 +382,8 @@ mod tests {
         let h1 = unit_on(&stores[&InstanceId(1)], 1, &[5]);
         target.coarse_invalidate(TenantId::DEFAULT);
         target.synchronize();
-        assert!(h0.smu().view().all_invalid());
-        assert!(h1.smu().view().all_invalid());
+        assert!(h0.smu().read().all_invalid());
+        assert!(h1.smu().read().all_invalid());
         target.drop_object_units(ObjectId(1));
         target.synchronize();
         assert!(stores[&InstanceId(0)].object(ObjectId(1)).is_none());
@@ -404,7 +404,7 @@ mod tests {
         let threads = rt.start_threaded();
         target.flush_group(&group(1, 9, &[(5, 0)]));
         target.synchronize();
-        assert!(h1.smu().view().is_invalid(RowLoc { dba: Dba(5), slot: 0 }));
+        assert!(h1.smu().read().is_invalid(RowLoc { dba: Dba(5), slot: 0 }));
         assert!(threads.shutdown().is_healthy());
     }
 }

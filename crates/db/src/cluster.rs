@@ -12,7 +12,7 @@ use imadg_common::{
 };
 use imadg_imcs::ImcsStore;
 use imadg_net::{build_fanout_link, FanoutLaneSpec};
-use imadg_redo::{read_checkpoint, DurableLog, LogBuffer, RedoSource, ReplaySource};
+use imadg_redo::{DurableLog, LogBuffer, RedoSource, ReplaySource};
 use imadg_storage::{DbaAllocator, Store, TableSpec};
 use imadg_txn::{InMemoryRegistry, LockTable, TxnIdService, TxnManager};
 use parking_lot::{Mutex, RwLock};
@@ -226,10 +226,8 @@ impl AdgCluster {
         let mut standbys = Vec::with_capacity(specs.len());
         for (j, (spec, rxs)) in specs.iter().zip(receivers).enumerate() {
             // A pre-existing durability dir (cold start over surviving redo
-            // files) replays from disk before going live, gated at this
-            // standby's last checkpoint.
-            let ckpt = dur_dir.as_deref().map(|d| Self::checkpoint_path(d, &spec.name));
-            let (rxs, mine_gate) = Self::prepare_receivers(rxs, ckpt.as_deref())?;
+            // files) replays the whole log from disk before going live.
+            let rxs = Self::prepare_receivers(rxs)?;
             let standby = StandbyCluster::new(
                 &config.system,
                 Arc::new(Store::new()),
@@ -240,23 +238,13 @@ impl AdgCluster {
                 &spec.name,
                 j,
             )?;
-            standby.set_mine_gate(mine_gate);
-            if let Some(path) = ckpt {
-                standby.set_checkpoint(path, config.system.durability.checkpoint_interval);
-            }
             standby.set_primary_scn_probe(scns.clone());
             if let Some(d) = &dur_dir {
                 // Cold columnar files live in the durable state tree; a
                 // cold start over surviving files registers them from
-                // footers alone. The durable log replays in full, so the
-                // re-mine floor is zero; the mining gate then drops to the
-                // oldest restored snapshot so each file's post-freeze
-                // commits rebuild its SMU from redo.
+                // footers alone, and the full replay rebuilds their SMUs.
                 standby.set_cold_tier_dir(Self::cold_tier_dir(d, &spec.name));
-                let (_, floor) = standby.restore_cold_tier(Scn::ZERO)?;
-                if let Some(f) = floor {
-                    standby.set_mine_gate(f.min(mine_gate));
-                }
+                standby.restore_cold_tier()?;
             }
             standbys.push(standby);
         }
@@ -294,27 +282,14 @@ impl AdgCluster {
         dir.join(format!("standby-{name}"))
     }
 
-    /// The named standby's checkpoint file inside the durability dir.
-    fn checkpoint_path(dir: &Path, name: &str) -> PathBuf {
-        Self::standby_dir(dir, name).join("checkpoint.json")
-    }
-
     /// The named standby's cold columnar tier inside the durability dir.
     fn cold_tier_dir(dir: &Path, name: &str) -> PathBuf {
         Self::standby_dir(dir, name).join("coldstore")
     }
 
     /// Wrap every receiver that has durable history in a [`ReplaySource`]
-    /// (disk batches first, then the live link) and read the checkpoint
-    /// the replayed mining should be gated at.
-    fn prepare_receivers(
-        receivers: Vec<Box<dyn RedoSource>>,
-        checkpoint: Option<&Path>,
-    ) -> Result<(Vec<Box<dyn RedoSource>>, Scn)> {
-        let mine_gate = match checkpoint {
-            Some(path) => read_checkpoint(path)?.unwrap_or(Scn::ZERO),
-            None => Scn::ZERO,
-        };
+    /// (disk batches first, then the live link).
+    fn prepare_receivers(receivers: Vec<Box<dyn RedoSource>>) -> Result<Vec<Box<dyn RedoSource>>> {
         let mut out = Vec::with_capacity(receivers.len());
         for rx in receivers {
             let wrapped = match rx.durable_log() {
@@ -330,7 +305,7 @@ impl AdgCluster {
             };
             out.push(wrapped);
         }
-        Ok((out, mine_gate))
+        Ok(out)
     }
 
     /// The primary instances (owned snapshot: promotion swaps the set).
@@ -518,15 +493,17 @@ impl AdgCluster {
 
     /// Hard-crash one standby cluster and restart it from disk: the
     /// physical store and every in-memory structure are lost. The
-    /// replacement rebuilds by replaying its own durable redo files (mining
-    /// gated at its last checkpoint), then converges the unsynced tail
+    /// replacement rebuilds by replaying and re-mining all of its own
+    /// durable redo files, then converges the unsynced tail
     /// through the gap protocol — NAKs served from the primary's shared
     /// retained window and archived logs. The rest of the farm keeps
     /// applying undisturbed. Requires durability (a framed or TCP link).
     pub fn crash_restart_standby(&self, idx: usize) -> Result<()> {
-        let dir = self.config.durability_dir().ok_or_else(|| {
-            Error::Config("crash restart requires durability (NodeBuilder::durability)".into())
-        })?;
+        if self.config.durability_dir().is_none() {
+            return Err(Error::Config(
+                "crash restart requires durability (NodeBuilder::durability)".into(),
+            ));
+        }
         let old = self.standby_at(idx)?;
         let mut receivers = old.recovery.take_receivers();
         for rx in receivers.iter_mut() {
@@ -535,8 +512,7 @@ impl AdgCluster {
             // announces it to the sender.
             rx.reset_for_restart()?;
         }
-        let ckpt = Self::checkpoint_path(&dir, old.name());
-        let (receivers, mine_gate) = Self::prepare_receivers(receivers, Some(&ckpt))?;
+        let receivers = Self::prepare_receivers(receivers)?;
         let new = StandbyCluster::new(
             &self.config.system,
             Arc::new(Store::new()),
@@ -547,20 +523,13 @@ impl AdgCluster {
             old.name(),
             old.lane(),
         )?;
-        new.set_mine_gate(mine_gate);
-        new.set_checkpoint(ckpt, self.config.system.durability.checkpoint_interval);
         new.set_primary_scn_probe(self.scns());
         self.arm_standby(&new)?;
         // Instant re-population: register every surviving cold file from
         // its footer before any redo replays. The durable log replays in
-        // full, so every file qualifies; the mining gate then drops to the
-        // oldest restored snapshot so each file's post-freeze commits
-        // re-mine into its fresh SMU (per-unit absorption discards the
-        // rest).
-        let (_, floor) = new.restore_cold_tier(Scn::ZERO)?;
-        if let Some(f) = floor {
-            new.set_mine_gate(f.min(mine_gate));
-        }
+        // full, so each file's post-freeze commits re-mine into its fresh
+        // SMU (per-unit absorption discards the rest).
+        new.restore_cold_tier()?;
         self.standbys.write()[idx] = new;
         Ok(())
     }

@@ -281,8 +281,8 @@ impl NodeBuilder {
         self
     }
 
-    /// Persist redo on both link ends under `dir` and checkpoint the
-    /// standby's applied SCN there. Requires a framed or TCP link.
+    /// Persist redo on both link ends under `dir`. Requires a framed or
+    /// TCP link.
     pub fn durability(mut self, dir: impl Into<String>) -> Self {
         self.config.system.durability.dir = Some(dir.into());
         self
@@ -291,12 +291,6 @@ impl NodeBuilder {
     /// Size bound after which a wal segment seals (durability tier).
     pub fn segment_bytes(mut self, bytes: u64) -> Self {
         self.config.system.durability.segment_max_bytes = bytes;
-        self
-    }
-
-    /// Checkpoint every N successful QuerySCN advancements.
-    pub fn checkpoint_interval(mut self, advances: u64) -> Self {
-        self.config.system.durability.checkpoint_interval = advances;
         self
     }
 
@@ -485,7 +479,6 @@ mod tests {
             .nak_retry_polls(4)
             .ping_idle_polls(9)
             .segment_bytes(4096)
-            .checkpoint_interval(2)
             .durability("/tmp/unused")
             .clock(imadg_common::Clock::manual());
         let c = b.config();
@@ -500,7 +493,6 @@ mod tests {
         assert_eq!(c.system.transport.nak_retry_polls, 4);
         assert_eq!(c.system.transport.ping_idle_polls, 9);
         assert_eq!(c.system.durability.segment_max_bytes, 4096);
-        assert_eq!(c.system.durability.checkpoint_interval, 2);
         assert_eq!(c.system.durability.dir.as_deref(), Some("/tmp/unused"));
         assert!(matches!(c.clock, imadg_common::Clock::Manual(_)));
     }

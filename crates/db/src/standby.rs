@@ -19,7 +19,7 @@ use imadg_imcs::{
     ColdTier, ImcsStore, PopulationEngine, PopulationReport, SnapshotSource, TierReport,
 };
 use imadg_recovery::{MediaRecovery, NoopAdvanceHook, RecoveryStageIds};
-use imadg_redo::{write_checkpoint, RedoSource};
+use imadg_redo::RedoSource;
 use imadg_storage::{Row, RowLoc, Store};
 use parking_lot::Mutex;
 
@@ -142,17 +142,6 @@ pub struct StandbyCluster {
     /// One cold-tier engine per instance (empty until a tier directory is
     /// installed via config `cold_tier_dir` or the durability tree).
     tiers: Mutex<Vec<Arc<ColdTier>>>,
-    /// Periodic checkpoint state (None when durability is off).
-    checkpoint: Mutex<Option<CheckpointState>>,
-}
-
-/// Standby checkpoint cadence: every `interval` QuerySCN advancements the
-/// current QuerySCN is atomically persisted, bounding how much redo a
-/// restarted standby re-mines.
-struct CheckpointState {
-    path: PathBuf,
-    interval: u64,
-    last_advances: u64,
 }
 
 impl StandbyCluster {
@@ -283,7 +272,6 @@ impl StandbyCluster {
             scan_degree: config.imcs.scan_parallel_degree,
             imcs_config: config.imcs.clone(),
             tiers: Mutex::new(Vec::new()),
-            checkpoint: Mutex::new(None),
         });
         // An explicit tier directory activates tiering immediately; the
         // durability tree (when configured) overrides it from the cluster
@@ -359,65 +347,27 @@ impl StandbyCluster {
     }
 
     /// Restore the cold columnar tier after a crash restart: register
-    /// every qualifying cold file (footers only — instant) on its owning
-    /// instance's column store. `floor` is the oldest SCN the durable log
-    /// can re-mine from; files frozen before it are discarded (their
-    /// journal died with the crash and cannot be rebuilt). Returns units
-    /// restored and the minimum restored snapshot — the mining gate the
-    /// caller must lower the replay to so each file's post-freeze commits
-    /// re-mine into its fresh SMU.
-    pub fn restore_cold_tier(&self, floor: Scn) -> Result<(usize, Option<Scn>)> {
+    /// every cold file (footers only — instant) on its owning instance's
+    /// column store. Restart re-mines the whole durable log, so each
+    /// file's post-freeze commits rebuild its fresh SMU; per-unit
+    /// absorption drops what the file already holds. Returns units
+    /// restored.
+    pub fn restore_cold_tier(&self) -> Result<usize> {
         let tiers = self.tiers.lock().clone();
         let mut restored = 0usize;
-        let mut min_snapshot: Option<Scn> = None;
         for t in &tiers {
-            let (n, min) = imadg_imcs::restore_cold_tier(
-                t.imcs(),
-                &self.store,
-                t.dir(),
-                floor,
-                &self.metrics.tier,
-            )?;
-            restored += n;
-            if let Some(s) = min {
-                min_snapshot = Some(min_snapshot.map_or(s, |m| m.min(s)));
-            }
+            restored +=
+                imadg_imcs::restore_cold_tier(t.imcs(), &self.store, t.dir(), &self.metrics.tier)?;
         }
         self.refresh_tier_gauges(&tiers);
-        Ok((restored, min_snapshot))
+        Ok(restored)
     }
 
-    /// Install the checkpoint mining gate on every recovery worker (the
-    /// restart-from-disk replay path): DML at or below `gate` was mined
-    /// and journaled before the persisted checkpoint.
-    pub(crate) fn set_mine_gate(&self, gate: Scn) {
-        if gate > Scn::ZERO {
-            self.recovery.set_mine_gate(gate, self.metrics.durability.clone());
-        }
-    }
-
-    /// Arm the periodic checkpoint writer: every `interval` QuerySCN
-    /// advancements the current QuerySCN is persisted to `path`.
-    pub(crate) fn set_checkpoint(&self, path: PathBuf, interval: u64) {
-        *self.checkpoint.lock() =
-            Some(CheckpointState { path, interval: interval.max(1), last_advances: 0 });
-    }
-
-    /// Write a checkpoint if the advancement cadence is due. Returns
-    /// whether one was written.
+    /// Always `Ok(false)`: the standby keeps no checkpoint, because restart
+    /// re-mines the whole durable log. Kept only because the benchmark
+    /// harness still calls it.
     pub fn maybe_checkpoint(&self) -> Result<bool> {
-        let mut guard = self.checkpoint.lock();
-        let Some(st) = guard.as_mut() else { return Ok(false) };
-        let advances = self.metrics.flush.advances.get();
-        if advances < st.last_advances + st.interval {
-            return Ok(false);
-        }
-        let Some(scn) = self.query_scn.get() else { return Ok(false) };
-        write_checkpoint(&st.path, scn)?;
-        st.last_advances = advances;
-        self.metrics.durability.checkpoints.inc();
-        self.metrics.durability.checkpoint_scn.set(scn.raw());
-        Ok(true)
+        Ok(false)
     }
 
     /// Install the primary's SCN service as the lag probe (re-pointed at
@@ -517,9 +467,6 @@ impl StandbyCluster {
         for ep in &self.rac_endpoints {
             rac_moved |= ep.process_pending() > 0;
         }
-        // The checkpoint quantum rides the pump in step mode (threaded
-        // mode registers a dedicated stage).
-        self.maybe_checkpoint()?;
         Ok(moved || rac_moved)
     }
 
@@ -704,15 +651,6 @@ impl StandbyCluster {
             );
             ep.set_waker(rt.wake_token(id));
         }
-        if self.checkpoint.lock().is_some() {
-            let ckpt = rt.register_with_health(
-                Arc::new(CheckpointStage(self.clone())),
-                self.metrics.runtime.stage("checkpoint"),
-                health.clone(),
-            );
-            // Advancement is what makes a checkpoint due.
-            rt.wire(ids.coordinator, ckpt);
-        }
         ids
     }
 
@@ -781,25 +719,6 @@ impl Stage for TierStage {
 
     fn throttle(&self) -> Option<Duration> {
         Some(Duration::from_millis(1))
-    }
-}
-
-/// The periodic standby checkpoint as a runtime stage (metrics id
-/// `checkpoint`). Woken by QuerySCN advancement; writes at the configured
-/// advancement cadence.
-struct CheckpointStage(Arc<StandbyCluster>);
-
-impl Stage for CheckpointStage {
-    fn name(&self) -> &str {
-        "checkpoint"
-    }
-
-    fn run_once(&self) -> Result<StageOutcome> {
-        Ok(if self.0.maybe_checkpoint()? { StageOutcome::Progress } else { StageOutcome::Idle })
-    }
-
-    fn park_hint(&self) -> Duration {
-        Duration::from_millis(5)
     }
 }
 

@@ -6,10 +6,11 @@
 //! then kills the standby hard at a seed-dependent scheduler point — mid
 //! mine, mid journal flush, mid population, wherever the step count
 //! happens to land. The standby restarts from disk only (wal + archive
-//! segments and the applied-SCN checkpoint), re-mines from the checkpoint,
-//! catches the tail up through the NAK gap protocol, and must converge to
-//! results bit-identical to an uncrashed twin running the same script:
-//! zero committed transactions lost, none applied twice.
+//! segments), re-mines the whole log, catches the tail up through the NAK
+//! gap protocol, and must converge to results bit-identical to an
+//! uncrashed twin running the same script: zero committed transactions
+//! lost, none applied twice, and no stale row served by a predicate on
+//! the updated column.
 //!
 //! **Promotion.** Sixteen seeds run committed transactions over a link
 //! injecting the acceptance fault mix (5% drop, 2% duplicate, reorder
@@ -70,13 +71,12 @@ impl Drop for Tmp {
 }
 
 /// Durable framed deployment: small segments so the archiver really moves
-/// data, tight checkpoint cadence, tight protocol cadences for step mode.
+/// data, tight protocol cadences for step mode.
 fn durable_builder(dir: &Tmp) -> NodeBuilder {
     NodeBuilder::new()
         .link(LinkMode::Framed)
         .durability(dir.0.to_string_lossy())
         .segment_bytes(2 * 1024)
-        .checkpoint_interval(2)
         .nak_retry_polls(4)
         .ping_idle_polls(8)
 }
@@ -147,6 +147,23 @@ fn standby_state(c: &AdgCluster) -> BTreeMap<i64, i64> {
         .collect()
 }
 
+/// For every distinct `n1` in the model, the standby's `n1 = v` count must
+/// match the model's. A `Filter::all()` scan re-reads survivors from the
+/// row store, so only a predicate on the updated column sees a unit that
+/// missed an invalidation.
+fn assert_n1_counts(c: &AdgCluster, model: &BTreeMap<i64, i64>, ctx: &str) {
+    let mut want: BTreeMap<i64, usize> = BTreeMap::new();
+    for &n1 in model.values() {
+        *want.entry(n1).or_default() += 1;
+    }
+    let schema = table_spec(OBJ).schema;
+    for (&v, &n) in &want {
+        let f = Filter::of(imadg_db::Predicate::eq(&schema, "n1", Value::Int(v)).unwrap());
+        let got = c.standby().query(&QueryRequest::scan(OBJ).filter(f)).unwrap().count();
+        assert_eq!(got, n, "{ctx}: n1 = {v}");
+    }
+}
+
 /// One crash-matrix run: `crash_round` of `None` is the uncrashed twin.
 /// Returns (final table state, records replayed from disk at the crash
 /// point).
@@ -189,6 +206,7 @@ fn run_crash_schedule(
     c.sync().unwrap();
     let state = standby_state(&c);
     assert_eq!(state, model, "seed {seed}: standby diverged from committed model");
+    assert_n1_counts(&c, &model, &format!("seed {seed}"));
     // Replay runs lazily over the pumps after restart, so the count is
     // only meaningful once the run has converged.
     let replayed = if crashed { c.standby().metrics().durability.replayed_records } else { 0 };
@@ -217,12 +235,10 @@ fn crash_matrix_matches_uncrashed_twin() {
     assert!(total_replayed > 0, "no crash point replayed durable redo — matrix not biting");
 }
 
-/// A crash after checkpoints exist must use them: restart replays the
-/// durable log but skips re-mining everything below the checkpoint
-/// watermark instead of re-journaling the whole history.
+/// Restart replays the whole durable log and loses no committed row.
 #[test]
-fn restart_resumes_from_checkpoint() {
-    let dir = Tmp::new("ckpt");
+fn restart_replays_whole_log() {
+    let dir = Tmp::new("replay");
     let c = cluster(durable_builder(&dir));
     let p = c.primary();
     for key in 0..60i64 {
@@ -232,21 +248,61 @@ fn restart_resumes_from_checkpoint() {
         }
     }
     c.sync().unwrap();
-    let before = c.standby().metrics().durability;
-    assert!(before.checkpoints > 0, "cadence must have written checkpoints");
-    assert!(before.checkpoint_scn > 0);
 
     c.crash_restart_standby(0).unwrap();
     c.sync().unwrap();
     let after = c.standby().metrics().durability;
     assert!(after.replayed_records > 0, "restart must replay from disk");
-    assert!(
-        after.mining_skipped > 0,
-        "records below checkpoint SCN {} must skip re-mining",
-        before.checkpoint_scn
-    );
     let out = c.standby().query(&QueryRequest::scan(OBJ).filter(Filter::all())).unwrap();
     assert_eq!(out.count(), 60, "every committed row survives the crash");
+}
+
+/// Restart, then drive the replay one quantum per layer with population
+/// running between quanta: units are built at QuerySCNs far below the end
+/// of the replayed log, and every later change must still reach their
+/// SMUs. 48 rows are inserted and ten keys updated over six rounds, each
+/// transaction synced.
+#[test]
+fn restart_spanning_drains_serves_no_stale_rows() {
+    for seed in 0..CRASH_SEEDS {
+        let dir = Tmp::seeded("span", seed);
+        let c = cluster(durable_builder(&dir));
+        let p = c.primary();
+        let mut model = BTreeMap::new();
+        for key in 0..48i64 {
+            p.insert_one(OBJ, TenantId::DEFAULT, vec![Value::Int(key), Value::Int(0)]).unwrap();
+            model.insert(key, 0);
+            c.sync().unwrap();
+        }
+        let mut rng = Mix(seed);
+        let keys: Vec<i64> = (0..10).map(|i| i * 4 + rng.below(4) as i64).collect();
+        for round in 1..=6i64 {
+            for &key in &keys {
+                p.update_one(OBJ, TenantId::DEFAULT, key, "n1", Value::Int(round)).unwrap();
+                model.insert(key, round);
+                c.sync().unwrap();
+            }
+        }
+
+        c.crash_restart_standby(0).unwrap();
+        let standby = c.standby();
+        let target = c.scns().current();
+        let mut populated = true;
+        for pass in 0.. {
+            if !populated && standby.current_query_scn().unwrap() >= target {
+                break;
+            }
+            assert!(pass < 10_000, "seed {seed}: replay did not converge");
+            c.ship_redo().unwrap();
+            standby.recovery.ingest_once().unwrap();
+            standby.recovery.drain_workers().unwrap();
+            standby.recovery.coordinator().try_advance();
+            populated = standby.populate_once().unwrap().any();
+        }
+        c.sync().unwrap();
+        assert_eq!(standby_state(&c), model, "seed {seed}: SELECT *");
+        assert_n1_counts(&c, &model, &format!("seed {seed}"));
+    }
 }
 
 /// Repeated crashes at different depths of the same run: each restart

@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use imadg_common::metrics::TierMetrics;
-use imadg_common::{ImcsConfig, Result, Scn};
+use imadg_common::{ImcsConfig, Result};
 use imadg_storage::Store;
 
 use super::format::{write_cold_file, ColdUnit, ColdUnitFile};
@@ -153,7 +153,7 @@ impl ColdTier {
         }
         let Some(cold) = handle.cold() else { return Ok(false) };
         let smu = handle.smu();
-        let all_invalid = smu.view().all_invalid();
+        let all_invalid = smu.read().all_invalid();
         if !all_invalid && smu.staleness(cold.meta.rows) < self.staleness_threshold() {
             return Ok(false);
         }
@@ -324,28 +324,20 @@ impl ColdTier {
 /// store scan. This is the "instant re-population" path: the moment a
 /// file's handle is registered, scans serve it with pruning and pushdown.
 ///
-/// `floor` is the oldest SCN the caller's redo replay can re-mine from.
-/// A file frozen *before* the floor is deleted: invalidations for commits
-/// between its snapshot and the floor were only in the lost in-memory
-/// journal and cannot be recovered, so serving the file could return
-/// stale data. Files at or past the floor are safe — the caller must then
-/// lower its mining gate to the returned minimum snapshot so every commit
-/// after each file's freeze point re-mines into the fresh SMU (per-unit,
-/// replayed mining at or below a unit's snapshot is absorbed and dropped
-/// by [`ImcuHandle::invalidate`]).
+/// The caller must re-mine its whole durable redo log afterwards: every
+/// commit after a file's freeze point then rebuilds the fresh SMU, and
+/// replayed mining at or below the unit's snapshot is absorbed and
+/// dropped by [`ImcuHandle::invalidate`].
 ///
-/// Returns the number of files restored and the minimum snapshot among
-/// them (`None` when nothing was restored) — the mining gate to re-mine
-/// from.
+/// Returns the number of files restored.
 pub fn restore_cold_tier(
     imcs: &ImcsStore,
     store: &Store,
     dir: &Path,
-    floor: Scn,
     metrics: &TierMetrics,
-) -> Result<(usize, Option<Scn>)> {
+) -> Result<usize> {
     let Ok(entries) = std::fs::read_dir(dir) else {
-        return Ok((0, None)); // no cold tier yet
+        return Ok(0); // no cold tier yet
     };
     let mut paths: Vec<PathBuf> = entries
         .filter_map(|e| e.ok().map(|e| e.path()))
@@ -354,7 +346,6 @@ pub fn restore_cold_tier(
     paths.sort();
     let mut restored = 0usize;
     let mut bytes_on_disk = 0u64;
-    let mut min_snapshot: Option<Scn> = None;
     for path in paths {
         let Some(file) = ColdUnitFile::open(&path) else {
             // Torn eviction or bit rot: the row store still has the data.
@@ -363,7 +354,6 @@ pub fn restore_cold_tier(
             continue;
         };
         let meta = file.meta;
-        let stale = meta.snapshot < floor;
         // The catalog may be empty here — after a hard crash tables only
         // re-create through DDL-marker replay, which runs *after* this
         // restore. An unknown table is restored optimistically: replayed
@@ -372,7 +362,7 @@ pub fn restore_cold_tier(
         let table = store.table(meta.object).ok();
         let schema_known_stale =
             table.as_ref().is_some_and(|t| t.schema.read().version() != meta.schema_version);
-        if stale || schema_known_stale {
+        if schema_known_stale {
             let _ = std::fs::remove_file(&path);
             continue;
         }
@@ -391,16 +381,14 @@ pub fn restore_cold_tier(
             meta.snapshot,
             meta.schema_version,
         )));
-        let snapshot = meta.snapshot;
         handle.restore_cold(Arc::new(ColdUnit::new(path, meta, file_bytes)));
         obj.register(handle);
         bytes_on_disk += file_bytes;
         restored += 1;
-        min_snapshot = Some(min_snapshot.map_or(snapshot, |m: Scn| m.min(snapshot)));
     }
     metrics.tier_bytes_on_disk.set(bytes_on_disk);
     metrics.cold_units.set(restored as u64);
-    Ok((restored, min_snapshot))
+    Ok(restored)
 }
 
 #[cfg(test)]
@@ -410,7 +398,7 @@ mod tests {
     use crate::predicate::{CmpOp, Filter, Predicate};
     use crate::scan::scan;
     use imadg_common::sync::ScnService;
-    use imadg_common::{ObjectId, TenantId};
+    use imadg_common::{ObjectId, Scn, TenantId};
     use imadg_redo::LogBuffer;
     use imadg_storage::{ColumnType, DbaAllocator, Schema, TableSpec, Value};
     use imadg_txn::{InMemoryRegistry, LockTable, TxnIdService, TxnManager};
@@ -600,8 +588,54 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The cold-tier twin of a pending unit swapped hot: key 5 changes
+    /// while its unit is cold, again after re-compaction, and once more
+    /// after the unit is recalled hot. It is one stale location, served
+    /// once by every engine.
     #[test]
-    fn restore_registers_files_instantly_and_respects_the_gate() {
+    fn same_key_journaled_across_eviction_and_recall_is_served_once() {
+        let (txm, store, scns, imcs, tier, dir) = tiered(1, "twin");
+        assert_eq!(tier.run_once().unwrap().evicted, 4);
+        let update_key_5 = |n: i64| {
+            let mut tx = txm.begin(TenantId::DEFAULT);
+            let loc = txm.update_column_by_key(&mut tx, OBJ, 5, "n", Value::Int(n)).unwrap();
+            let commit = txm.commit(tx);
+            assert!(imcs.invalidate(OBJ, loc, commit));
+        };
+        update_key_5(1000);
+        assert_eq!(tier.run_once().unwrap().recompacted, 1);
+        update_key_5(2000);
+        // Touch the cold units, then recall them into DRAM with a tier
+        // that has no budget and never re-compacts.
+        let all = Filter::default();
+        rows_of(&imcs, &store, &all, scns.current());
+        let cfg =
+            ImcsConfig { memory_budget_bytes: 0, repopulate_threshold: 1.0, ..Default::default() };
+        let unbudgeted = ColdTier::new(
+            store.clone(),
+            imcs.clone(),
+            SnapshotSource::Primary(scns.clone()),
+            cfg,
+            dir.clone(),
+            Arc::new(TierMetrics::default()),
+        );
+        assert_eq!(unbudgeted.run_once().unwrap().recalled, 4);
+        update_key_5(3000);
+
+        let at = scns.current();
+        assert_eq!(rows_of(&imcs, &store, &all, at).len(), 100, "scan");
+        let r = crate::scalar::scan_scalar(&imcs, &store, OBJ, &all, at).unwrap();
+        assert_eq!(r.unwrap().rows.len(), 100, "scalar oracle");
+        let stores = [imcs.clone()];
+        let agg = crate::aggregate::scan_aggregate(&stores, &store, OBJ, &all, 0, at).unwrap();
+        let aggs = agg.unwrap().aggs;
+        assert_eq!((aggs.count, aggs.sum), (100, (0..100).sum::<i128>()), "COUNT, SUM(id)");
+        assert_eq!(rows_of(&imcs, &store, &pred("n", CmpOp::Eq, 3000), at).len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn restore_registers_files_instantly() {
         let (_txm, store, scns, imcs, tier, dir) = tiered(1, "restore");
         let at = scns.current();
         let all = Filter::default();
@@ -611,20 +645,10 @@ mod tests {
         // "Restart": a brand-new column store, restored from footers only.
         let fresh = ImcsStore::new();
         let metrics = TierMetrics::default();
-        let (n, min_snap) = restore_cold_tier(&fresh, &store, &dir, Scn::ZERO, &metrics).unwrap();
-        assert_eq!(n, 4);
-        assert!(min_snap.is_some_and(|s| s <= at), "restore reports the re-mine gate");
+        assert_eq!(restore_cold_tier(&fresh, &store, &dir, &metrics).unwrap(), 4);
         assert_eq!(metrics.cold_units.get(), 4);
         let after = rows_of(&fresh, &store, &all, at);
         assert_eq!(before, after, "restored tier must serve identical data");
-
-        // A floor past the files' snapshots rejects them all: their journal
-        // updates died with the crash and cannot be re-mined, so the files
-        // cannot be trusted.
-        let fresh2 = ImcsStore::new();
-        let (n2, _) = restore_cold_tier(&fresh2, &store, &dir, Scn(at.0 + 10), &metrics).unwrap();
-        assert_eq!(n2, 0);
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "gated files deleted");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -39,5 +39,5 @@ pub use scan::{
     scan_expression_parallel, scan_expression_profiled, scan_parallel, ExprPredicate, ScanResult,
     ScanStats,
 };
-pub use smu::{Smu, SmuView};
+pub use smu::Smu;
 pub use storage_index::StorageIndex;

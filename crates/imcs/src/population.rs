@@ -437,7 +437,7 @@ mod tests {
         assert_eq!(r.repopulated, 1);
         let (imcu2, smu2) = handle.pair();
         assert!(imcu2.snapshot > old_snapshot);
-        assert_eq!(smu2.view().invalid_count(), 0, "absorbed by rebuild");
+        assert_eq!(smu2.read().fallback_count(), 0, "absorbed by rebuild");
         // The rebuilt unit holds the updated value.
         let rn = imcu2.rownum(imadg_storage::RowLoc { dba: imcu2.dbas[0], slot: 0 }).unwrap();
         assert_eq!(imcu2.value(rn, 1), Value::Int(999));

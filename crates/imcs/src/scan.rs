@@ -954,4 +954,39 @@ mod tests {
         }
         assert!(serial.stats.parallel_tasks > 1);
     }
+
+    /// A row changed while its unit was still pending, then changed again
+    /// after the unit was built at the pending snapshot and swapped in, is
+    /// one stale location: every engine fetches it from the row store once.
+    #[test]
+    fn row_changed_across_pending_to_hot_swap_is_fetched_once() {
+        let f = fixture();
+        seed(&f, 0, 60);
+        let sc = schema(&f);
+        let dbas = f.store.block_dbas(OBJ).unwrap();
+        let s = f.scns.current();
+        let pending = Imcu::pending(OBJ, TenantId::DEFAULT, dbas.clone(), s, sc.version());
+        let handle = Arc::new(ImcuHandle::new(pending));
+        f.engine.imcs().ensure_object(OBJ, TenantId::DEFAULT).register(handle.clone());
+        let update_key_5 = |n1: i64| {
+            let mut tx = f.txm.begin(TenantId::DEFAULT);
+            let loc = f.txm.update_column_by_key(&mut tx, OBJ, 5, "n1", Value::Int(n1)).unwrap();
+            let cscn = f.txm.commit(tx);
+            assert!(f.engine.imcs().invalidate(OBJ, loc, cscn));
+        };
+        update_key_5(100);
+        handle.swap(Imcu::build(&f.store, OBJ, TenantId::DEFAULT, dbas, s, &sc).unwrap());
+        update_key_5(200);
+
+        let at = f.scns.current();
+        let all = Filter::all();
+        let v = scan(f.engine.imcs(), &f.store, OBJ, &all, at).unwrap().unwrap();
+        assert_eq!(v.rows.len(), 60, "scan");
+        let r = crate::scalar::scan_scalar(f.engine.imcs(), &f.store, OBJ, &all, at).unwrap();
+        assert_eq!(r.unwrap().rows.len(), 60, "scalar oracle");
+        let stores = [f.engine.imcs().clone()];
+        let agg = crate::aggregate::scan_aggregate(&stores, &f.store, OBJ, &all, 0, at).unwrap();
+        let aggs = agg.unwrap().aggs;
+        assert_eq!((aggs.count, aggs.sum), (60, (0..60).sum::<i128>()), "COUNT, SUM(id)");
+    }
 }

@@ -148,16 +148,6 @@ impl MediaRecovery {
         &self.coordinator
     }
 
-    /// Install the checkpoint mining gate on every worker: DML at or below
-    /// `gate` was mined and journaled before the checkpoint this replay
-    /// starts from, so its observer hooks are skipped (store side effects
-    /// still apply). Used on the restart-from-disk path.
-    pub fn set_mine_gate(&self, gate: Scn, metrics: Arc<imadg_common::metrics::DurabilityMetrics>) {
-        for w in &self.workers {
-            w.lock().set_mine_gate(gate, metrics.clone());
-        }
-    }
-
     /// Shared apply-progress tracker.
     pub fn progress(&self) -> &Arc<Progress> {
         &self.progress

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use crossbeam::channel::{Receiver, Sender, TryRecvError};
-use imadg_common::metrics::{ApplyMetrics, Counter as CvCounter, DurabilityMetrics};
+use imadg_common::metrics::{ApplyMetrics, Counter as CvCounter};
 use imadg_common::{CpuAccount, Result, Scn, TenantId, TxnId, WorkerId};
 use imadg_redo::{CommitRecord, RedoMarker};
 use imadg_storage::{ChangeVector, Store};
@@ -96,13 +96,6 @@ pub struct Worker {
     metrics: Option<Arc<ApplyMetrics>>,
     /// This worker's CVs-applied counter from the registry.
     cv_counter: Option<Arc<CvCounter>>,
-    /// Mining gate: DML records at or below this SCN were already mined
-    /// and journaled before the last checkpoint, so replay after a restart
-    /// skips their observer (mining) hooks while still applying the store
-    /// side effects — commit-SCN stamping must rerun for visibility.
-    /// DDL markers and watermarks are never gated.
-    mine_gate: Scn,
-    durability_metrics: Arc<DurabilityMetrics>,
     /// Stamps the apply point of commit records, when attached.
     staleness: Option<Arc<imadg_common::metrics::StalenessTracker>>,
 }
@@ -133,8 +126,6 @@ impl Worker {
             applied_items: 0,
             metrics: None,
             cv_counter: None,
-            mine_gate: Scn::ZERO,
-            durability_metrics: Arc::default(),
             staleness: None,
         }
     }
@@ -142,23 +133,6 @@ impl Worker {
     /// Record commit-record apply stamps into `tracker`.
     pub fn set_staleness(&mut self, tracker: Arc<imadg_common::metrics::StalenessTracker>) {
         self.staleness = Some(tracker);
-    }
-
-    /// Install the checkpoint mining gate (restart replay path).
-    pub fn set_mine_gate(&mut self, gate: Scn, metrics: Arc<DurabilityMetrics>) {
-        self.mine_gate = gate;
-        self.durability_metrics = metrics;
-    }
-
-    /// Whether a DML record at `scn` should fire the mining observers, or
-    /// was already mined before the checkpoint this replay starts from.
-    fn mines(&self, scn: Scn) -> bool {
-        if scn > self.mine_gate {
-            true
-        } else {
-            self.durability_metrics.mining_skipped.inc();
-            false
-        }
     }
 
     /// Install the cooperative-flush helper (the invalidation flush
@@ -221,18 +195,14 @@ impl Worker {
                 if let Some(c) = &self.cv_counter {
                     c.inc();
                 }
-                if self.mines(scn) {
-                    for o in &self.observers {
-                        o.on_change(self.id, &cv, scn);
-                    }
+                for o in &self.observers {
+                    o.on_change(self.id, &cv, scn);
                 }
             }
             WorkItem::Begin { scn, txn, tenant } => {
                 self.store.txns().begin(txn);
-                if self.mines(scn) {
-                    for o in &self.observers {
-                        o.on_begin(self.id, txn, tenant, scn);
-                    }
+                for o in &self.observers {
+                    o.on_begin(self.id, txn, tenant, scn);
                 }
             }
             WorkItem::Commit { scn, record } => {
@@ -240,18 +210,14 @@ impl Worker {
                 if let Some(t) = &self.staleness {
                     t.on_apply(scn.0);
                 }
-                if self.mines(scn) {
-                    for o in &self.observers {
-                        o.on_commit(self.id, &record);
-                    }
+                for o in &self.observers {
+                    o.on_commit(self.id, &record);
                 }
             }
-            WorkItem::Abort { scn, txn, tenant } => {
+            WorkItem::Abort { txn, tenant, .. } => {
                 self.store.txns().abort(txn);
-                if self.mines(scn) {
-                    for o in &self.observers {
-                        o.on_abort(self.id, txn, tenant);
-                    }
+                for o in &self.observers {
+                    o.on_abort(self.id, txn, tenant);
                 }
             }
             WorkItem::Marker { scn, marker } => {
@@ -365,57 +331,6 @@ mod tests {
         assert_eq!(w.run_batch(usize::MAX).unwrap(), 7);
         assert_eq!(w.applied_through(), Scn(10));
         assert_eq!(w.applied_items(), 10);
-    }
-
-    /// Replaying below the mine gate skips observers but still applies
-    /// store effects: the committed row is visible, no mining hook fires.
-    #[test]
-    fn mine_gate_skips_observers_but_applies_store_effects() {
-        let s = store();
-        let (tx, rx) = work_queue();
-        let counter = Arc::new(Counter(AtomicUsize::new(0)));
-        let mut w = Worker::new(WorkerId(0), rx, s.clone(), vec![counter.clone()]);
-        let dm: Arc<DurabilityMetrics> = Arc::default();
-        w.set_mine_gate(Scn(4), dm.clone());
-
-        let cv_fmt = ChangeVector {
-            dba: Dba(1),
-            object: ObjectId(1),
-            tenant: TenantId::DEFAULT,
-            txn: TxnId(1),
-            op: ChangeOp::Format { capacity: 8 },
-        };
-        let cv_ins = ChangeVector {
-            dba: Dba(1),
-            object: ObjectId(1),
-            tenant: TenantId::DEFAULT,
-            txn: TxnId(1),
-            op: ChangeOp::Insert { slot: 0, row: Row::new(vec![Value::Int(7)]) },
-        };
-        tx.send(WorkItem::Begin { scn: Scn(1), txn: TxnId(1), tenant: TenantId::DEFAULT }).unwrap();
-        tx.send(WorkItem::Change { scn: Scn(2), cv: cv_fmt }).unwrap();
-        tx.send(WorkItem::Change { scn: Scn(3), cv: cv_ins.clone() }).unwrap();
-        tx.send(WorkItem::Commit {
-            scn: Scn(4),
-            record: CommitRecord {
-                txn: TxnId(1),
-                tenant: TenantId::DEFAULT,
-                commit_scn: Scn(4),
-                modified_inmemory: Some(false),
-            },
-        })
-        .unwrap();
-        // Past the gate: mined normally.
-        tx.send(WorkItem::Change { scn: Scn(5), cv: cv_ins }).unwrap();
-
-        w.run_batch(usize::MAX).unwrap();
-        assert_eq!(counter.0.load(Ordering::Relaxed), 1, "only the post-gate change mined");
-        assert_eq!(dm.mining_skipped.get(), 4, "pre-gate begin/changes/commit skipped");
-        assert_eq!(
-            s.fetch_by_key(ObjectId(1), 7, Scn(4), None).unwrap().unwrap().1[0],
-            Value::Int(7),
-            "replayed commit is visible: store effects were never gated"
-        );
     }
 
     struct HelpCounter(AtomicUsize);

@@ -1,5 +1,5 @@
 //! On-disk redo persistence: segmented write-ahead files with group
-//! commit, a sealed-segment archive tier, and the standby checkpoint.
+//! commit, a sealed-segment archive tier, and restart replay.
 //!
 //! Both link endpoints tee through a [`DurableLog`]: the primary persists
 //! every shipped batch (so NAK gap-resolution can be served from archived
@@ -41,7 +41,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use imadg_common::metrics::DurabilityMetrics;
-use imadg_common::{envelope, Error, Result, Scn};
+use imadg_common::{envelope, Error, Result};
 use parking_lot::Mutex;
 
 use crate::codec;
@@ -370,45 +370,6 @@ impl DurableLog {
     }
 }
 
-// ---- checkpoint ----------------------------------------------------------
-
-/// The standby checkpoint document: the applied-SCN watermark below which
-/// restart mining is skipped. Written atomically (tmp + rename).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct Checkpoint {
-    /// The applied/published SCN watermark at checkpoint time.
-    pub scn: u64,
-}
-
-/// Write `scn` as the checkpoint at `path`, atomically.
-pub fn write_checkpoint(path: impl AsRef<Path>, scn: Scn) -> Result<()> {
-    let path = path.as_ref();
-    let doc = serde_json::to_string(&Checkpoint { scn: scn.0 })
-        .map_err(|e| Error::Io(format!("encode checkpoint: {e}")))?;
-    let tmp = path.with_extension("tmp");
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent).map_err(|e| io_err("create checkpoint dir", e))?;
-    }
-    let mut f = File::create(&tmp).map_err(|e| io_err("create checkpoint", e))?;
-    f.write_all(doc.as_bytes()).map_err(|e| io_err("write checkpoint", e))?;
-    f.sync_data().map_err(|e| io_err("sync checkpoint", e))?;
-    fs::rename(&tmp, path).map_err(|e| io_err("rename checkpoint", e))?;
-    Ok(())
-}
-
-/// Read the checkpoint at `path`; `None` when no checkpoint was taken yet.
-pub fn read_checkpoint(path: impl AsRef<Path>) -> Result<Option<Scn>> {
-    let bytes = match fs::read(path.as_ref()) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(io_err("read checkpoint", e)),
-    };
-    let text = String::from_utf8(bytes).map_err(|_| Error::Io("checkpoint is not utf-8".into()))?;
-    let doc: Checkpoint =
-        serde_json::from_str(&text).map_err(|e| Error::Io(format!("decode checkpoint: {e}")))?;
-    Ok(Some(Scn(doc.scn)))
-}
-
 // ---- restart replay ------------------------------------------------------
 
 /// Batches replayed per `drain_ready` call, so the recovery pipeline
@@ -500,7 +461,7 @@ impl RedoSource for ReplaySource {
 mod tests {
     use super::*;
     use crate::record::RedoPayload;
-    use imadg_common::RedoThreadId;
+    use imadg_common::{RedoThreadId, Scn};
 
     fn rec(scn: u64) -> RedoRecord {
         RedoRecord {
@@ -695,19 +656,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_round_trips_and_is_atomic() {
-        let dir = tmpdir("ckpt");
-        let path = dir.join("checkpoint.json");
-        assert_eq!(read_checkpoint(&path).unwrap(), None);
-        write_checkpoint(&path, Scn(42)).unwrap();
-        assert_eq!(read_checkpoint(&path).unwrap(), Some(Scn(42)));
-        write_checkpoint(&path, Scn(99)).unwrap();
-        assert_eq!(read_checkpoint(&path).unwrap(), Some(Scn(99)));
-        assert!(!path.with_extension("tmp").exists(), "tmp renamed away");
-        let _ = fs::remove_dir_all(dir);
-    }
-
-    #[test]
     fn replay_source_drains_disk_then_delegates() {
         let dir = tmpdir("replay");
         let log = DurableLog::open(&dir, 1 << 20).unwrap();
@@ -731,7 +679,7 @@ mod tests {
 mod review_repro {
     use super::*;
     use crate::record::RedoPayload;
-    use imadg_common::RedoThreadId;
+    use imadg_common::{RedoThreadId, Scn};
 
     fn rec(scn: u64) -> RedoRecord {
         RedoRecord {

@@ -14,9 +14,7 @@ pub mod merger;
 pub mod record;
 pub mod transport;
 
-pub use durable::{
-    read_checkpoint, write_checkpoint, Checkpoint, DiskBatch, DurableLog, ReplaySource,
-};
+pub use durable::{DiskBatch, DurableLog, ReplaySource};
 pub use log_buffer::{LogBuffer, LogStats};
 pub use marker::{DdlKind, RedoMarker};
 pub use merger::LogMerger;

@@ -4,9 +4,8 @@
 //!
 //! 1. **Standby crash.** The standby process dies hard: journal, commit
 //!    table, IMCS and every in-flight pipeline buffer are gone; only the
-//!    on-disk redo (wal + archive segments) and the applied-SCN checkpoint
-//!    survive. Restart replays the durable log, skips re-mining below the
-//!    checkpoint watermark, catches the tail up through the NAK gap
+//!    on-disk redo (wal + archive segments) survives. Restart replays and
+//!    re-mines the durable log, catches the tail up through the NAK gap
 //!    protocol — and not one committed transaction is lost.
 //! 2. **Primary loss.** The primary vanishes. The standby is promoted in
 //!    place: it drains whatever redo reached the wire or the archive,
@@ -25,13 +24,11 @@ fn main() -> Result<()> {
     let _ = std::fs::remove_dir_all(&dir);
 
     // Durability needs a real framed link: redo is teed to disk on both
-    // ends, segments seal small (4 KiB) so the archiver has work to do,
-    // and the standby checkpoints its applied SCN every 2 advancements.
+    // ends, and segments seal small (4 KiB) so the archiver has work to do.
     let cluster = NodeBuilder::new()
         .link(LinkMode::Framed)
         .durability(dir.to_string_lossy())
         .segment_bytes(4 * 1024)
-        .checkpoint_interval(2)
         .build()?;
 
     cluster.create_table(TableSpec {
@@ -52,8 +49,8 @@ fn main() -> Result<()> {
     p.txm.commit(tx);
     cluster.sync()?;
 
-    // A few more committed transactions so checkpoints and sealed segments
-    // accumulate before the crash.
+    // A few more committed transactions so sealed segments accumulate
+    // before the crash.
     for (key, balance) in [(1i64, 50i64), (2, 60), (3, 70)] {
         let mut tx = p.txm.begin(TenantId::DEFAULT);
         p.txm.update_column_by_key(&mut tx, T, key, "balance", Value::Int(balance))?;
@@ -62,12 +59,9 @@ fn main() -> Result<()> {
     }
     let before = cluster.standby().metrics().durability;
     println!(
-        "before crash: QuerySCN {}, {} records persisted, {} checkpoints (SCN {}), \
-         {} wal segments archived",
+        "before crash: QuerySCN {}, {} records persisted, {} wal segments archived",
         cluster.standby().current_query_scn()?,
         before.records_persisted,
-        before.checkpoints,
-        before.checkpoint_scn,
         before.segments_archived,
     );
 
@@ -77,11 +71,7 @@ fn main() -> Result<()> {
 
     cluster.sync()?;
     let after = cluster.standby().metrics().durability;
-    println!(
-        "recovery replayed {} records from the durable log, skipped mining {} \
-         below checkpoint SCN {}",
-        after.replayed_records, after.mining_skipped, before.checkpoint_scn,
-    );
+    println!("recovery replayed {} records from the durable log", after.replayed_records);
     assert!(after.replayed_records > 0, "restart must replay from disk");
 
     // Zero committed loss: every pre-crash commit is visible again.

@@ -55,15 +55,16 @@ cargo test -p imadg-net tcp -q
 cargo test -p imadg-db --test chaos_transport tcp_loopback -q
 
 # Durability gate: the crash-point matrix (restart from disk only, must
-# converge bit-identically to an uncrashed twin), checkpoint resume,
+# converge bit-identically to an uncrashed twin), whole-log replay,
 # double crash, and 16 pinned seeds of promotion under the acceptance
 # fault mix. Uses per-run directories under $TMPDIR; each test removes
 # its own directory on drop, and stale ones from killed runs are swept
 # here first.
 echo "==> durability gate (crash-point matrix + promotion under chaos)"
 rm -rf "${TMPDIR:-/tmp}"/imadg-twin-* "${TMPDIR:-/tmp}"/imadg-crash-* \
-    "${TMPDIR:-/tmp}"/imadg-ckpt-* "${TMPDIR:-/tmp}"/imadg-double-* \
-    "${TMPDIR:-/tmp}"/imadg-promo-* "${TMPDIR:-/tmp}"/imadg-roles-*
+    "${TMPDIR:-/tmp}"/imadg-replay-* "${TMPDIR:-/tmp}"/imadg-span-* \
+    "${TMPDIR:-/tmp}"/imadg-double-* "${TMPDIR:-/tmp}"/imadg-promo-* \
+    "${TMPDIR:-/tmp}"/imadg-roles-*
 cargo test -p imadg-db --test crash_recovery -q
 
 # Scan-engine parity gate: the vectorized bitmap kernels must be
@@ -80,6 +81,14 @@ cargo test -p imadg-imcs --test kernel_parity -q
 echo "==> rebuild parity (shared-column rebuild vs full build)"
 cargo test -p imadg-imcs --test rebuild_parity -q
 
+# One-SMU gate: a row whose changes straddle a pending→hot swap, an
+# eviction and recall, or a restart whose replay spans several population
+# passes is one stale location, fetched once and never served stale.
+echo "==> one stale location per row (swap, recall, restart)"
+cargo test -p imadg-imcs --lib row_changed_across_pending_to_hot_swap_is_fetched_once -q
+cargo test -p imadg-imcs --lib same_key_journaled_across_eviction_and_recall_is_served_once -q
+cargo test -p imadg-db --test crash_recovery restart_spanning_drains_serves_no_stale_rows -q
+
 # Format gate: a Data frame, a WAL segment and a cold columnar file must
 # encode to their pinned bytes. All three share one length/CRC envelope;
 # a drift in it, or in any field layout, would strand every WAL segment
@@ -92,7 +101,7 @@ cargo test -p imadg-net --test format_golden -q
 # densities, and journaled DML on both sides of the eviction; torn files
 # must degrade to the row-store bypass without panicking. Plus the
 # pinned restart-from-cold-tier scenario (instant re-registration +
-# mine-gate absorption) from the durability suite.
+# per-unit absorption of the re-mined log) from the durability suite.
 echo "==> cold-tier round-trip (proptests + restart from cold files)"
 rm -rf "${TMPDIR:-/tmp}"/imadg-coldprop-*
 cargo test -p imadg-imcs --test cold_roundtrip -q
@@ -114,7 +123,7 @@ if [[ "$fast" == 0 ]]; then
     ./target/release/bench_scan --validate "$smoke_out"
     rm -f "$smoke_out"
     # Recovery-smoke gate: a tiny exp_recovery run (real on-disk wal +
-    # checkpoint + promotion) must converge with zero committed loss and
+    # restart + promotion) must converge with zero committed loss and
     # emit a schema-valid recovery document.
     echo "==> recovery smoke (tiny exp_recovery run + schema validation)"
     rec_out="$(mktemp)"
