@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use imadg_common::{ImcsConfig, ObjectId, ScnService, TenantId};
-use imadg_imcs::{scan, Filter, ImcsStore, PopulationEngine, Predicate, SnapshotSource};
+use imadg_imcs::{execute, Filter, ImcsStore, Output, PopulationEngine, Predicate, SnapshotSource};
 use imadg_redo::LogBuffer;
 use imadg_storage::{ColumnType, DbaAllocator, Schema, Store, TableSpec, Value};
 use imadg_txn::{InMemoryRegistry, LockTable, TxnIdService, TxnManager};
@@ -89,16 +89,20 @@ fn bench_scans(c: &mut Criterion) {
         let snapshot = f.scns.current();
         let q1 = Filter::of(Predicate::eq(&f.schema, "n1", Value::Int(7)).unwrap());
         let q2 = Filter::of(Predicate::eq(&f.schema, "c1", Value::str("val_000007")).unwrap());
+        let stores = [f.imcs.clone()];
+        let scan = |q: &Filter| {
+            execute(&stores, &f.store, OBJ, q, Output::Rows, snapshot, 1, false).unwrap().rows.len()
+        };
 
         let mut g = c.benchmark_group("scan");
         g.throughput(Throughput::Elements(rows as u64));
         g.sample_size(20);
 
         g.bench_with_input(BenchmarkId::new("imcs_q1_int_eq", rows), &rows, |b, _| {
-            b.iter(|| scan(&f.imcs, &f.store, OBJ, &q1, snapshot).unwrap().unwrap().rows.len())
+            b.iter(|| scan(&q1))
         });
         g.bench_with_input(BenchmarkId::new("imcs_q2_str_eq", rows), &rows, |b, _| {
-            b.iter(|| scan(&f.imcs, &f.store, OBJ, &q2, snapshot).unwrap().unwrap().rows.len())
+            b.iter(|| scan(&q2))
         });
         g.bench_with_input(BenchmarkId::new("rowstore_q1_int_eq", rows), &rows, |b, _| {
             b.iter(|| {
@@ -116,7 +120,7 @@ fn bench_scans(c: &mut Criterion) {
         // Storage-index pruned scan: out-of-domain literal skips every unit.
         let pruned = Filter::of(Predicate::eq(&f.schema, "n1", Value::Int(1_000_000)).unwrap());
         g.bench_with_input(BenchmarkId::new("imcs_pruned", rows), &rows, |b, _| {
-            b.iter(|| scan(&f.imcs, &f.store, OBJ, &pruned, snapshot).unwrap().unwrap().rows.len())
+            b.iter(|| scan(&pruned))
         });
         g.finish();
     }

@@ -30,7 +30,7 @@ use imadg_bench::bench_output::{
     BenchScanDoc, BenchTierDoc, BENCH_SCHEMA_VERSION,
 };
 use imadg_common::{ImcsConfig, ObjectId, ScnService, TenantId};
-use imadg_imcs::{scalar, ImcsStore, PopulationEngine, Predicate, SnapshotSource};
+use imadg_imcs::{execute, scalar, ImcsStore, Output, PopulationEngine, Predicate, SnapshotSource};
 use imadg_redo::LogBuffer;
 use imadg_storage::{ColumnType, DbaAllocator, Schema, Store, TableSpec, Value};
 use imadg_txn::{InMemoryRegistry, LockTable, TxnIdService, TxnManager};
@@ -192,16 +192,10 @@ fn run_bench() -> ExitCode {
     // document's sanity anchor intact across every entry.
     let ordinal = f.schema.ordinal("n1").expect("n1 ordinal");
     let stores = [f.imcs.clone()];
-    let vectorized = |degree: usize| {
-        let (f, q) = (&f, &q);
-        move || {
-            imadg_imcs::scan_parallel(&f.imcs, &f.store, OBJ, q, snapshot, degree)
-                .expect("vectorized scan")
-                .expect("object populated")
-                .rows
-                .len()
-        }
+    let run = |output: Output, degree: usize| {
+        execute(&stores, &f.store, OBJ, &q, output, snapshot, degree, false).expect("executor")
     };
+    let vectorized = |degree: usize| move || run(Output::Rows, degree).rows.len();
     let configs: Vec<Config> = vec![
         (
             "row_store",
@@ -236,13 +230,8 @@ fn run_bench() -> ExitCode {
             "aggregate_d1",
             1,
             Box::new(|| {
-                imadg_imcs::scan_aggregate_parallel(
-                    &stores, &f.store, OBJ, &q, ordinal, snapshot, 1,
-                )
-                .expect("aggregate scan")
-                .expect("object populated")
-                .aggs
-                .count as usize
+                let aggs = run(Output::Aggregate(ordinal), 1).aggregates.expect("aggregates");
+                aggs.count as usize
             }),
         ),
     ];

@@ -33,7 +33,8 @@ use imadg_common::metrics::TierMetrics;
 use imadg_common::{ImcsConfig, LinkMode, ObjectId, ScnService, TenantId};
 use imadg_db::{AdgCluster, NodeBuilder, Placement, QueryRequest};
 use imadg_imcs::{
-    scan, CmpOp, ColdTier, Filter, ImcsStore, PopulationEngine, Predicate, SnapshotSource,
+    execute, CmpOp, ColdTier, Filter, ImcsStore, Output, PopulationEngine, Predicate,
+    SnapshotSource,
 };
 use imadg_redo::LogBuffer;
 use imadg_storage::{ColumnType, DbaAllocator, Schema, Store, TableSpec, Value};
@@ -151,13 +152,13 @@ fn budget_run(rows: usize, iters: usize, pct: u32, base: &std::path::Path) -> Be
     let selective =
         Filter::of(Predicate::new(&f.schema, "id", CmpOp::Lt, Value::Int(cut)).expect("predicate"));
 
-    let (full_p50_us, full) = time_scan(iters, || {
-        scan(&f.imcs, &f.store, OBJ, &all, at).expect("full scan").expect("populated")
-    });
+    let stores = [f.imcs.clone()];
+    let scan = |filter: &Filter| {
+        execute(&stores, &f.store, OBJ, filter, Output::Rows, at, 1, false).expect("scan")
+    };
+    let (full_p50_us, full) = time_scan(iters, || scan(&all));
     assert_eq!(full.rows.len(), rows, "budget {pct}%: full scan dropped rows");
-    let (selective_p50_us, sel) = time_scan(iters, || {
-        scan(&f.imcs, &f.store, OBJ, &selective, at).expect("selective scan").expect("populated")
-    });
+    let (selective_p50_us, sel) = time_scan(iters, || scan(&selective));
     assert_eq!(sel.rows.len(), cut as usize, "budget {pct}%: selective scan wrong");
 
     let pruned = sel.stats.cold_pruned_units as u64;

@@ -21,7 +21,7 @@ pub use mira::{MiraInstance, MiraStandby};
 pub use node::{Node, NodeBuilder, NodeRole};
 pub use placement::{Placement, StandbySelector};
 pub use primary::PrimaryInstance;
-pub use query::{execute_request, execute_scan, QueryOutput, QueryRequest};
+pub use query::{execute_request, QueryOutput, QueryRequest};
 pub use router::{FallbackReason, RouteDecision, RouteTarget, StandbyEstimate};
 pub use standby::{StandbyCluster, StandbyInstance, StandbyStatus, StandbyThreads};
 

@@ -39,7 +39,7 @@ use imadg_redo::{redo_link, LogMerger, RedoPayload, RedoRecord, RedoSender, Redo
 use imadg_storage::Store;
 use parking_lot::Mutex;
 
-use crate::query::{execute_scan, QueryOutput};
+use crate::query::{run_query, QueryOutput, QueryRequest};
 
 /// One MIRA apply instance: its own pipeline, DBIM-on-ADG state and IMCS.
 pub struct MiraInstance {
@@ -314,6 +314,7 @@ impl MiraStandby {
         let snapshot = self.current_query_scn()?;
         let _t = self.instances[0].query_cpu.timer();
         let stores: Vec<Arc<ImcsStore>> = self.instances.iter().map(|i| i.imcs.clone()).collect();
-        execute_scan(&stores, &self.store, object, filter, snapshot)
+        let req = QueryRequest::scan(object).filter(filter.clone());
+        run_query(&stores, &self.store, &req, snapshot, 1)
     }
 }

@@ -1,13 +1,13 @@
 //! E2e tests of the metrics/tracing layer and the unified query API:
 //! record conservation across the pipeline after a full sync, serde
-//! round-trips of the snapshot, and `query()` parity with the legacy
-//! scan paths.
+//! round-trips of the snapshot, and `query()` parity with a row-store
+//! oracle.
 
 use std::sync::Arc;
 
 use imadg_db::{
-    execute_scan, AdgCluster, ColumnType, Filter, MetricsSnapshot, NodeBuilder, ObjectId,
-    Placement, Predicate, QueryRequest, Schema, Scn, TableSpec, TenantId, TraceStage, Value,
+    AdgCluster, ColumnType, Filter, MetricsSnapshot, NodeBuilder, ObjectId, Placement, Predicate,
+    QueryRequest, Schema, Scn, TableSpec, TenantId, TraceStage, Value,
 };
 
 const OBJ: ObjectId = ObjectId(100);
@@ -161,6 +161,26 @@ fn status_is_a_projection_of_metrics() {
     assert_eq!(s.query_scn.map(|x| x.raw()).unwrap_or(0), m.apply.query_scn);
 }
 
+/// The row-store oracle: every row of `object` visible at `snapshot` that
+/// `keep` accepts, read by walking the blocks' version chains.
+fn row_store_rows(
+    c: &AdgCluster,
+    object: ObjectId,
+    snapshot: Scn,
+    keep: impl Fn(&imadg_db::Row) -> bool,
+) -> Vec<imadg_db::Row> {
+    let mut rows = Vec::new();
+    c.standby()
+        .store
+        .scan_object(object, snapshot, None, |_, row| {
+            if keep(row) {
+                rows.push(row.clone());
+            }
+        })
+        .unwrap();
+    rows
+}
+
 #[test]
 fn unified_query_matches_legacy_paths_byte_for_byte() {
     let c = cluster();
@@ -169,33 +189,38 @@ fn unified_query_matches_legacy_paths_byte_for_byte() {
     c.sync().unwrap();
     let standby = c.standby();
 
-    // IMCS-served object: query() against the raw legacy executor.
+    // IMCS-served object: query() against the row-store oracle.
     let f = filter(&c, OBJ, "n1", Value::Int(4));
     let out = standby.query(&QueryRequest::scan(OBJ).filter(f.clone())).unwrap();
     assert!(out.used_imcs);
-    let snapshot = out.snapshot;
-    let stores: Vec<_> = standby.instances().iter().map(|i| i.imcs.clone()).collect();
-    let legacy = execute_scan(&stores, &standby.store, OBJ, &f, snapshot).unwrap();
-    assert_eq!(out.rows, legacy.rows, "IMCS-served rows must be byte-identical");
-    assert_eq!(out.used_imcs, legacy.used_imcs);
+    let oracle = row_store_rows(&c, OBJ, out.snapshot, |r| f.eval_row(r));
+    assert_eq!(oracle.len(), 12);
+    assert_eq!(out.rows, oracle, "IMCS-served rows must be byte-identical");
 
     // Row-store-fallback object (never placed in-memory).
     let f = filter(&c, ROW_OBJ, "n1", Value::Int(7));
     let out = standby.query(&QueryRequest::scan(ROW_OBJ).filter(f.clone())).unwrap();
     assert!(!out.used_imcs);
-    let legacy = execute_scan(&stores, &standby.store, ROW_OBJ, &f, out.snapshot).unwrap();
-    assert_eq!(out.rows, legacy.rows, "fallback rows must be byte-identical");
+    assert!(out.stats.is_none());
+    let oracle = row_store_rows(&c, ROW_OBJ, out.snapshot, |r| f.eval_row(r));
+    assert_eq!(out.rows, oracle, "fallback rows must be byte-identical");
 
     // Aggregate push-down through the builder equals an aggregate folded
-    // by hand from the row scan — an oracle with no deprecated delegate
-    // in the loop.
+    // by hand from the oracle's rows.
     let f = filter(&c, OBJ, "n1", Value::Int(4));
-    let rows = standby.query(&QueryRequest::scan(OBJ).filter(f.clone())).unwrap();
-    let agg = standby.query(&QueryRequest::scan(OBJ).filter(f.clone()).aggregate("n1")).unwrap();
-    let agg = agg.aggregate.unwrap();
-    assert_eq!(agg.aggs.count as usize, rows.count());
-    let sum: i128 = rows.rows.iter().map(|r| i128::from(r[1].as_int().unwrap())).sum();
+    let out = standby.query(&QueryRequest::scan(OBJ).filter(f.clone()).aggregate("n1")).unwrap();
+    let agg = out.aggregate.unwrap();
+    let oracle = row_store_rows(&c, OBJ, out.snapshot, |r| f.eval_row(r));
+    assert_eq!(agg.aggs.count as usize, oracle.len());
+    let sum: i128 = oracle.iter().map(|r| i128::from(r[1].as_int().unwrap())).sum();
     assert_eq!(agg.aggs.sum, sum);
+
+    // A pruning aggregate counts its pruned units like a row scan does.
+    let before = standby.metrics().scan.pruned_units;
+    let none = filter(&c, OBJ, "n1", Value::Int(100_000));
+    let out = standby.query(&QueryRequest::scan(OBJ).filter(none).aggregate("n1")).unwrap();
+    assert_eq!(out.aggregate.unwrap().aggs.count, 0);
+    assert!(standby.metrics().scan.pruned_units > before, "pruned aggregate units are counted");
 }
 
 #[test]

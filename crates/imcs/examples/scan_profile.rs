@@ -8,7 +8,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use imadg_common::{ImcsConfig, ObjectId, ScnService, TenantId};
-use imadg_imcs::{Filter, ImcsStore, Imcu, PopulationEngine, Predicate, SnapshotSource};
+use imadg_imcs::{
+    execute, Filter, ImcsStore, Imcu, Output, PopulationEngine, Predicate, SnapshotSource,
+};
 use imadg_redo::LogBuffer;
 use imadg_storage::{ColumnType, DbaAllocator, Row, RowLoc, Schema, Store, TableSpec, Value};
 use imadg_txn::{InMemoryRegistry, LockTable, TxnIdService, TxnManager};
@@ -146,17 +148,11 @@ fn main() {
         total
     });
     time("block_dbas", &mut || store.block_dbas(OBJ).unwrap().len());
-    time("full scan_parallel d1", &mut || {
-        imadg_imcs::scan_parallel(&imcs, &store, OBJ, &q, snapshot, 1).unwrap().unwrap().rows.len()
-    });
-    time("full aggregate d1", &mut || {
-        let stores = [imcs.clone()];
-        imadg_imcs::scan_aggregate_parallel(&stores, &store, OBJ, &q, 1, snapshot, 1)
-            .unwrap()
-            .unwrap()
-            .aggs
-            .count as usize
-    });
+    let stores = [imcs.clone()];
+    let run =
+        |output: Output| execute(&stores, &store, OBJ, &q, output, snapshot, 1, false).unwrap();
+    time("full execute rows d1", &mut || run(Output::Rows).rows.len());
+    time("full aggregate d1", &mut || run(Output::Aggregate(1)).aggregates.unwrap().count as usize);
     // Does a buffer-cache scan (the bench's first measured config) degrade
     // subsequent columnar scans in the same process?
     time("row_store once", &mut || {
@@ -170,9 +166,7 @@ fn main() {
             .unwrap();
         n
     });
-    time("full scan_parallel d1 again", &mut || {
-        imadg_imcs::scan_parallel(&imcs, &store, OBJ, &q, snapshot, 1).unwrap().unwrap().rows.len()
-    });
+    time("full execute rows d1 again", &mut || run(Output::Rows).rows.len());
 
     repopulation_profile();
 }

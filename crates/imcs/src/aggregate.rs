@@ -2,27 +2,25 @@
 //! DBIM like in-memory storage indexes, aggregation push-down are extended
 //! seamlessly to ADG").
 //!
-//! `scan_aggregate` computes COUNT / SUM / MIN / MAX of one column over the
-//! rows matching a filter, without materializing row images:
+//! The executor's aggregate sink computes COUNT / SUM / MIN / MAX of one
+//! column over the matching rows without materializing row images:
 //!
-//! * a fully-valid unit with no filter is answered **O(1)** from the unit's
-//!   pre-computed column aggregates and its storage index;
-//! * filtered units read only the aggregated column for matching row ids;
-//! * stale rows and uncovered blocks aggregate over row images fetched via
-//!   Consistent Read — the same reconciliation discipline as row scans.
+//! * a clean unit (no journal) under a predicate that selects every row is
+//!   answered **O(1)** from its pre-computed column aggregates and min/max
+//!   — the footer's, for a cold unit;
+//! * any other unit folds the aggregated column under the final selection
+//!   bitmap, straight off the encoding;
+//! * stale rows, bypassed units and uncovered blocks fold the row images
+//!   the executor re-reads via Consistent Read — the same reconciliation
+//!   as row scans, because it is the same executor.
 
-use std::sync::Arc;
-use std::time::Instant;
+use imadg_storage::{Row, Value};
 
-use imadg_common::{Dba, ObjectId, QueryProfile, Result, Scn, UnitTiming};
-use imadg_storage::{Store, Value};
-
-use crate::coldstore::ColdUnit;
+use crate::bitmap::SelBitmap;
 use crate::column::MinMax;
-use crate::imcs_store::{ImcsStore, ImcuHandle, ObjectImcs};
-use crate::parallel::run_indexed;
-use crate::predicate::Filter;
-use crate::smu::SmuReadGuard;
+use crate::imcu::ColAgg;
+use crate::scan::{Encoded, ScanResult, ScanStats, Sink};
+use crate::storage_index::StorageIndex;
 
 /// Running aggregates over one column.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -98,391 +96,75 @@ fn value_lt(a: &Value, b: &Value) -> bool {
     }
 }
 
-/// Provenance counters for an aggregate scan.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AggregateStats {
-    /// Units answered entirely from pre-computed metadata (O(1)).
-    pub pushdown_units: usize,
-    /// Units whose columns were scanned.
-    pub scanned_units: usize,
-    /// Units served from the row store (pending / coarse-invalid).
-    pub bypassed_units: usize,
-    /// Rows aggregated via row-store fallback.
-    pub fallback_rows: usize,
-    /// Cold units answered from footer metadata alone (min/max prune or
-    /// footer aggregate pushdown) — zero file I/O.
-    pub cold_pruned_units: usize,
-    /// Cold units whose file was opened and aggregated on disk.
-    pub cold_read_units: usize,
-    /// Cold files that failed to open or decode; the unit degraded to the
-    /// row-store bypass.
-    pub cold_read_errors: usize,
-    /// Per-unit aggregate tasks issued to the worker pool (a function of
-    /// the unit count only — identical at every parallel degree).
-    pub parallel_tasks: usize,
-}
-
-impl AggregateStats {
-    /// Fold another unit's counters in (parallel per-unit reduce).
-    pub fn absorb(&mut self, other: &AggregateStats) {
-        self.pushdown_units += other.pushdown_units;
-        self.scanned_units += other.scanned_units;
-        self.bypassed_units += other.bypassed_units;
-        self.fallback_rows += other.fallback_rows;
-        self.cold_pruned_units += other.cold_pruned_units;
-        self.cold_read_units += other.cold_read_units;
-        self.cold_read_errors += other.cold_read_errors;
-        self.parallel_tasks += other.parallel_tasks;
-    }
-}
-
-/// A completed aggregate scan.
+/// A completed aggregate query.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AggregateResult {
     /// The aggregates.
     pub aggs: Aggregates,
     /// Provenance counters.
-    pub stats: AggregateStats,
-    /// Phase timings, populated only on [`scan_aggregate_profiled`].
-    pub profile: Option<QueryProfile>,
+    pub stats: ScanStats,
 }
 
-/// Microseconds elapsed since `t` (profiler granularity).
-fn micros(t: Instant) -> u64 {
-    t.elapsed().as_micros() as u64
-}
-
-/// Aggregate one unit: bypass to the row-store when the columnar data is
-/// unusable; answer O(1) from unit metadata when possible; otherwise fold
-/// the selection bitmap straight through the encoded column — no row ever
-/// materializes on the columnar path.
-fn aggregate_unit(
-    handle: &ImcuHandle,
-    store: &Store,
-    filter: &Filter,
+/// The aggregate sink: one column's running fold.
+#[derive(Clone)]
+pub(crate) struct AggregateSink {
     ordinal: usize,
-    snapshot: Scn,
-    unit: usize,
-) -> Result<(AggregateResult, Vec<Dba>, UnitTiming)> {
-    let started = Instant::now();
-    handle.note_scan();
-    let mut timing = UnitTiming { unit, ..Default::default() };
-    let (imcu, smu) = handle.pair();
-    let covered = imcu.dbas.clone();
-    let mut result = AggregateResult::default();
-    let view = smu.read();
-
-    // Cold tier: footer aggregate pushdown / min-max pruning without I/O
-    // where possible, on-disk column aggregation otherwise. Any decode
-    // failure falls through to the pending bypass below.
-    if imcu.is_pending() && !view.all_invalid() && snapshot >= imcu.snapshot {
-        if let Some(cold) = handle.cold() {
-            if cold.meta.snapshot == imcu.snapshot
-                && aggregate_unit_cold(
-                    &cold,
-                    store,
-                    filter,
-                    ordinal,
-                    snapshot,
-                    &view,
-                    &mut result,
-                    &mut timing,
-                )?
-            {
-                drop(view);
-                timing.total_us = micros(started);
-                return Ok((result, covered, timing));
-            }
-            result.stats.cold_read_errors += 1;
-        }
-    }
-
-    if imcu.is_pending() || view.all_invalid() || snapshot < imcu.snapshot {
-        drop(view);
-        result.stats.bypassed_units = 1;
-        timing.bypassed = true;
-        let t = Instant::now();
-        store.scan_blocks(&imcu.dbas, snapshot, |_, row| {
-            if filter.eval_row(row) {
-                result.aggs.add(row.get(ordinal));
-                result.stats.fallback_rows += 1;
-            }
-        })?;
-        timing.fallback_us = micros(t);
-        timing.total_us = micros(started);
-        return Ok((result, covered, timing));
-    }
-
-    // O(1) push-down: unfiltered aggregate over a unit with no stale
-    // rows is fully answered by unit metadata.
-    let t = Instant::now();
-    let mut pushed_down = false;
-    if filter.terms.is_empty() && view.fallback_count() == 0 {
-        if let Some(agg) = imcu.column_agg(ordinal) {
-            result.stats.pushdown_units = 1;
-            result.aggs.count += imcu.rows() as u64;
-            result.aggs.non_null += agg.non_null;
-            result.aggs.sum += agg.sum;
-            if agg.non_null > 0 {
-                match imcu.storage_index.summary(ordinal) {
-                    Some(MinMax::Int(lo, hi)) => {
-                        result.aggs.merge_min(&Value::Int(*lo));
-                        result.aggs.merge_max(&Value::Int(*hi));
-                    }
-                    Some(MinMax::Str(lo, hi)) => {
-                        result.aggs.merge_min(&Value::Str(lo.clone()));
-                        result.aggs.merge_max(&Value::Str(hi.clone()));
-                    }
-                    _ => {}
-                }
-            }
-            pushed_down = true;
-        }
-    }
-
-    // Column path: evaluate every conjunct in column space, AND the SMU
-    // validity mask, and fold the aggregated column under the final
-    // bitmap — the aggregated column is the only data actually decoded.
-    if !pushed_down {
-        result.stats.scanned_units = 1;
-        match imcu.filter_bitmap(filter) {
-            Some(mut sel) => {
-                timing.kernel_us += micros(t);
-                let t = Instant::now();
-                if let Some(mask) = view.validity_mask(imcu.rows(), |l| imcu.rownum(l)) {
-                    sel.and_assign(&mask);
-                }
-                timing.merge_us = micros(t);
-                let t = Instant::now();
-                imcu.aggregate_masked(ordinal, &sel, &mut result.aggs);
-                timing.kernel_us += micros(t);
-            }
-            // Storage index excluded the whole unit.
-            None => {
-                timing.pruned = true;
-                timing.kernel_us += micros(t);
-            }
-        }
-    } else {
-        timing.kernel_us += micros(t);
-    }
-
-    let t = Instant::now();
-    let mut fallback: Vec<imadg_storage::RowLoc> = Vec::with_capacity(view.fallback_count());
-    view.collect_fallback(&mut fallback);
-    drop(view);
-    timing.merge_us += micros(t);
-    let t = Instant::now();
-    store.fetch_rows_batched(&mut fallback, snapshot, |_, row| {
-        if filter.eval_row(row) {
-            result.aggs.add(row.get(ordinal));
-            result.stats.fallback_rows += 1;
-        }
-    })?;
-    timing.fallback_us += micros(t);
-    timing.total_us = micros(started);
-    Ok((result, covered, timing))
+    aggs: Aggregates,
 }
 
-/// Aggregate one cold unit. Returns `Ok(false)` — with `result` untouched —
-/// on any open/decode failure so the caller degrades to the bypass.
-///
-/// Three tiers of work avoidance, cheapest first: an unfiltered aggregate
-/// over a journal-free unit is answered O(1) from the footer's per-column
-/// aggregates; a filter the footer min/max excludes skips the file; only
-/// the rest opens the file — and decodes just the filter columns plus the
-/// aggregated column.
-#[allow(clippy::too_many_arguments)]
-fn aggregate_unit_cold(
-    cold: &ColdUnit,
-    store: &Store,
-    filter: &Filter,
-    ordinal: usize,
-    snapshot: Scn,
-    view: &SmuReadGuard<'_>,
-    result: &mut AggregateResult,
-    timing: &mut UnitTiming,
-) -> Result<bool> {
-    let t = Instant::now();
-    let clean = filter.terms.is_empty() && view.fallback_count() == 0;
-    if clean && ordinal < cold.meta.col_aggs.len() {
-        // O(1) pushdown straight off the footer: COUNT / SUM / non-null
-        // from the serialized per-column aggregates, MIN / MAX from the
-        // persisted min/max summaries. Zero file I/O.
-        let agg = cold.meta.col_aggs[ordinal];
-        result.stats.pushdown_units = 1;
-        result.stats.cold_pruned_units = 1;
-        result.aggs.count += cold.meta.rows as u64;
-        result.aggs.non_null += agg.non_null;
-        result.aggs.sum += agg.sum;
+impl AggregateSink {
+    pub(crate) fn new(ordinal: usize) -> AggregateSink {
+        AggregateSink { ordinal, aggs: Aggregates::default() }
+    }
+}
+
+impl Sink for AggregateSink {
+    fn summary(&mut self, rows: usize, aggs: &[ColAgg], index: &StorageIndex) -> bool {
+        let Some(agg) = aggs.get(self.ordinal) else { return false };
+        self.aggs.count += rows as u64;
+        self.aggs.non_null += agg.non_null;
+        self.aggs.sum += agg.sum;
         if agg.non_null > 0 {
-            match cold.meta.summaries.summary(ordinal) {
+            match index.summary(self.ordinal) {
                 Some(MinMax::Int(lo, hi)) => {
-                    result.aggs.merge_min(&Value::Int(*lo));
-                    result.aggs.merge_max(&Value::Int(*hi));
+                    self.aggs.merge_min(&Value::Int(*lo));
+                    self.aggs.merge_max(&Value::Int(*hi));
                 }
                 Some(MinMax::Str(lo, hi)) => {
-                    result.aggs.merge_min(&Value::Str(lo.clone()));
-                    result.aggs.merge_max(&Value::Str(hi.clone()));
+                    self.aggs.merge_min(&Value::Str(lo.clone()));
+                    self.aggs.merge_max(&Value::Str(hi.clone()));
                 }
                 _ => {}
             }
         }
-        timing.cold_pruned = true;
-        timing.kernel_us = micros(t);
-    } else if cold.meta.prunes(filter) {
-        // Footer min/max excludes every serialized row: zero file I/O;
-        // journaled rows still aggregate via the fallback pass below.
-        result.stats.scanned_units = 1;
-        result.stats.cold_pruned_units = 1;
-        timing.pruned = true;
-        timing.cold_pruned = true;
-        timing.kernel_us = micros(t);
-    } else {
-        let Some(file) = crate::coldstore::ColdUnitFile::open(&cold.path) else {
-            return Ok(false);
-        };
-        let Some(mut sel) = file.filter_bitmap(filter) else { return Ok(false) };
-        if view.fallback_count() > 0 {
-            let Some(index) = file.loc_index() else { return Ok(false) };
-            if let Some(mask) = view.validity_mask(file.meta.rows, |l| index.get(&l).copied()) {
-                sel.and_assign(&mask);
+        true
+    }
+
+    /// The aggregated column is the only data decoded beyond the
+    /// predicate's columns; a column the unit does not hold (added by DDL)
+    /// aggregates as all-NULL.
+    fn select(&mut self, sel: &SelBitmap, unit: &Encoded<'_>) -> Option<()> {
+        match unit {
+            Encoded::Hot(imcu) => imcu.aggregate_masked(self.ordinal, sel, &mut self.aggs),
+            Encoded::Cold(file, _) if self.ordinal < file.meta.column_count() => {
+                file.decode_column(self.ordinal)?.aggregate_masked(sel, &mut self.aggs)
             }
+            Encoded::Cold(..) => self.aggs.count += sel.count() as u64,
         }
-        // Aggregate straight off the encoded column — the aggregated
-        // column is the only data decoded beyond the filter columns. All
-        // decodes complete before `result` is touched.
-        let mut aggs = Aggregates::default();
-        if ordinal < cold.meta.column_count() {
-            let Some(col) = file.decode_column(ordinal) else { return Ok(false) };
-            col.aggregate_masked(&sel, &mut aggs);
-        } else {
-            aggs.count += sel.count() as u64;
-        }
-        cold.note_read();
-        result.stats.scanned_units = 1;
-        result.stats.cold_read_units = 1;
-        result.aggs.merge(&aggs);
-        timing.cold_read = true;
-        timing.kernel_us = micros(t);
+        Some(())
     }
 
-    // SMU reconciliation — identical to the hot path.
-    let t = Instant::now();
-    let mut fallback: Vec<imadg_storage::RowLoc> = Vec::with_capacity(view.fallback_count());
-    view.collect_fallback(&mut fallback);
-    timing.merge_us += micros(t);
-    let t = Instant::now();
-    store.fetch_rows_batched(&mut fallback, snapshot, |_, row| {
-        if filter.eval_row(row) {
-            result.aggs.add(row.get(ordinal));
-            result.stats.fallback_rows += 1;
-        }
-    })?;
-    timing.fallback_us += micros(t);
-    Ok(true)
-}
-
-/// Aggregate column `ordinal` of `object` over rows matching `filter`, at
-/// `snapshot`. Returns `Ok(None)` when the object has no column-store
-/// presence (the caller falls back to a row scan).
-pub fn scan_aggregate(
-    stores: &[Arc<ImcsStore>],
-    store: &Store,
-    object: ObjectId,
-    filter: &Filter,
-    ordinal: usize,
-    snapshot: Scn,
-) -> Result<Option<AggregateResult>> {
-    scan_aggregate_parallel(stores, store, object, filter, ordinal, snapshot, 1)
-}
-
-/// [`scan_aggregate`] with an explicit parallel degree (`<= 1` = serial):
-/// per-unit partial aggregates computed across the worker pool and merged
-/// in unit order.
-pub fn scan_aggregate_parallel(
-    stores: &[Arc<ImcsStore>],
-    store: &Store,
-    object: ObjectId,
-    filter: &Filter,
-    ordinal: usize,
-    snapshot: Scn,
-    degree: usize,
-) -> Result<Option<AggregateResult>> {
-    aggregate_units(stores, store, object, filter, ordinal, snapshot, degree, false)
-}
-
-/// [`scan_aggregate_parallel`] with per-phase timing: the result's
-/// `profile` carries the pruning / kernel / journal-merge / fallback /
-/// uncovered split and one [`UnitTiming`] per parallel task.
-pub fn scan_aggregate_profiled(
-    stores: &[Arc<ImcsStore>],
-    store: &Store,
-    object: ObjectId,
-    filter: &Filter,
-    ordinal: usize,
-    snapshot: Scn,
-    degree: usize,
-) -> Result<Option<AggregateResult>> {
-    aggregate_units(stores, store, object, filter, ordinal, snapshot, degree, true)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn aggregate_units(
-    stores: &[Arc<ImcsStore>],
-    store: &Store,
-    object: ObjectId,
-    filter: &Filter,
-    ordinal: usize,
-    snapshot: Scn,
-    degree: usize,
-    profile: bool,
-) -> Result<Option<AggregateResult>> {
-    let entries: Vec<Arc<ObjectImcs>> = stores.iter().filter_map(|s| s.object(object)).collect();
-    if entries.is_empty() {
-        return Ok(None);
+    fn row(&mut self, row: &Row) {
+        self.aggs.add(row.get(self.ordinal));
     }
-    let handles: Vec<Arc<ImcuHandle>> = entries.iter().flat_map(|e| e.handles()).collect();
-    let partials = run_indexed(degree, handles.len(), |i| {
-        aggregate_unit(handles[i].as_ref(), store, filter, ordinal, snapshot, i)
-    });
 
-    let mut result = AggregateResult::default();
-    let mut prof = profile.then(QueryProfile::default);
-    let mut covered: Vec<Dba> = Vec::new();
-    for partial in partials {
-        let (p, dbas, timing) = partial?;
-        if let Some(prof) = prof.as_mut() {
-            prof.absorb_task(timing);
-        }
-        result.aggs.merge(&p.aggs);
-        result.stats.absorb(&p.stats);
-        covered.extend(dbas);
+    fn taken(&self) -> usize {
+        self.aggs.count as usize
     }
-    result.stats.parallel_tasks = handles.len();
 
-    covered.sort_unstable();
-    covered.dedup();
-    let t = Instant::now();
-    let uncovered: Vec<Dba> = store
-        .block_dbas(object)?
-        .into_iter()
-        .filter(|d| covered.binary_search(d).is_err())
-        .collect();
-    if !uncovered.is_empty() {
-        store.scan_blocks(&uncovered, snapshot, |_, row| {
-            if filter.eval_row(row) {
-                result.aggs.add(row.get(ordinal));
-                result.stats.fallback_rows += 1;
-            }
-        })?;
+    fn merge_into(self, result: &mut ScanResult) {
+        result.aggregates.get_or_insert_default().merge(&self.aggs);
     }
-    if let Some(prof) = prof.as_mut() {
-        prof.uncovered_us = micros(t);
-        prof.parallel_degree = degree.max(1);
-    }
-    result.profile = prof;
-    Ok(Some(result))
 }
 
 #[cfg(test)]

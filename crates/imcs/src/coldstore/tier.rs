@@ -396,7 +396,7 @@ mod tests {
     use super::*;
     use crate::population::PopulationEngine;
     use crate::predicate::{CmpOp, Filter, Predicate};
-    use crate::scan::scan;
+    use crate::scan::{execute, Output, ScanResult};
     use imadg_common::sync::ScnService;
     use imadg_common::{ObjectId, Scn, TenantId};
     use imadg_redo::LogBuffer;
@@ -487,9 +487,13 @@ mod tests {
         (txm, store, scns, imcs, tier, dir)
     }
 
-    fn rows_of(imcs: &ImcsStore, store: &Store, filter: &Filter, at: Scn) -> Vec<Vec<Value>> {
-        let r = scan(imcs, store, OBJ, filter, at).unwrap().unwrap();
-        r.rows.into_iter().map(|row| row.values().to_vec()).collect()
+    fn scan(imcs: &Arc<ImcsStore>, store: &Store, filter: &Filter, at: Scn) -> ScanResult {
+        let stores = [imcs.clone()];
+        execute(&stores, store, OBJ, filter, Output::Rows, at, 1, false).unwrap()
+    }
+
+    fn rows_of(imcs: &Arc<ImcsStore>, store: &Store, filter: &Filter, at: Scn) -> Vec<Vec<Value>> {
+        scan(imcs, store, filter, at).rows.into_iter().map(|row| row.values().to_vec()).collect()
     }
 
     #[test]
@@ -508,7 +512,7 @@ mod tests {
 
         let cold_rows = rows_of(&imcs, &store, &all, at);
         assert_eq!(hot_rows, cold_rows, "cold scan must be bit-identical");
-        let r = scan(&imcs, &store, OBJ, &all, at).unwrap().unwrap();
+        let r = scan(&imcs, &store, &all, at);
         assert_eq!(r.stats.cold_read_units, 4);
         assert_eq!(r.stats.cold_read_errors, 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -522,7 +526,7 @@ mod tests {
         // ids 0..100 over units [0,32) [32,64) [64,96) [96,100): id >= 96
         // lives in the last unit only.
         let f = pred("id", CmpOp::Ge, 96);
-        let r = scan(&imcs, &store, OBJ, &f, at).unwrap().unwrap();
+        let r = scan(&imcs, &store, &f, at);
         assert_eq!(r.rows.len(), 4);
         assert!(
             r.stats.cold_pruned_units >= 3,
@@ -556,7 +560,7 @@ mod tests {
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "files deleted on recall");
         let after = rows_of(&imcs, &store, &all, at);
         assert_eq!(before, after);
-        let r = scan(&imcs, &store, OBJ, &all, at).unwrap().unwrap();
+        let r = scan(&imcs, &store, &all, at);
         assert_eq!(r.stats.cold_read_units, 0, "units are hot again");
         assert_eq!(r.stats.scanned_units, 4);
         let _ = std::fs::remove_dir_all(&dir);
@@ -582,7 +586,7 @@ mod tests {
         // The rebuilt files serve the new values without any journal pass.
         let at = scns.current();
         let f = pred("n", CmpOp::Eq, -1);
-        let r = scan(&imcs, &store, OBJ, &f, at).unwrap().unwrap();
+        let r = scan(&imcs, &store, &f, at);
         assert_eq!(r.rows.len(), 33);
         assert_eq!(r.stats.cold_read_errors, 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -627,8 +631,8 @@ mod tests {
         let r = crate::scalar::scan_scalar(&imcs, &store, OBJ, &all, at).unwrap();
         assert_eq!(r.unwrap().rows.len(), 100, "scalar oracle");
         let stores = [imcs.clone()];
-        let agg = crate::aggregate::scan_aggregate(&stores, &store, OBJ, &all, 0, at).unwrap();
-        let aggs = agg.unwrap().aggs;
+        let agg = execute(&stores, &store, OBJ, &all, Output::Aggregate(0), at, 1, false).unwrap();
+        let aggs = agg.aggregates.unwrap();
         assert_eq!((aggs.count, aggs.sum), (100, (0..100).sum::<i128>()), "COUNT, SUM(id)");
         assert_eq!(rows_of(&imcs, &store, &pred("n", CmpOp::Eq, 3000), at).len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -643,7 +647,7 @@ mod tests {
         assert_eq!(tier.run_once().unwrap().evicted, 4);
 
         // "Restart": a brand-new column store, restored from footers only.
-        let fresh = ImcsStore::new();
+        let fresh = Arc::new(ImcsStore::new());
         let metrics = TierMetrics::default();
         assert_eq!(restore_cold_tier(&fresh, &store, &dir, &metrics).unwrap(), 4);
         assert_eq!(metrics.cold_units.get(), 4);
@@ -664,7 +668,7 @@ mod tests {
         let bytes = std::fs::read(&victim).unwrap();
         std::fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
 
-        let r = scan(&imcs, &store, OBJ, &all, at).unwrap().unwrap();
+        let r = scan(&imcs, &store, &all, at);
         assert_eq!(r.stats.cold_read_errors, 1);
         let rows: Vec<_> = r.rows.into_iter().map(|row| row.values().to_vec()).collect();
         assert_eq!(before, rows, "row store covers the corrupt unit");

@@ -8,17 +8,19 @@
 //! every candidate row, and verifies remaining conjuncts on row images.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
 use imadg_common::{ObjectId, Result, Scn};
 use imadg_storage::Store;
 
-use crate::imcs_store::{ImcsStore, ObjectImcs};
+use crate::imcs_store::ImcsStore;
 use crate::predicate::{Filter, Predicate};
-use crate::scan::{ScanResult, ScanStats};
+use crate::scan::ScanResult;
 
-/// Scalar scan of `object` at `snapshot` (see [`crate::scan::scan`] for
-/// the vectorized equivalent and the `Ok(None)` contract).
+/// Scalar scan of `object` at `snapshot` — the old unit walk: leading
+/// predicate through the column, per-candidate `is_invalid` probe,
+/// materialize-then-verify for the remaining terms, `HashSet`
+/// covered-block bookkeeping. `Ok(None)` when the store does not hold the
+/// object ([`crate::execute`] is the vectorized equivalent).
 pub fn scan_scalar(
     imcs: &ImcsStore,
     store: &Store,
@@ -26,26 +28,11 @@ pub fn scan_scalar(
     filter: &Filter,
     snapshot: Scn,
 ) -> Result<Option<ScanResult>> {
-    match imcs.object(object) {
-        Some(obj) => scan_entries_scalar(&[obj], store, object, filter, snapshot).map(Some),
-        None => Ok(None),
-    }
-}
-
-/// The old unit walk: leading predicate through the column, per-candidate
-/// `is_invalid` probe, materialize-then-verify for the remaining terms,
-/// `HashSet` covered-block bookkeeping.
-pub fn scan_entries_scalar(
-    entries: &[Arc<ObjectImcs>],
-    store: &Store,
-    object: ObjectId,
-    filter: &Filter,
-    snapshot: Scn,
-) -> Result<ScanResult> {
-    let mut result = ScanResult { rows: Vec::new(), stats: ScanStats::default(), profile: None };
+    let Some(entry) = imcs.object(object) else { return Ok(None) };
+    let mut result = ScanResult::default();
     let mut covered: HashSet<imadg_common::Dba> = HashSet::new();
 
-    for handle in entries.iter().flat_map(|e| e.handles()) {
+    for handle in entry.handles() {
         let (imcu, smu) = handle.pair();
         covered.extend(imcu.dbas.iter().copied());
         let view = smu.read();
@@ -113,5 +100,5 @@ pub fn scan_entries_scalar(
         })?;
     }
 
-    Ok(result)
+    Ok(Some(result))
 }

@@ -1,70 +1,78 @@
-//! The In-Memory Scan Engine.
+//! The In-Memory Scan Engine: one executor for row scans and aggregates.
 //!
-//! Serves a filtered scan at a snapshot SCN by combining three sources
-//! (paper §II.B): (1) valid rows straight from encoded IMCUs — after
-//! storage-index pruning, (2) stale/new rows fetched from the row-store via
-//! Consistent Read (SMU reconciliation), and (3) row-store block scans for
-//! blocks no unit covers (the insert frontier beyond the edge IMCU).
+//! [`execute`] serves a query at a snapshot SCN by combining three sources
+//! (paper §II.B): (1) valid rows straight from encoded units — hot IMCUs or
+//! cold files — after min/max pruning, (2) stale and newly inserted rows
+//! re-read from the row store via Consistent Read (SMU reconciliation), and
+//! (3) row-store block scans for blocks no unit covers. An object no column
+//! store holds is all uncovered blocks.
 //!
-//! Predicates evaluate in *column space*: every conjunct runs through its
-//! encoding's branchless kernel into a chunked selection bitmap (64 rows
-//! per word), SMU validity converts to the same mask form, and the bitmaps
-//! AND together. The kernels only decide *which* rows match: each final
-//! survivor maps to its `RowLoc` and the row store hands back the shared
-//! image it already holds at the snapshot, re-checked against the
-//! predicate in case the SMU lags it — so no row is rebuilt column by
-//! column, for hot and cold units alike. Units are
-//! independent scan tasks, so the whole walk fans out across a query-scoped
-//! worker pool ([`crate::parallel`]) and merges per-unit partials in unit
-//! order: results are bit-identical at every parallel degree. The old
-//! row-at-a-time engine survives in [`crate::scalar`] as the parity oracle
-//! and bench baseline.
+//! Each unit is classified once: a cold placeholder reads its file, a unit
+//! with no usable columnar data bypasses to the row store, and the rest run
+//! hot. Predicates evaluate in *column space*: every conjunct runs through
+//! its encoding's branchless kernel into a chunked selection bitmap (64
+//! rows per word), and SMU validity ANDs in as a mask. Every unit that
+//! served columnar data then runs the same reconcile tail. What becomes of
+//! a selection is the sink's business: the rows sink maps each survivor to
+//! its `RowLoc` and takes the row store's shared image at the snapshot,
+//! re-checked against the predicate in case the SMU lags it; the aggregate
+//! sink (`crate::aggregate`) answers a clean unit from its metadata and
+//! otherwise folds the encoded column under the bitmap. Units are
+//! independent tasks fanned across a query-scoped worker pool
+//! ([`crate::parallel`]) and merged in unit order, so results are
+//! bit-identical at every parallel degree. The old row-at-a-time engine
+//! survives in [`crate::scalar`] as the parity oracle and bench baseline.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use imadg_common::{Dba, ObjectId, QueryProfile, Result, Scn, UnitTiming};
-use imadg_storage::{Row, RowLoc, Store};
+use imadg_storage::{Row, RowLoc, Store, Value};
 
+use crate::aggregate::{AggregateSink, Aggregates};
 use crate::bitmap::SelBitmap;
 use crate::coldstore::{ColdMeta, ColdUnit, ColdUnitFile};
 use crate::expression::Expr;
-use crate::imcs_store::{ImcsStore, ImcuHandle, ObjectImcs};
-use crate::imcu::Imcu;
+use crate::imcs_store::{ImcsStore, ImcuHandle};
+use crate::imcu::{ColAgg, Imcu};
 use crate::parallel::run_indexed;
 use crate::predicate::{CmpOp, Filter, Predicate};
 use crate::smu::SmuReadGuard;
+use crate::storage_index::StorageIndex;
 
 /// Where each result row came from (experiment instrumentation).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
-    /// Rows served from encoded IMCU data.
+    /// Rows served from encoded unit data.
     pub imcu_rows: usize,
     /// Rows served via row-store fallback (SMU-invalid, post-snapshot
     /// inserts, pending or coarse-invalidated units).
     pub fallback_rows: usize,
     /// Rows served from uncovered blocks.
     pub uncovered_rows: usize,
-    /// Units skipped by the min/max storage index (any conjunct excluded).
+    /// Units skipped by min/max (any conjunct excluded).
     pub pruned_units: usize,
     /// Units whose columns were scanned.
     pub scanned_units: usize,
     /// Units bypassed entirely (pending / all-invalid).
     pub bypassed_units: usize,
-    /// Cold units excluded by footer min/max alone — zero file I/O.
+    /// Units an aggregate answered O(1) from pre-computed metadata.
+    pub pushdown_units: usize,
+    /// Cold units answered from footer metadata alone (min/max prune or
+    /// aggregate pushdown) — zero file I/O.
     pub cold_pruned_units: usize,
     /// Cold units whose file was opened and predicate-filtered on disk.
     pub cold_read_units: usize,
     /// Cold files that failed to open or decode; the unit degraded to the
     /// row-store bypass (torn write, truncated footer, bit rot).
     pub cold_read_errors: usize,
-    /// Per-unit scan tasks issued to the worker pool. A function of the
-    /// unit count only — identical at every parallel degree.
+    /// Per-unit tasks issued to the worker pool. A function of the unit
+    /// count only — identical at every parallel degree.
     pub parallel_tasks: usize,
 }
 
 impl ScanStats {
-    /// Total result rows.
+    /// Total result rows (matching rows, for an aggregate).
     pub fn total(&self) -> usize {
         self.imcu_rows + self.fallback_rows + self.uncovered_rows
     }
@@ -77,6 +85,7 @@ impl ScanStats {
         self.pruned_units += other.pruned_units;
         self.scanned_units += other.scanned_units;
         self.bypassed_units += other.bypassed_units;
+        self.pushdown_units += other.pushdown_units;
         self.cold_pruned_units += other.cold_pruned_units;
         self.cold_read_units += other.cold_read_units;
         self.cold_read_errors += other.cold_read_errors;
@@ -84,14 +93,26 @@ impl ScanStats {
     }
 }
 
-/// A completed scan.
+/// What a query returns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Output {
+    /// The matching row images.
+    Rows,
+    /// COUNT / SUM / MIN / MAX of the column at this ordinal over the
+    /// matching rows.
+    Aggregate(usize),
+}
+
+/// A completed execution.
 #[derive(Debug, Default)]
 pub struct ScanResult {
-    /// Matching row images.
+    /// Matching row images ([`Output::Rows`]).
     pub rows: Vec<Row>,
+    /// The aggregates ([`Output::Aggregate`]).
+    pub aggregates: Option<Aggregates>,
     /// Provenance counters.
     pub stats: ScanStats,
-    /// Phase timings, populated only on the `*_profiled` entry points.
+    /// Phase timings, when the execution asked for a profile.
     pub profile: Option<QueryProfile>,
 }
 
@@ -100,12 +121,16 @@ fn micros(t: Instant) -> u64 {
     t.elapsed().as_micros() as u64
 }
 
-/// A predicate the unified unit-walk driver can evaluate both in column
-/// space (selection bitmap per unit) and against row images (row-store
-/// fallback). [`Filter`] and [`ExprPredicate`] are the two shapes.
-trait RowPredicate: Sync {
-    /// Row-image evaluation (fallback, bypass, and uncovered passes).
+/// A predicate the executor evaluates both in column space (selection
+/// bitmap per unit) and against row images (bypass, reconcile and
+/// uncovered passes). [`Filter`] and [`ExprPredicate`] are the two shapes;
+/// the trait is not reachable from outside the crate.
+pub trait RowPredicate: Sync {
+    /// Row-image evaluation.
     fn matches_row(&self, row: &Row) -> bool;
+
+    /// Does the predicate select every row (no conjunct at all)?
+    fn selects_all(&self) -> bool;
 
     /// Column-space evaluation over one unit. `None` means the unit's
     /// min/max storage index excludes it entirely (prune).
@@ -128,6 +153,10 @@ impl RowPredicate for Filter {
         self.eval_row(row)
     }
 
+    fn selects_all(&self) -> bool {
+        self.terms.is_empty()
+    }
+
     fn unit_bitmap(&self, imcu: &Imcu) -> Option<SelBitmap> {
         imcu.filter_bitmap(self)
     }
@@ -141,268 +170,324 @@ impl RowPredicate for Filter {
     }
 }
 
-/// One unit's contribution to a scan, merged by the driver in unit order.
-struct UnitPartial {
+/// A unit's encoded rows as a sink reads them: a hot IMCU, or an opened
+/// cold file with its decoded row-location page.
+pub(crate) enum Encoded<'a> {
+    Hot(&'a Imcu),
+    Cold(&'a ColdUnitFile, &'a [RowLoc]),
+}
+
+/// What the executor does with what it selects. The unit walk, the
+/// classification and the reconcile tail are the same for every sink.
+pub(crate) trait Sink: Clone + Send + Sync {
+    /// Answer a clean unit — no journal, a predicate that selects every
+    /// row — from its row count, column aggregates and min/max alone.
+    /// `false` when this sink needs the rows themselves.
+    fn summary(&mut self, _rows: usize, _aggs: &[ColAgg], _index: &StorageIndex) -> bool {
+        false
+    }
+
+    /// Take a unit's final selection while the SMU latch is held. `None`
+    /// when a cold column fails to decode, with the sink untouched.
+    fn select(&mut self, sel: &SelBitmap, unit: &Encoded<'_>) -> Option<()>;
+
+    /// Finish the selection once the latch is released.
+    fn fetch<P: RowPredicate>(&mut self, _store: &Store, _pred: &P, _snapshot: Scn) -> Result<()> {
+        Ok(())
+    }
+
+    /// Take one row-store image that matched the predicate.
+    fn row(&mut self, row: &Row);
+
+    /// Rows taken so far.
+    fn taken(&self) -> usize;
+
+    /// Append this partial's output to `result`, in unit order.
+    fn merge_into(self, result: &mut ScanResult);
+}
+
+/// The rows sink. Survivors wait in `pending` until the SMU latch is
+/// released, then their images are fetched from the row store.
+#[derive(Clone, Default)]
+struct Rows {
     rows: Vec<Row>,
+    pending: Vec<RowLoc>,
+}
+
+impl Sink for Rows {
+    fn select(&mut self, sel: &SelBitmap, unit: &Encoded<'_>) -> Option<()> {
+        self.pending.extend(sel.iter_ones().map(|rn| match unit {
+            Encoded::Hot(imcu) => imcu.loc(rn),
+            Encoded::Cold(_, locs) => locs[rn as usize],
+        }));
+        Some(())
+    }
+
+    /// Keep the survivors' shared row-store images (one refcount bump per
+    /// row) that match `pred`. On a standby the re-check always passes: a
+    /// survivor has no journal entry, and every commit at or below a
+    /// published QuerySCN reaches the SMU first. Elsewhere the SMU can lag
+    /// the snapshot — a primary query between a commit and its
+    /// invalidation, a unit left stale by a standby restart — so the image
+    /// is filtered again rather than trusted. Survivors come ascending
+    /// within each block and are fetched one ascending run at a time, so
+    /// unit row order survives the batched fetch.
+    fn fetch<P: RowPredicate>(&mut self, store: &Store, pred: &P, snapshot: Scn) -> Result<()> {
+        self.rows.reserve(self.pending.len());
+        for run in self.pending.chunk_by_mut(|a, b| a < b) {
+            store.fetch_rows_batched(run, snapshot, |_, row| {
+                if pred.matches_row(row) {
+                    self.rows.push(row.clone());
+                }
+            })?;
+        }
+        self.pending.clear();
+        Ok(())
+    }
+
+    fn row(&mut self, row: &Row) {
+        self.rows.push(row.clone());
+    }
+
+    fn taken(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn merge_into(self, result: &mut ScanResult) {
+        result.rows.extend(self.rows);
+    }
+}
+
+/// One unit's contribution, merged by the walk in unit order.
+struct Partial<S> {
+    sink: S,
     stats: ScanStats,
     covered: Vec<Dba>,
     timing: UnitTiming,
 }
 
-/// Scan one unit: bypass to the row-store when the columnar data is
-/// unusable, otherwise bitmap-evaluate the predicate, AND the SMU validity
-/// mask, fetch the survivors' row images, and reconcile stale locations.
+/// A row-store callback that hands every image matching `pred` to `sink`
+/// and counts it in `n`.
+fn feed<'a, P: RowPredicate, S: Sink>(
+    pred: &'a P,
+    sink: &'a mut S,
+    n: &'a mut usize,
+) -> impl FnMut(RowLoc, &Row) + 'a {
+    move |_, row| {
+        if pred.matches_row(row) {
+            sink.row(row);
+            *n += 1;
+        }
+    }
+}
+
+/// Run one unit: classify it, take its columnar selection, and reconcile
+/// its journal — or bypass it to the row store.
 ///
 /// Phase timings are always collected (an `Instant` read per phase is
-/// noise next to the scan itself); the driver discards them unless the
+/// noise next to the scan itself); the walk discards them unless the
 /// query asked for a profile.
-fn scan_unit<P: RowPredicate>(
+fn run_unit<P: RowPredicate, S: Sink>(
     handle: &ImcuHandle,
     store: &Store,
     pred: &P,
+    empty: &S,
     snapshot: Scn,
     unit: usize,
-) -> Result<UnitPartial> {
+) -> Result<Partial<S>> {
     let started = Instant::now();
     handle.note_scan();
     let (imcu, smu) = handle.pair();
-    let mut partial = UnitPartial {
-        rows: Vec::new(),
+    let mut p = Partial {
+        sink: empty.clone(),
         stats: ScanStats::default(),
         covered: imcu.dbas.clone(),
         timing: UnitTiming { unit, ..Default::default() },
     };
     let view = smu.read();
 
-    // Cold tier: the unit was evicted (pending placeholder + attached cold
-    // state). Serve it from the columnar file — footer pruning first, then
-    // predicate pushdown during the page read. Any failure (torn file,
-    // CRC mismatch) falls through to the pending bypass below, which is
-    // the plain row-store scan: degraded, never wrong.
-    if imcu.is_pending() && !view.all_invalid() && snapshot >= imcu.snapshot {
-        if let Some(cold) = handle.cold() {
-            if cold.meta.snapshot == imcu.snapshot
-                && scan_unit_cold(&cold, store, pred, snapshot, &view, &mut partial)?
-            {
-                drop(view);
-                partial.timing.total_us = micros(started);
-                return Ok(partial);
-            }
-            partial.stats.cold_read_errors += 1;
-        }
-    }
-
-    if imcu.is_pending() || view.all_invalid() || snapshot < imcu.snapshot {
-        // No usable columnar data (the unit may also be frozen at a
-        // population SCN *after* the scan snapshot, and the SMU only
-        // records post-population changes): serve the whole range from
-        // the row-store at the scan snapshot.
-        drop(view);
-        partial.stats.bypassed_units = 1;
-        partial.timing.bypassed = true;
-        let t = Instant::now();
-        store.scan_blocks(&imcu.dbas, snapshot, |_, row| {
-            if pred.matches_row(row) {
-                partial.rows.push(row.clone());
-                partial.stats.fallback_rows += 1;
-            }
-        })?;
-        partial.timing.fallback_us = micros(t);
-        partial.timing.total_us = micros(started);
-        return Ok(partial);
-    }
-
-    // Columnar path: evaluate every conjunct in column space, AND the
-    // validity mask; the survivors' row images come from the row store.
-    let t = Instant::now();
-    let mut survivors: Vec<RowLoc> = Vec::new();
-    match pred.unit_bitmap(&imcu) {
-        None => {
-            partial.stats.pruned_units = 1;
-            partial.timing.pruned = true;
-            partial.timing.kernel_us = micros(t);
-        }
-        Some(mut sel) => {
-            partial.stats.scanned_units = 1;
-            partial.timing.kernel_us = micros(t);
-            let t = Instant::now();
-            if let Some(mask) = view.validity_mask(imcu.rows(), |l| imcu.rownum(l)) {
-                sel.and_assign(&mask);
-            }
-            // The fetch below re-checks the predicate on the snapshot image,
-            // which would hide a kernel false positive: debug builds check
-            // every kernel decision against the unit's own encoded row.
-            debug_assert!(
-                sel.iter_ones().all(|rn| pred.matches_row(&imcu.materialize(rn))),
-                "kernel false positive in unit {unit}"
-            );
-            survivors.extend(sel.iter_ones().map(|rn| imcu.loc(rn)));
-            partial.timing.merge_us = micros(t);
-        }
-    }
-
-    // SMU reconciliation: every stale or newly-inserted location must be
-    // re-read from the row-store and re-filtered — its current value may
-    // match even though (or although) the frozen one did not. Batched by
-    // block: one latch per block, not per row. The SMU latch is released
-    // before the row-store fetches.
-    let t = Instant::now();
-    let mut fallback: Vec<RowLoc> = Vec::with_capacity(view.fallback_count());
-    view.collect_fallback(&mut fallback);
-    drop(view);
-    partial.timing.merge_us += micros(t);
-    let t = Instant::now();
-    partial.stats.imcu_rows =
-        fetch_survivors(store, pred, &mut survivors, snapshot, &mut partial.rows)?;
-    partial.timing.kernel_us += micros(t);
-    let t = Instant::now();
-    fetch_fallback(store, pred, &mut fallback, snapshot, &mut partial)?;
-    partial.timing.fallback_us += micros(t);
-    partial.timing.total_us = micros(started);
-    Ok(partial)
-}
-
-/// Append the row images of a unit's valid survivors that match `pred` to
-/// `rows`, in `locs` order, sharing the row store's image: one refcount
-/// bump per row, no per-column copy. On a standby a survivor has no SMU
-/// journal entry and every commit at or below a published QuerySCN reaches
-/// the SMU before publication, so the image at `snapshot` is the one the
-/// unit encoded and the re-check always passes. Elsewhere the SMU can lag
-/// the snapshot — a primary query may run between a commit and its
-/// invalidation, and a unit left stale by a standby restart is not
-/// journaled — so the image is filtered again rather than trusted. `locs`
-/// come in unit row order — ascending within each block — and are fetched
-/// one ascending run at a time, so that order survives the batched fetch.
-/// Returns the number of rows appended.
-fn fetch_survivors<P: RowPredicate>(
-    store: &Store,
-    pred: &P,
-    locs: &mut [RowLoc],
-    snapshot: Scn,
-    rows: &mut Vec<Row>,
-) -> Result<usize> {
-    let before = rows.len();
-    rows.reserve(locs.len());
-    for run in locs.chunk_by_mut(|a, b| a < b) {
-        store.fetch_rows_batched(run, snapshot, |_, row| {
-            if pred.matches_row(row) {
-                rows.push(row.clone());
-            }
-        })?;
-    }
-    Ok(rows.len() - before)
-}
-
-/// Re-read every journaled location at `snapshot` and keep the current
-/// versions that match (SMU reconciliation, shared by hot and cold units).
-fn fetch_fallback<P: RowPredicate>(
-    store: &Store,
-    pred: &P,
-    locs: &mut [RowLoc],
-    snapshot: Scn,
-    partial: &mut UnitPartial,
-) -> Result<()> {
-    store.fetch_rows_batched(locs, snapshot, |_, row| {
-        if pred.matches_row(row) {
-            partial.rows.push(row.clone());
-            partial.stats.fallback_rows += 1;
-        }
-    })
-}
-
-/// Scan one cold unit. Returns `Ok(false)` — with `partial` untouched — on
-/// any open/decode failure so the caller degrades to the row-store bypass.
-///
-/// The pruning decision runs off the in-memory footer before any I/O; only
-/// non-pruned units open the file, and only the predicate columns and the
-/// row-location page are ever decoded — survivors' row images come from
-/// the row store, exactly like the hot path. The SMU journal is honored the
-/// same way too: serialized rows with journaled DML are dropped from the
-/// file's survivors and re-read from the row store at the scan snapshot.
-fn scan_unit_cold<P: RowPredicate>(
-    cold: &ColdUnit,
-    store: &Store,
-    pred: &P,
-    snapshot: Scn,
-    view: &SmuReadGuard<'_>,
-    partial: &mut UnitPartial,
-) -> Result<bool> {
-    let t = Instant::now();
-    if pred.cold_prunes(&cold.meta) {
-        // Footer min/max excludes every serialized row: zero file I/O.
-        // Journaled rows may still match their *current* version — the
-        // fallback pass below re-reads them from the row store.
-        partial.stats.pruned_units = 1;
-        partial.stats.cold_pruned_units = 1;
-        partial.timing.pruned = true;
-        partial.timing.cold_pruned = true;
-        partial.timing.kernel_us = micros(t);
+    // Classify once. Columnar data is unusable when the unit is coarse-
+    // invalid or frozen after the snapshot (the SMU records only
+    // post-population changes). A pending unit with cold state is served
+    // from its file; a torn file (or one from another population) counts
+    // as a read error and bypasses — degraded, never wrong.
+    let columnar = if view.all_invalid() || snapshot < imcu.snapshot {
+        false
+    } else if !imcu.is_pending() {
+        hot(&mut p, &imcu, pred, &view);
+        true
+    } else if let Some(cold_unit) = handle.cold() {
+        let ok = cold_unit.meta.snapshot == imcu.snapshot
+            && cold(&mut p, &cold_unit, pred, &view).is_some();
+        p.stats.cold_read_errors = usize::from(!ok);
+        ok
     } else {
-        let Some(file) = ColdUnitFile::open(&cold.path) else { return Ok(false) };
-        let Some(sel) = pred.cold_bitmap(&file) else { return Ok(false) };
-        let Some(locs) = file.decode_locs() else { return Ok(false) };
-        // The placeholder holds no rownums, so survivors map to locations
-        // through the file's own row-location page; journaled ones drop.
-        let mut survivors: Vec<RowLoc> = sel.iter_ones().map(|rn| locs[rn as usize]).collect();
-        if view.fallback_count() > 0 {
-            survivors.retain(|&l| !view.is_invalid(l));
-        }
-        cold.note_read();
-        partial.stats.scanned_units = 1;
-        partial.stats.cold_read_units = 1;
-        partial.timing.cold_read = true;
-        partial.stats.imcu_rows =
-            fetch_survivors(store, pred, &mut survivors, snapshot, &mut partial.rows)?;
-        partial.timing.kernel_us = micros(t);
-    }
+        false
+    };
 
-    // SMU reconciliation — identical to the hot path: every journaled
-    // location re-reads from the row store at the scan snapshot.
-    let t = Instant::now();
-    let mut fallback: Vec<RowLoc> = Vec::with_capacity(view.fallback_count());
-    view.collect_fallback(&mut fallback);
-    partial.timing.merge_us += micros(t);
-    let t = Instant::now();
-    fetch_fallback(store, pred, &mut fallback, snapshot, partial)?;
-    partial.timing.fallback_us += micros(t);
-    Ok(true)
+    if columnar {
+        // SMU reconciliation: every stale or newly-inserted location is
+        // re-read from the row store and re-filtered — its current value
+        // may match although the frozen one did not. The SMU latch is
+        // released before any row-store fetch; fetches are batched by
+        // block, one latch per block.
+        let t = Instant::now();
+        let mut fallback: Vec<RowLoc> = Vec::with_capacity(view.fallback_count());
+        view.collect_fallback(&mut fallback);
+        drop(view);
+        p.timing.merge_us += micros(t);
+        let t = Instant::now();
+        p.sink.fetch(store, pred, snapshot)?;
+        p.stats.imcu_rows = p.sink.taken();
+        p.timing.kernel_us += micros(t);
+        let t = Instant::now();
+        store.fetch_rows_batched(
+            &mut fallback,
+            snapshot,
+            feed(pred, &mut p.sink, &mut p.stats.fallback_rows),
+        )?;
+        p.timing.fallback_us += micros(t);
+    } else {
+        drop(view);
+        p.stats.bypassed_units = 1;
+        p.timing.bypassed = true;
+        let t = Instant::now();
+        store.scan_blocks(
+            &imcu.dbas,
+            snapshot,
+            feed(pred, &mut p.sink, &mut p.stats.fallback_rows),
+        )?;
+        p.timing.fallback_us = micros(t);
+    }
+    p.timing.total_us = micros(started);
+    Ok(p)
 }
 
-/// The unified unit-walk driver behind every scan entry point: fan the
-/// per-unit tasks across `degree` workers, merge partials in unit order
-/// (deterministic at any degree), then sweep the uncovered block frontier.
-fn scan_units<P: RowPredicate>(
-    entries: &[Arc<ObjectImcs>],
+/// Hot columnar step: the metadata answer when the sink can give one,
+/// else the predicate's bitmap (or a prune) ANDed with the SMU validity
+/// mask, handed to the sink.
+fn hot<P: RowPredicate, S: Sink>(
+    p: &mut Partial<S>,
+    imcu: &Imcu,
+    pred: &P,
+    view: &SmuReadGuard<'_>,
+) {
+    let t = Instant::now();
+    if pred.selects_all()
+        && view.fallback_count() == 0
+        && p.sink.summary(imcu.rows(), imcu.col_aggs(), &imcu.storage_index)
+    {
+        p.stats.pushdown_units = 1;
+    } else if let Some(mut sel) = pred.unit_bitmap(imcu) {
+        p.stats.scanned_units = 1;
+        let m = Instant::now();
+        if let Some(mask) = view.validity_mask(imcu.rows(), |l| imcu.rownum(l)) {
+            sel.and_assign(&mask);
+        }
+        // Neither sink checks a kernel decision against the unit's encoded
+        // row (rows re-check the snapshot image, aggregates nothing), so
+        // debug builds check every one.
+        debug_assert!(
+            sel.iter_ones().all(|rn| pred.matches_row(&imcu.materialize(rn))),
+            "kernel false positive in unit {}",
+            p.timing.unit
+        );
+        p.timing.merge_us = micros(m);
+        p.sink.select(&sel, &Encoded::Hot(imcu)).expect("a hot unit has nothing to decode");
+    } else {
+        p.stats.pruned_units = 1;
+        p.timing.pruned = true;
+    }
+    p.timing.kernel_us = micros(t).saturating_sub(p.timing.merge_us);
+}
+
+/// Cold columnar step: the footer answers or prunes with zero file I/O;
+/// otherwise the file is opened and only the predicate's columns, the
+/// row-location page and the sink's own column are decoded. `None` on any
+/// open or decode failure, with the sink untouched.
+fn cold<P: RowPredicate, S: Sink>(
+    p: &mut Partial<S>,
+    cold: &ColdUnit,
+    pred: &P,
+    view: &SmuReadGuard<'_>,
+) -> Option<()> {
+    let t = Instant::now();
+    let meta = &cold.meta;
+    if pred.selects_all()
+        && view.fallback_count() == 0
+        && p.sink.summary(meta.rows, &meta.col_aggs, &meta.summaries)
+    {
+        p.stats.pushdown_units = 1;
+        p.stats.cold_pruned_units = 1;
+        p.timing.cold_pruned = true;
+    } else if pred.cold_prunes(meta) {
+        // Journaled rows may still match their current version; the
+        // reconcile tail re-reads them.
+        p.stats.pruned_units = 1;
+        p.stats.cold_pruned_units = 1;
+        p.timing.pruned = true;
+        p.timing.cold_pruned = true;
+    } else {
+        let file = ColdUnitFile::open(&cold.path)?;
+        let mut sel = pred.cold_bitmap(&file)?;
+        // The placeholder holds no rownums: journaled rows are found
+        // through the file's own row-location page.
+        let locs = file.decode_locs()?;
+        if view.fallback_count() > 0 {
+            for (rn, &loc) in locs.iter().enumerate() {
+                if view.is_invalid(loc) {
+                    sel.clear(rn);
+                }
+            }
+        }
+        p.sink.select(&sel, &Encoded::Cold(&file, &locs))?;
+        cold.note_read();
+        p.stats.scanned_units = 1;
+        p.stats.cold_read_units = 1;
+        p.timing.cold_read = true;
+    }
+    p.timing.kernel_us = micros(t);
+    Some(())
+}
+
+/// The unit walk: fan the per-unit tasks across `degree` workers, merge
+/// partials in unit order (deterministic at any degree), then sweep the
+/// blocks no unit covers.
+#[allow(clippy::too_many_arguments)]
+fn walk<P: RowPredicate, S: Sink>(
+    stores: &[Arc<ImcsStore>],
     store: &Store,
     object: ObjectId,
     pred: &P,
+    empty: S,
     snapshot: Scn,
     degree: usize,
     profile: bool,
 ) -> Result<ScanResult> {
-    let handles: Vec<Arc<ImcuHandle>> = entries.iter().flat_map(|e| e.handles()).collect();
+    let handles: Vec<Arc<ImcuHandle>> =
+        stores.iter().filter_map(|s| s.object(object)).flat_map(|e| e.handles()).collect();
     let partials = run_indexed(degree, handles.len(), |i| {
-        scan_unit(handles[i].as_ref(), store, pred, snapshot, i)
+        run_unit(&handles[i], store, pred, &empty, snapshot, i)
     });
 
-    let mut result = ScanResult::default();
-    let mut prof = profile.then(QueryProfile::default);
+    let mut result =
+        ScanResult { profile: profile.then(QueryProfile::default), ..Default::default() };
     let mut covered: Vec<Dba> = Vec::new();
     for partial in partials {
         let p = partial?;
-        if let Some(prof) = prof.as_mut() {
+        if let Some(prof) = result.profile.as_mut() {
             prof.absorb_task(p.timing);
         }
         result.stats.absorb(&p.stats);
-        result.rows.extend(p.rows);
+        p.sink.merge_into(&mut result);
         covered.extend(p.covered);
     }
     result.stats.parallel_tasks = handles.len();
 
     // Blocks beyond any unit's coverage (fresh inserts past the edge
-    // IMCU). Sorted-vec membership instead of a hash set: the DBA lists
-    // are tiny and already nearly sorted, and `block_dbas` is a scan of
-    // its own — binary search beats per-DBA hashing here.
+    // IMCU, or every block of an object no store holds). Sorted-vec
+    // membership instead of a hash set: the DBA lists are tiny and
+    // already nearly sorted.
     covered.sort_unstable();
     covered.dedup();
     let t = Instant::now();
@@ -411,98 +496,46 @@ fn scan_units<P: RowPredicate>(
         .into_iter()
         .filter(|d| covered.binary_search(d).is_err())
         .collect();
-    if !uncovered.is_empty() {
-        store.scan_blocks(&uncovered, snapshot, |_, row| {
-            if pred.matches_row(row) {
-                result.rows.push(row.clone());
-                result.stats.uncovered_rows += 1;
-            }
-        })?;
-    }
-    if let Some(prof) = prof.as_mut() {
+    let mut sink = empty;
+    store.scan_blocks(
+        &uncovered,
+        snapshot,
+        feed(pred, &mut sink, &mut result.stats.uncovered_rows),
+    )?;
+    if let Some(prof) = result.profile.as_mut() {
         prof.uncovered_us = micros(t);
         prof.parallel_degree = degree.max(1);
     }
-    result.profile = prof;
-
+    sink.merge_into(&mut result);
     Ok(result)
 }
 
-/// Run a filtered scan of `object` at `snapshot` through the column store,
-/// falling back to the row-store where the IMCS is stale or uncovered.
-///
-/// Returns `Ok(None)` when the object has no column-store presence at all
-/// on this instance — the caller should run a plain row-store scan.
-pub fn scan(
-    imcs: &ImcsStore,
-    store: &Store,
-    object: ObjectId,
-    filter: &Filter,
-    snapshot: Scn,
-) -> Result<Option<ScanResult>> {
-    scan_parallel(imcs, store, object, filter, snapshot, 1)
-}
-
-/// [`scan`] with an explicit parallel degree (`<= 1` = serial).
-pub fn scan_parallel(
-    imcs: &ImcsStore,
-    store: &Store,
-    object: ObjectId,
-    filter: &Filter,
-    snapshot: Scn,
-    degree: usize,
-) -> Result<Option<ScanResult>> {
-    match imcs.object(object) {
-        Some(obj) => scan_units(&[obj], store, object, filter, snapshot, degree, false).map(Some),
-        None => Ok(None),
-    }
-}
-
-/// Cluster-wide scan over several instances' column stores (RAC standby:
-/// IMCUs are distributed by home location, so a query fans out across every
-/// instance's units — modelling Oracle's cross-instance parallel execution).
-pub fn scan_cluster(
+/// Execute a query over `object` at `snapshot` across every given column
+/// store, with per-unit tasks on `degree` workers (`<= 1` = serial):
+/// columnar where a unit is usable, row store where it is stale, bypassed
+/// or missing. With `profile`, the result carries the pruning / kernel /
+/// journal-merge / fallback / uncovered split and one [`UnitTiming`] per
+/// unit.
+#[allow(clippy::too_many_arguments)]
+pub fn execute<P: RowPredicate>(
     stores: &[Arc<ImcsStore>],
     store: &Store,
     object: ObjectId,
-    filter: &Filter,
-    snapshot: Scn,
-) -> Result<Option<ScanResult>> {
-    scan_cluster_parallel(stores, store, object, filter, snapshot, 1)
-}
-
-/// [`scan_cluster`] with an explicit parallel degree (`<= 1` = serial).
-pub fn scan_cluster_parallel(
-    stores: &[Arc<ImcsStore>],
-    store: &Store,
-    object: ObjectId,
-    filter: &Filter,
+    pred: &P,
+    output: Output,
     snapshot: Scn,
     degree: usize,
-) -> Result<Option<ScanResult>> {
-    let entries: Vec<Arc<ObjectImcs>> = stores.iter().filter_map(|s| s.object(object)).collect();
-    if entries.is_empty() {
-        return Ok(None);
+    profile: bool,
+) -> Result<ScanResult> {
+    match output {
+        Output::Rows => {
+            walk(stores, store, object, pred, Rows::default(), snapshot, degree, profile)
+        }
+        Output::Aggregate(ordinal) => {
+            let sink = AggregateSink::new(ordinal);
+            walk(stores, store, object, pred, sink, snapshot, degree, profile)
+        }
     }
-    scan_units(&entries, store, object, filter, snapshot, degree, false).map(Some)
-}
-
-/// [`scan_cluster_parallel`] with per-phase timing: the result's
-/// `profile` carries the pruning / kernel / journal-merge / fallback /
-/// uncovered split and one [`UnitTiming`] per parallel task.
-pub fn scan_cluster_profiled(
-    stores: &[Arc<ImcsStore>],
-    store: &Store,
-    object: ObjectId,
-    filter: &Filter,
-    snapshot: Scn,
-    degree: usize,
-) -> Result<Option<ScanResult>> {
-    let entries: Vec<Arc<ObjectImcs>> = stores.iter().filter_map(|s| s.object(object)).collect();
-    if entries.is_empty() {
-        return Ok(None);
-    }
-    scan_units(&entries, store, object, filter, snapshot, degree, true).map(Some)
 }
 
 /// A predicate over a registered in-memory expression (paper §V):
@@ -514,26 +547,39 @@ pub struct ExprPredicate {
     /// The registered expression's name.
     pub name: String,
     /// The expression (for row-image fallback evaluation).
-    pub expr: std::sync::Arc<Expr>,
+    pub expr: Arc<Expr>,
     /// Comparison operator.
     pub op: CmpOp,
     /// Literal to compare against.
-    pub value: imadg_storage::Value,
+    pub value: Value,
 }
 
 impl ExprPredicate {
     /// Evaluate against a row image.
     pub fn eval_row(&self, row: &Row) -> bool {
-        let v = self.expr.eval(row);
-        match (&v, &self.value) {
-            (imadg_storage::Value::Int(a), imadg_storage::Value::Int(b)) => {
-                self.op.matches(a.cmp(b))
-            }
-            (imadg_storage::Value::Str(a), imadg_storage::Value::Str(b)) => {
-                self.op.matches(a.as_ref().cmp(b.as_ref()))
-            }
+        match (&self.expr.eval(row), &self.value) {
+            (Value::Int(a), Value::Int(b)) => self.op.matches(a.cmp(b)),
+            (Value::Str(a), Value::Str(b)) => self.op.matches(a.as_ref().cmp(b.as_ref())),
             _ => false,
         }
+    }
+
+    /// The comparison as a filter over a unit's materialized virtual
+    /// column, pruned and evaluated like any base-column filter.
+    fn virtual_filter(&self, ordinal: usize) -> Filter {
+        Filter::of(Predicate { ordinal, op: self.op, value: self.value.clone() })
+    }
+
+    /// Evaluate over every row of a unit that lacks the virtual column
+    /// (correct, just not accelerated).
+    fn eval_unit(&self, imcu: &Imcu) -> SelBitmap {
+        let mut sel = SelBitmap::zeroes(imcu.rows());
+        for rn in imcu.all_rows() {
+            if self.eval_row(&imcu.materialize(rn)) {
+                sel.set(rn as usize);
+            }
+        }
+        sel
     }
 }
 
@@ -542,119 +588,31 @@ impl RowPredicate for ExprPredicate {
         self.eval_row(row)
     }
 
+    fn selects_all(&self) -> bool {
+        false
+    }
+
     fn unit_bitmap(&self, imcu: &Imcu) -> Option<SelBitmap> {
         match imcu.virtual_ordinal(&self.name) {
-            Some(vord) => {
-                // Fast path: the expression was materialized at population —
-                // filter the encoded virtual column like any base column.
-                let vpred = Predicate { ordinal: vord, op: self.op, value: self.value.clone() };
-                if !imcu.storage_index.may_match(&vpred) {
-                    return None;
-                }
-                Some(imcu.pred_bitmap(&vpred))
-            }
-            None => {
-                // Unit predates the expression registration: evaluate over
-                // materialized rows (correct, just not accelerated).
-                let mut sel = SelBitmap::zeroes(imcu.rows());
-                for rn in imcu.all_rows() {
-                    if self.eval_row(&imcu.materialize(rn)) {
-                        sel.set(rn as usize);
-                    }
-                }
-                Some(sel)
-            }
+            Some(vord) => imcu.filter_bitmap(&self.virtual_filter(vord)),
+            None => Some(self.eval_unit(imcu)),
         }
     }
 
     fn cold_prunes(&self, meta: &ColdMeta) -> bool {
-        match meta.virtual_ordinal(&self.name) {
-            Some(vord) => {
-                let vpred = Predicate { ordinal: vord, op: self.op, value: self.value.clone() };
-                !meta.summaries.may_match(&vpred)
-            }
-            // No materialized virtual column: footer min/max says nothing
-            // about the expression's value range — cannot prune.
-            None => false,
-        }
+        // Without a materialized virtual column the footer's min/max says
+        // nothing about the expression's value range.
+        meta.virtual_ordinal(&self.name).is_some_and(|vord| meta.prunes(&self.virtual_filter(vord)))
     }
 
     fn cold_bitmap(&self, file: &ColdUnitFile) -> Option<SelBitmap> {
         match file.meta.virtual_ordinal(&self.name) {
-            Some(vord) => {
-                // The expression was materialized at population: decode
-                // only its virtual column and filter it like a base column.
-                let vpred = Predicate { ordinal: vord, op: self.op, value: self.value.clone() };
-                let col = file.decode_column(vord)?;
-                let mut sel = SelBitmap::zeroes(file.meta.rows);
-                col.scan_bitmap(&vpred, &mut sel);
-                Some(sel)
-            }
-            None => {
-                // File predates the expression registration: decode every
-                // base column and evaluate over row images (correct, just
-                // not accelerated — mirrors the hot path's fallback).
-                let imcu = file.into_imcu()?;
-                let mut sel = SelBitmap::zeroes(imcu.rows());
-                for rn in imcu.all_rows() {
-                    if self.eval_row(&imcu.materialize(rn)) {
-                        sel.set(rn as usize);
-                    }
-                }
-                Some(sel)
-            }
+            Some(vord) => file.filter_bitmap(&self.virtual_filter(vord)),
+            // The file predates the expression registration: decode every
+            // base column, as the hot path evaluates row images.
+            None => Some(self.eval_unit(&file.into_imcu()?)),
         }
     }
-}
-
-/// Scan `object` filtered by an in-memory expression predicate.
-///
-/// Units that materialized the expression's virtual column are filtered in
-/// code space (with storage-index pruning on the virtual column); stale
-/// rows, pre-registration units, and uncovered blocks evaluate the
-/// expression per row image — correctness never depends on the virtual
-/// column being present.
-pub fn scan_expression(
-    stores: &[Arc<ImcsStore>],
-    store: &Store,
-    object: ObjectId,
-    pred: &ExprPredicate,
-    snapshot: Scn,
-) -> Result<Option<ScanResult>> {
-    scan_expression_parallel(stores, store, object, pred, snapshot, 1)
-}
-
-/// [`scan_expression`] with an explicit parallel degree (`<= 1` = serial).
-pub fn scan_expression_parallel(
-    stores: &[Arc<ImcsStore>],
-    store: &Store,
-    object: ObjectId,
-    pred: &ExprPredicate,
-    snapshot: Scn,
-    degree: usize,
-) -> Result<Option<ScanResult>> {
-    let entries: Vec<Arc<ObjectImcs>> = stores.iter().filter_map(|s| s.object(object)).collect();
-    if entries.is_empty() {
-        return Ok(None);
-    }
-    scan_units(&entries, store, object, pred, snapshot, degree, false).map(Some)
-}
-
-/// [`scan_expression_parallel`] with per-phase timing (see
-/// [`scan_cluster_profiled`]).
-pub fn scan_expression_profiled(
-    stores: &[Arc<ImcsStore>],
-    store: &Store,
-    object: ObjectId,
-    pred: &ExprPredicate,
-    snapshot: Scn,
-    degree: usize,
-) -> Result<Option<ScanResult>> {
-    let entries: Vec<Arc<ObjectImcs>> = stores.iter().filter_map(|s| s.object(object)).collect();
-    if entries.is_empty() {
-        return Ok(None);
-    }
-    scan_units(&entries, store, object, pred, snapshot, degree, true).map(Some)
 }
 
 #[cfg(test)]
@@ -666,7 +624,6 @@ mod tests {
     use imadg_redo::LogBuffer;
     use imadg_storage::{ColumnType, DbaAllocator, Schema, TableSpec, Value};
     use imadg_txn::{InMemoryRegistry, LockTable, TxnIdService, TxnManager};
-    use std::sync::Arc;
 
     const OBJ: ObjectId = ObjectId(1);
 
@@ -731,13 +688,22 @@ mod tests {
         f.store.table(OBJ).unwrap().schema.read().clone()
     }
 
+    fn run(f: &Fixture, filt: &Filter, output: Output, at: Scn, degree: usize) -> ScanResult {
+        let stores = [f.engine.imcs().clone()];
+        execute(&stores, &f.store, OBJ, filt, output, at, degree, false).unwrap()
+    }
+
+    fn scan(f: &Fixture, filt: &Filter, at: Scn) -> ScanResult {
+        run(f, filt, Output::Rows, at, 1)
+    }
+
     #[test]
     fn pure_imcu_scan() {
         let f = fixture();
         seed(&f, 0, 100);
         f.engine.run_once().unwrap();
         let filt = Filter::of(Predicate::eq(&schema(&f), "n1", Value::Int(3)).unwrap());
-        let r = scan(f.engine.imcs(), &f.store, OBJ, &filt, f.scns.current()).unwrap().unwrap();
+        let r = scan(&f, &filt, f.scns.current());
         assert_eq!(r.rows.len(), 10);
         assert_eq!(r.stats.imcu_rows, 10);
         assert_eq!(r.stats.fallback_rows, 0);
@@ -749,11 +715,13 @@ mod tests {
     }
 
     #[test]
-    fn unpopulated_object_returns_none() {
+    fn unpopulated_object_is_all_uncovered_blocks() {
         let f = fixture();
         seed(&f, 0, 10);
-        let r = scan(f.engine.imcs(), &f.store, OBJ, &Filter::all(), f.scns.current()).unwrap();
-        assert!(r.is_none());
+        let r = scan(&f, &Filter::all(), f.scns.current());
+        assert_eq!(r.rows.len(), 10);
+        assert_eq!(r.stats.uncovered_rows, 10);
+        assert_eq!(r.stats.parallel_tasks, 0);
     }
 
     #[test]
@@ -770,13 +738,13 @@ mod tests {
         let sc = schema(&f);
         // The stale value no longer matches…
         let filt7 = Filter::of(Predicate::eq(&sc, "n1", Value::Int(7)).unwrap());
-        let r = scan(f.engine.imcs(), &f.store, OBJ, &filt7, f.scns.current()).unwrap().unwrap();
+        let r = scan(&f, &filt7, f.scns.current());
         let keys: Vec<i64> = r.rows.iter().map(|row| row[0].as_int().unwrap()).collect();
         assert!(!keys.contains(&7), "updated row must not match its old value");
         assert_eq!(r.rows.len(), 4, "17, 27, 37, 47 still match");
         // …and the new value matches via fallback.
         let filt42 = Filter::of(Predicate::eq(&sc, "n1", Value::Int(42)).unwrap());
-        let r = scan(f.engine.imcs(), &f.store, OBJ, &filt42, f.scns.current()).unwrap().unwrap();
+        let r = scan(&f, &filt42, f.scns.current());
         assert_eq!(r.rows.len(), 1);
         assert_eq!(r.stats.fallback_rows, 1);
         assert_eq!(r.rows[0][0], Value::Int(7));
@@ -794,7 +762,7 @@ mod tests {
         f.txm.update_column_by_key(&mut tx, OBJ, 7, "n1", Value::Int(42)).unwrap();
         f.txm.commit(tx);
         let filt7 = Filter::of(Predicate::eq(&schema(&f), "n1", Value::Int(7)).unwrap());
-        let r = scan(f.engine.imcs(), &f.store, OBJ, &filt7, f.scns.current()).unwrap().unwrap();
+        let r = scan(&f, &filt7, f.scns.current());
         let keys: Vec<i64> = r.rows.iter().map(|row| row[0].as_int().unwrap()).collect();
         assert_eq!(keys, [17, 27, 37, 47], "every returned row satisfies the filter");
         assert_eq!(r.stats.imcu_rows, 4);
@@ -813,7 +781,7 @@ mod tests {
         // Scanning at the *old* snapshot: fallback fetch resolves the old
         // version through CR, so key 3 still matches n1=3.
         let filt = Filter::of(Predicate::eq(&schema(&f), "n1", Value::Int(3)).unwrap());
-        let r = scan(f.engine.imcs(), &f.store, OBJ, &filt, before).unwrap().unwrap();
+        let r = scan(&f, &filt, before);
         let keys: Vec<i64> = r.rows.iter().map(|row| row[0].as_int().unwrap()).collect();
         assert!(keys.contains(&3), "CR at the old snapshot sees the old value");
     }
@@ -825,7 +793,7 @@ mod tests {
         f.engine.run_once().unwrap();
         seed(&f, 100, 110); // new blocks, not yet populated
         let filt = Filter::all();
-        let r = scan(f.engine.imcs(), &f.store, OBJ, &filt, f.scns.current()).unwrap().unwrap();
+        let r = scan(&f, &filt, f.scns.current());
         assert_eq!(r.rows.len(), 42);
         assert!(r.stats.uncovered_rows > 0);
         // There can be edge overlap: the last covered block had free slots.
@@ -841,9 +809,7 @@ mod tests {
         let loc = f.txm.delete_by_key(&mut tx, OBJ, 4).unwrap();
         let cscn = f.txm.commit(tx);
         f.engine.imcs().invalidate(OBJ, loc, cscn);
-        let r = scan(f.engine.imcs(), &f.store, OBJ, &Filter::all(), f.scns.current())
-            .unwrap()
-            .unwrap();
+        let r = scan(&f, &Filter::all(), f.scns.current());
         assert_eq!(r.rows.len(), 9);
         assert!(r.rows.iter().all(|row| row[0] != Value::Int(4)));
     }
@@ -859,7 +825,7 @@ mod tests {
         let cscn = f.txm.commit(tx);
         f.engine.imcs().invalidate(OBJ, loc, cscn);
         let filt = Filter::of(Predicate::eq(&schema(&f), "n1", Value::Int(1000)).unwrap());
-        let r = scan(f.engine.imcs(), &f.store, OBJ, &filt, f.scns.current()).unwrap().unwrap();
+        let r = scan(&f, &filt, f.scns.current());
         assert!(r.stats.pruned_units >= 1, "min/max excludes 1000 from frozen units");
         assert_eq!(r.rows.len(), 1, "fallback row found despite pruning");
         assert_eq!(r.rows[0][0], Value::Int(5));
@@ -871,9 +837,7 @@ mod tests {
         seed(&f, 0, 30);
         f.engine.run_once().unwrap();
         f.engine.imcs().mark_tenant_invalid(TenantId::DEFAULT);
-        let r = scan(f.engine.imcs(), &f.store, OBJ, &Filter::all(), f.scns.current())
-            .unwrap()
-            .unwrap();
+        let r = scan(&f, &Filter::all(), f.scns.current());
         assert_eq!(r.rows.len(), 30);
         assert_eq!(r.stats.imcu_rows, 0);
         assert!(r.stats.bypassed_units > 0);
@@ -891,7 +855,7 @@ mod tests {
                 Predicate::eq(&sc, "c1", Value::str("c3")).unwrap(),
             ],
         };
-        let r = scan(f.engine.imcs(), &f.store, OBJ, &filt, f.scns.current()).unwrap().unwrap();
+        let r = scan(&f, &filt, f.scns.current());
         // k % 10 == 3 and k % 5 == 3 → k ≡ 3 (mod 10) ∧ k ≡ 3 (mod 5) → k % 10 = 3.
         // c1 = c{k%5}; k%10==3 → k%5==3 → matches. So all 10 rows match.
         assert_eq!(r.rows.len(), 10);
@@ -927,7 +891,7 @@ mod tests {
                 ],
             },
         ] {
-            let v = scan(f.engine.imcs(), &f.store, OBJ, &filt, snapshot).unwrap().unwrap();
+            let v = scan(&f, &filt, snapshot);
             let s = crate::scalar::scan_scalar(f.engine.imcs(), &f.store, OBJ, &filt, snapshot)
                 .unwrap()
                 .unwrap();
@@ -943,12 +907,9 @@ mod tests {
         f.engine.run_once().unwrap();
         let filt = Filter::of(Predicate::eq(&schema(&f), "n1", Value::Int(4)).unwrap());
         let snapshot = f.scns.current();
-        let serial =
-            scan_parallel(f.engine.imcs(), &f.store, OBJ, &filt, snapshot, 1).unwrap().unwrap();
+        let serial = run(&f, &filt, Output::Rows, snapshot, 1);
         for degree in [2, 4, 8] {
-            let par = scan_parallel(f.engine.imcs(), &f.store, OBJ, &filt, snapshot, degree)
-                .unwrap()
-                .unwrap();
+            let par = run(&f, &filt, Output::Rows, snapshot, degree);
             assert_eq!(par.rows, serial.rows, "degree {degree}");
             assert_eq!(par.stats, serial.stats, "degree {degree}");
         }
@@ -980,13 +941,11 @@ mod tests {
 
         let at = f.scns.current();
         let all = Filter::all();
-        let v = scan(f.engine.imcs(), &f.store, OBJ, &all, at).unwrap().unwrap();
+        let v = scan(&f, &all, at);
         assert_eq!(v.rows.len(), 60, "scan");
         let r = crate::scalar::scan_scalar(f.engine.imcs(), &f.store, OBJ, &all, at).unwrap();
         assert_eq!(r.unwrap().rows.len(), 60, "scalar oracle");
-        let stores = [f.engine.imcs().clone()];
-        let agg = crate::aggregate::scan_aggregate(&stores, &f.store, OBJ, &all, 0, at).unwrap();
-        let aggs = agg.unwrap().aggs;
+        let aggs = run(&f, &all, Output::Aggregate(0), at, 1).aggregates.unwrap();
         assert_eq!((aggs.count, aggs.sum), (60, (0..60).sum::<i128>()), "COUNT, SUM(id)");
     }
 }

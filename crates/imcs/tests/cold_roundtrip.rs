@@ -20,7 +20,8 @@ use std::sync::Arc;
 use imadg_common::metrics::TierMetrics;
 use imadg_common::{ImcsConfig, ObjectId, RedoThreadId, ScnService, TenantId};
 use imadg_imcs::{
-    scalar, scan, CmpOp, ColdTier, Filter, ImcsStore, PopulationEngine, Predicate, SnapshotSource,
+    execute, scalar, Aggregates, CmpOp, ColdTier, Filter, ImcsStore, Output, PopulationEngine,
+    Predicate, ScanResult, SnapshotSource,
 };
 use imadg_redo::LogBuffer;
 use imadg_storage::{ColumnType, DbaAllocator, Schema, Store, TableSpec, Value};
@@ -178,6 +179,12 @@ fn oracle(f: &Fixture, filt: &Filter, at: imadg_common::Scn) -> Vec<imadg_storag
     by_key(scalar::scan_scalar(f.engine.imcs(), &f.store, OBJ, filt, at).unwrap().unwrap().rows)
 }
 
+/// The executor over the fixture's one column store.
+fn run(f: &Fixture, filt: &Filter, output: Output, at: imadg_common::Scn) -> ScanResult {
+    let stores = [f.engine.imcs().clone()];
+    execute(&stores, &f.store, OBJ, filt, output, at, 1, false).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
@@ -223,10 +230,10 @@ proptest! {
 
         // Cold scans: filtered and full, both against the scalar oracle.
         let want_filtered = oracle(&f, &filt, at);
-        let got_filtered = scan(f.engine.imcs(), &f.store, OBJ, &filt, at).unwrap().unwrap();
+        let got_filtered = run(&f, &filt, Output::Rows, at);
         prop_assert_eq!(by_key(got_filtered.rows), want_filtered.clone(), "filtered cold scan diverged");
         let want_all = oracle(&f, &all, at);
-        let got_all = scan(f.engine.imcs(), &f.store, OBJ, &all, at).unwrap().unwrap();
+        let got_all = run(&f, &all, Output::Rows, at);
         prop_assert_eq!(by_key(got_all.rows), want_all, "full cold scan diverged");
         prop_assert_eq!(got_all.stats.cold_read_errors, 0usize);
         prop_assert!(
@@ -234,16 +241,31 @@ proptest! {
             "full scan must read the evicted units"
         );
 
+        // Cold aggregates of n1 — footer pushdown or on-disk folding under
+        // the journal — against the oracle's rows, folded by hand.
+        for (filt, want) in [(&filt, &want_filtered), (&all, &want_all)] {
+            let ints: Vec<i64> = want.iter().filter_map(|r| r.get(1).as_int()).collect();
+            let hand = Aggregates {
+                count: want.len() as u64,
+                non_null: ints.len() as u64,
+                sum: ints.iter().map(|&x| i128::from(x)).sum(),
+                min: ints.iter().min().map(|&x| Value::Int(x)),
+                max: ints.iter().max().map(|&x| Value::Int(x)),
+            };
+            let got = run(&f, filt, Output::Aggregate(1), at).aggregates.unwrap();
+            prop_assert_eq!(got, hand, "cold aggregate of n1 diverged");
+        }
+
         // Recall: an unconstrained tier pulls every recently-read cold
         // unit hot again. The first pass may re-compact journal-heavy
         // units — swapping in fresh cold state with a drained read
         // counter — so touch every survivor with a scan and run again.
         let rt = tier(&f, 0);
         let mut recalled = rt.run_until_idle().unwrap().recalled;
-        let _ = scan(f.engine.imcs(), &f.store, OBJ, &all, at).unwrap().unwrap();
+        let _ = run(&f, &all, Output::Rows, at);
         recalled += rt.run_until_idle().unwrap().recalled;
         prop_assert!(recalled > 0, "nothing recalled");
-        let got = scan(f.engine.imcs(), &f.store, OBJ, &filt, at).unwrap().unwrap();
+        let got = run(&f, &filt, Output::Rows, at);
         let errors = got.stats.cold_read_errors;
         prop_assert_eq!(by_key(got.rows), want_filtered, "recalled scan diverged");
         prop_assert_eq!(errors, 0usize);
@@ -280,7 +302,7 @@ proptest! {
         let at = f.scns.current();
         let all = Filter::all();
         let want = oracle(&f, &all, at);
-        let got = scan(f.engine.imcs(), &f.store, OBJ, &all, at).unwrap().unwrap();
+        let got = run(&f, &all, Output::Rows, at);
         let errors = got.stats.cold_read_errors;
         prop_assert_eq!(by_key(got.rows), want.clone(), "torn file changed the scan result");
         prop_assert!(errors >= 1, "the torn unit must be counted");
@@ -288,7 +310,7 @@ proptest! {
         // The next tier pass quarantines the torn file instead of
         // recalling it; scans keep serving from the row store.
         tier(&f, 0).run_until_idle().unwrap();
-        let again = scan(f.engine.imcs(), &f.store, OBJ, &all, at).unwrap().unwrap();
+        let again = run(&f, &all, Output::Rows, at);
         prop_assert_eq!(by_key(again.rows), want, "post-quarantine scan diverged");
     }
 }

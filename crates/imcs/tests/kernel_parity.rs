@@ -1,7 +1,7 @@
 //! Property-based parity suite for the vectorized scan engine.
 //!
 //! The bitmap kernels ([`scan_bitmap`] per encoding, the IMCU filter, the
-//! parallel drivers) must be bit-identical to the scalar reference path
+//! parallel executor) must be bit-identical to the scalar reference path
 //! (`scan` / [`imadg_imcs::scalar`]) on every input: all six comparison
 //! operators, all three encodings, any null density, and any pattern of
 //! SMU invalidations. Cases are generated by the offline proptest shim
@@ -15,8 +15,8 @@ use imadg_imcs::encoding::dict::DictStrCu;
 use imadg_imcs::encoding::plain::PlainIntCu;
 use imadg_imcs::encoding::rle::RleIntCu;
 use imadg_imcs::{
-    scalar, scan_aggregate_parallel, scan_parallel, CmpOp, Filter, ImcsStore, PopulationEngine,
-    Predicate, SelBitmap, SnapshotSource,
+    execute, scalar, CmpOp, Filter, ImcsStore, Output, PopulationEngine, Predicate, ScanResult,
+    SelBitmap, SnapshotSource,
 };
 use imadg_redo::LogBuffer;
 use imadg_storage::{ColumnType, DbaAllocator, Schema, Store, TableSpec, Value};
@@ -184,6 +184,12 @@ fn fixture() -> Fixture {
     Fixture { txm, store, scns, engine }
 }
 
+/// The executor over the fixture's one column store.
+fn run(f: &Fixture, filt: &Filter, output: Output, degree: usize) -> ScanResult {
+    let stores = [f.engine.imcs().clone()];
+    execute(&stores, &f.store, OBJ, filt, output, f.scns.current(), degree, false).unwrap()
+}
+
 /// Build a populated table, then invalidate `stale_keys` through real DML
 /// (update via the transaction manager + SMU invalidation), leaving the
 /// tail `uncovered` rows beyond the population frontier.
@@ -257,13 +263,10 @@ proptest! {
         let reference = scalar::scan_scalar(f.engine.imcs(), &f.store, OBJ, &filt, snapshot)
             .unwrap()
             .unwrap();
-        let serial =
-            scan_parallel(f.engine.imcs(), &f.store, OBJ, &filt, snapshot, 1).unwrap().unwrap();
+        let serial = run(&f, &filt, Output::Rows, 1);
         prop_assert_eq!(&serial.rows, &reference.rows, "vectorized vs scalar");
         for degree in [2usize, 4] {
-            let par = scan_parallel(f.engine.imcs(), &f.store, OBJ, &filt, snapshot, degree)
-                .unwrap()
-                .unwrap();
+            let par = run(&f, &filt, Output::Rows, degree);
             prop_assert_eq!(&par.rows, &serial.rows, "degree {}", degree);
             prop_assert_eq!(&par.stats, &serial.stats, "degree {}", degree);
         }
@@ -283,31 +286,19 @@ proptest! {
             Filter::of(Predicate::new(&schema, "n1", ALL_OPS[op_idx], Value::Int(target)).unwrap());
         let snapshot = f.scns.current();
         let ordinal = schema.ordinal("n1").unwrap();
-        let stores = [f.engine.imcs().clone()];
-        let serial =
-            scan_aggregate_parallel(&stores, &f.store, OBJ, &filt, ordinal, snapshot, 1)
-                .unwrap()
-                .unwrap();
+        let serial = run(&f, &filt, Output::Aggregate(ordinal), 1).aggregates.unwrap();
         // Reference: fold the scalar engine's row images.
         let reference = scalar::scan_scalar(f.engine.imcs(), &f.store, OBJ, &filt, snapshot)
             .unwrap()
             .unwrap();
-        let mut count = 0u64;
-        let mut sum = 0i128;
-        for row in &reference.rows {
-            count += 1;
-            if let Value::Int(x) = row[ordinal] {
-                sum += i128::from(x);
-            }
-        }
-        prop_assert_eq!(serial.aggs.count, count);
-        prop_assert_eq!(serial.aggs.sum, sum);
+        let ints: Vec<i64> = reference.rows.iter().filter_map(|row| row[ordinal].as_int()).collect();
+        prop_assert_eq!(serial.count, reference.rows.len() as u64);
+        prop_assert_eq!(serial.sum, ints.iter().map(|&x| i128::from(x)).sum::<i128>());
+        prop_assert_eq!(serial.min, ints.iter().min().map(|&x| Value::Int(x)));
+        prop_assert_eq!(serial.max, ints.iter().max().map(|&x| Value::Int(x)));
         for degree in [2usize, 4] {
-            let par =
-                scan_aggregate_parallel(&stores, &f.store, OBJ, &filt, ordinal, snapshot, degree)
-                    .unwrap()
-                    .unwrap();
-            prop_assert_eq!(&par.aggs, &serial.aggs, "degree {}", degree);
+            let par = run(&f, &filt, Output::Aggregate(ordinal), degree).aggregates.unwrap();
+            prop_assert_eq!(&par, &serial, "degree {}", degree);
         }
     }
 }

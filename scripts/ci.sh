@@ -74,6 +74,12 @@ cargo test -p imadg-db --test crash_recovery -q
 echo "==> kernel parity (vectorized vs scalar reference)"
 cargo test -p imadg-imcs --test kernel_parity -q
 
+# One-executor gate: an expression-filtered aggregate folds only the rows
+# the expression selects. Row scans and aggregates share one executor, so
+# a predicate dropped on one query shape shows up here.
+echo "==> expression aggregate (one executor for rows and aggregates)"
+cargo test -p imadg --test features expression_aggregate_counts_only_matching_rows -q
+
 # Repopulation parity gate: a rebuild that shares untouched columns must
 # produce exactly the unit a full build at the same snapshot produces —
 # rows, aggregates, min/max, and byte-identical encodings — under random

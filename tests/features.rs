@@ -277,3 +277,53 @@ fn aggregate_without_placement_uses_row_store() {
     assert_eq!(r.aggs.sum, 45);
     assert_eq!(r.stats.pushdown_units, 0);
 }
+
+#[test]
+fn expression_aggregate_counts_only_matching_rows() {
+    let c = cluster();
+    seed(&c, 140);
+    let expr = revenue_expr(&c);
+    c.register_expression(OBJ, ImExpression::new("revenue", expr.clone()));
+    c.sync().unwrap();
+    let pred = ExprPredicate {
+        name: "revenue".into(),
+        expr: Arc::new(expr),
+        op: CmpOp::Ge,
+        value: Value::Int(60),
+    };
+    let standby = c.standby();
+    let r = standby
+        .query(&QueryRequest::scan(OBJ).expression(pred.clone()).aggregate("qty"))
+        .unwrap()
+        .aggregate
+        .unwrap();
+    let (mut count, mut sum) = (0u64, 0i128);
+    c.primary()
+        .store
+        .scan_object(OBJ, standby.current_query_scn().unwrap(), None, |_, row| {
+            if pred.eval_row(row) {
+                count += 1;
+                sum += i128::from(row[1].as_int().unwrap());
+            }
+        })
+        .unwrap();
+    assert!(0 < count && count < 140, "the predicate must split the table");
+    assert_eq!((r.aggs.count, r.aggs.sum), (count, sum));
+}
+
+#[test]
+fn filter_and_expression_is_rejected() {
+    let c = cluster();
+    seed(&c, 20);
+    c.sync().unwrap();
+    let schema = c.primary().store.table(OBJ).unwrap().schema.read().clone();
+    let filter = Filter::of(Predicate::eq(&schema, "code", Value::str("c0")).unwrap());
+    let pred = ExprPredicate {
+        name: "revenue".into(),
+        expr: Arc::new(revenue_expr(&c)),
+        op: CmpOp::Ge,
+        value: Value::Int(60),
+    };
+    let req = QueryRequest::scan(OBJ).filter(filter).expression(pred);
+    assert!(matches!(c.standby().query(&req), Err(Error::Config(_))));
+}
