@@ -5,11 +5,11 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use imadg_common::{Dba, ImcsConfig, ObjectId, ObjectSet, Scn, TenantId, TxnId, WorkerId};
-use imadg_core::invalidation::InvalidationRecord;
-use imadg_core::{CommitNode, DbimAdg, LocalFlushTarget};
+use imadg_common::{
+    Dba, ImcsConfig, MetricsRegistry, ObjectId, ObjectSet, Scn, TenantId, TxnId, WorkerId,
+};
 use imadg_imcs::{ImcsStore, Imcu, ImcuHandle};
-use imadg_recovery::AdvanceHook;
+use imadg_recovery::{CommitNode, DbimAdg, InvalidationRecord, LocalFlushTarget};
 use imadg_storage::Store;
 
 fn setup(pending_txns: u64, records_per_txn: u64) -> Arc<DbimAdg> {
@@ -31,6 +31,7 @@ fn setup(pending_txns: u64, records_per_txn: u64) -> Arc<DbimAdg> {
             enabled,
             Arc::new(Store::new()),
             Arc::new(LocalFlushTarget::new(imcs)),
+            &MetricsRegistry::default(),
         )
         .unwrap(),
     );

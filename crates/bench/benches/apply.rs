@@ -1,12 +1,14 @@
 //! Micro-bench: redo apply throughput with and without the mining
-//! observer (the "thin layer" requirement of paper §III / §IV.C).
+//! component (the "thin layer" requirement of paper §III / §IV.C).
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use imadg_common::{Dba, ObjectId, ObjectSet, Scn, TenantId, TxnId, WorkerId};
-use imadg_core::{CommitTable, DdlTable, Journal, MiningComponent};
-use imadg_recovery::{work_queue, ApplyObserver, WorkItem, Worker};
+use imadg_common::{
+    Dba, ImcsConfig, MetricsRegistry, ObjectId, ObjectSet, Scn, TenantId, TxnId, WorkerId,
+};
+use imadg_imcs::ImcsStore;
+use imadg_recovery::{work_queue, DbimAdg, LocalFlushTarget, WorkItem, Worker};
 use imadg_storage::{ChangeOp, ChangeVector, ColumnType, Row, Schema, Store, TableSpec, Value};
 
 const ROWS_PER_BLOCK: u16 = 512;
@@ -26,10 +28,12 @@ fn store() -> Arc<Store> {
     s
 }
 
-fn run_apply(observers: Vec<Arc<dyn ApplyObserver>>) -> u64 {
+fn run_apply(with_mining: bool) -> u64 {
     let s = store();
+    let registry = MetricsRegistry::default();
+    let adg = with_mining.then(|| adg(&s, &registry));
     let (tx, rx) = work_queue();
-    let mut w = Worker::new(WorkerId(0), rx, s, observers);
+    let mut w = Worker::new(WorkerId(0), rx, s, adg, &registry);
     let mut scn = 1u64;
     for b in 0..(CHANGES / u64::from(ROWS_PER_BLOCK) + 1) {
         tx.send(WorkItem::Change {
@@ -65,23 +69,21 @@ fn run_apply(observers: Vec<Arc<dyn ApplyObserver>>) -> u64 {
     w.run_batch(usize::MAX).unwrap() as u64
 }
 
-fn mining() -> Arc<MiningComponent> {
+fn adg(store: &Arc<Store>, registry: &MetricsRegistry) -> Arc<DbimAdg> {
     let enabled = Arc::new(ObjectSet::new());
     enabled.enable(ObjectId(1));
-    Arc::new(MiningComponent::new(
-        Arc::new(Journal::new(128, 1)),
-        Arc::new(CommitTable::new(4)),
-        Arc::new(DdlTable::new()),
-        enabled,
-    ))
+    let target = Arc::new(LocalFlushTarget::new(Arc::new(ImcsStore::new())));
+    Arc::new(
+        DbimAdg::new(&ImcsConfig::default(), 1, enabled, store.clone(), target, registry).unwrap(),
+    )
 }
 
 fn bench_apply(c: &mut Criterion) {
     let mut g = c.benchmark_group("apply");
     g.throughput(Throughput::Elements(CHANGES));
     g.sample_size(15);
-    g.bench_function("without_mining", |b| b.iter(|| run_apply(vec![])));
-    g.bench_function("with_mining", |b| b.iter(|| run_apply(vec![mining()])));
+    g.bench_function("without_mining", |b| b.iter(|| run_apply(false)));
+    g.bench_function("with_mining", |b| b.iter(|| run_apply(true)));
     g.finish();
 }
 

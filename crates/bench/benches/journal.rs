@@ -6,8 +6,7 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use imadg_common::{Dba, ObjectId, Scn, TenantId, TxnId, WorkerId};
-use imadg_core::invalidation::InvalidationRecord;
-use imadg_core::{CommitNode, CommitTable, Journal};
+use imadg_recovery::{CommitNode, CommitTable, InvalidationRecord, Journal};
 
 fn bench_journal(c: &mut Criterion) {
     let mut g = c.benchmark_group("journal");
@@ -19,7 +18,7 @@ fn bench_journal(c: &mut Criterion) {
             &buckets,
             |b, &buckets| {
                 b.iter(|| {
-                    let j = Journal::new(buckets, 4);
+                    let j = Journal::new(buckets, 4, Arc::default());
                     for i in 0..10_000u64 {
                         let anchor = j.anchor_or_create(TxnId(i % 128), TenantId::DEFAULT);
                         anchor.add_record(
@@ -41,7 +40,7 @@ fn bench_journal(c: &mut Criterion) {
     g.bench_function("drain_128_txns", |b| {
         b.iter_with_setup(
             || {
-                let j = Arc::new(Journal::new(128, 4));
+                let j = Arc::new(Journal::new(128, 4, Arc::default()));
                 for i in 0..10_000u64 {
                     let anchor = j.anchor_or_create(TxnId(i % 128), TenantId::DEFAULT);
                     anchor.add_record(
@@ -78,7 +77,7 @@ fn bench_journal(c: &mut Criterion) {
             &partitions,
             |b, &partitions| {
                 b.iter(|| {
-                    let t = CommitTable::new(partitions);
+                    let t = CommitTable::new(partitions, Arc::default());
                     for i in 0..10_000u64 {
                         t.insert(CommitNode {
                             txn: TxnId(i),

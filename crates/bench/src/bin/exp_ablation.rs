@@ -12,15 +12,15 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use imadg_common::{Dba, InstanceId, ObjectId, ObjectSet, Scn, TenantId, TxnId, WorkerId};
-use imadg_core::flush::FlushTarget;
-use imadg_core::invalidation::{InvalidationGroup, InvalidationRecord};
-use imadg_core::{
-    CommitNode, CommitTable, DdlTable, HomeLocationMap, Journal, MiningComponent, RacFlushTarget,
+use imadg_common::{
+    Dba, InstanceId, MetricsRegistry, ObjectId, ObjectSet, Scn, TenantId, TxnId, WorkerId,
 };
 use imadg_db::{TenantId as DbTenant, Value};
 use imadg_imcs::ImcsStore;
-use imadg_recovery::{work_queue, ApplyObserver, Worker};
+use imadg_recovery::{
+    work_queue, CommitNode, CommitTable, DbimAdg, FlushTarget, HomeLocationMap, InvalidationGroup,
+    InvalidationRecord, Journal, LocalFlushTarget, RacFlushTarget, Worker,
+};
 use imadg_storage::{ChangeOp, ChangeVector, ColumnType, Row, RowLoc, Schema, Store, TableSpec};
 
 fn main() {
@@ -54,8 +54,6 @@ fn coop_flush() {
     println!("== ablation: cooperative flush (§III.D.2) ==");
     const PENDING_TXNS: u64 = 50_000;
     const HELPERS: usize = 3;
-    use imadg_core::{DbimAdg, LocalFlushTarget};
-    use imadg_recovery::{AdvanceHook as _, CoopHelper as _};
 
     for coop in [false, true] {
         // Build the pending state: PENDING_TXNS committed txns, 4 records
@@ -78,6 +76,7 @@ fn coop_flush() {
                 enabled,
                 Arc::new(Store::new()),
                 Arc::new(LocalFlushTarget::new(imcs)),
+                &MetricsRegistry::default(),
             )
             .unwrap(),
         );
@@ -150,7 +149,7 @@ fn commit_parts() {
     const TXNS: u64 = 400_000;
     const THREADS: u64 = 4;
     for partitions in [1usize, 4, 16] {
-        let table = Arc::new(CommitTable::new(partitions));
+        let table = Arc::new(CommitTable::new(partitions, Arc::default()));
         let started = Instant::now();
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
@@ -189,7 +188,7 @@ fn journal_buckets() {
     const WORKERS: u64 = 4;
     for buckets in [1usize, 16, 256] {
         let metrics = Arc::new(imadg_common::metrics::JournalMetrics::default());
-        let journal = Arc::new(Journal::with_metrics(buckets, WORKERS as usize, metrics.clone()));
+        let journal = Arc::new(Journal::new(buckets, WORKERS as usize, metrics.clone()));
         let started = Instant::now();
         let handles: Vec<_> = (0..WORKERS)
             .map(|w| {
@@ -266,7 +265,7 @@ fn mining_overhead() {
     println!("== ablation: mining overhead on redo apply (§III.B) ==");
     const CHANGES: u64 = 200_000;
 
-    let run = |observers: Vec<Arc<dyn ApplyObserver>>| -> f64 {
+    let run = |with_mining: bool| -> f64 {
         let store = Arc::new(Store::new());
         store
             .create_table(TableSpec {
@@ -278,8 +277,16 @@ fn mining_overhead() {
                 rows_per_block: 512,
             })
             .unwrap();
+        let registry = MetricsRegistry::default();
+        let adg = with_mining.then(|| {
+            let enabled = Arc::new(ObjectSet::new());
+            enabled.enable(ObjectId(1));
+            let target = Arc::new(LocalFlushTarget::new(Arc::new(ImcsStore::new())));
+            let config = imadg_db::ImcsConfig::default();
+            Arc::new(DbimAdg::new(&config, 1, enabled, store.clone(), target, &registry).unwrap())
+        });
         let (tx, rx) = work_queue();
-        let mut worker = Worker::new(WorkerId(0), rx, store, observers);
+        let mut worker = Worker::new(WorkerId(0), rx, store, adg, &registry);
         let mut scn = 1u64;
         let blocks = CHANGES / 512 + 1;
         for b in 0..blocks {
@@ -318,16 +325,8 @@ fn mining_overhead() {
         CHANGES as f64 / started.elapsed().as_secs_f64()
     };
 
-    let without = run(vec![]);
-    let enabled = Arc::new(ObjectSet::new());
-    enabled.enable(ObjectId(1));
-    let mining = Arc::new(MiningComponent::new(
-        Arc::new(Journal::new(128, 1)),
-        Arc::new(CommitTable::new(4)),
-        Arc::new(DdlTable::new()),
-        enabled,
-    ));
-    let with = run(vec![mining]);
+    let without = run(false);
+    let with = run(true);
     println!(
         "  apply throughput: {:.2} M CVs/s without mining, {:.2} M CVs/s with \
          ({:.1}% overhead)",

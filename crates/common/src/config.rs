@@ -12,25 +12,11 @@ pub struct RecoveryConfig {
     /// Number of recovery worker processes. CVs are distributed to workers
     /// by hashing the DBA (paper Fig. 3).
     pub workers: usize,
-    /// How many redo entries the dispatcher hands to workers per batch.
-    pub dispatch_batch: usize,
-    /// Number of worklink nodes a recovery worker flushes per cooperative
-    /// flush visit before resuming redo apply (paper §III.D.2).
-    pub coop_flush_batch: usize,
-    /// Whether recovery workers participate in the invalidation flush.
-    /// Disabled only by the ablation harness; the coordinator then flushes
-    /// the whole worklink serially.
-    pub cooperative_flush: bool,
 }
 
 impl Default for RecoveryConfig {
     fn default() -> Self {
-        RecoveryConfig {
-            workers: 4,
-            dispatch_batch: 256,
-            coop_flush_batch: 32,
-            cooperative_flush: true,
-        }
+        RecoveryConfig { workers: 4 }
     }
 }
 
@@ -39,9 +25,6 @@ impl RecoveryConfig {
     pub fn validate(&self) -> Result<()> {
         if self.workers == 0 {
             return Err(Error::Config("recovery workers must be > 0".into()));
-        }
-        if self.dispatch_batch == 0 || self.coop_flush_batch == 0 {
-            return Err(Error::Config("batch sizes must be > 0".into()));
         }
         Ok(())
     }
@@ -339,7 +322,7 @@ mod tests {
 
     #[test]
     fn zero_workers_rejected() {
-        let c = RecoveryConfig { workers: 0, ..Default::default() };
+        let c = RecoveryConfig { workers: 0 };
         assert!(c.validate().is_err());
     }
 

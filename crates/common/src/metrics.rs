@@ -623,9 +623,7 @@ pub struct ApplySnapshot {
     pub query_scn: u64,
 }
 
-/// Mining component (paper §III.B). Field names match the pre-existing
-/// `MiningStats` so mining call sites and tests were untouched by the move
-/// into the shared registry.
+/// Mining component (paper §III.B).
 #[derive(Debug, Default)]
 pub struct MiningMetrics {
     /// CVs inspected.
@@ -755,8 +753,7 @@ pub struct CommitTableSnapshot {
     pub commit_table_pending: u64,
 }
 
-/// Invalidation flush + QuerySCN advancement (paper §III.D). Field names
-/// match the pre-existing `FlushStats`.
+/// Invalidation flush + QuerySCN advancement (paper §III.D).
 #[derive(Debug, Default)]
 pub struct FlushMetrics {
     /// Transactions flushed off worklinks.

@@ -29,12 +29,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use imadg_common::{
-    CpuAccount, Error, InstanceId, ObjectId, ObjectSet, QueryScnCell, QuiesceLock, Result, Scn,
-    SystemConfig,
+    CpuAccount, Error, InstanceId, MetricsRegistry, ObjectId, ObjectSet, QueryScnCell, QuiesceLock,
+    Result, Scn, SystemConfig,
 };
-use imadg_core::{DbimAdg, HomeLocationMap, LocalFlushTarget};
 use imadg_imcs::{Filter, ImcsStore, PopulationEngine, PopulationReport, SnapshotSource};
-use imadg_recovery::{AdvanceHook, MediaRecovery, NoopAdvanceHook};
+use imadg_recovery::{DbimAdg, HomeLocationMap, LocalFlushTarget, MediaRecovery};
 use imadg_redo::{redo_link, LogMerger, RedoPayload, RedoRecord, RedoSender, RedoSource};
 use imadg_storage::Store;
 use parking_lot::Mutex;
@@ -173,26 +172,28 @@ impl MiraStandby {
             let (tx, rx) = redo_link(Duration::ZERO);
             outs.push(tx);
             let imcs = Arc::new(ImcsStore::new());
+            let metrics = MetricsRegistry::default();
             let adg = Arc::new(DbimAdg::new(
                 &config.imcs,
                 config.recovery.workers,
                 enabled.clone(),
                 store.clone(),
                 Arc::new(LocalFlushTarget::new(imcs.clone())),
+                &metrics,
             )?);
             // Local cell: published by the instance's own coordinator as
-            // "applied through"; the flush hook is a no-op here — flushing
+            // "applied through"; that coordinator flushes nothing — flushing
             // is deferred to the *global* advancement (see module docs).
             let local_scn = Arc::new(QueryScnCell::new());
             let recovery = MediaRecovery::new(
                 &config.recovery,
                 store.clone(),
                 vec![Box::new(rx) as Box<dyn RedoSource>],
-                vec![adg.observer()],
-                Some(adg.coop_helper()),
-                Arc::new(NoopAdvanceHook),
+                Some(adg.clone()),
+                None,
                 local_scn.clone(),
                 Arc::new(QuiesceLock::new()), // local, uncontended
+                &metrics,
             )?;
             let mut engine = PopulationEngine::new(
                 store.clone(),

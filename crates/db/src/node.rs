@@ -221,12 +221,6 @@ impl NodeBuilder {
         self
     }
 
-    /// Replace the media-recovery section.
-    pub fn recovery(mut self, recovery: imadg_common::RecoveryConfig) -> Self {
-        self.config.system.recovery = recovery;
-        self
-    }
-
     /// Replace the column-store section.
     pub fn imcs(mut self, imcs: imadg_common::ImcsConfig) -> Self {
         self.config.system.imcs = imcs;

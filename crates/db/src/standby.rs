@@ -14,11 +14,13 @@ use imadg_common::{
     MetricsRegistry, MetricsSnapshot, ObjectId, ObjectSet, QueryScnCell, QuiesceLock, Result,
     Runtime, RuntimeHealth, Scn, ScnService, Stage, StageOutcome, SystemConfig, ThreadedRuntime,
 };
-use imadg_core::{DbimAdg, HomeLocationMap, LocalFlushTarget, RacEndpoint, RacFlushTarget};
 use imadg_imcs::{
     ColdTier, ImcsStore, PopulationEngine, PopulationReport, SnapshotSource, TierReport,
 };
-use imadg_recovery::{MediaRecovery, NoopAdvanceHook, RecoveryStageIds};
+use imadg_recovery::{
+    DbimAdg, FlushTarget, HomeLocationMap, LocalFlushTarget, MediaRecovery, RacEndpoint,
+    RacFlushTarget, RecoveryStageIds,
+};
 use imadg_redo::RedoSource;
 use imadg_storage::{Row, RowLoc, Store};
 use parking_lot::Mutex;
@@ -148,8 +150,8 @@ impl StandbyCluster {
     /// Assemble a standby over `receivers` (one per primary redo thread).
     ///
     /// `dbim_on_adg` toggles the paper's feature; when false, recovery runs
-    /// with no mining observers and a no-op advancement hook — the paper's
-    /// "without DBIM-on-ADG" baseline.
+    /// with no mining and no invalidation flush — the paper's "without
+    /// DBIM-on-ADG" baseline.
     ///
     /// Crate-internal: deployments are assembled through
     /// [`crate::NodeBuilder`] / [`crate::AdgCluster`].
@@ -192,7 +194,7 @@ impl StandbyCluster {
         }
 
         // Flush target: local for one instance, RAC distributor otherwise.
-        let (target, rac_endpoints): (Arc<dyn imadg_core::FlushTarget>, Vec<Arc<RacEndpoint>>) =
+        let (target, rac_endpoints): (Arc<dyn FlushTarget>, Vec<Arc<RacEndpoint>>) =
             if instances == 1 {
                 (Arc::new(LocalFlushTarget::new(stores[&InstanceId::MASTER].clone())), Vec::new())
             } else {
@@ -207,7 +209,7 @@ impl StandbyCluster {
             };
 
         let adg = if dbim_on_adg {
-            Some(Arc::new(DbimAdg::with_metrics(
+            Some(Arc::new(DbimAdg::new(
                 &config.imcs,
                 config.recovery.workers,
                 enabled.clone(),
@@ -219,13 +221,12 @@ impl StandbyCluster {
             None
         };
 
-        let recovery = MediaRecovery::with_metrics(
+        let recovery = MediaRecovery::new(
             &config.recovery,
             store.clone(),
             receivers,
-            adg.iter().map(|a| a.observer()).collect(),
-            adg.as_ref().map(|a| a.coop_helper()),
-            adg.as_ref().map(|a| a.advance_hook()).unwrap_or_else(|| Arc::new(NoopAdvanceHook)),
+            adg.clone(),
+            adg.as_ref().map(|a| a.flush.clone()),
             query_scn.clone(),
             quiesce.clone(),
             &metrics,

@@ -1,16 +1,13 @@
 //! Assembly of the DBIM-on-ADG components for one standby deployment.
 //!
 //! [`DbimAdg`] bundles the journal, commit table, DDL table, mining
-//! component and invalidation flush, pre-wired so the database layer can
-//! hand the right pieces to media recovery: the mining component as an
-//! apply observer, and the flush component as both the QuerySCN-advance
-//! hook and the cooperative-flush helper.
+//! component and invalidation flush. Recovery workers hold it to call the
+//! mining component and help the flush; the coordinator holds its flush
+//! component to run before each QuerySCN publish.
 
 use std::sync::Arc;
 
-use imadg_common::MetricsRegistry;
-use imadg_common::{ImcsConfig, ObjectSet, Result};
-use imadg_recovery::{AdvanceHook, ApplyObserver, CoopHelper};
+use imadg_common::{ImcsConfig, MetricsRegistry, ObjectSet, Result};
 use imadg_storage::Store;
 
 use crate::commit_table::CommitTable;
@@ -27,14 +24,15 @@ pub struct DbimAdg {
     pub commit_table: Arc<CommitTable>,
     /// The DDL Information Table.
     pub ddl_table: Arc<DdlTable>,
-    /// The mining component (plug into recovery workers).
+    /// The mining component (called by recovery workers).
     pub mining: Arc<MiningComponent>,
-    /// The invalidation flush (plug into the coordinator and workers).
+    /// The invalidation flush (called by the coordinator and workers).
     pub flush: Arc<InvalidationFlush>,
 }
 
 impl DbimAdg {
-    /// Wire everything.
+    /// Wire everything, reporting into the mining/journal/commit-table/flush
+    /// stages of `registry`.
     ///
     /// * `config` — journal bucket count, commit table partitions;
     /// * `workers` — recovery parallelism (sizes per-worker journal areas);
@@ -47,39 +45,24 @@ impl DbimAdg {
         enabled: Arc<ObjectSet>,
         store: Arc<Store>,
         target: Arc<dyn FlushTarget>,
-    ) -> Result<DbimAdg> {
-        Self::with_metrics(config, workers, enabled, store, target, &MetricsRegistry::default())
-    }
-
-    /// Wire everything, reporting into the mining/journal/commit-table/flush
-    /// stages of `registry`.
-    pub fn with_metrics(
-        config: &ImcsConfig,
-        workers: usize,
-        enabled: Arc<ObjectSet>,
-        store: Arc<Store>,
-        target: Arc<dyn FlushTarget>,
         registry: &MetricsRegistry,
     ) -> Result<DbimAdg> {
         config.validate()?;
-        let journal = Arc::new(Journal::with_metrics(
-            config.journal_buckets,
-            workers,
-            registry.journal.clone(),
-        ));
-        let commit_table = Arc::new(CommitTable::with_metrics(
+        let journal =
+            Arc::new(Journal::new(config.journal_buckets, workers, registry.journal.clone()));
+        let commit_table = Arc::new(CommitTable::new(
             config.commit_table_partitions,
             registry.commit_table.clone(),
         ));
         let ddl_table = Arc::new(DdlTable::new());
-        let mining = Arc::new(MiningComponent::with_metrics(
+        let mining = Arc::new(MiningComponent::new(
             journal.clone(),
             commit_table.clone(),
             ddl_table.clone(),
             enabled.clone(),
             registry.mining.clone(),
         ));
-        let flush = Arc::new(InvalidationFlush::with_metrics(
+        let flush = Arc::new(InvalidationFlush::new(
             journal.clone(),
             commit_table.clone(),
             ddl_table.clone(),
@@ -90,21 +73,6 @@ impl DbimAdg {
         ));
         Ok(DbimAdg { journal, commit_table, ddl_table, mining, flush })
     }
-
-    /// The mining component as a recovery-worker observer.
-    pub fn observer(&self) -> Arc<dyn ApplyObserver> {
-        self.mining.clone()
-    }
-
-    /// The flush component as the coordinator's advancement hook.
-    pub fn advance_hook(&self) -> Arc<dyn AdvanceHook> {
-        self.flush.clone()
-    }
-
-    /// The flush component as the workers' cooperative-flush helper.
-    pub fn coop_helper(&self) -> Arc<dyn CoopHelper> {
-        self.flush.clone()
-    }
 }
 
 #[cfg(test)]
@@ -113,33 +81,26 @@ mod tests {
     use crate::flush::LocalFlushTarget;
     use imadg_imcs::ImcsStore;
 
-    #[test]
-    fn wiring_shares_tables() {
-        let adg = DbimAdg::new(
-            &ImcsConfig::default(),
+    fn adg(config: &ImcsConfig) -> Result<DbimAdg> {
+        DbimAdg::new(
+            config,
             4,
             Arc::new(ObjectSet::new()),
             Arc::new(Store::new()),
             Arc::new(LocalFlushTarget::new(Arc::new(ImcsStore::new()))),
+            &MetricsRegistry::default(),
         )
-        .unwrap();
+    }
+
+    #[test]
+    fn wiring_shares_tables() {
+        let adg = adg(&ImcsConfig::default()).unwrap();
         assert!(Arc::ptr_eq(adg.mining.journal(), &adg.journal));
         assert!(Arc::ptr_eq(adg.mining.commit_table(), &adg.commit_table));
-        let _: Arc<dyn ApplyObserver> = adg.observer();
-        let _: Arc<dyn AdvanceHook> = adg.advance_hook();
-        let _: Arc<dyn CoopHelper> = adg.coop_helper();
     }
 
     #[test]
     fn bad_config_rejected() {
-        let cfg = ImcsConfig { journal_buckets: 0, ..Default::default() };
-        assert!(DbimAdg::new(
-            &cfg,
-            4,
-            Arc::new(ObjectSet::new()),
-            Arc::new(Store::new()),
-            Arc::new(LocalFlushTarget::new(Arc::new(ImcsStore::new()))),
-        )
-        .is_err());
+        assert!(adg(&ImcsConfig { journal_buckets: 0, ..Default::default() }).is_err());
     }
 }

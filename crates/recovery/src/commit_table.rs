@@ -42,13 +42,8 @@ pub struct CommitTable {
 }
 
 impl CommitTable {
-    /// Table with `partitions` sorted lists.
-    pub fn new(partitions: usize) -> CommitTable {
-        Self::with_metrics(partitions, Arc::default())
-    }
-
-    /// Table reporting into a registry's commit-table stage.
-    pub fn with_metrics(partitions: usize, metrics: Arc<CommitTableMetrics>) -> CommitTable {
+    /// Table with `partitions` sorted lists, reporting into `metrics`.
+    pub fn new(partitions: usize, metrics: Arc<CommitTableMetrics>) -> CommitTable {
         CommitTable {
             partitions: (0..partitions.max(1)).map(|_| Mutex::new(BTreeMap::new())).collect(),
             metrics,
@@ -117,7 +112,7 @@ mod tests {
 
     #[test]
     fn chop_takes_exactly_up_to() {
-        let t = CommitTable::new(1);
+        let t = CommitTable::new(1, Arc::default());
         for (txn, scn) in [(1, 10), (2, 20), (3, 30)] {
             t.insert(node(txn, scn));
         }
@@ -131,7 +126,7 @@ mod tests {
 
     #[test]
     fn chop_empty_table() {
-        let t = CommitTable::new(4);
+        let t = CommitTable::new(4, Arc::default());
         assert!(t.chop(Scn(100)).is_empty());
         assert!(t.is_empty());
         assert_eq!(t.min_pending(), None);
@@ -139,7 +134,7 @@ mod tests {
 
     #[test]
     fn partitioned_chop_covers_all_partitions() {
-        let t = CommitTable::new(4);
+        let t = CommitTable::new(4, Arc::default());
         for txn in 0..100u64 {
             t.insert(node(txn, txn + 1));
         }
@@ -156,7 +151,7 @@ mod tests {
 
     #[test]
     fn same_commit_scn_different_txns() {
-        let t = CommitTable::new(1);
+        let t = CommitTable::new(1, Arc::default());
         t.insert(node(1, 10));
         t.insert(node(2, 10));
         assert_eq!(t.chop(Scn(10)).len(), 2);
@@ -164,7 +159,7 @@ mod tests {
 
     #[test]
     fn concurrent_inserts() {
-        let t = Arc::new(CommitTable::new(8));
+        let t = Arc::new(CommitTable::new(8, Arc::default()));
         let mut handles = Vec::new();
         for base in 0..4u64 {
             let t = t.clone();

@@ -1,9 +1,9 @@
 //! The recovery coordinator: QuerySCN advancement.
 //!
 //! The coordinator establishes consistency points: when all workers have
-//! applied redo through SCN `S`, it (1) enters the quiesce period, (2) asks
-//! the invalidation-flush hook to flush every invalidation belonging to
-//! transactions with commit SCN ≤ `S` (paper §III.D), (3) publishes `S` as
+//! applied redo through SCN `S`, it (1) enters the quiesce period, (2) runs
+//! the invalidation flush over every transaction with commit SCN ≤ `S`
+//! (paper §III.D), (3) publishes `S` as
 //! the new QuerySCN and leaves the quiesce period. QuerySCNs *leapfrog*:
 //! consecutive published values can be far apart.
 
@@ -11,37 +11,21 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use imadg_common::metrics::{FlushMetrics, StalenessTracker, TraceStage};
-use imadg_common::{LatencyStats, PipelineTrace, QueryScnCell, QuiesceLock, Scn};
+use imadg_common::{LatencyStats, MetricsRegistry, PipelineTrace, QueryScnCell, QuiesceLock, Scn};
 use parking_lot::Mutex;
 
+use crate::flush::InvalidationFlush;
 use crate::progress::Progress;
-
-/// Hook invoked under quiesce before a new QuerySCN is published.
-///
-/// `imadg-core`'s Invalidation Flush Component implements this: it chops
-/// the IM-ADG Commit Table into a worklink and drains it (cooperatively
-/// with the recovery workers) to the SMUs.
-pub trait AdvanceHook: Send + Sync {
-    /// Flush everything needed for queries at `target` to be consistent.
-    /// Runs with the quiesce lock held; must complete the flush before
-    /// returning.
-    fn flush_for_advance(&self, target: Scn);
-}
-
-/// Hook that flushes nothing (recovery without DBIM-on-ADG).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopAdvanceHook;
-
-impl AdvanceHook for NoopAdvanceHook {
-    fn flush_for_advance(&self, _target: Scn) {}
-}
 
 /// The recovery coordinator.
 pub struct Coordinator {
     progress: Arc<Progress>,
     query_scn: Arc<QueryScnCell>,
     quiesce: Arc<QuiesceLock>,
-    hook: Arc<dyn AdvanceHook>,
+    /// The invalidation flush run before each publish; `None` without
+    /// DBIM-on-ADG, and for MIRA's per-instance coordinators, whose
+    /// flush runs at the global advancement instead.
+    flush: Option<Arc<InvalidationFlush>>,
     /// Latency of each advancement (flush + publish), for the ablation
     /// benches on cooperative flush (§III.D.2).
     advance_latency: Mutex<LatencyStats>,
@@ -56,46 +40,25 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// Build a coordinator with private metrics.
+    /// Build a coordinator reporting into the flush stage, staleness
+    /// tracker and trace ring of `registry`.
     pub fn new(
         progress: Arc<Progress>,
         query_scn: Arc<QueryScnCell>,
         quiesce: Arc<QuiesceLock>,
-        hook: Arc<dyn AdvanceHook>,
-    ) -> Self {
-        Self::with_metrics(
-            progress,
-            query_scn,
-            quiesce,
-            hook,
-            Arc::default(),
-            Arc::default(),
-            PipelineTrace::new(1),
-        )
-    }
-
-    /// Build a coordinator reporting into a registry's flush stage,
-    /// staleness tracker, and trace ring.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_metrics(
-        progress: Arc<Progress>,
-        query_scn: Arc<QueryScnCell>,
-        quiesce: Arc<QuiesceLock>,
-        hook: Arc<dyn AdvanceHook>,
-        metrics: Arc<FlushMetrics>,
-        staleness: Arc<StalenessTracker>,
-        trace: PipelineTrace,
+        flush: Option<Arc<InvalidationFlush>>,
+        registry: &MetricsRegistry,
     ) -> Self {
         Coordinator {
             progress,
             query_scn,
             quiesce,
-            hook,
+            flush,
             advance_latency: Mutex::new(LatencyStats::new()),
             advances: Mutex::new(0),
-            metrics,
-            staleness,
-            trace,
+            metrics: registry.flush.clone(),
+            staleness: registry.staleness.clone(),
+            trace: registry.trace.clone(),
         }
     }
 
@@ -127,7 +90,9 @@ impl Coordinator {
             // Quiesce period: population may not capture snapshots while
             // invalidations for `target` are in flight (paper §III.A).
             let _quiesce = self.quiesce.begin_quiesce();
-            self.hook.flush_for_advance(target);
+            if let Some(flush) = &self.flush {
+                flush.flush_for_advance(target);
+            }
             flush_us = self.staleness.now_micros();
             self.query_scn.publish(target);
             publish_us = self.staleness.now_micros();
@@ -160,22 +125,27 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imadg_common::WorkerId;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use crate::adg::DbimAdg;
+    use crate::flush::FlushTarget;
+    use crate::invalidation::InvalidationGroup;
+    use imadg_common::{Dba, ImcsConfig, ObjectId, ObjectSet, TenantId, TxnId, WorkerId};
+    use imadg_redo::CommitRecord;
+    use imadg_storage::{ChangeOp, ChangeVector, Row, Store, Value};
 
-    fn coord(progress: Arc<Progress>, hook: Arc<dyn AdvanceHook>) -> Coordinator {
+    fn coord(progress: Arc<Progress>, flush: Option<Arc<InvalidationFlush>>) -> Coordinator {
         Coordinator::new(
             progress,
             Arc::new(QueryScnCell::new()),
             Arc::new(QuiesceLock::new()),
-            hook,
+            flush,
+            &MetricsRegistry::default(),
         )
     }
 
     #[test]
     fn no_advance_without_progress() {
         let p = Arc::new(Progress::new(2));
-        let c = coord(p.clone(), Arc::new(NoopAdvanceHook));
+        let c = coord(p.clone(), None);
         assert_eq!(c.try_advance(), None);
         p.report(WorkerId(0), Scn(5));
         assert_eq!(c.try_advance(), None, "worker 1 still at zero");
@@ -184,7 +154,7 @@ mod tests {
     #[test]
     fn advances_to_min_and_leapfrogs() {
         let p = Arc::new(Progress::new(2));
-        let c = coord(p.clone(), Arc::new(NoopAdvanceHook));
+        let c = coord(p.clone(), None);
         p.report(WorkerId(0), Scn(10));
         p.report(WorkerId(1), Scn(7));
         assert_eq!(c.try_advance(), Some(Scn(7)));
@@ -195,21 +165,78 @@ mod tests {
         assert_eq!(c.advance_count(), 2);
     }
 
-    struct RecordingHook(AtomicU64);
-    impl AdvanceHook for RecordingHook {
-        fn flush_for_advance(&self, target: Scn) {
-            self.0.store(target.0, Ordering::SeqCst);
+    /// Records, for every invalidation group it receives, the group's
+    /// commit SCN and the QuerySCN published at that moment.
+    struct RecordingTarget {
+        query_scn: Arc<QueryScnCell>,
+        seen: Mutex<Vec<(Scn, Option<Scn>)>>,
+    }
+
+    impl FlushTarget for RecordingTarget {
+        fn flush_group(&self, group: &InvalidationGroup) {
+            self.seen.lock().push((group.commit_scn, self.query_scn.get()));
         }
+        fn coarse_invalidate(&self, _tenant: TenantId) {}
+        fn drop_object_units(&self, _object: ObjectId) {}
+        fn synchronize(&self) {}
     }
 
     #[test]
-    fn hook_runs_before_publish_with_target() {
+    fn flush_lands_before_publish() {
+        let query_scn = Arc::new(QueryScnCell::new());
+        let target =
+            Arc::new(RecordingTarget { query_scn: query_scn.clone(), seen: Mutex::default() });
+        let enabled = Arc::new(ObjectSet::new());
+        enabled.enable(ObjectId(1));
+        let registry = MetricsRegistry::default();
+        let adg = DbimAdg::new(
+            &ImcsConfig::default(),
+            1,
+            enabled,
+            Arc::new(Store::new()),
+            target.clone(),
+            &registry,
+        )
+        .unwrap();
+        // One single-row update per transaction, committed at `commit`.
+        let mine = |txn: u64, commit: u64| {
+            adg.mining.on_begin(TxnId(txn), TenantId::DEFAULT);
+            adg.mining.on_change(
+                WorkerId(0),
+                &ChangeVector {
+                    dba: Dba(10),
+                    object: ObjectId(1),
+                    tenant: TenantId::DEFAULT,
+                    txn: TxnId(txn),
+                    op: ChangeOp::Update { slot: 0, row: Row::new(vec![Value::Int(1)]) },
+                },
+            );
+            adg.mining.on_commit(&CommitRecord {
+                txn: TxnId(txn),
+                tenant: TenantId::DEFAULT,
+                commit_scn: Scn(commit),
+                modified_inmemory: Some(true),
+            });
+        };
+        mine(1, 5);
+        mine(2, 12);
         let p = Arc::new(Progress::new(1));
-        let hook = Arc::new(RecordingHook(AtomicU64::new(0)));
-        let c = coord(p.clone(), hook.clone());
+        let c = Coordinator::new(
+            p.clone(),
+            query_scn.clone(),
+            Arc::new(QuiesceLock::new()),
+            Some(adg.flush.clone()),
+            &registry,
+        );
         p.report(WorkerId(0), Scn(9));
-        c.try_advance();
-        assert_eq!(hook.0.load(Ordering::SeqCst), 9);
-        assert!(c.advance_latency().count == 1);
+        assert_eq!(c.try_advance(), Some(Scn(9)));
+        p.report(WorkerId(0), Scn(20));
+        assert_eq!(c.try_advance(), Some(Scn(20)));
+        // Each invalidation reached its target while the published QuerySCN
+        // was still below its commit SCN: no query ever ran at a snapshot
+        // the invalidation belongs to before the SMU had it.
+        assert_eq!(*target.seen.lock(), vec![(Scn(5), None), (Scn(12), Some(Scn(9)))]);
+        assert_eq!(query_scn.get(), Some(Scn(20)));
+        assert_eq!(c.advance_latency().count, 2);
     }
 }

@@ -75,8 +75,8 @@ impl Dispatcher {
                     self.send(rec.txn.bucket(n), WorkItem::Commit { scn, record: rec })?;
                     items += 1;
                 }
-                RedoPayload::Abort { txn, tenant } => {
-                    self.send(txn.bucket(n), WorkItem::Abort { scn, txn, tenant })?;
+                RedoPayload::Abort { txn, .. } => {
+                    self.send(txn.bucket(n), WorkItem::Abort { scn, txn })?;
                     items += 1;
                 }
                 RedoPayload::Marker(m) => {

@@ -15,7 +15,6 @@ use std::sync::Arc;
 use imadg_common::metrics::FlushMetrics;
 use imadg_common::{CpuAccount, ObjectId, ObjectSet, Scn, TenantId};
 use imadg_imcs::ImcsStore;
-use imadg_recovery::{AdvanceHook, CoopHelper};
 use imadg_redo::DdlKind;
 use imadg_storage::Store;
 use parking_lot::RwLock;
@@ -69,11 +68,6 @@ impl FlushTarget for LocalFlushTarget {
     fn synchronize(&self) {}
 }
 
-/// Flush event counters. Now the flush stage of the pipeline-wide
-/// [`MetricsRegistry`](imadg_common::MetricsRegistry); the old name stays
-/// as an alias for existing call sites.
-pub type FlushStats = FlushMetrics;
-
 /// The invalidation flush component.
 pub struct InvalidationFlush {
     journal: Arc<Journal>,
@@ -85,7 +79,7 @@ pub struct InvalidationFlush {
     /// In-memory enablement set, updated by `SetInMemory` markers.
     enabled: Arc<ObjectSet>,
     /// The live worklink during an advancement (cooperative flush entry).
-    current: RwLock<Option<Arc<Worklink>>>,
+    pub(crate) current: RwLock<Option<Arc<Worklink>>>,
     /// Nodes the coordinator claims per loop iteration.
     coordinator_batch: usize,
     /// Flush busy time charged to the coordinator path.
@@ -95,21 +89,9 @@ pub struct InvalidationFlush {
 }
 
 impl InvalidationFlush {
-    /// Wire the flush component with a private stats instance.
-    pub fn new(
-        journal: Arc<Journal>,
-        commit_table: Arc<CommitTable>,
-        ddl_table: Arc<DdlTable>,
-        target: Arc<dyn FlushTarget>,
-        store: Arc<Store>,
-        enabled: Arc<ObjectSet>,
-    ) -> InvalidationFlush {
-        Self::with_metrics(journal, commit_table, ddl_table, target, store, enabled, Arc::default())
-    }
-
-    /// Wire the flush component reporting into a registry's flush stage.
+    /// Wire the flush component, reporting into `stats`.
     #[allow(clippy::too_many_arguments)]
-    pub fn with_metrics(
+    pub fn new(
         journal: Arc<Journal>,
         commit_table: Arc<CommitTable>,
         ddl_table: Arc<DdlTable>,
@@ -192,10 +174,11 @@ impl InvalidationFlush {
         }
         self.stats.ddl_applied.fetch_add(1, Ordering::Relaxed);
     }
-}
 
-impl AdvanceHook for InvalidationFlush {
-    fn flush_for_advance(&self, target_scn: Scn) {
+    /// Flush everything queries at `target_scn` need to be consistent: the
+    /// coordinator calls this under the quiesce lock before publishing
+    /// `target_scn`, and it returns only once the flush is complete.
+    pub fn flush_for_advance(&self, target_scn: Scn) {
         let _t = self.cpu.timer();
         // DDL first: definition changes at or below the new consistency
         // point take effect before any query can run at it.
@@ -226,10 +209,11 @@ impl AdvanceHook for InvalidationFlush {
         // RAC barrier: remote SMUs must be current before the publish.
         self.target.synchronize();
     }
-}
 
-impl CoopHelper for InvalidationFlush {
-    fn help_flush(&self, budget: usize) -> usize {
+    /// Cooperative-flush visit by a recovery worker (paper §III.D.2): flush
+    /// up to `budget` nodes of the live worklink, if any; returns how many
+    /// were flushed.
+    pub fn help_flush(&self, budget: usize) -> usize {
         let Some(wl) = self.current.read().clone() else { return 0 };
         let batch = wl.claim(budget);
         for node in &batch {
@@ -263,16 +247,17 @@ mod tests {
     }
 
     fn flush_fixture(imcs: Arc<ImcsStore>) -> InvalidationFlush {
-        let journal = Arc::new(Journal::new(16, 4));
+        let journal = Arc::new(Journal::new(16, 4, Arc::default()));
         let enabled = Arc::new(ObjectSet::new());
         enabled.enable(ObjectId(1));
         InvalidationFlush::new(
             journal,
-            Arc::new(CommitTable::new(2)),
+            Arc::new(CommitTable::new(2, Arc::default())),
             Arc::new(DdlTable::new()),
             Arc::new(LocalFlushTarget::new(imcs)),
             Arc::new(Store::new()),
             enabled,
+            Arc::default(),
         )
     }
 

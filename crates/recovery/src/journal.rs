@@ -92,13 +92,8 @@ pub struct Journal {
 
 impl Journal {
     /// Journal with `buckets` hash buckets and per-anchor areas for
-    /// `workers` recovery workers.
-    pub fn new(buckets: usize, workers: usize) -> Journal {
-        Self::with_metrics(buckets, workers, Arc::default())
-    }
-
-    /// Journal reporting into a registry's journal stage.
-    pub fn with_metrics(buckets: usize, workers: usize, metrics: Arc<JournalMetrics>) -> Journal {
+    /// `workers` recovery workers, reporting into `metrics`.
+    pub fn new(buckets: usize, workers: usize, metrics: Arc<JournalMetrics>) -> Journal {
         Journal {
             buckets: (0..buckets.max(1)).map(|_| Mutex::new(HashMap::new())).collect(),
             workers: workers.max(1),
@@ -173,7 +168,7 @@ mod tests {
 
     #[test]
     fn anchor_lifecycle() {
-        let j = Journal::new(16, 4);
+        let j = Journal::new(16, 4, Arc::default());
         assert!(j.is_empty());
         let a = j.anchor_or_create(TxnId(1), TenantId::DEFAULT);
         assert!(!a.has_begin());
@@ -189,7 +184,7 @@ mod tests {
 
     #[test]
     fn per_worker_areas_merge_on_drain() {
-        let j = Journal::new(16, 4);
+        let j = Journal::new(16, 4, Arc::default());
         let a = j.anchor_or_create(TxnId(1), TenantId::DEFAULT);
         a.add_record(WorkerId(0), rec(10, 0));
         a.add_record(WorkerId(3), rec(30, 1));
@@ -206,7 +201,7 @@ mod tests {
 
     #[test]
     fn worker_id_beyond_area_count_wraps() {
-        let j = Journal::new(4, 2);
+        let j = Journal::new(4, 2, Arc::default());
         let a = j.anchor_or_create(TxnId(1), TenantId::DEFAULT);
         a.add_record(WorkerId(7), rec(1, 0)); // 7 % 2 = area 1
         assert_eq!(a.record_count(), 1);
@@ -214,7 +209,7 @@ mod tests {
 
     #[test]
     fn many_transactions_spread_across_buckets() {
-        let j = Journal::new(8, 2);
+        let j = Journal::new(8, 2, Arc::default());
         for t in 0..100 {
             j.anchor_or_create(TxnId(t), TenantId::DEFAULT);
         }
@@ -223,7 +218,7 @@ mod tests {
 
     #[test]
     fn concurrent_mining_from_multiple_workers() {
-        let j = Arc::new(Journal::new(64, 8));
+        let j = Arc::new(Journal::new(64, 8, Arc::default()));
         let mut handles = Vec::new();
         for w in 0..8u16 {
             let j = j.clone();

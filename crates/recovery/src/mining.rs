@@ -1,19 +1,19 @@
 //! The Mining Component (paper §III.B).
 //!
-//! Piggybacks on the recovery workers via the [`ApplyObserver`] hooks:
-//! every applied CV against an in-memory-enabled object yields an
-//! invalidation record buffered in the IM-ADG Journal; transaction control
-//! information maintains the journal anchors and the IM-ADG Commit Table;
-//! DDL markers go to the DDL Information Table. The work done per CV is a
-//! set-membership test plus one push into a per-worker area — the "thin
-//! layer" the paper requires on the apply critical path.
+//! Piggybacks on the recovery workers: every worker calls it for each
+//! record it applies. Every applied CV against an in-memory-enabled object
+//! yields an invalidation record buffered in the IM-ADG Journal;
+//! transaction control information maintains the journal anchors and the
+//! IM-ADG Commit Table; DDL markers go to the DDL Information Table. The
+//! work done per CV is a set-membership test plus one push into a
+//! per-worker area — the "thin layer" the paper requires on the apply
+//! critical path.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use imadg_common::metrics::MiningMetrics;
 use imadg_common::{CpuAccount, ObjectSet, Scn, TenantId, TxnId, WorkerId};
-use imadg_recovery::ApplyObserver;
 use imadg_redo::{CommitRecord, RedoMarker};
 use imadg_storage::{ChangeOp, ChangeVector};
 
@@ -21,11 +21,6 @@ use crate::commit_table::{CommitNode, CommitTable};
 use crate::ddl_table::DdlTable;
 use crate::invalidation::InvalidationRecord;
 use crate::journal::Journal;
-
-/// Counters exposed for the mining-overhead ablation. Now the mining stage
-/// of the pipeline-wide [`MetricsRegistry`](imadg_common::MetricsRegistry);
-/// the old name stays as an alias for existing call sites.
-pub type MiningStats = MiningMetrics;
 
 /// The mining component of one standby (master) instance.
 pub struct MiningComponent {
@@ -41,19 +36,8 @@ pub struct MiningComponent {
 }
 
 impl MiningComponent {
-    /// Wire the mining component over its tables with a private stats
-    /// instance.
+    /// Wire the mining component over its tables, reporting into `stats`.
     pub fn new(
-        journal: Arc<Journal>,
-        commit_table: Arc<CommitTable>,
-        ddl_table: Arc<DdlTable>,
-        enabled: Arc<ObjectSet>,
-    ) -> MiningComponent {
-        Self::with_metrics(journal, commit_table, ddl_table, enabled, Arc::default())
-    }
-
-    /// Wire the mining component reporting into a registry's mining stage.
-    pub fn with_metrics(
         journal: Arc<Journal>,
         commit_table: Arc<CommitTable>,
         ddl_table: Arc<DdlTable>,
@@ -72,10 +56,9 @@ impl MiningComponent {
     pub fn commit_table(&self) -> &Arc<CommitTable> {
         &self.commit_table
     }
-}
 
-impl ApplyObserver for MiningComponent {
-    fn on_change(&self, worker: WorkerId, cv: &ChangeVector, _scn: Scn) {
+    /// `worker` applied a data change vector.
+    pub fn on_change(&self, worker: WorkerId, cv: &ChangeVector) {
         let _t = self.cpu.timer();
         self.stats.sniffed.fetch_add(1, Ordering::Relaxed);
         if !self.enabled.is_enabled(cv.object) {
@@ -94,12 +77,14 @@ impl ApplyObserver for MiningComponent {
         self.stats.mined.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn on_begin(&self, _worker: WorkerId, txn: TxnId, tenant: TenantId, _scn: Scn) {
+    /// A transaction-begin control record was applied.
+    pub fn on_begin(&self, txn: TxnId, tenant: TenantId) {
         let _t = self.cpu.timer();
         self.journal.anchor_or_create(txn, tenant).mark_begin();
     }
 
-    fn on_commit(&self, _worker: WorkerId, record: &CommitRecord) {
+    /// A commit record was applied.
+    pub fn on_commit(&self, record: &CommitRecord) {
         let _t = self.cpu.timer();
         let anchor = self.journal.anchor(record.txn);
         // Skip transactions that provably touched nothing in-memory: the
@@ -119,7 +104,8 @@ impl ApplyObserver for MiningComponent {
         self.stats.commits.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn on_abort(&self, _worker: WorkerId, txn: TxnId, _tenant: TenantId) {
+    /// An abort record was applied.
+    pub fn on_abort(&self, txn: TxnId) {
         let _t = self.cpu.timer();
         if let Some(anchor) = self.journal.remove(txn) {
             self.stats.aborts.fetch_add(1, Ordering::Relaxed);
@@ -129,7 +115,8 @@ impl ApplyObserver for MiningComponent {
         }
     }
 
-    fn on_marker(&self, _worker: WorkerId, marker: &RedoMarker, scn: Scn) {
+    /// A DDL redo marker was applied at `scn`.
+    pub fn on_marker(&self, marker: &RedoMarker, scn: Scn) {
         let _t = self.cpu.timer();
         self.ddl_table.insert(scn, Arc::new(marker.clone()));
         self.stats.markers.fetch_add(1, Ordering::Relaxed);
@@ -147,10 +134,11 @@ mod tests {
         let enabled = Arc::new(ObjectSet::new());
         enabled.enable(ObjectId(1));
         MiningComponent::new(
-            Arc::new(Journal::new(16, 4)),
-            Arc::new(CommitTable::new(2)),
+            Arc::new(Journal::new(16, 4, Arc::default())),
+            Arc::new(CommitTable::new(2, Arc::default())),
             Arc::new(DdlTable::new()),
             enabled,
+            Arc::default(),
         )
     }
 
@@ -177,8 +165,8 @@ mod tests {
     fn sniffs_only_enabled_objects() {
         let m = component();
         let row = Row::new(vec![Value::Int(1)]);
-        m.on_change(WorkerId(0), &cv(1, 1, ChangeOp::Insert { slot: 0, row: row.clone() }), Scn(5));
-        m.on_change(WorkerId(0), &cv(2, 1, ChangeOp::Insert { slot: 0, row }), Scn(6));
+        m.on_change(WorkerId(0), &cv(1, 1, ChangeOp::Insert { slot: 0, row: row.clone() }));
+        m.on_change(WorkerId(0), &cv(2, 1, ChangeOp::Insert { slot: 0, row }));
         assert_eq!(m.stats.sniffed.load(Ordering::Relaxed), 2);
         assert_eq!(m.stats.mined.load(Ordering::Relaxed), 1);
         assert_eq!(m.journal().total_records(), 1);
@@ -187,24 +175,24 @@ mod tests {
     #[test]
     fn format_cvs_not_mined() {
         let m = component();
-        m.on_change(WorkerId(0), &cv(1, 1, ChangeOp::Format { capacity: 8 }), Scn(5));
+        m.on_change(WorkerId(0), &cv(1, 1, ChangeOp::Format { capacity: 8 }));
         assert_eq!(m.stats.mined.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn begin_marks_anchor() {
         let m = component();
-        m.on_begin(WorkerId(0), TxnId(1), TenantId::DEFAULT, Scn(1));
+        m.on_begin(TxnId(1), TenantId::DEFAULT);
         assert!(m.journal().anchor(TxnId(1)).unwrap().has_begin());
     }
 
     #[test]
     fn commit_links_anchor_into_commit_table() {
         let m = component();
-        m.on_begin(WorkerId(0), TxnId(1), TenantId::DEFAULT, Scn(1));
+        m.on_begin(TxnId(1), TenantId::DEFAULT);
         let row = Row::new(vec![Value::Int(1)]);
-        m.on_change(WorkerId(1), &cv(1, 1, ChangeOp::Update { slot: 0, row }), Scn(2));
-        m.on_commit(WorkerId(0), &commit(1, 3, Some(true)));
+        m.on_change(WorkerId(1), &cv(1, 1, ChangeOp::Update { slot: 0, row }));
+        m.on_commit(&commit(1, 3, Some(true)));
         assert_eq!(m.commit_table().len(), 1);
         let nodes = m.commit_table().chop(Scn(3));
         let anchor = nodes[0].anchor.as_ref().expect("anchor linked");
@@ -215,10 +203,10 @@ mod tests {
     #[test]
     fn flagged_clean_commits_skip_the_table() {
         let m = component();
-        m.on_commit(WorkerId(0), &commit(1, 3, Some(false)));
+        m.on_commit(&commit(1, 3, Some(false)));
         assert!(m.commit_table().is_empty(), "clean txn needs no flush work");
         // Without annotation the node must be kept (pessimistic).
-        m.on_commit(WorkerId(0), &commit(2, 4, None));
+        m.on_commit(&commit(2, 4, None));
         assert_eq!(m.commit_table().len(), 1);
     }
 
@@ -226,9 +214,9 @@ mod tests {
     fn abort_discards_journal_state() {
         let m = component();
         let row = Row::new(vec![Value::Int(1)]);
-        m.on_change(WorkerId(0), &cv(1, 1, ChangeOp::Insert { slot: 0, row }), Scn(2));
+        m.on_change(WorkerId(0), &cv(1, 1, ChangeOp::Insert { slot: 0, row }));
         assert_eq!(m.journal().len(), 1);
-        m.on_abort(WorkerId(0), TxnId(1), TenantId::DEFAULT);
+        m.on_abort(TxnId(1));
         assert!(m.journal().is_empty());
         assert_eq!(m.stats.aborts.load(Ordering::Relaxed), 1);
     }
@@ -241,7 +229,7 @@ mod tests {
             tenant: TenantId::DEFAULT,
             ddl: DdlKind::DropColumn { name: "x".into() },
         };
-        m.on_marker(WorkerId(0), &marker, Scn(9));
+        m.on_marker(&marker, Scn(9));
         assert_eq!(m.stats.markers.load(Ordering::Relaxed), 1);
     }
 }

@@ -24,9 +24,10 @@ use imadg_redo::{LogMerger, RedoPayload, RedoSource};
 use imadg_storage::Store;
 use parking_lot::Mutex;
 
-use crate::coordinator::{AdvanceHook, Coordinator};
+use crate::adg::DbimAdg;
+use crate::coordinator::Coordinator;
 use crate::dispatch::Dispatcher;
-use crate::observer::{ApplyObserver, CoopHelper};
+use crate::flush::InvalidationFlush;
 use crate::progress::Progress;
 use crate::worker::{work_queue, Worker};
 
@@ -51,48 +52,23 @@ pub struct MediaRecovery {
 }
 
 impl MediaRecovery {
-    /// Assemble the pipeline.
+    /// Assemble the pipeline, reporting into the merger/apply/flush stages
+    /// and trace ring of `registry`.
     ///
     /// * `receivers` — one [`RedoSource`] per primary redo thread (RAC
     ///   streams): in-process channels, framed links, or TCP endpoints.
-    /// * `observers` — mining hooks fired by every worker.
-    /// * `coop` — cooperative-flush helper, or `None` when DBIM-on-ADG is
-    ///   disabled / cooperative flush is ablated.
-    /// * `hook` — the invalidation flush run during QuerySCN advancement.
+    /// * `adg` — the DBIM-on-ADG infrastructure every worker mines into and
+    ///   helps flush, or `None` for recovery without it.
+    /// * `advance_flush` — the invalidation flush the coordinator runs
+    ///   before each QuerySCN publish, or `None` when flushing happens
+    ///   elsewhere (MIRA's global advancement) or not at all.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         config: &RecoveryConfig,
         store: Arc<Store>,
-        receivers: Vec<Box<dyn RedoSource>>,
-        observers: Vec<Arc<dyn ApplyObserver>>,
-        coop: Option<Arc<dyn CoopHelper>>,
-        hook: Arc<dyn AdvanceHook>,
-        query_scn: Arc<QueryScnCell>,
-        quiesce: Arc<QuiesceLock>,
-    ) -> Result<Arc<MediaRecovery>> {
-        Self::with_metrics(
-            config,
-            store,
-            receivers,
-            observers,
-            coop,
-            hook,
-            query_scn,
-            quiesce,
-            &MetricsRegistry::default(),
-        )
-    }
-
-    /// Assemble the pipeline reporting into the merger/apply/flush stages
-    /// and trace ring of `registry`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_metrics(
-        config: &RecoveryConfig,
-        store: Arc<Store>,
         mut receivers: Vec<Box<dyn RedoSource>>,
-        observers: Vec<Arc<dyn ApplyObserver>>,
-        coop: Option<Arc<dyn CoopHelper>>,
-        hook: Arc<dyn AdvanceHook>,
+        adg: Option<Arc<DbimAdg>>,
+        advance_flush: Option<Arc<InvalidationFlush>>,
         query_scn: Arc<QueryScnCell>,
         quiesce: Arc<QuiesceLock>,
         registry: &MetricsRegistry,
@@ -108,24 +84,15 @@ impl MediaRecovery {
         for i in 0..config.workers {
             let (tx, rx) = work_queue();
             senders.push(tx);
-            let mut w = Worker::new(WorkerId(i as u16), rx, store.clone(), observers.clone());
-            w.set_metrics(registry.apply.clone());
-            w.set_staleness(registry.staleness.clone());
-            if let Some(h) = &coop {
-                if config.cooperative_flush {
-                    w.set_coop(h.clone(), 64, config.coop_flush_batch);
-                }
-            }
+            let w = Worker::new(WorkerId(i as u16), rx, store.clone(), adg.clone(), registry);
             workers.push(Arc::new(Mutex::new(w)));
         }
-        let coordinator = Arc::new(Coordinator::with_metrics(
+        let coordinator = Arc::new(Coordinator::new(
             progress.clone(),
             query_scn,
             quiesce,
-            hook,
-            registry.flush.clone(),
-            registry.staleness.clone(),
-            registry.trace.clone(),
+            advance_flush,
+            registry,
         ));
         Ok(Arc::new(MediaRecovery {
             receivers: Mutex::new(receivers),

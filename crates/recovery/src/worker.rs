@@ -1,19 +1,25 @@
 //! Recovery worker processes.
 //!
 //! Each worker owns a FIFO queue of work items dispatched to it by DBA hash
-//! (paper Fig. 3), applies them in SCN order, fires the mining observers,
-//! reports its progress, and periodically offers cooperative-flush help
-//! (§III.D.2).
+//! (paper Fig. 3), applies them in SCN order, hands each one to the mining
+//! component (§III.B), reports its progress, and periodically offers
+//! cooperative-flush help (§III.D.2).
 
 use std::sync::Arc;
 
 use crossbeam::channel::{Receiver, Sender, TryRecvError};
-use imadg_common::metrics::{ApplyMetrics, Counter as CvCounter};
-use imadg_common::{CpuAccount, Result, Scn, TenantId, TxnId, WorkerId};
+use imadg_common::metrics::{ApplyMetrics, Counter as CvCounter, StalenessTracker};
+use imadg_common::{CpuAccount, MetricsRegistry, Result, Scn, TenantId, TxnId, WorkerId};
 use imadg_redo::{CommitRecord, RedoMarker};
 use imadg_storage::{ChangeVector, Store};
 
-use crate::observer::{ApplyObserver, CoopHelper, NoopHelper};
+use crate::adg::DbimAdg;
+
+/// Items a worker applies between cooperative-flush visits.
+const COOP_CHECK_EVERY: usize = 64;
+/// Worklink nodes a worker flushes per cooperative visit before resuming
+/// redo apply (paper §III.D.2).
+const COOP_BUDGET: usize = 32;
 
 /// One unit of work on a worker queue.
 #[derive(Debug, Clone)]
@@ -47,8 +53,6 @@ pub enum WorkItem {
         scn: Scn,
         /// Aborting transaction.
         txn: TxnId,
-        /// Owning tenant.
-        tenant: TenantId,
     },
     /// Apply a DDL redo marker.
     Marker {
@@ -82,22 +86,19 @@ pub struct Worker {
     pub id: WorkerId,
     rx: Receiver<WorkItem>,
     store: Arc<Store>,
-    observers: Vec<Arc<dyn ApplyObserver>>,
-    helper: Arc<dyn CoopHelper>,
+    /// The DBIM-on-ADG infrastructure this worker mines into and helps
+    /// flush; `None` is recovery without it (the paper's baseline).
+    adg: Option<Arc<DbimAdg>>,
     /// Busy-time account (redo-apply CPU, §IV.C).
     pub cpu: CpuAccount,
-    /// How many items between cooperative-flush checks.
-    coop_check_every: usize,
-    /// Budget of worklink nodes flushed per cooperative visit.
-    coop_budget: usize,
     last_applied: Scn,
     applied_items: u64,
     /// Apply-stage metrics (shared item counter).
-    metrics: Option<Arc<ApplyMetrics>>,
+    metrics: Arc<ApplyMetrics>,
     /// This worker's CVs-applied counter from the registry.
-    cv_counter: Option<Arc<CvCounter>>,
-    /// Stamps the apply point of commit records, when attached.
-    staleness: Option<Arc<imadg_common::metrics::StalenessTracker>>,
+    cv_counter: Arc<CvCounter>,
+    /// Stamps the apply point of commit records.
+    staleness: Arc<StalenessTracker>,
 }
 
 /// Create the queue for one worker.
@@ -106,48 +107,27 @@ pub fn work_queue() -> (Sender<WorkItem>, Receiver<WorkItem>) {
 }
 
 impl Worker {
-    /// Build a worker over its queue.
+    /// Build a worker over its queue, reporting into the apply stage and
+    /// staleness tracker of `registry`.
     pub fn new(
         id: WorkerId,
         rx: Receiver<WorkItem>,
         store: Arc<Store>,
-        observers: Vec<Arc<dyn ApplyObserver>>,
+        adg: Option<Arc<DbimAdg>>,
+        registry: &MetricsRegistry,
     ) -> Worker {
         Worker {
             id,
             rx,
             store,
-            observers,
-            helper: Arc::new(NoopHelper),
+            adg,
             cpu: CpuAccount::new(),
-            coop_check_every: 64,
-            coop_budget: 32,
             last_applied: Scn::ZERO,
             applied_items: 0,
-            metrics: None,
-            cv_counter: None,
-            staleness: None,
+            metrics: registry.apply.clone(),
+            cv_counter: registry.apply.worker_counter(id.0 as usize),
+            staleness: registry.staleness.clone(),
         }
-    }
-
-    /// Record commit-record apply stamps into `tracker`.
-    pub fn set_staleness(&mut self, tracker: Arc<imadg_common::metrics::StalenessTracker>) {
-        self.staleness = Some(tracker);
-    }
-
-    /// Install the cooperative-flush helper (the invalidation flush
-    /// component) and its batching knobs.
-    pub fn set_coop(&mut self, helper: Arc<dyn CoopHelper>, check_every: usize, budget: usize) {
-        self.helper = helper;
-        self.coop_check_every = check_every.max(1);
-        self.coop_budget = budget.max(1);
-    }
-
-    /// Report applied items into a registry's apply stage, including this
-    /// worker's per-worker CV counter.
-    pub fn set_metrics(&mut self, metrics: Arc<ApplyMetrics>) {
-        self.cv_counter = Some(metrics.worker_counter(self.id.0 as usize));
-        self.metrics = Some(metrics);
     }
 
     /// SCN this worker has applied through.
@@ -175,49 +155,52 @@ impl Worker {
             };
             self.apply(item)?;
             n += 1;
-            if n.is_multiple_of(self.coop_check_every) {
+            if n.is_multiple_of(COOP_CHECK_EVERY) {
                 // Periodic cooperative-flush visit (paper §III.D.2).
-                self.helper.help_flush(self.coop_budget);
+                self.help_flush();
             }
         }
         // Offer help even when the queue is idle: a worklink may exist while
         // no new redo is flowing to this worker.
-        self.helper.help_flush(self.coop_budget);
+        self.help_flush();
         Ok(n)
+    }
+
+    fn help_flush(&self) {
+        if let Some(adg) = &self.adg {
+            adg.flush.help_flush(COOP_BUDGET);
+        }
     }
 
     fn apply(&mut self, item: WorkItem) -> Result<()> {
         let scn = item.scn();
         debug_assert!(scn >= self.last_applied, "worker queue must be SCN-ordered");
+        let mining = self.adg.as_ref().map(|a| &a.mining);
         match item {
             WorkItem::Change { scn, cv } => {
                 self.store.apply_cv(&cv, scn)?;
-                if let Some(c) = &self.cv_counter {
-                    c.inc();
-                }
-                for o in &self.observers {
-                    o.on_change(self.id, &cv, scn);
+                self.cv_counter.inc();
+                if let Some(m) = mining {
+                    m.on_change(self.id, &cv);
                 }
             }
-            WorkItem::Begin { scn, txn, tenant } => {
+            WorkItem::Begin { txn, tenant, .. } => {
                 self.store.txns().begin(txn);
-                for o in &self.observers {
-                    o.on_begin(self.id, txn, tenant, scn);
+                if let Some(m) = mining {
+                    m.on_begin(txn, tenant);
                 }
             }
             WorkItem::Commit { scn, record } => {
                 self.store.txns().commit(record.txn, record.commit_scn);
-                if let Some(t) = &self.staleness {
-                    t.on_apply(scn.0);
-                }
-                for o in &self.observers {
-                    o.on_commit(self.id, &record);
+                self.staleness.on_apply(scn.0);
+                if let Some(m) = mining {
+                    m.on_commit(&record);
                 }
             }
-            WorkItem::Abort { txn, tenant, .. } => {
+            WorkItem::Abort { txn, .. } => {
                 self.store.txns().abort(txn);
-                for o in &self.observers {
-                    o.on_abort(self.id, txn, tenant);
+                if let Some(m) = mining {
+                    m.on_abort(txn);
                 }
             }
             WorkItem::Marker { scn, marker } => {
@@ -229,17 +212,15 @@ impl Worker {
                     // Idempotent on replay after restart.
                     let _ = self.store.create_table(spec.clone());
                 }
-                for o in &self.observers {
-                    o.on_marker(self.id, &marker, scn);
+                if let Some(m) = mining {
+                    m.on_marker(&marker, scn);
                 }
             }
             WorkItem::Watermark(_) => {}
         }
         self.last_applied = self.last_applied.max(scn);
         self.applied_items += 1;
-        if let Some(m) = &self.metrics {
-            m.items_applied.inc();
-        }
+        self.metrics.items_applied.inc();
         Ok(())
     }
 }
@@ -247,9 +228,13 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imadg_common::{Dba, ObjectId};
+    use crate::commit_table::CommitNode;
+    use crate::flush::LocalFlushTarget;
+    use crate::worklink::Worklink;
+    use imadg_common::{Dba, ImcsConfig, ObjectId, ObjectSet};
+    use imadg_imcs::ImcsStore;
     use imadg_storage::{ChangeOp, ColumnType, Row, Schema, TableSpec, Value};
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::Ordering;
 
     fn store() -> Arc<Store> {
         let s = Arc::new(Store::new());
@@ -265,19 +250,30 @@ mod tests {
         s
     }
 
-    struct Counter(AtomicUsize);
-    impl ApplyObserver for Counter {
-        fn on_change(&self, _: WorkerId, _: &ChangeVector, _: Scn) {
-            self.0.fetch_add(1, Ordering::Relaxed);
-        }
+    /// DBIM-on-ADG over `store` with object 1 enabled for population.
+    fn adg(store: &Arc<Store>) -> Arc<DbimAdg> {
+        let enabled = Arc::new(ObjectSet::new());
+        enabled.enable(ObjectId(1));
+        Arc::new(
+            DbimAdg::new(
+                &ImcsConfig::default(),
+                1,
+                enabled,
+                store.clone(),
+                Arc::new(LocalFlushTarget::new(Arc::new(ImcsStore::new()))),
+                &MetricsRegistry::default(),
+            )
+            .unwrap(),
+        )
     }
 
     #[test]
-    fn applies_changes_and_fires_observers() {
+    fn applies_changes_and_mines_them() {
         let s = store();
+        let adg = adg(&s);
         let (tx, rx) = work_queue();
-        let counter = Arc::new(Counter(AtomicUsize::new(0)));
-        let mut w = Worker::new(WorkerId(0), rx, s.clone(), vec![counter.clone()]);
+        let mut w =
+            Worker::new(WorkerId(0), rx, s.clone(), Some(adg.clone()), &MetricsRegistry::default());
 
         let cv_fmt = ChangeVector {
             dba: Dba(1),
@@ -311,7 +307,11 @@ mod tests {
         let n = w.run_batch(usize::MAX).unwrap();
         assert_eq!(n, 5);
         assert_eq!(w.applied_through(), Scn(9));
-        assert_eq!(counter.0.load(Ordering::Relaxed), 2);
+        // Both CVs were sniffed; the Format CV carries no row, so the
+        // journal holds the insert's one record, linked from the commit.
+        assert_eq!(adg.mining.stats.sniffed.load(Ordering::Relaxed), 2);
+        assert_eq!(adg.journal.total_records(), 1);
+        assert_eq!(adg.commit_table.len(), 1);
         assert_eq!(
             s.fetch_by_key(ObjectId(1), 7, Scn(4), None).unwrap().unwrap().1[0],
             Value::Int(7)
@@ -322,7 +322,7 @@ mod tests {
     fn batch_limit_respected() {
         let s = store();
         let (tx, rx) = work_queue();
-        let mut w = Worker::new(WorkerId(0), rx, s, vec![]);
+        let mut w = Worker::new(WorkerId(0), rx, s, None, &MetricsRegistry::default());
         for i in 1..=10u64 {
             tx.send(WorkItem::Watermark(Scn(i))).unwrap();
         }
@@ -333,26 +333,30 @@ mod tests {
         assert_eq!(w.applied_items(), 10);
     }
 
-    struct HelpCounter(AtomicUsize);
-    impl CoopHelper for HelpCounter {
-        fn help_flush(&self, _b: usize) -> usize {
-            self.0.fetch_add(1, Ordering::Relaxed);
-            0
-        }
-    }
-
     #[test]
     fn cooperative_help_offered() {
         let s = store();
+        let adg = adg(&s);
+        // A live worklink of 100 nodes, as the coordinator installs it
+        // while an advancement is in flight.
+        let nodes = (0..100)
+            .map(|t| CommitNode {
+                txn: TxnId(t),
+                tenant: TenantId::DEFAULT,
+                commit_scn: Scn(t + 1),
+                modified_inmemory: Some(false),
+                anchor: None,
+            })
+            .collect();
+        *adg.flush.current.write() = Some(Arc::new(Worklink::new(nodes)));
         let (tx, rx) = work_queue();
-        let mut w = Worker::new(WorkerId(0), rx, s, vec![]);
-        let h = Arc::new(HelpCounter(AtomicUsize::new(0)));
-        w.set_coop(h.clone(), 2, 4);
-        for i in 1..=5u64 {
+        let mut w = Worker::new(WorkerId(0), rx, s, Some(adg.clone()), &MetricsRegistry::default());
+        for i in 1..=COOP_CHECK_EVERY as u64 {
             tx.send(WorkItem::Watermark(Scn(i))).unwrap();
         }
         w.run_batch(usize::MAX).unwrap();
-        // Checks at items 2 and 4, plus the end-of-batch offer.
-        assert_eq!(h.0.load(Ordering::Relaxed), 3);
+        // One visit after item 64 and one at the end of the batch.
+        assert_eq!(adg.flush.stats.coop_flushed.load(Ordering::Relaxed), 2 * COOP_BUDGET as u64);
+        assert_eq!(adg.flush.stats.flushed_txns.load(Ordering::Relaxed), 2 * COOP_BUDGET as u64);
     }
 }

@@ -6,9 +6,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use imadg_common::{
-    ObjectId, QueryScnCell, QuiesceLock, RecoveryConfig, RedoThreadId, Scn, ScnService, TenantId,
+    MetricsRegistry, ObjectId, QueryScnCell, QuiesceLock, RecoveryConfig, RedoThreadId, Scn,
+    ScnService, TenantId,
 };
-use imadg_recovery::{MediaRecovery, NoopAdvanceHook};
+use imadg_recovery::MediaRecovery;
 use imadg_redo::{redo_link, LogBuffer, Shipper};
 use imadg_storage::{ColumnType, DbaAllocator, Schema, Store, TableSpec, Value};
 use imadg_txn::{InMemoryRegistry, LockTable, TxnIdService, TxnManager};
@@ -60,14 +61,14 @@ fn harness(workers: usize) -> Harness {
 
     let (sender, receiver) = redo_link(Duration::ZERO);
     let recovery = MediaRecovery::new(
-        &RecoveryConfig { workers, ..Default::default() },
+        &RecoveryConfig { workers },
         standby_store.clone(),
         vec![Box::new(receiver) as Box<dyn imadg_redo::RedoSource>],
-        vec![],
         None,
-        Arc::new(NoopAdvanceHook),
+        None,
         Arc::new(QueryScnCell::new()),
         Arc::new(QuiesceLock::new()),
+        &MetricsRegistry::default(),
     )
     .unwrap();
 

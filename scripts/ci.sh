@@ -113,6 +113,14 @@ rm -rf "${TMPDIR:-/tmp}"/imadg-coldprop-*
 cargo test -p imadg-imcs --test cold_roundtrip -q
 cargo test -p imadg-db --test crash_recovery restart_repopulates_from_cold_tier -q
 
+# One-apply-crate gate: every invalidation reaches its flush target while
+# the published QuerySCN is still below its commit SCN (the coordinator
+# flushes before it publishes), and the baseline standby with DBIM-on-ADG
+# off (no mining, no flush) still answers scans from the row store.
+echo "==> flush before publish + DBIM-on-ADG-off baseline"
+cargo test -p imadg-recovery --lib flush_lands_before_publish -q
+cargo test -p imadg-db --test e2e without_dbim_standby_scans_row_store -q
+
 if [[ "$fast" == 0 ]]; then
     echo "==> cargo build --release"
     cargo build --workspace --release -q

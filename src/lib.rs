@@ -104,14 +104,12 @@
 //! | [`imadg_storage`] | MVCC row store, blocks, buffer cache, apply path |
 //! | [`imadg_redo`] | redo records, log buffers, shipping, log merger |
 //! | [`imadg_txn`] | primary transaction manager, row locks |
-//! | [`imadg_recovery`] | parallel redo apply, QuerySCN, quiesce |
+//! | [`imadg_recovery`] | parallel redo apply with mining, IM-ADG journal/commit table, invalidation flush, QuerySCN, RAC distribution |
 //! | [`imadg_imcs`] | IMCUs, SMUs, population, scan engine |
-//! | [`imadg_core`] | mining, IM-ADG journal/commit table, flush, RAC |
 //! | [`imadg_db`] | primary/standby clusters, placement, queries |
 //! | [`imadg_workload`] | the paper's OLTAP workload and reporting |
 
 pub use imadg_common as common;
-pub use imadg_core as core_adg;
 pub use imadg_db as db;
 pub use imadg_imcs as imcs;
 pub use imadg_net as net;
