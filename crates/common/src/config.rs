@@ -35,11 +35,6 @@ impl RecoveryConfig {
 pub struct ImcsConfig {
     /// Max rows packed into a single IMCU.
     pub imcu_max_rows: usize,
-    /// Number of hash buckets in the IM-ADG journal. Sized from the apply
-    /// parallelism to keep bucket-latch contention low (paper §III.C).
-    pub journal_buckets: usize,
-    /// Number of sorted partitions of the IM-ADG commit table (§III.D.1).
-    pub commit_table_partitions: usize,
     /// Fraction of invalid rows in an IMCU above which repopulation is
     /// triggered (repopulation heuristic, paper §II.B). Every journaled
     /// row costs each scan a row-store fetch, and a rebuild shares every
@@ -55,16 +50,6 @@ pub struct ImcsConfig {
     /// CPU to queries and redo apply — population is a background activity
     /// (paper §II.B). Microseconds; 0 disables.
     pub build_pause_micros: u64,
-    /// Whether the primary annotates commit records with the "modified an
-    /// in-memory object" flag (specialized redo generation, §III.E). When
-    /// off, a partially-mined transaction pessimistically triggers coarse
-    /// invalidation.
-    pub commit_flag_annotation: bool,
-    /// Parallel degree for scan/aggregate execution: per-unit scan tasks
-    /// fan out across this many query-scoped workers (paper §IV: the
-    /// standby's In-Memory Scan Engine parallelizes one query across
-    /// IMCUs). `1` = serial; `0` = one worker per available core.
-    pub scan_parallel_degree: usize,
     /// Memory budget for hot (in-DRAM) IMCUs, in approximate column-store
     /// bytes. When the hot tier exceeds the budget, the coldest units are
     /// evicted to the on-disk columnar tier (ROADMAP item 4; the paper's
@@ -81,13 +66,9 @@ impl Default for ImcsConfig {
     fn default() -> Self {
         ImcsConfig {
             imcu_max_rows: 2 * 1024,
-            journal_buckets: 128,
-            commit_table_partitions: 4,
             repopulate_threshold: 0.005,
             repopulate_min_scn_gap: 2000,
             build_pause_micros: 1000,
-            commit_flag_annotation: true,
-            scan_parallel_degree: 1,
             memory_budget_bytes: 0,
             cold_tier_dir: None,
         }
@@ -99,11 +80,6 @@ impl ImcsConfig {
     pub fn validate(&self) -> Result<()> {
         if self.imcu_max_rows == 0 {
             return Err(Error::Config("imcu_max_rows must be > 0".into()));
-        }
-        if self.journal_buckets == 0 || self.commit_table_partitions == 0 {
-            return Err(Error::Config(
-                "journal buckets / commit table partitions must be > 0".into(),
-            ));
         }
         if !(0.0..=1.0).contains(&self.repopulate_threshold) {
             return Err(Error::Config("repopulate_threshold must be in [0,1]".into()));
@@ -178,9 +154,6 @@ pub struct TransportConfig {
     pub latency: Duration,
     /// Max redo entries per shipped batch.
     pub batch: usize,
-    /// Batch size for RAC invalidation-group messages from the standby
-    /// master to non-master instances (paper §III.F).
-    pub invalidation_batch: usize,
     /// How redo travels to the standby.
     pub mode: LinkMode,
     /// Fault injection for framed links (`None` = clean link).
@@ -201,7 +174,6 @@ impl Default for TransportConfig {
         TransportConfig {
             latency: Duration::ZERO,
             batch: 512,
-            invalidation_batch: 64,
             mode: LinkMode::InProcess,
             faults: None,
             retained_window: 4096,
@@ -214,8 +186,8 @@ impl Default for TransportConfig {
 impl TransportConfig {
     /// Validate the knobs.
     pub fn validate(&self) -> Result<()> {
-        if self.batch == 0 || self.invalidation_batch == 0 {
-            return Err(Error::Config("transport batch sizes must be > 0".into()));
+        if self.batch == 0 {
+            return Err(Error::Config("transport batch size must be > 0".into()));
         }
         if self.retained_window == 0 {
             return Err(Error::Config("retained_window must be > 0".into()));
@@ -329,12 +301,6 @@ mod tests {
     #[test]
     fn bad_threshold_rejected() {
         let c = ImcsConfig { repopulate_threshold: 1.5, ..Default::default() };
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn zero_buckets_rejected() {
-        let c = ImcsConfig { journal_buckets: 0, ..Default::default() };
         assert!(c.validate().is_err());
     }
 

@@ -10,7 +10,7 @@
 //!   `role="standby"`) ride on every series.
 //! * **JSONL** ([`jsonl_line`]) — one self-contained JSON object per line
 //!   (`{"role": ..., "metrics": {...}}`), append-friendly for trajectory
-//!   files and trivially diffable with `metrics_dump --diff`.
+//!   files and diffable line by line.
 //!
 //! The walker is driven by the snapshot's own serde shape (its
 //! [`Content`] tree), so new counters added to any stage appear in both

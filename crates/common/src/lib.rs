@@ -3,13 +3,11 @@
 //! This crate deliberately has no dependency on the rest of the workspace:
 //! it defines the vocabulary the whole system speaks — [`Scn`] (database
 //! time), [`Dba`] (block addresses), object/transaction/tenant identifiers,
-//! the common [`Error`] type, configuration knobs, latency statistics, and
-//! the busy-time accounting used to reproduce the paper's CPU-transfer
-//! measurements.
+//! the common [`Error`] type, configuration knobs, latency statistics and
+//! the metrics registry every stage reports into.
 
 pub mod clock;
 pub mod config;
-pub mod cpu;
 pub mod envelope;
 pub mod error;
 pub mod export;
@@ -28,7 +26,6 @@ pub use config::{
     DurabilityConfig, FaultPlan, ImcsConfig, LinkMode, RecoveryConfig, SystemConfig,
     TransportConfig,
 };
-pub use cpu::{BusyTimer, CpuAccount, CpuReport};
 pub use error::{Error, Result};
 pub use export::{jsonl_line, prometheus_text};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};

@@ -17,7 +17,7 @@
 //!
 //! [`MetricsRegistry::snapshot`] projects everything into the plain-data,
 //! serde-serializable [`MetricsSnapshot`] — the single schema shared by
-//! `StandbyStatus`, the workload reports and the `exp_*` binaries.
+//! `StandbyStatus`, the exporters in [`crate::export`] and `benchmark/`.
 //!
 //! [`PipelineTrace`] is a bounded ring of [`TraceEvent`]s recording QuerySCN
 //! advancement (and other coarse stage transitions) for post-mortem
@@ -1580,8 +1580,8 @@ impl MetricsRegistry {
 }
 
 /// Point-in-time, serde-serializable projection of every pipeline stage.
-/// This is the one schema shared by `StandbyStatus`, workload reports and
-/// the experiment binaries.
+/// This is the one schema shared by `StandbyStatus`, the exporters and
+/// `benchmark/`.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Redo transport.

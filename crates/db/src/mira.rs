@@ -29,8 +29,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use imadg_common::{
-    CpuAccount, Error, InstanceId, MetricsRegistry, ObjectId, ObjectSet, QueryScnCell, QuiesceLock,
-    Result, Scn, SystemConfig,
+    Error, InstanceId, MetricsRegistry, ObjectId, ObjectSet, QueryScnCell, QuiesceLock, Result,
+    Scn, SystemConfig,
 };
 use imadg_imcs::{Filter, ImcsStore, PopulationEngine, PopulationReport, SnapshotSource};
 use imadg_recovery::{DbimAdg, HomeLocationMap, LocalFlushTarget, MediaRecovery};
@@ -55,8 +55,6 @@ pub struct MiraInstance {
     pub imcs: Arc<ImcsStore>,
     /// This instance's population engine (global-QuerySCN snapshots).
     pub population: Arc<PopulationEngine>,
-    /// Query busy time.
-    pub query_cpu: CpuAccount,
 }
 
 /// The demux: merged redo → per-instance streams.
@@ -174,13 +172,12 @@ impl MiraStandby {
             let imcs = Arc::new(ImcsStore::new());
             let metrics = MetricsRegistry::default();
             let adg = Arc::new(DbimAdg::new(
-                &config.imcs,
                 config.recovery.workers,
                 enabled.clone(),
                 store.clone(),
                 Arc::new(LocalFlushTarget::new(imcs.clone())),
                 &metrics,
-            )?);
+            ));
             // Local cell: published by the instance's own coordinator as
             // "applied through"; that coordinator flushes nothing — flushing
             // is deferred to the *global* advancement (see module docs).
@@ -212,7 +209,6 @@ impl MiraStandby {
                 local_scn,
                 imcs,
                 population: Arc::new(engine),
-                query_cpu: CpuAccount::new(),
             }));
         }
 
@@ -313,9 +309,8 @@ impl MiraStandby {
     /// Cluster-wide scan at the global QuerySCN.
     pub fn scan(&self, object: ObjectId, filter: &Filter) -> Result<QueryOutput> {
         let snapshot = self.current_query_scn()?;
-        let _t = self.instances[0].query_cpu.timer();
         let stores: Vec<Arc<ImcsStore>> = self.instances.iter().map(|i| i.imcs.clone()).collect();
         let req = QueryRequest::scan(object).filter(filter.clone());
-        run_query(&stores, &self.store, &req, snapshot, 1)
+        run_query(&stores, &self.store, &req, snapshot)
     }
 }

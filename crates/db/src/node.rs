@@ -105,8 +105,8 @@ impl Node {
     }
 
     /// This node's metrics as one self-contained JSONL record
-    /// (`{"role": ..., "metrics": {...}}`) — append to a trajectory file
-    /// and diff snapshots with `metrics_dump --diff`.
+    /// (`{"role": ..., "metrics": {...}}`) — append one per snapshot to a
+    /// trajectory file and diff them line by line.
     pub fn metrics_jsonl(&self) -> String {
         imadg_common::jsonl_line(self.role_label(), &self.metrics())
     }

@@ -5,8 +5,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use imadg_common::{
-    Clock, CpuAccount, ImcsConfig, InstanceId, MetricsRegistry, MetricsSnapshot, ObjectId, Result,
-    Runtime, Scn, ScnService, Stage, StageId, StageOutcome, TenantId, TransportConfig, WakeToken,
+    Clock, ImcsConfig, InstanceId, MetricsRegistry, MetricsSnapshot, ObjectId, Result, Runtime,
+    Scn, ScnService, Stage, StageId, StageOutcome, TenantId, TransportConfig, WakeToken,
 };
 use imadg_imcs::{ImcsStore, PopulationEngine, SnapshotSource};
 use imadg_redo::{LogBuffer, RedoSink, Shipper};
@@ -47,14 +47,8 @@ pub struct PrimaryInstance {
     pub imcs: Arc<ImcsStore>,
     /// This instance's population engine.
     pub population: Arc<PopulationEngine>,
-    /// Query busy time on this instance (CPU-transfer experiments).
-    pub query_cpu: CpuAccount,
-    /// DML busy time on this instance.
-    pub dml_cpu: CpuAccount,
     /// This instance's metrics registry (transport / population / scan).
     metrics: Arc<MetricsRegistry>,
-    /// Configured scan parallel degree (0 = one worker per core).
-    scan_degree: usize,
 }
 
 impl PrimaryInstance {
@@ -108,10 +102,7 @@ impl PrimaryInstance {
             sender,
             imcs,
             population: Arc::new(population),
-            query_cpu: CpuAccount::new(),
-            dml_cpu: CpuAccount::new(),
             metrics,
-            scan_degree: imcs_config.scan_parallel_degree,
         })
     }
 
@@ -156,13 +147,11 @@ impl PrimaryInstance {
     /// Execute a [`QueryRequest`] on this instance. Defaults to the
     /// current SCN when the request carries no explicit snapshot.
     pub fn query(&self, req: &QueryRequest) -> Result<QueryOutput> {
-        let _t = self.query_cpu.timer();
         execute_request(
             std::slice::from_ref(&self.imcs),
             &self.store,
             req,
             self.scns.current(),
-            self.scan_degree,
             &self.metrics.scan,
             &self.metrics.tier,
             &self.metrics.trace,
@@ -179,7 +168,6 @@ impl PrimaryInstance {
 
     /// Index fetch by identity key at the current SCN.
     pub fn fetch_by_key(&self, object: ObjectId, key: i64) -> Result<Option<(RowLoc, Row)>> {
-        let _t = self.query_cpu.timer();
         self.store.fetch_by_key(object, key, self.scns.current(), None)
     }
 
@@ -190,7 +178,6 @@ impl PrimaryInstance {
         tenant: TenantId,
         values: Vec<imadg_storage::Value>,
     ) -> Result<Scn> {
-        let _t = self.dml_cpu.timer();
         let mut tx = self.txm.begin(tenant);
         match self.txm.insert(&mut tx, object, values) {
             Ok(_) => Ok(self.txm.commit(tx)),
@@ -210,7 +197,6 @@ impl PrimaryInstance {
         column: &str,
         value: imadg_storage::Value,
     ) -> Result<Scn> {
-        let _t = self.dml_cpu.timer();
         let mut tx = self.txm.begin(tenant);
         match self.txm.update_column_by_key(&mut tx, object, key, column, value) {
             Ok(_) => Ok(self.txm.commit(tx)),

@@ -19,6 +19,11 @@ use imadg_imcs::{
 };
 use imadg_storage::{Row, Store};
 
+/// Scan parallel degree of a request that sets none: serial. A request's
+/// `.parallel(..)` fans its per-unit tasks out instead; `0` there means one
+/// worker per available core.
+const SCAN_PARALLEL_DEGREE: usize = 1;
+
 /// A declarative query against one object.
 ///
 /// Build with [`QueryRequest::scan`] and refine with the chained setters:
@@ -75,8 +80,8 @@ impl QueryRequest {
         self
     }
 
-    /// Override the instance's configured scan parallel degree for this
-    /// query (`1` = serial, `0` = one worker per available core).
+    /// Fan this query's per-unit scan tasks out across `degree` workers
+    /// (default `1` = serial, `0` = one worker per available core).
     pub fn parallel(mut self, degree: usize) -> Self {
         self.parallel = Some(degree);
         self
@@ -159,22 +164,17 @@ impl QueryOutput {
 /// Execute `req` against the given column stores and the row store,
 /// recording the execution into `metrics` and `trace`.
 ///
-/// `default_snapshot` is used when the request carries no explicit SCN;
-/// `default_degree` (the instance's configured scan parallel degree) when
-/// it carries no explicit `.parallel(..)` override. Degree `0` resolves to
-/// one worker per available core.
-#[allow(clippy::too_many_arguments)]
+/// `default_snapshot` is used when the request carries no explicit SCN.
 pub fn execute_request(
     imcs_stores: &[Arc<ImcsStore>],
     store: &Store,
     req: &QueryRequest,
     default_snapshot: Scn,
-    default_degree: usize,
     metrics: &ScanEngineMetrics,
     tier: &TierMetrics,
     trace: &PipelineTrace,
 ) -> Result<QueryOutput> {
-    let out = run_query(imcs_stores, store, req, default_snapshot, default_degree)?;
+    let out = run_query(imcs_stores, store, req, default_snapshot)?;
     record_execution(metrics, tier, &out);
     trace.record(
         TraceStage::Query,
@@ -195,13 +195,12 @@ pub(crate) fn run_query(
     store: &Store,
     req: &QueryRequest,
     default_snapshot: Scn,
-    default_degree: usize,
 ) -> Result<QueryOutput> {
     if req.expression.is_some() && !req.filter.terms.is_empty() {
         return Err(Error::Config("a query takes a filter or an expression, not both".into()));
     }
     let snapshot = req.snapshot.unwrap_or(default_snapshot);
-    let degree = imadg_imcs::parallel::resolve_degree(req.parallel.unwrap_or(default_degree));
+    let degree = imadg_imcs::parallel::resolve_degree(req.parallel.unwrap_or(SCAN_PARALLEL_DEGREE));
     let output = match &req.aggregate {
         Some(column) => Output::Aggregate(store.table(req.object)?.schema.read().ordinal(column)?),
         None => Output::Rows,

@@ -10,9 +10,9 @@ use std::time::Duration;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use imadg_common::{
-    Clock, Counter, CpuAccount, Error, ImcsConfig, InstanceId, LogHistogramSnapshot,
-    MetricsRegistry, MetricsSnapshot, ObjectId, ObjectSet, QueryScnCell, QuiesceLock, Result,
-    Runtime, RuntimeHealth, Scn, ScnService, Stage, StageOutcome, SystemConfig, ThreadedRuntime,
+    Clock, Counter, Error, ImcsConfig, InstanceId, LogHistogramSnapshot, MetricsRegistry,
+    MetricsSnapshot, ObjectId, ObjectSet, QueryScnCell, QuiesceLock, Result, Runtime,
+    RuntimeHealth, Scn, ScnService, Stage, StageOutcome, SystemConfig, ThreadedRuntime,
 };
 use imadg_imcs::{
     ColdTier, ImcsStore, PopulationEngine, PopulationReport, SnapshotSource, TierReport,
@@ -26,6 +26,10 @@ use imadg_storage::{Row, RowLoc, Store};
 use parking_lot::Mutex;
 
 use crate::query::{execute_request, QueryOutput, QueryRequest};
+
+/// Invalidation records per RAC invalidation-group message from the
+/// standby master to a non-master instance (paper §III.F).
+const INVALIDATION_BATCH: usize = 64;
 
 /// A point-in-time health snapshot of the standby (observability:
 /// `V$`-view-style counters an operator would watch).
@@ -98,8 +102,6 @@ pub struct StandbyInstance {
     pub imcs: Arc<ImcsStore>,
     /// This instance's population engine.
     pub population: Arc<PopulationEngine>,
-    /// Query busy time on this instance.
-    pub query_cpu: CpuAccount,
 }
 
 /// One named standby cluster of the reader farm.
@@ -136,8 +138,6 @@ pub struct StandbyCluster {
     home: HomeLocationMap,
     /// The cluster-wide metrics registry every pipeline stage reports into.
     metrics: Arc<MetricsRegistry>,
-    /// Configured scan parallel degree (0 = one worker per core).
-    scan_degree: usize,
     /// The IMCS configuration (tier engines are built from it lazily,
     /// once a cold-tier directory is known).
     imcs_config: ImcsConfig,
@@ -202,7 +202,7 @@ impl StandbyCluster {
                     home.clone(),
                     InstanceId::MASTER,
                     stores.clone(),
-                    config.transport.invalidation_batch,
+                    INVALIDATION_BATCH,
                     Duration::ZERO,
                 );
                 (Arc::new(t), eps)
@@ -210,13 +210,12 @@ impl StandbyCluster {
 
         let adg = if dbim_on_adg {
             Some(Arc::new(DbimAdg::new(
-                &config.imcs,
                 config.recovery.workers,
                 enabled.clone(),
                 store.clone(),
                 target,
                 &metrics,
-            )?))
+            )))
         } else {
             None
         };
@@ -250,7 +249,6 @@ impl StandbyCluster {
                 id,
                 imcs: stores[&id].clone(),
                 population: Arc::new(engine),
-                query_cpu: CpuAccount::new(),
             }));
         }
 
@@ -270,7 +268,6 @@ impl StandbyCluster {
             rac_endpoints,
             home,
             metrics,
-            scan_degree: config.imcs.scan_parallel_degree,
             imcs_config: config.imcs.clone(),
             tiers: Mutex::new(Vec::new()),
         });
@@ -509,14 +506,12 @@ impl StandbyCluster {
             Some(s) => s,
             None => self.current_query_scn()?,
         };
-        let _t = self.instances[0].query_cpu.timer();
         let stores: Vec<Arc<ImcsStore>> = self.instances.iter().map(|i| i.imcs.clone()).collect();
         execute_request(
             &stores,
             &self.store,
             req,
             snapshot,
-            self.scan_degree,
             &self.metrics.scan,
             &self.metrics.tier,
             &self.metrics.trace,
@@ -533,7 +528,6 @@ impl StandbyCluster {
     /// Index fetch by identity key at the published QuerySCN.
     pub fn fetch_by_key(&self, object: ObjectId, key: i64) -> Result<Option<(RowLoc, Row)>> {
         let snapshot = self.current_query_scn()?;
-        let _t = self.instances[0].query_cpu.timer();
         self.store.fetch_by_key(object, key, snapshot, None)
     }
 

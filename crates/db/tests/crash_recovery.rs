@@ -331,22 +331,21 @@ fn double_crash_still_converges() {
     assert_eq!(standby_state(&c), model, "double crash lost or duplicated commits");
 }
 
-/// Restart from the cold columnar tier (pinned seed): a memory-budgeted
-/// standby evicts every unit to disk, crashes hard, and the restart
-/// re-registers the surviving cold files from their footers *before* redo
-/// replays — so the column store is queryable without re-scanning the row
-/// store, bit-identical to the committed model, with footer pruning and
-/// cold reads visible in the tier metrics.
-#[test]
-fn restart_repopulates_from_cold_tier() {
-    let dir = Tmp::new("coldtier");
-    let c = cluster(durable_builder(&dir).memory_budget(1).tune(|s| {
-        s.imcs.imcu_max_rows = 32;
+/// Rows the cold-tier restart tests load, and rows per unit: three units.
+const TIERED_ROWS: i64 = 80;
+const TIERED_UNIT_ROWS: usize = 32;
+
+/// A durable standby whose whole column store sits in the cold tier (a
+/// 1-byte memory budget), loaded with [`TIERED_ROWS`] committed rows, and
+/// the model of those rows.
+fn cold_tiered_cluster(dir: &Tmp) -> (Arc<AdgCluster>, BTreeMap<i64, i64>) {
+    let c = cluster(durable_builder(dir).memory_budget(1).tune(|s| {
+        s.imcs.imcu_max_rows = TIERED_UNIT_ROWS;
         s.imcs.repopulate_min_scn_gap = 0;
     }));
     let p = c.primary();
     let mut model = BTreeMap::new();
-    for key in 0..80i64 {
+    for key in 0..TIERED_ROWS {
         p.insert_one(OBJ, TenantId::DEFAULT, vec![Value::Int(key), Value::Int(key % 9)]).unwrap();
         model.insert(key, key % 9);
         if key % 10 == 9 {
@@ -360,7 +359,19 @@ fn restart_repopulates_from_cold_tier() {
     let evicted = c.standby().tier_until_idle().unwrap().evicted;
     assert!(evicted >= 2, "expected multiple units evicted, got {evicted}");
     assert_eq!(standby_state(&c), model, "cold-tier scan diverged before the crash");
+    (c, model)
+}
 
+/// Restart from the cold columnar tier (pinned seed): a memory-budgeted
+/// standby evicts every unit to disk, crashes hard, and the restart
+/// re-registers the surviving cold files from their footers *before* redo
+/// replays — so the column store is queryable without re-scanning the row
+/// store, bit-identical to the committed model, with footer pruning and
+/// cold reads visible in the tier metrics.
+#[test]
+fn restart_repopulates_from_cold_tier() {
+    let dir = Tmp::new("coldtier");
+    let (c, model) = cold_tiered_cluster(&dir);
     c.crash_restart_standby(0).unwrap();
     // Instant re-population: the cold units are registered from footers at
     // restart time, before a single redo record replays.
@@ -385,9 +396,45 @@ fn restart_repopulates_from_cold_tier() {
     assert_eq!(out.count(), 16);
     let stats = out.stats.expect("imcs must serve the scan");
     assert!(stats.cold_read_units > 0, "cold units must serve the matching range: {stats:?}");
-    assert!(stats.cold_pruned_units > 0, "footer min-max must prune cold units: {stats:?}");
+    // Footer min-max pruning skips at least half the cold units the
+    // selective predicate could have read.
+    let cold = stats.cold_pruned_units + stats.cold_read_units;
+    assert!(
+        stats.cold_pruned_units * 2 >= cold,
+        "footer min-max must prune at least half the cold units: {stats:?}"
+    );
     let tier = c.standby().metrics().tier;
     assert!(tier.tier_cold_reads > 0 && tier.tier_pruned_units > 0, "tier counters: {tier:?}");
+}
+
+/// Restart from the cold tier re-registers every unit from its footer, so
+/// the first full scan after it is answered without building a unit. The
+/// same restart with the tier directory wiped must rebuild every unit
+/// from the row store. Both answer the model's rows.
+#[test]
+fn cold_tier_restart_builds_no_units() {
+    for wipe in [false, true] {
+        let dir = Tmp::seeded("coldrestart", wipe as u64);
+        let (c, model) = cold_tiered_cluster(&dir);
+        if wipe {
+            for entry in std::fs::read_dir(&dir.0).unwrap() {
+                let coldstore = entry.unwrap().path().join("coldstore");
+                if coldstore.is_dir() {
+                    std::fs::remove_dir_all(coldstore).unwrap();
+                }
+            }
+        }
+        c.crash_restart_standby(0).unwrap();
+        c.sync().unwrap();
+        assert_eq!(standby_state(&c), model, "restart (tier wiped: {wipe}) lost commits");
+        let built = c.standby().metrics().population.imcus_built;
+        if wipe {
+            let units = (TIERED_ROWS as usize).div_ceil(TIERED_UNIT_ROWS) as u64;
+            assert!(built >= units, "a wiped tier must rebuild all {units} units, built {built}");
+        } else {
+            assert_eq!(built, 0, "restart from the cold tier built units");
+        }
+    }
 }
 
 /// The acceptance fault mix for promotion runs: 5% drop, 2% duplicate,

@@ -1,14 +1,15 @@
 //! E2e tests of the metrics/tracing layer and the unified query API:
 //! record conservation across the pipeline after a full sync, serde
-//! round-trips of the snapshot, and `query()` parity with a row-store
-//! oracle.
+//! round-trips of the snapshot, well-formed Prometheus and JSONL
+//! exposition, and `query()` parity with a row-store oracle.
 
 use std::sync::Arc;
 
 use imadg_db::{
-    AdgCluster, ColumnType, Filter, MetricsSnapshot, NodeBuilder, ObjectId, Placement, Predicate,
-    QueryRequest, Schema, Scn, TableSpec, TenantId, TraceStage, Value,
+    AdgCluster, ColumnType, Filter, MetricsSnapshot, NodeBuilder, NodeRole, ObjectId, Placement,
+    Predicate, QueryRequest, Schema, Scn, TableSpec, TenantId, TraceStage, Value,
 };
+use serde::{Content, Deserialize};
 
 const OBJ: ObjectId = ObjectId(100);
 const ROW_OBJ: ObjectId = ObjectId(101);
@@ -136,6 +137,90 @@ fn metrics_snapshot_round_trips_through_serde() {
     // The trace ring recorded both the advancement and the queries.
     assert!(snap.trace.iter().any(|e| e.stage == TraceStage::Advance));
     assert!(snap.trace.iter().any(|e| e.stage == TraceStage::Query));
+}
+
+/// One parsed JSONL exposition record.
+#[derive(Deserialize)]
+struct JsonlRecord {
+    role: String,
+    metrics: MetricsSnapshot,
+}
+
+/// Visit every leaf of a serialized metrics tree with its dotted path.
+fn walk_leaves(path: &str, c: &Content, visit: &mut dyn FnMut(&str, &Content)) {
+    match c {
+        Content::Map(fields) => {
+            for (k, v) in fields {
+                walk_leaves(&format!("{path}.{k}"), v, visit);
+            }
+        }
+        Content::Seq(items) => {
+            for (i, item) in items.iter().enumerate() {
+                walk_leaves(&format!("{path}[{i}]"), item, visit);
+            }
+        }
+        leaf => visit(path, leaf),
+    }
+}
+
+/// Both export formats of a live two-role deployment that ran DML and a
+/// scan are well formed: every Prometheus sample line is a valid metric
+/// name with a finite, non-negative value; every JSONL record round-trips
+/// through serde_json byte for byte; and no numeric leaf, histogram
+/// buckets included, is negative or NaN.
+#[test]
+fn live_exposition_is_well_formed() {
+    let c = cluster();
+    seed(&c, OBJ, 0, 256);
+    for k in 0..16 {
+        c.primary().update_one(OBJ, TenantId::DEFAULT, k, "n1", Value::Int(999)).unwrap();
+    }
+    c.sync().unwrap();
+    let out = c.standby().query(&QueryRequest::scan(OBJ).filter(Filter::all())).unwrap();
+    assert_eq!(out.count(), 256);
+
+    for role in [NodeRole::Primary, NodeRole::Standby] {
+        let node = c.node(role);
+        let text = node.metrics_prometheus();
+        let mut samples = 0;
+        for line in text.lines().filter(|l| !l.starts_with('#') && !l.trim().is_empty()) {
+            let (series, value) =
+                line.rsplit_once(' ').unwrap_or_else(|| panic!("sample has no value: {line}"));
+            let name = series.split('{').next().unwrap_or("");
+            assert!(
+                !name.is_empty()
+                    && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+                    && !name.starts_with(|c: char| c.is_ascii_digit()),
+                "bad metric name: {line}"
+            );
+            let v: f64 = value.parse().unwrap_or_else(|e| panic!("{e}: {line}"));
+            assert!(v.is_finite() && v >= 0.0, "sample must be finite and non-negative: {line}");
+            samples += 1;
+        }
+        assert!(samples > 100, "{role:?} exposed only {samples} samples");
+
+        let line = node.metrics_jsonl();
+        assert!(!line.contains('\n'), "a JSONL record is one line");
+        let record: JsonlRecord = serde_json::from_str(&line)
+            .unwrap_or_else(|e| panic!("{role:?}: unparseable JSONL record: {e}"));
+        assert_eq!(record.role, if role == NodeRole::Primary { "primary" } else { "standby" });
+        assert_eq!(
+            imadg_common::jsonl_line(&record.role, &record.metrics),
+            line,
+            "{role:?}: the JSONL record must round-trip through serde_json"
+        );
+        let tree: Content = serde_json::from_str(&line).unwrap();
+        let mut leaves = 0;
+        walk_leaves(&record.role, &tree, &mut |path, leaf| {
+            match leaf {
+                Content::F64(v) => assert!(v.is_finite() && *v >= 0.0, "{path} = {v}"),
+                Content::I64(v) => panic!("{path} = {v} is negative"),
+                _ => {}
+            }
+            leaves += 1;
+        });
+        assert!(leaves > 100, "{role:?} serialized only {leaves} leaves");
+    }
 }
 
 #[test]

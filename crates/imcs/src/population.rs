@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use imadg_common::metrics::PopulationMetrics;
 use imadg_common::{
-    CpuAccount, Error, ImcsConfig, ObjectId, QueryScnCell, QuiesceLock, Result, Scn, ScnService,
+    Error, ImcsConfig, ObjectId, QueryScnCell, QuiesceLock, Result, Scn, ScnService,
 };
 use imadg_storage::Store;
 use parking_lot::RwLock;
@@ -106,8 +106,6 @@ pub struct PopulationEngine {
     /// RAC distribution filter: `Some(f)` restricts this instance to the
     /// blocks `f` maps to it (the home-location hashing scheme, §III.F).
     home_filter: Option<Arc<dyn Fn(imadg_common::Dba) -> bool + Send + Sync>>,
-    /// Population busy time (the extra standby CPU of Fig. 10).
-    pub cpu: CpuAccount,
     metrics: Arc<PopulationMetrics>,
 }
 
@@ -127,7 +125,6 @@ impl PopulationEngine {
             config,
             enabled: RwLock::new(HashSet::new()),
             home_filter: None,
-            cpu: CpuAccount::new(),
             metrics: Arc::default(),
         })
     }
@@ -170,7 +167,6 @@ impl PopulationEngine {
     /// One pass of the segment loader + population workers: populate
     /// uncovered block ranges and rebuild stale units.
     pub fn run_once(&self) -> Result<PopulationReport> {
-        let _t = self.cpu.timer();
         let mut report = PopulationReport::default();
         let enabled: Vec<ObjectId> = self.enabled.read().iter().copied().collect();
         for object in enabled {

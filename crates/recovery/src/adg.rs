@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use imadg_common::{ImcsConfig, MetricsRegistry, ObjectSet, Result};
+use imadg_common::{MetricsRegistry, ObjectSet};
 use imadg_storage::Store;
 
 use crate::commit_table::CommitTable;
@@ -15,6 +15,13 @@ use crate::ddl_table::DdlTable;
 use crate::flush::{FlushTarget, InvalidationFlush};
 use crate::journal::Journal;
 use crate::mining::MiningComponent;
+
+/// Hash buckets in the IM-ADG journal, sized from the apply parallelism to
+/// keep bucket-latch contention low (paper §III.C).
+const JOURNAL_BUCKETS: usize = 128;
+
+/// Sorted partitions of the IM-ADG commit table (§III.D.1).
+const COMMIT_TABLE_PARTITIONS: usize = 4;
 
 /// The wired DBIM-on-ADG infrastructure of a standby (master) instance.
 pub struct DbimAdg {
@@ -34,26 +41,20 @@ impl DbimAdg {
     /// Wire everything, reporting into the mining/journal/commit-table/flush
     /// stages of `registry`.
     ///
-    /// * `config` — journal bucket count, commit table partitions;
     /// * `workers` — recovery parallelism (sizes per-worker journal areas);
     /// * `enabled` — objects enabled for standby population (mining filter);
     /// * `store` — the standby's storage (dictionary replay);
     /// * `target` — local or RAC flush target.
     pub fn new(
-        config: &ImcsConfig,
         workers: usize,
         enabled: Arc<ObjectSet>,
         store: Arc<Store>,
         target: Arc<dyn FlushTarget>,
         registry: &MetricsRegistry,
-    ) -> Result<DbimAdg> {
-        config.validate()?;
-        let journal =
-            Arc::new(Journal::new(config.journal_buckets, workers, registry.journal.clone()));
-        let commit_table = Arc::new(CommitTable::new(
-            config.commit_table_partitions,
-            registry.commit_table.clone(),
-        ));
+    ) -> DbimAdg {
+        let journal = Arc::new(Journal::new(JOURNAL_BUCKETS, workers, registry.journal.clone()));
+        let commit_table =
+            Arc::new(CommitTable::new(COMMIT_TABLE_PARTITIONS, registry.commit_table.clone()));
         let ddl_table = Arc::new(DdlTable::new());
         let mining = Arc::new(MiningComponent::new(
             journal.clone(),
@@ -71,7 +72,7 @@ impl DbimAdg {
             enabled,
             registry.flush.clone(),
         ));
-        Ok(DbimAdg { journal, commit_table, ddl_table, mining, flush })
+        DbimAdg { journal, commit_table, ddl_table, mining, flush }
     }
 }
 
@@ -81,9 +82,8 @@ mod tests {
     use crate::flush::LocalFlushTarget;
     use imadg_imcs::ImcsStore;
 
-    fn adg(config: &ImcsConfig) -> Result<DbimAdg> {
+    fn adg() -> DbimAdg {
         DbimAdg::new(
-            config,
             4,
             Arc::new(ObjectSet::new()),
             Arc::new(Store::new()),
@@ -94,13 +94,8 @@ mod tests {
 
     #[test]
     fn wiring_shares_tables() {
-        let adg = adg(&ImcsConfig::default()).unwrap();
+        let adg = adg();
         assert!(Arc::ptr_eq(adg.mining.journal(), &adg.journal));
         assert!(Arc::ptr_eq(adg.mining.commit_table(), &adg.commit_table));
-    }
-
-    #[test]
-    fn bad_config_rejected() {
-        assert!(adg(&ImcsConfig { journal_buckets: 0, ..Default::default() }).is_err());
     }
 }

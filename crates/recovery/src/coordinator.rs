@@ -128,7 +128,7 @@ mod tests {
     use crate::adg::DbimAdg;
     use crate::flush::FlushTarget;
     use crate::invalidation::InvalidationGroup;
-    use imadg_common::{Dba, ImcsConfig, ObjectId, ObjectSet, TenantId, TxnId, WorkerId};
+    use imadg_common::{Dba, ObjectId, ObjectSet, TenantId, TxnId, WorkerId};
     use imadg_redo::CommitRecord;
     use imadg_storage::{ChangeOp, ChangeVector, Row, Store, Value};
 
@@ -189,15 +189,7 @@ mod tests {
         let enabled = Arc::new(ObjectSet::new());
         enabled.enable(ObjectId(1));
         let registry = MetricsRegistry::default();
-        let adg = DbimAdg::new(
-            &ImcsConfig::default(),
-            1,
-            enabled,
-            Arc::new(Store::new()),
-            target.clone(),
-            &registry,
-        )
-        .unwrap();
+        let adg = DbimAdg::new(1, enabled, Arc::new(Store::new()), target.clone(), &registry);
         // One single-row update per transaction, committed at `commit`.
         let mine = |txn: u64, commit: u64| {
             adg.mining.on_begin(TxnId(txn), TenantId::DEFAULT);

@@ -13,7 +13,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use imadg_common::metrics::FlushMetrics;
-use imadg_common::{CpuAccount, ObjectId, ObjectSet, Scn, TenantId};
+use imadg_common::{ObjectId, ObjectSet, Scn, TenantId};
 use imadg_imcs::ImcsStore;
 use imadg_redo::DdlKind;
 use imadg_storage::Store;
@@ -82,8 +82,6 @@ pub struct InvalidationFlush {
     pub(crate) current: RwLock<Option<Arc<Worklink>>>,
     /// Nodes the coordinator claims per loop iteration.
     coordinator_batch: usize,
-    /// Flush busy time charged to the coordinator path.
-    pub cpu: CpuAccount,
     /// Event counters (shared with the pipeline metrics registry).
     pub stats: Arc<FlushMetrics>,
 }
@@ -109,7 +107,6 @@ impl InvalidationFlush {
             enabled,
             current: RwLock::new(None),
             coordinator_batch: 32,
-            cpu: CpuAccount::new(),
             stats,
         }
     }
@@ -179,7 +176,6 @@ impl InvalidationFlush {
     /// coordinator calls this under the quiesce lock before publishing
     /// `target_scn`, and it returns only once the flush is complete.
     pub fn flush_for_advance(&self, target_scn: Scn) {
-        let _t = self.cpu.timer();
         // DDL first: definition changes at or below the new consistency
         // point take effect before any query can run at it.
         for (_scn, marker) in self.ddl_table.take_upto(target_scn) {

@@ -13,7 +13,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use imadg_common::metrics::MiningMetrics;
-use imadg_common::{CpuAccount, ObjectSet, Scn, TenantId, TxnId, WorkerId};
+use imadg_common::{ObjectSet, Scn, TenantId, TxnId, WorkerId};
 use imadg_redo::{CommitRecord, RedoMarker};
 use imadg_storage::{ChangeOp, ChangeVector};
 
@@ -29,8 +29,6 @@ pub struct MiningComponent {
     ddl_table: Arc<DdlTable>,
     /// Objects enabled for population into the standby's IMCS.
     enabled: Arc<ObjectSet>,
-    /// Mining busy time (part of the redo-apply overhead budget).
-    pub cpu: CpuAccount,
     /// Event counters (shared with the pipeline metrics registry).
     pub stats: Arc<MiningMetrics>,
 }
@@ -44,7 +42,7 @@ impl MiningComponent {
         enabled: Arc<ObjectSet>,
         stats: Arc<MiningMetrics>,
     ) -> MiningComponent {
-        MiningComponent { journal, commit_table, ddl_table, enabled, cpu: CpuAccount::new(), stats }
+        MiningComponent { journal, commit_table, ddl_table, enabled, stats }
     }
 
     /// The journal this component feeds.
@@ -59,7 +57,6 @@ impl MiningComponent {
 
     /// `worker` applied a data change vector.
     pub fn on_change(&self, worker: WorkerId, cv: &ChangeVector) {
-        let _t = self.cpu.timer();
         self.stats.sniffed.fetch_add(1, Ordering::Relaxed);
         if !self.enabled.is_enabled(cv.object) {
             return;
@@ -79,13 +76,11 @@ impl MiningComponent {
 
     /// A transaction-begin control record was applied.
     pub fn on_begin(&self, txn: TxnId, tenant: TenantId) {
-        let _t = self.cpu.timer();
         self.journal.anchor_or_create(txn, tenant).mark_begin();
     }
 
     /// A commit record was applied.
     pub fn on_commit(&self, record: &CommitRecord) {
-        let _t = self.cpu.timer();
         let anchor = self.journal.anchor(record.txn);
         // Skip transactions that provably touched nothing in-memory: the
         // specialized annotation says false AND nothing was mined. This is
@@ -106,7 +101,6 @@ impl MiningComponent {
 
     /// An abort record was applied.
     pub fn on_abort(&self, txn: TxnId) {
-        let _t = self.cpu.timer();
         if let Some(anchor) = self.journal.remove(txn) {
             self.stats.aborts.fetch_add(1, Ordering::Relaxed);
             self.stats
@@ -117,7 +111,6 @@ impl MiningComponent {
 
     /// A DDL redo marker was applied at `scn`.
     pub fn on_marker(&self, marker: &RedoMarker, scn: Scn) {
-        let _t = self.cpu.timer();
         self.ddl_table.insert(scn, Arc::new(marker.clone()));
         self.stats.markers.fetch_add(1, Ordering::Relaxed);
     }

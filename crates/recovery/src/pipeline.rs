@@ -17,8 +17,8 @@ use std::time::Duration;
 
 use imadg_common::metrics::{ApplyMetrics, MergerMetrics, RuntimeMetrics, StalenessTracker};
 use imadg_common::{
-    CpuAccount, MetricsRegistry, QueryScnCell, QuiesceLock, RecoveryConfig, Result, Runtime,
-    RuntimeHealth, Scn, Stage, StageId, StageOutcome, ThreadedRuntime, WorkerId,
+    MetricsRegistry, QueryScnCell, QuiesceLock, RecoveryConfig, Result, Runtime, RuntimeHealth,
+    Scn, Stage, StageId, StageOutcome, ThreadedRuntime, WorkerId,
 };
 use imadg_redo::{LogMerger, RedoPayload, RedoSource};
 use imadg_storage::Store;
@@ -43,8 +43,6 @@ pub struct MediaRecovery {
     workers: Vec<Arc<Mutex<Worker>>>,
     progress: Arc<Progress>,
     coordinator: Arc<Coordinator>,
-    /// Busy time of the ingest/merge/dispatch stage.
-    pub ingest_cpu: CpuAccount,
     merger_metrics: Arc<MergerMetrics>,
     apply_metrics: Arc<ApplyMetrics>,
     runtime_metrics: Arc<RuntimeMetrics>,
@@ -102,7 +100,6 @@ impl MediaRecovery {
             workers,
             progress,
             coordinator,
-            ingest_cpu: CpuAccount::new(),
             merger_metrics: registry.merger.clone(),
             apply_metrics: registry.apply.clone(),
             runtime_metrics: registry.runtime.clone(),
@@ -120,17 +117,11 @@ impl MediaRecovery {
         &self.progress
     }
 
-    /// Per-worker CPU accounts (apply busy time).
-    pub fn worker_cpu(&self) -> Vec<CpuAccount> {
-        self.workers.iter().map(|w| w.lock().cpu.clone()).collect()
-    }
-
     /// Ingest available redo from the transport into the merger and
     /// dispatch whatever became releasable. Returns items dispatched.
     /// Link protocol work performed while draining (ACKs, NAKs) is
     /// recorded and retrievable via [`MediaRecovery::take_protocol_activity`].
     pub fn ingest_once(&self) -> Result<usize> {
-        let _t = self.ingest_cpu.timer();
         let mut receivers = self.receivers.lock();
         let mut merger = self.merger.lock();
         for (i, rx) in receivers.iter_mut().enumerate() {

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use imadg_common::metrics::{ApplyMetrics, Counter as CvCounter, StalenessTracker};
-use imadg_common::{CpuAccount, MetricsRegistry, Result, Scn, TenantId, TxnId, WorkerId};
+use imadg_common::{MetricsRegistry, Result, Scn, TenantId, TxnId, WorkerId};
 use imadg_redo::{CommitRecord, RedoMarker};
 use imadg_storage::{ChangeVector, Store};
 
@@ -89,8 +89,6 @@ pub struct Worker {
     /// The DBIM-on-ADG infrastructure this worker mines into and helps
     /// flush; `None` is recovery without it (the paper's baseline).
     adg: Option<Arc<DbimAdg>>,
-    /// Busy-time account (redo-apply CPU, §IV.C).
-    pub cpu: CpuAccount,
     last_applied: Scn,
     applied_items: u64,
     /// Apply-stage metrics (shared item counter).
@@ -121,7 +119,6 @@ impl Worker {
             rx,
             store,
             adg,
-            cpu: CpuAccount::new(),
             last_applied: Scn::ZERO,
             applied_items: 0,
             metrics: registry.apply.clone(),
@@ -144,8 +141,6 @@ impl Worker {
     /// Progress is reported through the returned high-SCN; the caller (the
     /// pipeline) forwards it to the shared [`crate::Progress`] tracker.
     pub fn run_batch(&mut self, max: usize) -> Result<usize> {
-        let cpu = self.cpu.clone();
-        let _t = cpu.timer();
         let mut n = 0usize;
         while n < max {
             let item = match self.rx.try_recv() {
@@ -231,7 +226,7 @@ mod tests {
     use crate::commit_table::CommitNode;
     use crate::flush::LocalFlushTarget;
     use crate::worklink::Worklink;
-    use imadg_common::{Dba, ImcsConfig, ObjectId, ObjectSet};
+    use imadg_common::{Dba, ObjectId, ObjectSet};
     use imadg_imcs::ImcsStore;
     use imadg_storage::{ChangeOp, ColumnType, Row, Schema, TableSpec, Value};
     use std::sync::atomic::Ordering;
@@ -254,17 +249,13 @@ mod tests {
     fn adg(store: &Arc<Store>) -> Arc<DbimAdg> {
         let enabled = Arc::new(ObjectSet::new());
         enabled.enable(ObjectId(1));
-        Arc::new(
-            DbimAdg::new(
-                &ImcsConfig::default(),
-                1,
-                enabled,
-                store.clone(),
-                Arc::new(LocalFlushTarget::new(Arc::new(ImcsStore::new()))),
-                &MetricsRegistry::default(),
-            )
-            .unwrap(),
-        )
+        Arc::new(DbimAdg::new(
+            1,
+            enabled,
+            store.clone(),
+            Arc::new(LocalFlushTarget::new(Arc::new(ImcsStore::new()))),
+            &MetricsRegistry::default(),
+        ))
     }
 
     #[test]

@@ -107,7 +107,7 @@
 //! | [`imadg_recovery`] | parallel redo apply with mining, IM-ADG journal/commit table, invalidation flush, QuerySCN, RAC distribution |
 //! | [`imadg_imcs`] | IMCUs, SMUs, population, scan engine |
 //! | [`imadg_db`] | primary/standby clusters, placement, queries |
-//! | [`imadg_workload`] | the paper's OLTAP workload and reporting |
+//! | [`imadg_workload`] | the paper's OLTAP workload: wide table, Q1/Q2, op mixes |
 
 pub use imadg_common as common;
 pub use imadg_db as db;
@@ -131,5 +131,5 @@ pub mod prelude {
         QueryOutput, QueryRequest, RouteDecision, RouteTarget, Row, Schema, StandbyCluster,
         StandbySelector, StandbySpec, TableSpec, Value,
     };
-    pub use imadg_workload::{OltapConfig, OpMix, QueryId};
+    pub use imadg_workload::{OpMix, QueryId};
 }
