@@ -2,17 +2,12 @@
 //! primary, redo-maintained column store on the standby, queries at the
 //! QuerySCN.
 
-use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use imadg_db::{
-    AdgCluster, CmpOp, ColumnType, Error, Filter, NodeBuilder, ObjectId, Placement, Predicate,
+    AdgCluster, CmpOp, ColumnType, Filter, NodeBuilder, ObjectId, Placement, Predicate,
     QueryRequest, Schema, TableSpec, TenantId, Value,
 };
-use imadg_workload::{generate_row, load_wide_table, wide_table_spec, OpKind, OpMix};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 const OBJ: ObjectId = ObjectId(100);
 
@@ -460,68 +455,6 @@ fn threaded_cluster_converges_under_load() {
     let out = c.standby().query(&QueryRequest::scan(OBJ).filter(Filter::all())).unwrap();
     assert_eq!(out.count(), 200);
     drop(threads);
-}
-
-/// The paper's update+insert mix (§IV.A.2) runs from two paced clients on
-/// the primary while the threaded runtime ships and applies; afterwards the
-/// standby holds exactly the load plus every committed insert.
-#[test]
-fn insert_mix_grows_the_table_consistently() {
-    const WIDE: ObjectId = ObjectId(101);
-    const LOAD: usize = 1_000;
-    let c = AdgCluster::single().unwrap();
-    c.create_table(wide_table_spec(WIDE, 64)).unwrap();
-    c.set_placement(WIDE, Placement::StandbyOnly).unwrap();
-    load_wide_table(&c, WIDE, LOAD, 7).unwrap();
-    c.sync().unwrap();
-
-    let threads = c.start();
-    let next_key = AtomicI64::new(LOAD as i64);
-    let inserted = AtomicUsize::new(0);
-    let deadline = Instant::now() + Duration::from_millis(700);
-    std::thread::scope(|s| {
-        for t in 0..2u64 {
-            let (c, next_key, inserted) = (&c, &next_key, &inserted);
-            s.spawn(move || {
-                let p = c.primary();
-                let mix = OpMix::update_insert();
-                let mut rng = SmallRng::seed_from_u64(11 + t * 7919);
-                while Instant::now() < deadline {
-                    match mix.sample(&mut rng) {
-                        OpKind::Update => {
-                            let key = rng.gen_range(0..LOAD as i64);
-                            let col = format!("n{}", rng.gen_range(1..=2));
-                            let v = Value::Int(rng.gen_range(0..1_000));
-                            match p.update_one(WIDE, TenantId::DEFAULT, key, &col, v) {
-                                Ok(_) | Err(Error::WriteConflict { .. }) => {}
-                                Err(e) => panic!("update: {e}"),
-                            }
-                        }
-                        OpKind::Insert => {
-                            let row =
-                                generate_row(next_key.fetch_add(1, Ordering::Relaxed), &mut rng);
-                            p.insert_one(WIDE, TenantId::DEFAULT, row).unwrap();
-                            inserted.fetch_add(1, Ordering::Relaxed);
-                        }
-                        OpKind::Fetch => {
-                            p.fetch_by_key(WIDE, rng.gen_range(0..LOAD as i64)).unwrap();
-                        }
-                        OpKind::Scan => {
-                            c.standby().query(&QueryRequest::scan(WIDE)).unwrap();
-                        }
-                    }
-                    std::thread::sleep(Duration::from_micros(2_500));
-                }
-            });
-        }
-    });
-    drop(threads);
-
-    let inserted = inserted.into_inner();
-    assert!(inserted > 0, "the mix committed no insert");
-    c.sync().unwrap();
-    let total = c.standby().query(&QueryRequest::scan(WIDE).filter(Filter::all())).unwrap().count();
-    assert_eq!(total, LOAD + inserted, "standby rows = load + committed inserts");
 }
 
 #[test]

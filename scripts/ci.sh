@@ -135,7 +135,7 @@ cargo test -p imadg-db --test metrics_api live_exposition_is_well_formed -q
 # Convergence gate: after the paper's update+insert mix, the standby holds
 # exactly the load plus every committed insert.
 echo "==> insert mix converges on the standby"
-cargo test -p imadg-db --test e2e insert_mix_grows_the_table_consistently -q
+cargo test --test workload_driver insert_mix_grows_the_table_consistently -q
 
 # One-apply-crate gate: every invalidation reaches its flush target while
 # the published QuerySCN is still below its commit SCN (the coordinator
