@@ -88,15 +88,14 @@ impl ImcsConfig {
     }
 }
 
-/// How redo travels from a primary instance to the standby.
+/// How redo travels from a primary instance to the standby. Both modes
+/// run the same framed protocol: length-prefixed, checksummed,
+/// sequence-numbered frames with gap detection and NAK/retransmission.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LinkMode {
-    /// Lossless in-process channel (the original substitution; fastest).
+    /// Framed link over an in-process byte pipe. The [`FaultPlan`]
+    /// injects loss here; with no plan the link is perfect.
     #[default]
-    InProcess,
-    /// Framed link over an in-process byte pipe: length-prefixed,
-    /// checksummed, sequence-numbered frames with gap detection and
-    /// NAK/retransmission. The [`FaultPlan`] injects loss here.
     Framed,
     /// Framed link over a loopback TCP socket with heartbeat liveness and
     /// reconnect backoff (the paper's deployment shape, §I).
@@ -174,7 +173,7 @@ impl Default for TransportConfig {
         TransportConfig {
             latency: Duration::ZERO,
             batch: 512,
-            mode: LinkMode::InProcess,
+            mode: LinkMode::Framed,
             faults: None,
             retained_window: 4096,
             nak_retry_polls: 8,
@@ -197,11 +196,6 @@ impl TransportConfig {
         }
         if let Some(f) = &self.faults {
             f.validate()?;
-            if self.mode == LinkMode::InProcess {
-                return Err(Error::Config(
-                    "fault injection requires a framed link (mode Framed or Tcp)".into(),
-                ));
-            }
         }
         Ok(())
     }
@@ -271,14 +265,6 @@ impl SystemConfig {
                 "memory_budget_bytes requires cold_tier_dir or a durability dir".into(),
             ));
         }
-        if self.durability.enabled() && self.transport.mode == LinkMode::InProcess {
-            // Durable restart resumes the link at the fsynced sequence
-            // number; the in-process channel has no sequence numbers to
-            // resume from.
-            return Err(Error::Config(
-                "durability requires a framed link (mode Framed or Tcp)".into(),
-            ));
-        }
         Ok(())
     }
 }
@@ -305,17 +291,11 @@ mod tests {
     }
 
     #[test]
-    fn faults_on_inprocess_link_rejected() {
-        let mut c = TransportConfig { faults: Some(FaultPlan::default()), ..Default::default() };
-        assert!(c.validate().is_err());
-        c.mode = LinkMode::Framed;
-        c.validate().unwrap();
-    }
-
-    #[test]
     fn bad_fault_plan_rejected() {
-        let mut c = TransportConfig { mode: LinkMode::Framed, ..TransportConfig::default() };
-        c.faults = Some(FaultPlan { drop_per_mille: 1000, ..FaultPlan::default() });
+        let mut c = TransportConfig {
+            faults: Some(FaultPlan { drop_per_mille: 1000, ..FaultPlan::default() }),
+            ..TransportConfig::default()
+        };
         assert!(c.validate().is_err());
         c.faults =
             Some(FaultPlan { partition_every: 4, partition_ticks: 4, ..FaultPlan::default() });
@@ -326,15 +306,6 @@ mod tests {
     fn zero_retained_window_rejected() {
         let c = TransportConfig { retained_window: 0, ..Default::default() };
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn durability_on_inprocess_link_rejected() {
-        let mut c = SystemConfig::default();
-        c.durability.dir = Some("/tmp/imadg".into());
-        assert!(c.validate().is_err());
-        c.transport.mode = LinkMode::Framed;
-        c.validate().unwrap();
     }
 
     #[test]
@@ -358,7 +329,6 @@ mod tests {
         // A durability dir also satisfies the requirement.
         c.imcs.cold_tier_dir = None;
         c.durability.dir = Some("/tmp/imadg".into());
-        c.transport.mode = LinkMode::Framed;
         c.validate().unwrap();
     }
 

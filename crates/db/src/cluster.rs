@@ -15,7 +15,7 @@ use imadg_net::{build_fanout_link, FanoutLaneSpec};
 use imadg_redo::{DurableLog, LogBuffer, RedoSource, ReplaySource};
 use imadg_storage::{DbaAllocator, Store, TableSpec};
 use imadg_txn::{InMemoryRegistry, LockTable, TxnIdService, TxnManager};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
 
 use crate::placement::Placement;
@@ -120,9 +120,6 @@ pub struct AdgCluster {
     /// Objects enabled anywhere (commit-record annotation source).
     annotation: Arc<InMemoryRegistry>,
     placements: RwLock<HashMap<ObjectId, Placement>>,
-    /// Redo receivers parked during promotion: keeps the promoted
-    /// primary's outbound link alive with no standby attached.
-    detached: Mutex<Vec<Box<dyn RedoSource>>>,
 }
 
 impl AdgCluster {
@@ -177,7 +174,6 @@ impl AdgCluster {
                     None => None,
                 };
                 lanes.push(FanoutLaneSpec {
-                    name: spec.name.clone(),
                     faults: spec.faults.clone(),
                     // Decorrelate per-lane chaos streams: lane 0 keeps the
                     // historical per-thread seed, later lanes mix in their
@@ -188,7 +184,6 @@ impl AdgCluster {
                 });
             }
             let (sender, lane_rx) = build_fanout_link(
-                config.system.transport.mode,
                 thread,
                 &config.system.transport,
                 config.clock.clone(),
@@ -256,7 +251,6 @@ impl AdgCluster {
             standbys: RwLock::new(standbys),
             annotation,
             placements: RwLock::new(HashMap::new()),
-            detached: Mutex::new(Vec::new()),
         }))
     }
 
@@ -579,12 +573,12 @@ impl AdgCluster {
         let applied = best.recovery.applied_scn();
         let frozen_query_scn = best.query_scn.get();
 
-        // The old primary is gone; its instances and links go with it.
-        // Every standby's receivers are parked: no more redo will arrive
-        // on the old lanes.
+        // The old primary is gone; its instances and links go with it, and
+        // every standby's old receivers are dropped: no more redo will
+        // arrive on the old lanes.
         self.primaries.write().clear();
         for s in &standbys {
-            self.detached.lock().extend(s.recovery.take_receivers());
+            drop(s.recovery.take_receivers());
         }
         best.set_frozen(true);
 
@@ -619,44 +613,24 @@ impl AdgCluster {
         );
         txm.annotate_commits = self.config.commit_annotation;
 
-        // Survivors re-home: a fresh in-process fan-out link from the
-        // promoted primary, one lane per surviving standby. Sequences
-        // restart at 1 on clean lanes — terminal catch-up already landed
-        // every committed transaction ≤ applied on every survivor, so only
-        // new redo (SCNs past the promotion point) ships. With no
-        // survivors the link ships into a parked lane, keeping the
-        // shipper alive for a future re-attach.
+        // Survivors re-home: a fresh framed fan-out link from the promoted
+        // primary, one clean zero-latency lane per surviving standby, with
+        // no durable logs. Sequences restart at 1 — terminal catch-up
+        // already landed every committed transaction ≤ applied on every
+        // survivor, so only new redo (SCNs past the promotion point)
+        // ships. With no survivors the link has zero lanes: the shipper
+        // keeps running and nothing waits on an ACK.
         let survivors: Vec<usize> = (0..standbys.len()).filter(|&i| i != best_idx).collect();
         let mut rehome_cfg = self.config.system.transport.clone();
-        rehome_cfg.mode = imadg_common::LinkMode::InProcess;
+        rehome_cfg.mode = imadg_common::LinkMode::Framed;
         rehome_cfg.latency = std::time::Duration::ZERO;
         rehome_cfg.faults = None;
-        let lanes: Vec<FanoutLaneSpec> = if survivors.is_empty() {
-            vec![FanoutLaneSpec {
-                name: "parked".into(),
-                faults: None,
-                fault_seed: 0,
-                standby_log: None,
-            }]
-        } else {
-            survivors
-                .iter()
-                .map(|&i| FanoutLaneSpec {
-                    name: standbys[i].name().to_string(),
-                    faults: None,
-                    fault_seed: 0,
-                    standby_log: None,
-                })
-                .collect()
-        };
-        let (sender, mut lane_rx) = build_fanout_link(
-            imadg_common::LinkMode::InProcess,
-            thread,
-            &rehome_cfg,
-            self.config.clock.clone(),
-            None,
-            lanes,
-        )?;
+        let lanes: Vec<FanoutLaneSpec> = survivors
+            .iter()
+            .map(|_| FanoutLaneSpec { faults: None, fault_seed: 0, standby_log: None })
+            .collect();
+        let (sender, lane_rx) =
+            build_fanout_link(thread, &rehome_cfg, self.config.clock.clone(), None, lanes)?;
         let promoted = Arc::new(PrimaryInstance::new(
             InstanceId(0),
             store,
@@ -684,30 +658,26 @@ impl AdgCluster {
         // new lane (in-memory state restarts, like a standby restart; the
         // physical store persists).
         let mut rehomed = Vec::with_capacity(survivors.len());
-        if survivors.is_empty() {
-            self.detached.lock().push(lane_rx.remove(0));
-        } else {
-            let mut new_farm = standbys.clone();
-            for (lane, &idx) in survivors.iter().enumerate() {
-                let old = &standbys[idx];
-                // Drop the old in-memory pipeline; keep the datafiles.
-                let replacement = StandbyCluster::new(
-                    &self.config.system,
-                    old.store.clone(),
-                    vec![lane_rx.remove(0)],
-                    self.config.standby_instances,
-                    self.config.dbim_on_adg,
-                    &self.config.clock,
-                    old.name(),
-                    lane,
-                )?;
-                replacement.set_primary_scn_probe(scns.clone());
-                self.arm_standby(&replacement)?;
-                rehomed.push(old.name().to_string());
-                new_farm[idx] = replacement;
-            }
-            *self.standbys.write() = new_farm;
+        let mut new_farm = standbys.clone();
+        for ((lane, &idx), rx) in survivors.iter().enumerate().zip(lane_rx) {
+            let old = &standbys[idx];
+            // Drop the old in-memory pipeline; keep the datafiles.
+            let replacement = StandbyCluster::new(
+                &self.config.system,
+                old.store.clone(),
+                vec![rx],
+                self.config.standby_instances,
+                self.config.dbim_on_adg,
+                &self.config.clock,
+                old.name(),
+                lane,
+            )?;
+            replacement.set_primary_scn_probe(scns.clone());
+            self.arm_standby(&replacement)?;
+            rehomed.push(old.name().to_string());
+            new_farm[idx] = replacement;
         }
+        *self.standbys.write() = new_farm;
         Ok(PromotionReport {
             applied_scn: applied,
             resume_scn: Scn(applied.raw() + 1),

@@ -8,7 +8,6 @@
 //! the two sides.
 
 pub mod cluster;
-pub mod mira;
 pub mod node;
 pub mod placement;
 pub mod primary;
@@ -17,7 +16,6 @@ pub mod router;
 pub mod standby;
 
 pub use cluster::{AdgCluster, ClusterConfig, ClusterThreads, PromotionReport, StandbySpec};
-pub use mira::{MiraInstance, MiraStandby};
 pub use node::{Node, NodeBuilder, NodeRole};
 pub use placement::{Placement, StandbySelector};
 pub use primary::PrimaryInstance;

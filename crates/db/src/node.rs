@@ -158,8 +158,8 @@ pub struct NodeBuilder {
 }
 
 impl NodeBuilder {
-    /// A default single-primary, single-standby deployment over a lossless
-    /// in-process link.
+    /// A default single-primary, single-standby deployment over a clean
+    /// framed link (in-process pipes, no faults).
     pub fn new() -> NodeBuilder {
         NodeBuilder::default()
     }
@@ -489,10 +489,5 @@ mod tests {
         assert_eq!(c.system.durability.segment_max_bytes, 4096);
         assert_eq!(c.system.durability.dir.as_deref(), Some("/tmp/unused"));
         assert!(matches!(c.clock, imadg_common::Clock::Manual(_)));
-    }
-
-    #[test]
-    fn durability_over_inprocess_rejected() {
-        assert!(NodeBuilder::new().durability("/tmp/unused").build().is_err());
     }
 }

@@ -218,12 +218,6 @@ impl PrimaryInstance {
         Ok(removed)
     }
 
-    /// Wake `token` whenever this instance ships a batch (wires the
-    /// shipper to the standby's ingest stage across runtimes/sides).
-    pub fn set_send_waker(&self, token: WakeToken) {
-        self.sender.set_waker(token);
-    }
-
     /// Wake `token` whenever this instance ships a batch onto fan-out lane
     /// `lane` (wires the shipper to that standby's ingest stage).
     pub fn set_send_waker_for(&self, lane: usize, token: WakeToken) {

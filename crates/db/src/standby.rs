@@ -225,7 +225,6 @@ impl StandbyCluster {
             store.clone(),
             receivers,
             adg.clone(),
-            adg.as_ref().map(|a| a.flush.clone()),
             query_scn.clone(),
             quiesce.clone(),
             &metrics,

@@ -694,14 +694,14 @@ fn threaded_chaos_converges() {
 }
 
 /// Loopback-TCP parity: the same scripted workload over a real socket and
-/// over the in-process link converges to the same QuerySCN, table state,
-/// and apply-side counters. Frame-level counters (heartbeats, batches,
+/// over the framed in-process pipe converges to the same QuerySCN, table
+/// state, and apply-side counters. Frame-level counters (heartbeats, batches,
 /// advances) legitimately differ — wall-clock pacing decides how many
 /// heartbeats and service quanta run — so parity is asserted on the
 /// deterministic apply totals. Skips with a visible notice when the
 /// sandbox forbids sockets.
 #[test]
-fn tcp_loopback_matches_inprocess_link() {
+fn tcp_loopback_matches_framed_link() {
     let tcp_cluster = match NodeBuilder::new().link(LinkMode::Tcp).build() {
         Ok(c) => c,
         Err(e) => {
@@ -744,9 +744,9 @@ fn tcp_loopback_matches_inprocess_link() {
     };
 
     let over_tcp = run(&tcp_cluster);
-    let inprocess = cluster(NodeBuilder::new());
-    let baseline = run(&inprocess);
-    assert_eq!(over_tcp, baseline, "TCP and in-process links must converge identically");
+    let framed = cluster(NodeBuilder::new().link(LinkMode::Framed));
+    let baseline = run(&framed);
+    assert_eq!(over_tcp, baseline, "TCP and framed links must converge identically");
 
     // The socket path really carried the redo.
     let t = tcp_cluster.standby().metrics().transport;

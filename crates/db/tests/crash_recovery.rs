@@ -519,3 +519,35 @@ fn promoted_cluster_serves_both_roles_via_node() {
     let fresh = new_primary.query(&QueryRequest::scan(OBJ).filter(Filter::all())).unwrap();
     assert_eq!(fresh.count(), 20);
 }
+
+/// A single-standby promotion leaves no survivor, so the promoted primary
+/// ships into a zero-lane link. `sync` must still return: a lane that no
+/// standby ever ACKs would keep the sender pending, and `sync` would spin.
+#[test]
+fn sync_after_single_standby_promotion_returns() {
+    let dir = Tmp::new("promo-sync");
+    let c = cluster(durable_builder(&dir));
+    let p = c.primary();
+    for key in 0..10i64 {
+        p.insert_one(OBJ, TenantId::DEFAULT, vec![Value::Int(key), Value::Int(key)]).unwrap();
+    }
+    c.sync().unwrap();
+    let (new_primary, report) = c.node(NodeRole::Standby).promote().unwrap();
+    assert!(report.rehomed.is_empty(), "a one-standby farm has no survivor to re-home");
+
+    let p = c.primary();
+    for key in 100..105i64 {
+        p.insert_one(OBJ, TenantId::DEFAULT, vec![Value::Int(key), Value::Int(1)]).unwrap();
+    }
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let syncing = c.clone();
+    std::thread::spawn(move || {
+        let _ = done_tx.send(syncing.sync());
+    });
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("sync() after a single-standby promotion never returned")
+        .unwrap();
+    let out = new_primary.query(&QueryRequest::scan(OBJ).filter(Filter::all())).unwrap();
+    assert_eq!(out.count(), 15, "pre- and post-promotion rows on the new primary");
+}

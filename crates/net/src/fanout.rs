@@ -1,16 +1,16 @@
-//! Fan-out reliable sender: one primary redo thread → N standby lanes
-//! over **one shared retained-redo window**.
+//! The reliable sender: one primary redo thread → 0..N standby lanes over
+//! **one shared retained-redo window**. A single standby is a one-lane
+//! fan-out; a promoted primary with no surviving standby has zero lanes.
 //!
 //! Each lane is a private data/control pipe pair to one standby's
-//! [`crate::reliable::ReliableReceiver`]; the receiver side of the
-//! protocol (gap detection, coalesced NAKs, cumulative ACKs, Hello on
-//! restart) is reused unchanged, so every standby keeps fully independent
-//! ack/gap/NAK state. The sender side changes shape: sequence numbers and
-//! the retained batch window are shared across lanes — a frame becomes
-//! evictable only once **every** lane's cumulative ACK passes it, and the
-//! window stays bounded by `retained_window` regardless, with the durable
-//! wal/archive tiers backstopping any lane that falls behind the eviction
-//! horizon (exactly the single-link archive semantics, now per laggard).
+//! [`crate::reliable::ReliableReceiver`], so every standby keeps fully
+//! independent ack/gap/NAK state. The sender numbers every data frame
+//! with a per-thread sequence shared across lanes and retains sent
+//! batches for serving NAKs (modelling ADG gap resolution from
+//! online/archived redo logs). A frame becomes evictable once **every**
+//! lane's cumulative ACK passes it, and the window stays bounded by
+//! `retained_window` regardless: the durable wal/archive tiers backstop
+//! any lane that falls behind the eviction horizon.
 //!
 //! Per-lane protocol state (ACK position, ping pacing) is tracked
 //! independently, so a partitioned lane keeps being pinged and NAK-served
@@ -31,8 +31,6 @@ use crate::wire::{self, Frame};
 
 /// One standby's endpoint bundle inside the fan-out sender.
 pub struct FanoutLane {
-    /// The standby cluster name this lane feeds (diagnostics).
-    pub name: String,
     /// Outbound data pipe (possibly fault-injected).
     pub data_tx: Box<dyn FrameTx>,
     /// Inbound control pipe (ACK/NAK/Hello from this standby).
@@ -40,7 +38,6 @@ pub struct FanoutLane {
 }
 
 struct LaneState {
-    name: String,
     data_tx: Box<dyn FrameTx>,
     ctrl_rx: Box<dyn FrameRx>,
     /// Highest sequence cumulatively acknowledged by this lane's receiver.
@@ -66,9 +63,10 @@ struct FanoutState {
 
 impl FanoutState {
     /// Trim the shared window: only batches every lane has acked age out
-    /// on ACK; the hard cap in `send` bounds it against silent laggards.
+    /// (all of them with no lane attached); the hard cap in `send` bounds
+    /// it against silent laggards.
     fn trim_to_min_ack(&mut self) {
-        let min_ack = self.lanes.iter().map(|l| l.acked_through).min().unwrap_or(0);
+        let min_ack = self.lanes.iter().map(|l| l.acked_through).min().unwrap_or(u64::MAX);
         while self.retained.front().is_some_and(|&(seq, _)| seq <= min_ack) {
             self.retained.pop_front();
         }
@@ -84,8 +82,8 @@ pub struct FanoutSender {
 }
 
 impl FanoutSender {
-    /// Build the fan-out sender over `lanes` (one per standby cluster, in
-    /// standby order).
+    /// Build the sender over `lanes` (one per standby cluster, in standby
+    /// order; possibly none).
     pub fn new(
         thread: RedoThreadId,
         lanes: Vec<FanoutLane>,
@@ -101,7 +99,6 @@ impl FanoutSender {
                 lanes: lanes
                     .into_iter()
                     .map(|l| LaneState {
-                        name: l.name,
                         data_tx: l.data_tx,
                         ctrl_rx: l.ctrl_rx,
                         acked_through: 0,
@@ -115,10 +112,11 @@ impl FanoutSender {
         }
     }
 
-    /// Attach the shared primary-side durable log (see
-    /// [`crate::reliable::ReliableSender::set_durable_log`]): numbering
-    /// resumes past the durable position and each lane's receiver
-    /// Hello-rewinds to its own resume point.
+    /// Attach the shared primary-side durable log: sent batches are teed
+    /// to it and NAKs beyond the retained window are answered from its
+    /// wal/archive tiers. Numbering resumes just past the log's durable
+    /// position, so a restarted primary never reuses a sequence, and each
+    /// lane's receiver Hello-rewinds to its own resume point.
     pub fn set_durable_log(&self, log: Arc<DurableLog>) {
         let mut s = self.state.lock();
         let durable = log.durable_seq();
@@ -129,11 +127,6 @@ impl FanoutSender {
             }
         }
         s.durable = Some(log);
-    }
-
-    /// The lane names, in lane order.
-    pub fn lane_names(&self) -> Vec<String> {
-        self.state.lock().lanes.iter().map(|l| l.name.clone()).collect()
     }
 
     /// Serve `[from, to]` to lane `lane` from the shared retained window,
@@ -158,10 +151,13 @@ impl FanoutSender {
                     records: records.clone(),
                 }));
             }
+            // The window is sorted; past `to` nothing more can match.
             if seq > to {
                 break;
             }
         }
+        // Sequences below the retained window have aged out of memory —
+        // gap resolution falls back to the archived/wal tiers on disk.
         let mut archive_served = 0u64;
         if from < window_low {
             if let Some(log) = s.durable.clone() {
@@ -205,13 +201,17 @@ impl RedoSink for FanoutSender {
             // next `service` quantum.
             log.append_batch(seq, &records)?;
         }
+        let Some(last) = s.lanes.len().checked_sub(1) else { return Ok(()) };
         let frame =
             wire::encode(&Frame::Data { thread: self.thread, seq, retransmit: false, records });
-        for i in 0..s.lanes.len() {
+        for i in 0..last {
             s.metrics.frames_sent.inc();
             s.lanes[i].data_tx.send(frame.clone())?;
         }
-        Ok(())
+        // The last lane takes the encoded frame itself: a one-lane send
+        // copies nothing.
+        s.metrics.frames_sent.inc();
+        s.lanes[last].data_tx.send(frame)
     }
 
     fn service(&self) -> Result<bool> {
@@ -232,6 +232,7 @@ impl RedoSink for FanoutSender {
                     Frame::Ack { through, .. } => {
                         if through > s.lanes[i].acked_through {
                             s.lanes[i].acked_through = through;
+                            s.trim_to_min_ack();
                         }
                         s.lanes[i].idle_polls = 0;
                         progressed = true;
@@ -242,8 +243,11 @@ impl RedoSink for FanoutSender {
                         progressed = true;
                     }
                     Frame::Hello { next_seq: resume, .. } => {
-                        // A restarted lane receiver rewinds only its own
-                        // cumulative ACK; fresh lanes are untouched.
+                        // A restarted lane receiver announces its resume
+                        // position (just past its durable log): rewind only
+                        // its own cumulative ACK — its earlier ACKs no
+                        // longer stand — and re-serve the tail from the
+                        // window and archive. Fresh lanes are untouched.
                         if resume > 0 && resume <= s.lanes[i].acked_through {
                             s.lanes[i].acked_through = resume - 1;
                         }
@@ -254,6 +258,7 @@ impl RedoSink for FanoutSender {
                         s.lanes[i].idle_polls = 0;
                         progressed = true;
                     }
+                    // Data/Ping never travel on the control pipe.
                     _ => {}
                 }
             }
@@ -271,7 +276,6 @@ impl RedoSink for FanoutSender {
                 }
             }
         }
-        s.trim_to_min_ack();
         let durable = s.durable.clone();
         let mut medium_moved = false;
         for i in 0..s.lanes.len() {
@@ -279,6 +283,9 @@ impl RedoSink for FanoutSender {
         }
         drop(s);
         if let Some(log) = durable {
+            // Group commit: one fsync covers every batch sent since the
+            // last service quantum. The archiver quantum rides along,
+            // moving sealed segments to the archive tier.
             if log.sync_if_pending()? {
                 progressed = true;
             }
@@ -293,10 +300,6 @@ impl RedoSink for FanoutSender {
     fn pending(&self) -> bool {
         let s = self.state.lock();
         s.lanes.iter().any(|l| s.next_seq - 1 > l.acked_through || l.data_tx.in_flight())
-    }
-
-    fn set_waker(&self, token: WakeToken) {
-        self.set_lane_waker(0, token);
     }
 
     fn set_lane_waker(&self, lane: usize, token: WakeToken) {
@@ -341,14 +344,10 @@ mod tests {
     fn farm(n: usize, cfg: &TransportConfig) -> (FanoutSender, Vec<ReliableReceiver>) {
         let mut lanes = Vec::new();
         let mut receivers = Vec::new();
-        for i in 0..n {
+        for _ in 0..n {
             let (dtx, drx) = channel_pipe(Duration::ZERO, Clock::Real);
             let (ctx, crx) = channel_pipe(Duration::ZERO, Clock::Real);
-            lanes.push(FanoutLane {
-                name: format!("sb{i}"),
-                data_tx: Box::new(dtx),
-                ctrl_rx: Box::new(crx),
-            });
+            lanes.push(FanoutLane { data_tx: Box::new(dtx), ctrl_rx: Box::new(crx) });
             receivers.push(ReliableReceiver::new(
                 RedoThreadId(1),
                 Box::new(drx),
@@ -413,26 +412,63 @@ mod tests {
     }
 
     #[test]
+    fn retained_window_eviction_is_bounded() {
+        let cfg = TransportConfig { retained_window: 4, ..TransportConfig::default() };
+        let (tx, _rxs) = farm(1, &cfg);
+        for scn in 1..=10u64 {
+            tx.send(vec![rec(scn)]).unwrap();
+        }
+        assert_eq!(tx.state.lock().retained.len(), 4, "window stays bounded without ACKs");
+    }
+
+    /// Lane 1 restarts with an unsynced tail. Its Hello rewinds and
+    /// re-serves lane 1 alone — from the primary's archive, since both
+    /// lanes' ACKs already emptied the window — while lane 0's ACK stands.
+    #[test]
     fn per_lane_nak_is_served_independently() {
-        // Drop lane 1's first data frame by draining its pipe out-of-band
-        // is not possible with channel pipes; instead use the Hello path:
-        // lane 1 announces resume at 1 after the window advanced.
+        let base = std::env::temp_dir().join(format!("imadg-fanout-nak-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let open = |name: &str| Arc::new(DurableLog::open(base.join(name), 4 * 1024).unwrap());
         let cfg = TransportConfig { ping_idle_polls: 2, ..TransportConfig::default() };
         let (tx, mut rxs) = farm(2, &cfg);
+        tx.set_durable_log(open("p"));
+        let standby_logs = [open("s0"), open("s1")];
+        for (rx, log) in rxs.iter_mut().zip(&standby_logs) {
+            rx.set_durable_log(log.clone());
+        }
+        let seqs = |got: Vec<RedoRecord>| got.iter().map(|r| r.scn.0).collect::<Vec<_>>();
+
         for scn in 1..=5u64 {
             tx.send(vec![rec(scn)]).unwrap();
         }
-        assert_eq!(rxs[0].drain_ready().unwrap().len(), 5);
-        assert_eq!(rxs[1].drain_ready().unwrap().len(), 5);
+        for rx in &mut rxs {
+            assert_eq!(seqs(rx.drain_ready().unwrap()), (1..=5).collect::<Vec<_>>());
+            rx.durable_sync().unwrap();
+        }
         tx.service().unwrap();
-        assert!(!tx.pending());
-        // Lane 1 "restarts": Hello with resume=1 rewinds only lane 1.
+        for scn in 6..=8u64 {
+            tx.send(vec![rec(scn)]).unwrap();
+        }
+        for rx in &mut rxs {
+            assert_eq!(seqs(rx.drain_ready().unwrap()), vec![6, 7, 8]);
+        }
+        tx.service().unwrap();
+        assert!(!tx.pending(), "both lanes acked through 8");
+        assert_eq!(standby_logs[1].durable_seq(), 5, "lane 1 synced only 1..=5");
+
+        // Lane 1 crashes: its unsynced 6..=8 are gone, and it announces
+        // resume at 6.
         rxs[1].reset_for_restart().unwrap();
         tx.service().unwrap();
-        let replayed = rxs[1].drain_ready().unwrap();
-        // No durable log: reset_for_restart without one is a no-op, so
-        // nothing replays — but lane 0 must stay untouched either way.
-        assert!(rxs[0].drain_ready().unwrap().is_empty());
-        let _ = replayed;
+        assert_eq!(tx.state.lock().lanes[0].acked_through, 8, "lane 0's ACK stands");
+        assert_eq!(
+            seqs(rxs[1].drain_ready().unwrap()),
+            vec![6, 7, 8],
+            "lane 1 re-receives exactly what lies past its durable position"
+        );
+        assert!(rxs[0].drain_ready().unwrap().is_empty(), "lane 0 receives nothing");
+        tx.service().unwrap();
+        assert!(!tx.pending(), "lane 1's fresh ACK settles the sender");
+        let _ = std::fs::remove_dir_all(&base);
     }
 }

@@ -1,7 +1,6 @@
 //! Networked redo transport for the primary → standby link.
 //!
-//! This crate turns redo shipping into a real subsystem (retiring the
-//! DESIGN.md "lossless in-process channel" substitution):
+//! Every deployment ships redo over the framed link built here:
 //!
 //! * [`wire`] — length-prefixed, CRC-32-checksummed, sequence-numbered
 //!   frame format for redo batches and the gap-resolution control frames;
@@ -12,14 +11,15 @@
 //! * [`fault`] — a composable, seeded [`fault::FaultInjector`] medium
 //!   wrapper (drop / duplicate / reorder / delay / partition / carrier
 //!   drop) that replays bit-for-bit under the step scheduler;
-//! * [`reliable`] — gap detection, NAK/retransmission from a bounded
-//!   retained-redo window, cumulative ACKs, and liveness pings, producing
-//!   an exactly-once in-order [`imadg_redo::RedoSource`] no matter what
-//!   the medium does.
+//! * [`fanout`] — the one primary-side sender: sequence numbers, a
+//!   bounded retained-redo window shared by 0..N standby lanes, archive-
+//!   served NAKs, and per-lane liveness pings;
+//! * [`reliable`] — the standby-side receiver: gap detection, NAKs,
+//!   cumulative ACKs, producing an exactly-once in-order
+//!   [`imadg_redo::RedoSource`] no matter what the medium does.
 //!
-//! The [`framed_link`] / [`tcp_link`] constructors assemble the stack per
-//! [`LinkMode`]; `imadg-db`'s cluster wiring picks the mode from
-//! `TransportConfig`.
+//! [`build_fanout_link`] assembles the stack per [`LinkMode`];
+//! `imadg-db`'s cluster wiring picks the mode from `TransportConfig`.
 
 pub mod fanout;
 pub mod fault;
@@ -32,125 +32,21 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use imadg_common::config::{FaultPlan, LinkMode, TransportConfig};
-use imadg_common::{Clock, Error, RedoThreadId, Result};
-use imadg_redo::{redo_link_with_clock, DurableLog, FanoutSink, RedoSink, RedoSource};
+use imadg_common::{Clock, RedoThreadId, Result};
+use imadg_redo::{DurableLog, RedoSink, RedoSource};
 
 pub use fanout::{FanoutLane, FanoutSender};
 pub use fault::FaultInjector;
-pub use reliable::{ReliableReceiver, ReliableSender};
+pub use reliable::ReliableReceiver;
 pub use tcp::TcpLink;
 
-use crate::pipe::{channel_pipe, FrameTx};
+use crate::pipe::{channel_pipe, FrameRx, FrameTx};
 
-/// Per-link durable logs to attach at construction: the primary side tees
-/// shipped batches into its write-ahead + archive tiers (serving NAKs past
-/// the in-memory retained window), the standby side tees in-order
-/// deliveries so a crashed standby re-mines from disk.
-pub struct LinkDurability {
-    pub primary: Arc<DurableLog>,
-    pub standby: Arc<DurableLog>,
-}
-
-/// Build a framed link over in-process byte pipes: the full wire codec,
-/// sequencing, and gap-resolution protocol, minus the socket. The
-/// configured `FaultPlan` (if any) wraps the data path; control frames
-/// travel losslessly (NAK retries already cover control loss, and a clean
-/// control path keeps step-mode convergence bounded).
-pub fn framed_link(
-    thread: RedoThreadId,
-    cfg: &TransportConfig,
-    clock: Clock,
-    fault_seed: u64,
-) -> (ReliableSender, ReliableReceiver) {
-    let (data_tx, data_rx) = channel_pipe(cfg.latency, clock.clone());
-    let (ctrl_tx, ctrl_rx) = channel_pipe(Duration::ZERO, clock);
-    let data_tx: Box<dyn FrameTx> = match &cfg.faults {
-        Some(plan) => {
-            let mut plan = plan.clone();
-            // Decorrelate the per-link fault streams in multi-primary
-            // topologies while keeping the whole schedule seed-determined.
-            plan.seed ^= fault_seed;
-            Box::new(FaultInjector::new(Box::new(data_tx), plan))
-        }
-        None => Box::new(data_tx),
-    };
-    (
-        ReliableSender::new(thread, data_tx, Box::new(ctrl_rx), cfg),
-        ReliableReceiver::new(thread, Box::new(data_rx), Box::new(ctrl_tx), cfg),
-    )
-}
-
-/// Build a framed link over a loopback TCP socket. Fails when the sandbox
-/// forbids sockets; callers should surface a visible notice and fall back
-/// or skip. Fault injection composes here too (applied above the socket).
-pub fn tcp_link(
-    thread: RedoThreadId,
-    cfg: &TransportConfig,
-    fault_seed: u64,
-) -> Result<(ReliableSender, ReliableReceiver, Arc<TcpLink>)> {
-    let link = Arc::new(TcpLink::loopback(fault_seed)?);
-    let (data_tx, ctrl_rx) = link.primary_halves();
-    let (data_rx, ctrl_tx) = link.standby_halves();
-    let data_tx: Box<dyn FrameTx> = match &cfg.faults {
-        Some(plan) => {
-            let mut plan = plan.clone();
-            plan.seed ^= fault_seed;
-            Box::new(FaultInjector::new(Box::new(data_tx), plan))
-        }
-        None => Box::new(data_tx),
-    };
-    Ok((
-        ReliableSender::new(thread, data_tx, Box::new(ctrl_rx), cfg),
-        ReliableReceiver::new(thread, Box::new(data_rx), Box::new(ctrl_tx), cfg),
-        link,
-    ))
-}
-
-/// Build the configured link kind for one redo thread, boxed for the
-/// cluster wiring. TCP construction errors propagate so callers can skip
-/// with a notice when sockets are unavailable.
-pub fn build_link(
-    mode: LinkMode,
-    thread: RedoThreadId,
-    cfg: &TransportConfig,
-    clock: Clock,
-    fault_seed: u64,
-    durability: Option<LinkDurability>,
-) -> Result<(Box<dyn RedoSink>, Box<dyn RedoSource>)> {
-    if durability.is_some() && mode == LinkMode::InProcess {
-        return Err(Error::Config("durability requires a framed link (mode Framed or Tcp)".into()));
-    }
-    match mode {
-        LinkMode::InProcess => {
-            let (tx, rx) = redo_link_with_clock(cfg.latency, clock);
-            Ok((Box::new(tx), Box::new(rx)))
-        }
-        LinkMode::Framed => {
-            let (tx, mut rx) = framed_link(thread, cfg, clock, fault_seed);
-            if let Some(d) = durability {
-                tx.set_durable_log(d.primary);
-                rx.set_durable_log(d.standby);
-            }
-            Ok((Box::new(tx), Box::new(rx)))
-        }
-        LinkMode::Tcp => {
-            let (tx, mut rx, _link) = tcp_link(thread, cfg, fault_seed)?;
-            if let Some(d) = durability {
-                tx.set_durable_log(d.primary);
-                rx.set_durable_log(d.standby);
-            }
-            Ok((Box::new(tx), Box::new(rx)))
-        }
-    }
-}
-
-/// One standby's parameters for a fan-out link: its cluster name, an
-/// optional per-lane fault-plan override (a reader-farm chaos matrix
-/// faults one lane while the others stay clean), a decorrelation term for
-/// the seeded fault stream, and the lane's standby-side durable tee.
+/// One standby's parameters for a fan-out link: an optional per-lane
+/// fault-plan override (a reader-farm chaos matrix faults one lane while
+/// the others stay clean), a decorrelation term for the seeded fault
+/// stream, and the lane's standby-side durable tee.
 pub struct FanoutLaneSpec {
-    /// Standby cluster name.
-    pub name: String,
     /// Per-lane fault override; `None` inherits `TransportConfig::faults`.
     pub faults: Option<FaultPlan>,
     /// XORed into the fault-plan seed so each lane's chaos stream is
@@ -160,99 +56,60 @@ pub struct FanoutLaneSpec {
     pub standby_log: Option<Arc<DurableLog>>,
 }
 
-fn lane_data_tx(
-    data_tx: Box<dyn FrameTx>,
-    cfg: &TransportConfig,
-    spec: &FanoutLaneSpec,
-) -> Box<dyn FrameTx> {
-    match spec.faults.as_ref().or(cfg.faults.as_ref()) {
-        Some(plan) => {
-            let mut plan = plan.clone();
-            plan.seed ^= spec.fault_seed;
-            Box::new(FaultInjector::new(data_tx, plan))
-        }
-        None => data_tx,
-    }
-}
-
 /// A built fan-out link: the primary-side sink plus one source per lane,
 /// in lane order.
 pub type FanoutEndpoints = (Box<dyn RedoSink>, Vec<Box<dyn RedoSource>>);
 
 /// One lane's transport plumbing: data tx/rx plus the reverse control
 /// channel (ACK/NAK/Hello) tx/rx.
-type LanePipes =
-    (Box<dyn FrameTx>, Box<dyn pipe::FrameRx>, Box<dyn FrameTx>, Box<dyn pipe::FrameRx>);
+type LanePipes = (Box<dyn FrameTx>, Box<dyn FrameRx>, Box<dyn FrameTx>, Box<dyn FrameRx>);
 
-/// Build the configured link kind fanned out to `lanes` standbys: one
-/// [`RedoSink`] on the primary side, one [`RedoSource`] per lane in lane
-/// order. A single lane delegates to [`build_link`] — bit-identical
-/// behaviour (and fault schedules) to the pre-farm topology. Multi-lane
-/// framed/TCP links share one [`FanoutSender`] window; the in-process mode
-/// clones batches into per-lane lossless channels.
+/// Build the link kind `cfg.mode` names, fanned out to `lanes` standbys: one
+/// [`FanoutSender`] on the primary side, one [`ReliableReceiver`] per lane
+/// in lane order. The data path of each lane is wrapped in its fault plan
+/// (if any); control frames travel losslessly (NAK retries already cover
+/// control loss, and a clean control path keeps step-mode convergence
+/// bounded). TCP construction errors propagate so callers can skip with a
+/// notice when sockets are unavailable.
 pub fn build_fanout_link(
-    mode: LinkMode,
     thread: RedoThreadId,
     cfg: &TransportConfig,
     clock: Clock,
     primary_log: Option<Arc<DurableLog>>,
     lanes: Vec<FanoutLaneSpec>,
 ) -> Result<FanoutEndpoints> {
-    if lanes.is_empty() {
-        return Err(Error::Config("fan-out link needs at least one standby lane".into()));
-    }
-    if lanes.len() == 1 {
-        let spec = lanes.into_iter().next().expect("one lane");
-        let mut cfg1 = cfg.clone();
-        if spec.faults.is_some() {
-            cfg1.faults = spec.faults.clone();
-        }
-        let durability = match (primary_log, spec.standby_log) {
-            (Some(primary), Some(standby)) => Some(LinkDurability { primary, standby }),
-            _ => None,
-        };
-        let (tx, rx) = build_link(mode, thread, &cfg1, clock, spec.fault_seed, durability)?;
-        return Ok((tx, vec![rx]));
-    }
-    if mode == LinkMode::InProcess {
-        if primary_log.is_some() || lanes.iter().any(|l| l.standby_log.is_some()) {
-            return Err(Error::Config(
-                "durability requires a framed link (mode Framed or Tcp)".into(),
-            ));
-        }
-        let mut sinks: Vec<Box<dyn RedoSink>> = Vec::with_capacity(lanes.len());
-        let mut sources: Vec<Box<dyn RedoSource>> = Vec::with_capacity(lanes.len());
-        for _ in &lanes {
-            let (tx, rx) = redo_link_with_clock(cfg.latency, clock.clone());
-            sinks.push(Box::new(tx));
-            sources.push(Box::new(rx));
-        }
-        return Ok((Box::new(FanoutSink::new(sinks)), sources));
-    }
     let mut built = Vec::with_capacity(lanes.len());
     let mut sources: Vec<Box<dyn RedoSource>> = Vec::with_capacity(lanes.len());
-    for spec in &lanes {
-        let (data_tx, data_rx, ctrl_tx, ctrl_rx): LanePipes = match mode {
+    for spec in lanes {
+        let (data_tx, data_rx, ctrl_tx, ctrl_rx): LanePipes = match cfg.mode {
             LinkMode::Framed => {
                 let (dtx, drx) = channel_pipe(cfg.latency, clock.clone());
                 let (ctx, crx) = channel_pipe(Duration::ZERO, clock.clone());
                 (Box::new(dtx), Box::new(drx), Box::new(ctx), Box::new(crx))
             }
             LinkMode::Tcp => {
-                let link = Arc::new(TcpLink::loopback(spec.fault_seed)?);
+                let link = TcpLink::loopback(spec.fault_seed)?;
                 let (dtx, crx) = link.primary_halves();
                 let (drx, ctx) = link.standby_halves();
                 (Box::new(dtx), Box::new(drx), Box::new(ctx), Box::new(crx))
             }
-            LinkMode::InProcess => unreachable!("handled above"),
         };
-        let data_tx = lane_data_tx(data_tx, cfg, spec);
+        let data_tx: Box<dyn FrameTx> = match spec.faults.as_ref().or(cfg.faults.as_ref()) {
+            Some(plan) => {
+                let mut plan = plan.clone();
+                // Decorrelate the per-lane fault streams while keeping
+                // the whole schedule seed-determined.
+                plan.seed ^= spec.fault_seed;
+                Box::new(FaultInjector::new(data_tx, plan))
+            }
+            None => data_tx,
+        };
         let mut rx = ReliableReceiver::new(thread, data_rx, ctrl_tx, cfg);
-        if let Some(log) = &spec.standby_log {
-            rx.set_durable_log(log.clone());
+        if let Some(log) = spec.standby_log {
+            rx.set_durable_log(log);
         }
         sources.push(Box::new(rx));
-        built.push(FanoutLane { name: spec.name.clone(), data_tx, ctrl_rx });
+        built.push(FanoutLane { data_tx, ctrl_rx });
     }
     let tx = FanoutSender::new(thread, built, cfg);
     if let Some(log) = primary_log {
@@ -289,6 +146,19 @@ mod tests {
         }
     }
 
+    /// A one-lane framed link: the shape of every single-standby
+    /// deployment.
+    fn one_lane(
+        cfg: &TransportConfig,
+        primary_log: Option<Arc<DurableLog>>,
+        standby_log: Option<Arc<DurableLog>>,
+    ) -> (Box<dyn RedoSink>, Box<dyn RedoSource>) {
+        let lane = FanoutLaneSpec { faults: None, fault_seed: 0, standby_log };
+        let (tx, mut rxs) =
+            build_fanout_link(RedoThreadId(1), cfg, Clock::Real, primary_log, vec![lane]).unwrap();
+        (tx, rxs.remove(0))
+    }
+
     #[test]
     fn faulty_framed_link_converges_to_exact_delivery() {
         for seed in 0..8u64 {
@@ -299,7 +169,7 @@ mod tests {
                 ping_idle_polls: 8,
                 ..TransportConfig::default()
             };
-            let (tx, mut rx) = framed_link(RedoThreadId(1), &cfg, Clock::Real, seed);
+            let (tx, mut rx) = one_lane(&cfg, None, None);
             let m: Arc<TransportMetrics> = Arc::default();
             rx.bind_metrics(m.clone());
 
@@ -345,9 +215,7 @@ mod tests {
             ping_idle_polls: 4,
             ..TransportConfig::default()
         };
-        let (tx, mut rx) = framed_link(RedoThreadId(1), &cfg, Clock::Real, 7);
-        tx.set_durable_log(p_log.clone());
-        rx.set_durable_log(s_log.clone());
+        let (tx, mut rx) = one_lane(&cfg, Some(p_log.clone()), Some(s_log.clone()));
 
         let mut live = Vec::new();
         for scn in 1..=60u64 {
@@ -399,21 +267,13 @@ mod tests {
             };
             let lanes = (0..3)
                 .map(|i| FanoutLaneSpec {
-                    name: format!("sb{i}"),
                     faults: (i == 1).then(|| chaos_plan(seed)),
                     fault_seed: i as u64,
                     standby_log: None,
                 })
                 .collect();
-            let (tx, mut rxs) = build_fanout_link(
-                LinkMode::Framed,
-                RedoThreadId(1),
-                &cfg,
-                Clock::Real,
-                None,
-                lanes,
-            )
-            .unwrap();
+            let (tx, mut rxs) =
+                build_fanout_link(RedoThreadId(1), &cfg, Clock::Real, None, lanes).unwrap();
             let metrics: Vec<Arc<TransportMetrics>> = (0..3).map(|_| Arc::default()).collect();
             for (rx, m) in rxs.iter_mut().zip(&metrics) {
                 rx.bind_metrics(m.clone());
@@ -457,13 +317,31 @@ mod tests {
     }
 
     #[test]
-    fn build_link_constructs_every_mode() {
-        let cfg = TransportConfig::default();
-        build_link(LinkMode::InProcess, RedoThreadId(1), &cfg, Clock::Real, 0, None).unwrap();
-        build_link(LinkMode::Framed, RedoThreadId(1), &cfg, Clock::Real, 0, None).unwrap();
-        match build_link(LinkMode::Tcp, RedoThreadId(1), &cfg, Clock::Real, 0, None) {
-            Ok(_) => {}
+    fn fanout_link_constructs_every_mode() {
+        let lane = || vec![FanoutLaneSpec { faults: None, fault_seed: 0, standby_log: None }];
+        let framed = TransportConfig::default();
+        let built = build_fanout_link(RedoThreadId(1), &framed, Clock::Real, None, lane());
+        assert_eq!(built.unwrap().1.len(), 1);
+        let tcp = TransportConfig { mode: LinkMode::Tcp, ..TransportConfig::default() };
+        match build_fanout_link(RedoThreadId(1), &tcp, Clock::Real, None, lane()) {
+            Ok((_, rxs)) => assert_eq!(rxs.len(), 1),
             Err(_) => eprintln!("NOTICE: loopback sockets unavailable; TCP mode untested here"),
         }
+    }
+
+    /// A promoted primary with no surviving standby ships into zero lanes:
+    /// sends succeed, retain nothing, and the sender never reports pending
+    /// work (a pending sender would stall every `sync`).
+    #[test]
+    fn zero_lane_link_is_never_pending() {
+        let cfg = TransportConfig::default();
+        let (tx, rxs) =
+            build_fanout_link(RedoThreadId(1), &cfg, Clock::Real, None, vec![]).unwrap();
+        assert!(rxs.is_empty());
+        for scn in 1..=10u64 {
+            tx.send(vec![rec(scn)]).unwrap();
+            tx.service().unwrap();
+        }
+        assert!(!tx.pending());
     }
 }

@@ -1,12 +1,13 @@
 //! The reliable layer: exactly-once in-order redo over a lossy pipe.
 //!
-//! [`ReliableSender`] numbers every data frame with a per-link sequence and
-//! retains sent batches in a bounded window (modelling ADG gap resolution
-//! from online/archived redo logs). [`ReliableReceiver`] detects sequence
-//! gaps, NAKs them over the control pipe, buffers out-of-order frames, and
-//! releases records strictly in sequence order — so the log merger
-//! downstream can keep asserting per-thread SCN monotonicity no matter
-//! what the [`crate::fault::FaultInjector`] does underneath.
+//! The sender ([`crate::fanout::FanoutSender`]) numbers every data frame
+//! with a per-thread sequence and retains sent batches in a bounded window
+//! (modelling ADG gap resolution from online/archived redo logs).
+//! [`ReliableReceiver`] detects sequence gaps, NAKs them over the control
+//! pipe, buffers out-of-order frames, and releases records strictly in
+//! sequence order — so the log merger downstream can keep asserting
+//! per-thread SCN monotonicity no matter what the
+//! [`crate::fault::FaultInjector`] does underneath.
 //!
 //! Protocol summary (all frames defined in [`crate::wire`]):
 //!
@@ -20,264 +21,18 @@
 //! * `Ping` — primary → standby when frames stay unacknowledged with a
 //!   silent control path; recovers from lost ACKs.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
 
 use imadg_common::config::TransportConfig;
 use imadg_common::metrics::{DurabilityMetrics, TransportMetrics};
-use imadg_common::{RedoThreadId, Result, WakeToken};
+use imadg_common::{RedoThreadId, Result};
 use imadg_redo::record::RedoRecord;
-use imadg_redo::{DurableLog, RedoSink, RedoSource};
-use parking_lot::Mutex;
+use imadg_redo::{DurableLog, RedoSource};
 
 use crate::pipe::{FrameRx, FrameTx};
 use crate::wire::{self, Frame};
-
-struct SenderState {
-    /// Next unsent sequence number (sequences start at 1).
-    next_seq: u64,
-    /// Highest sequence cumulatively acknowledged by the receiver.
-    acked_through: u64,
-    /// Retained `(seq, records)` batches, oldest first, for serving NAKs.
-    retained: VecDeque<(u64, Vec<RedoRecord>)>,
-    /// Service calls since the last control frame while data is unacked.
-    idle_polls: u32,
-    metrics: Arc<TransportMetrics>,
-    /// Primary-side durable tee: every sent batch is appended here and
-    /// group-committed in `service`, so NAKs for sequences evicted from
-    /// the retained window can be served from disk.
-    durable: Option<Arc<DurableLog>>,
-    durability_metrics: Arc<DurabilityMetrics>,
-}
-
-/// Primary-side endpoint of a reliable framed link.
-pub struct ReliableSender {
-    thread: RedoThreadId,
-    data_tx: Box<dyn FrameTx>,
-    ctrl_rx: Mutex<Box<dyn FrameRx>>,
-    retained_window: usize,
-    ping_idle_polls: u32,
-    state: Mutex<SenderState>,
-}
-
-impl ReliableSender {
-    /// Build the sender half over a data pipe (outbound) and a control
-    /// pipe (inbound ACK/NAK).
-    pub fn new(
-        thread: RedoThreadId,
-        data_tx: Box<dyn FrameTx>,
-        ctrl_rx: Box<dyn FrameRx>,
-        cfg: &TransportConfig,
-    ) -> ReliableSender {
-        ReliableSender {
-            thread,
-            data_tx,
-            ctrl_rx: Mutex::new(ctrl_rx),
-            retained_window: cfg.retained_window.max(1),
-            ping_idle_polls: cfg.ping_idle_polls.max(1),
-            state: Mutex::new(SenderState {
-                next_seq: 1,
-                acked_through: 0,
-                retained: VecDeque::new(),
-                idle_polls: 0,
-                metrics: Arc::default(),
-                durable: None,
-                durability_metrics: Arc::default(),
-            }),
-        }
-    }
-
-    /// Attach a durable log: sent batches are teed to it and NAKs beyond
-    /// the retained window are answered from its wal/archive tiers. The
-    /// sender resumes numbering just past the log's durable position so a
-    /// restarted primary never reuses a sequence.
-    pub fn set_durable_log(&self, log: Arc<DurableLog>) {
-        let mut s = self.state.lock();
-        let durable = log.durable_seq();
-        if durable + 1 > s.next_seq {
-            s.next_seq = durable + 1;
-            s.acked_through = durable;
-        }
-        s.durable = Some(log);
-    }
-
-    /// Announce ourselves (used after a transport-level reconnect so the
-    /// receiver re-ACKs its cumulative position).
-    pub fn send_hello(&self) -> Result<()> {
-        let next_seq = self.state.lock().next_seq;
-        self.data_tx.send(wire::encode(&Frame::Hello { thread: self.thread, next_seq }))
-    }
-
-    fn serve_nak(&self, s: &mut SenderState, from: u64, to: u64) -> Result<bool> {
-        let mut served = false;
-        let mut window_low = u64::MAX;
-        for &(seq, ref records) in s.retained.iter() {
-            window_low = window_low.min(seq);
-            if seq >= from && seq <= to {
-                self.data_tx.send(wire::encode(&Frame::Data {
-                    thread: self.thread,
-                    seq,
-                    retransmit: true,
-                    records: records.clone(),
-                }))?;
-                s.metrics.retransmits.inc();
-                s.metrics.frames_sent.inc();
-                served = true;
-            }
-            // The window is sorted; past `to` nothing more can match.
-            if seq > to {
-                break;
-            }
-        }
-        // Sequences below the retained window have aged out of memory —
-        // gap resolution falls back to the archived/wal tiers on disk.
-        if from < window_low {
-            if let Some(log) = s.durable.clone() {
-                log.sync_if_pending()?;
-                for (seq, records) in log.read_range(from, to.min(window_low.saturating_sub(1)))? {
-                    self.data_tx.send(wire::encode(&Frame::Data {
-                        thread: self.thread,
-                        seq,
-                        retransmit: true,
-                        records,
-                    }))?;
-                    s.metrics.retransmits.inc();
-                    s.metrics.frames_sent.inc();
-                    s.durability_metrics.archive_retransmits.inc();
-                    served = true;
-                }
-            }
-        }
-        Ok(served)
-    }
-}
-
-impl RedoSink for ReliableSender {
-    fn send(&self, records: Vec<RedoRecord>) -> Result<()> {
-        let mut s = self.state.lock();
-        let seq = s.next_seq;
-        s.next_seq += 1;
-        s.retained.push_back((seq, records.clone()));
-        // Bounded retained-redo window: evicting is like an archived log
-        // ageing out — a NAK for it can no longer be served. The window
-        // default is far larger than any in-flight population, so an
-        // eviction only bites under extreme receiver silence.
-        while s.retained.len() > self.retained_window {
-            s.retained.pop_front();
-        }
-        if let Some(log) = &s.durable {
-            // Tee to the wal buffer; the fsync rides the next `service`
-            // quantum (group commit).
-            log.append_batch(seq, &records)?;
-        }
-        s.metrics.frames_sent.inc();
-        self.data_tx.send(wire::encode(&Frame::Data {
-            thread: self.thread,
-            seq,
-            retransmit: false,
-            records,
-        }))
-    }
-
-    fn service(&self) -> Result<bool> {
-        let mut progressed = false;
-        if self.data_tx.take_reconnected() {
-            // The medium re-established: announce ourselves so the
-            // receiver re-ACKs and the retained window resyncs.
-            self.send_hello()?;
-            progressed = true;
-        }
-        let frames = self.ctrl_rx.lock().recv_ready()?;
-        let mut s = self.state.lock();
-        for f in &frames {
-            match wire::decode(f)? {
-                Frame::Ack { through, .. } => {
-                    if through > s.acked_through {
-                        s.acked_through = through;
-                        while s.retained.front().is_some_and(|&(seq, _)| seq <= through) {
-                            s.retained.pop_front();
-                        }
-                    }
-                    s.idle_polls = 0;
-                    progressed = true;
-                }
-                Frame::Nak { from, to, .. } => {
-                    self.serve_nak(&mut s, from, to)?;
-                    s.idle_polls = 0;
-                    progressed = true;
-                }
-                Frame::Hello { next_seq: resume, .. } => {
-                    // A restarted receiver announces its resume position
-                    // (just past its durable log): rewind the cumulative
-                    // ACK and re-serve the tail from the retained window
-                    // and archive — its earlier ACKs no longer stand.
-                    if resume > 0 && resume <= s.acked_through {
-                        s.acked_through = resume - 1;
-                    }
-                    let last_sent = s.next_seq - 1;
-                    if resume <= last_sent {
-                        self.serve_nak(&mut s, resume, last_sent)?;
-                    }
-                    s.idle_polls = 0;
-                    progressed = true;
-                }
-                // Data/Ping never travel on the control pipe.
-                _ => {}
-            }
-        }
-        let unacked = s.next_seq - 1 > s.acked_through;
-        if unacked && frames.is_empty() {
-            s.idle_polls += 1;
-            if s.idle_polls >= self.ping_idle_polls {
-                // The control path has gone quiet with frames in flight:
-                // either our data or their ACK was lost. Probe; the
-                // receiver's ACK (or fresh NAK) restarts the exchange.
-                s.idle_polls = 0;
-                let next_seq = s.next_seq;
-                self.data_tx.send(wire::encode(&Frame::Ping { thread: self.thread, next_seq }))?;
-                s.metrics.link_pings.inc();
-                progressed = true;
-            }
-        }
-        let durable = s.durable.clone();
-        drop(s);
-        if let Some(log) = durable {
-            // Group commit: one fsync covers every batch sent since the
-            // last service quantum. The archiver quantum rides along,
-            // moving sealed segments to the archive tier.
-            if log.sync_if_pending()? {
-                progressed = true;
-            }
-            if log.archive_pending() {
-                log.archive_sealed()?;
-                progressed = true;
-            }
-        }
-        Ok(self.data_tx.service()? || progressed)
-    }
-
-    fn pending(&self) -> bool {
-        let s = self.state.lock();
-        s.next_seq - 1 > s.acked_through || self.data_tx.in_flight()
-    }
-
-    fn set_waker(&self, token: WakeToken) {
-        self.data_tx.set_waker(token);
-    }
-
-    fn bind_metrics(&self, metrics: Arc<TransportMetrics>) {
-        self.state.lock().metrics = metrics;
-    }
-
-    fn bind_durability_metrics(&self, metrics: Arc<DurabilityMetrics>) {
-        let mut s = self.state.lock();
-        if let Some(log) = &s.durable {
-            log.set_metrics(metrics.clone());
-        }
-        s.durability_metrics = metrics;
-    }
-}
 
 /// Standby-side endpoint of a reliable framed link.
 pub struct ReliableReceiver {
@@ -530,9 +285,13 @@ impl RedoSource for ReliableReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fanout::{FanoutLane, FanoutSender};
+    use crate::fault::FaultInjector;
     use crate::pipe::channel_pipe;
+    use imadg_common::config::FaultPlan;
     use imadg_common::{Clock, Scn};
     use imadg_redo::record::RedoPayload;
+    use imadg_redo::RedoSink;
 
     fn cfg() -> TransportConfig {
         TransportConfig { nak_retry_polls: 2, ping_idle_polls: 3, ..TransportConfig::default() }
@@ -547,15 +306,18 @@ mod tests {
         }
     }
 
-    /// A framed link over raw channel pipes, plus a handle to the data tx
-    /// so tests can drop/reorder frames by hand.
-    fn link() -> (ReliableSender, ReliableReceiver) {
-        let cfg = cfg();
+    /// A one-lane sender over the given data pipe and control receiver.
+    fn sender(data_tx: Box<dyn FrameTx>, ctrl_rx: Box<dyn FrameRx>) -> FanoutSender {
+        FanoutSender::new(RedoThreadId(1), vec![FanoutLane { data_tx, ctrl_rx }], &cfg())
+    }
+
+    /// A clean one-lane framed link over raw channel pipes.
+    fn link() -> (FanoutSender, ReliableReceiver) {
         let (dtx, drx) = channel_pipe(Duration::ZERO, Clock::Real);
         let (ctx, crx) = channel_pipe(Duration::ZERO, Clock::Real);
         (
-            ReliableSender::new(RedoThreadId(1), Box::new(dtx), Box::new(crx), &cfg),
-            ReliableReceiver::new(RedoThreadId(1), Box::new(drx), Box::new(ctx), &cfg),
+            sender(Box::new(dtx), Box::new(crx)),
+            ReliableReceiver::new(RedoThreadId(1), Box::new(drx), Box::new(ctx), &cfg()),
         )
     }
 
@@ -615,13 +377,8 @@ mod tests {
 
     #[test]
     fn lost_frame_recovers_via_nak_retransmit() {
-        // Wrap the data path in an injector that drops frame 2 exactly:
-        // deterministic seed chosen by probing the schedule below.
-        use crate::fault::FaultInjector;
-        use imadg_common::config::FaultPlan;
-
-        // Find a seed whose first ten ~50% drop decisions lose at least
-        // one frame: deterministic given the splitmix stream.
+        // Wrap the data path in an injector that drops ~50% of frames:
+        // across 64 seeds, every schedule of losses must recover.
         let cfg = cfg();
         for seed in 0..64 {
             let (dtx, drx) = channel_pipe(Duration::ZERO, Clock::Real);
@@ -630,7 +387,7 @@ mod tests {
                 Box::new(dtx),
                 FaultPlan { seed, drop_per_mille: 500, ..FaultPlan::default() },
             );
-            let tx = ReliableSender::new(RedoThreadId(1), Box::new(inj), Box::new(crx), &cfg);
+            let tx = sender(Box::new(inj), Box::new(crx));
             let mut rx = ReliableReceiver::new(RedoThreadId(1), Box::new(drx), Box::new(ctx), &cfg);
             let m: Arc<TransportMetrics> = Arc::default();
             rx.bind_metrics(m.clone());
@@ -667,16 +424,14 @@ mod tests {
     #[test]
     fn lost_ack_recovered_by_ping() {
         // A clean link, but the receiver's first ACK is consumed before
-        // the sender sees it: emulate by servicing the sender against an
-        // empty control pipe while the real ACK sits in a detached pipe.
-        // The sender's ping cadence must eventually re-elicit an ACK.
+        // the sender sees it: the sender services against a starved
+        // control pipe while the real ACK sits in a probe pipe. The
+        // sender's ping cadence must eventually re-elicit an ACK.
         let cfg = cfg();
         let (dtx, drx) = channel_pipe(Duration::ZERO, Clock::Real);
-        // Control pipe whose rx we give the sender only *after* losing the
-        // first ACK: ChannelRx::recv_ready into the void.
         let (ctx, mut crx_probe) = channel_pipe(Duration::ZERO, Clock::Real);
         let (_ctx2, crx_starved) = channel_pipe(Duration::ZERO, Clock::Real);
-        let tx = ReliableSender::new(RedoThreadId(1), Box::new(dtx), Box::new(crx_starved), &cfg);
+        let tx = sender(Box::new(dtx), Box::new(crx_starved));
         let mut rx = ReliableReceiver::new(RedoThreadId(1), Box::new(drx), Box::new(ctx), &cfg);
         let m: Arc<TransportMetrics> = Arc::default();
         tx.bind_metrics(m.clone());
@@ -693,18 +448,5 @@ mod tests {
         // The ping reaches the receiver, which re-ACKs.
         rx.drain_ready().unwrap();
         assert_eq!(crx_probe.recv_ready().unwrap().len(), 1, "ping re-elicited the ACK");
-    }
-
-    #[test]
-    fn retained_window_eviction_is_bounded() {
-        let cfg = TransportConfig { retained_window: 4, ..cfg() };
-        let (dtx, drx) = channel_pipe(Duration::ZERO, Clock::Real);
-        let (_ctx, crx) = channel_pipe(Duration::ZERO, Clock::Real);
-        let tx = ReliableSender::new(RedoThreadId(1), Box::new(dtx), Box::new(crx), &cfg);
-        for scn in 1..=10u64 {
-            tx.send(vec![rec(scn)]).unwrap();
-        }
-        assert_eq!(tx.state.lock().retained.len(), 4, "window stays bounded without ACKs");
-        drop(drx);
     }
 }

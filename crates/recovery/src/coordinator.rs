@@ -23,8 +23,7 @@ pub struct Coordinator {
     query_scn: Arc<QueryScnCell>,
     quiesce: Arc<QuiesceLock>,
     /// The invalidation flush run before each publish; `None` without
-    /// DBIM-on-ADG, and for MIRA's per-instance coordinators, whose
-    /// flush runs at the global advancement instead.
+    /// DBIM-on-ADG.
     flush: Option<Arc<InvalidationFlush>>,
     /// Latency of each advancement (flush + publish), for the ablation
     /// benches on cooperative flush (§III.D.2).

@@ -27,7 +27,6 @@ use parking_lot::Mutex;
 use crate::adg::DbimAdg;
 use crate::coordinator::Coordinator;
 use crate::dispatch::Dispatcher;
-use crate::flush::InvalidationFlush;
 use crate::progress::Progress;
 use crate::worker::{work_queue, Worker};
 
@@ -54,19 +53,15 @@ impl MediaRecovery {
     /// and trace ring of `registry`.
     ///
     /// * `receivers` — one [`RedoSource`] per primary redo thread (RAC
-    ///   streams): in-process channels, framed links, or TCP endpoints.
+    ///   streams): framed links over in-process pipes or TCP.
     /// * `adg` — the DBIM-on-ADG infrastructure every worker mines into and
-    ///   helps flush, or `None` for recovery without it.
-    /// * `advance_flush` — the invalidation flush the coordinator runs
-    ///   before each QuerySCN publish, or `None` when flushing happens
-    ///   elsewhere (MIRA's global advancement) or not at all.
-    #[allow(clippy::too_many_arguments)]
+    ///   helps flush, and whose invalidation flush the coordinator runs
+    ///   before each QuerySCN publish; `None` for recovery without it.
     pub fn new(
         config: &RecoveryConfig,
         store: Arc<Store>,
         mut receivers: Vec<Box<dyn RedoSource>>,
         adg: Option<Arc<DbimAdg>>,
-        advance_flush: Option<Arc<InvalidationFlush>>,
         query_scn: Arc<QueryScnCell>,
         quiesce: Arc<QuiesceLock>,
         registry: &MetricsRegistry,
@@ -89,7 +84,7 @@ impl MediaRecovery {
             progress.clone(),
             query_scn,
             quiesce,
-            advance_flush,
+            adg.as_ref().map(|a| a.flush.clone()),
             registry,
         ));
         Ok(Arc::new(MediaRecovery {

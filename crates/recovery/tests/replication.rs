@@ -2,26 +2,56 @@
 //! standby media recovery. Verifies that the standby's storage converges to
 //! the primary's and that QuerySCN semantics hold.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
 use imadg_common::{
-    MetricsRegistry, ObjectId, QueryScnCell, QuiesceLock, RecoveryConfig, RedoThreadId, Scn,
-    ScnService, TenantId,
+    MetricsRegistry, ObjectId, QueryScnCell, QuiesceLock, RecoveryConfig, RedoThreadId, Result,
+    Scn, ScnService, TenantId, WakeToken,
 };
 use imadg_recovery::MediaRecovery;
-use imadg_redo::{redo_link, LogBuffer, Shipper};
+use imadg_redo::{LogBuffer, RedoRecord, RedoSink, RedoSource, Shipper};
 use imadg_storage::{ColumnType, DbaAllocator, Schema, Store, TableSpec, Value};
 use imadg_txn::{InMemoryRegistry, LockTable, TxnIdService, TxnManager};
+use parking_lot::Mutex;
 
 const OBJ: ObjectId = ObjectId(1);
+
+/// A perfect link: one shared queue of shipped batches, sink and source
+/// at once. The framed protocol has its own suites; this one checks apply.
+#[derive(Clone, Default)]
+struct VecLink(Arc<Mutex<VecDeque<Vec<RedoRecord>>>>);
+
+impl RedoSink for VecLink {
+    fn send(&self, records: Vec<RedoRecord>) -> Result<()> {
+        self.0.lock().push_back(records);
+        Ok(())
+    }
+
+    fn set_lane_waker(&self, _lane: usize, _token: WakeToken) {}
+}
+
+impl RedoSource for VecLink {
+    fn drain_ready(&mut self) -> Result<Vec<RedoRecord>> {
+        Ok(self.0.lock().drain(..).flatten().collect())
+    }
+
+    fn transport_pending(&self) -> bool {
+        !self.0.lock().is_empty()
+    }
+
+    fn time_to_next(&self) -> Option<Duration> {
+        None
+    }
+}
 
 struct Harness {
     txm: TxnManager,
     scns: Arc<ScnService>,
     log: Arc<LogBuffer>,
     shipper: Shipper,
-    sender: imadg_redo::RedoSender,
+    sender: VecLink,
     standby_store: Arc<Store>,
     recovery: Arc<MediaRecovery>,
 }
@@ -59,12 +89,11 @@ fn harness(workers: usize) -> Harness {
         Arc::new(DbaAllocator::default()),
     );
 
-    let (sender, receiver) = redo_link(Duration::ZERO);
+    let sender = VecLink::default();
     let recovery = MediaRecovery::new(
         &RecoveryConfig { workers },
         standby_store.clone(),
-        vec![Box::new(receiver) as Box<dyn imadg_redo::RedoSource>],
-        None,
+        vec![Box::new(sender.clone()) as Box<dyn RedoSource>],
         None,
         Arc::new(QueryScnCell::new()),
         Arc::new(QuiesceLock::new()),

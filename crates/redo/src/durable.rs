@@ -461,6 +461,8 @@ impl RedoSource for ReplaySource {
 mod tests {
     use super::*;
     use crate::record::RedoPayload;
+    use crate::transport::tests::VecLink;
+    use crate::transport::RedoSink;
     use imadg_common::{RedoThreadId, Scn};
 
     fn rec(scn: u64) -> RedoRecord {
@@ -663,9 +665,9 @@ mod tests {
             log.append_batch(seq, &[rec(seq)]).unwrap();
         }
         log.sync_if_pending().unwrap();
-        let (live_tx, live_rx) = crate::transport::redo_link(Duration::ZERO);
-        live_tx.send(vec![rec(100)]).unwrap();
-        let mut src = ReplaySource::new(log.read_from(1).unwrap(), Box::new(live_rx));
+        let live = VecLink::default();
+        live.send(vec![rec(100)]).unwrap();
+        let mut src = ReplaySource::new(log.read_from(1).unwrap(), Box::new(live));
         assert!(src.transport_pending());
         let replayed = src.drain_ready().unwrap();
         assert_eq!(replayed.iter().map(|r| r.scn.0).collect::<Vec<_>>(), vec![1, 2, 3]);

@@ -3,8 +3,9 @@
 //! Change vectors are defined by `imadg-storage`; this crate wraps them in
 //! redo records with transaction control information (begin / commit /
 //! abort), DDL redo markers, per-thread log buffers with latched SCN
-//! allocation, the shipping transport with simulated network latency, and
-//! the standby-side SCN-ordered log merger (paper §II.A, §III.E, §III.G).
+//! allocation, the link traits and shipper (the framed link itself lives
+//! in `imadg-net`), the durable redo log, and the standby-side SCN-ordered
+//! log merger (paper §II.A, §III.E, §III.G).
 
 pub mod codec;
 pub mod durable;
@@ -19,7 +20,4 @@ pub use log_buffer::{LogBuffer, LogStats};
 pub use marker::{DdlKind, RedoMarker};
 pub use merger::LogMerger;
 pub use record::{CommitRecord, RedoPayload, RedoRecord};
-pub use transport::{
-    redo_link, redo_link_with_clock, FanoutSink, RedoReceiver, RedoSender, RedoSink, RedoSource,
-    Shipper,
-};
+pub use transport::{RedoSink, RedoSource, Shipper};

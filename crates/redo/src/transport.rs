@@ -2,23 +2,18 @@
 //!
 //! The paper's primary ships redo over TCP/IP to a typically remote standby
 //! (§I). The link is abstracted behind [`RedoSink`] / [`RedoSource`] so the
-//! shipping and ingest stages are agnostic to how redo travels: the
-//! in-process channel below is the lossless baseline, and `imadg-net`
-//! provides framed links (in-process pipe or loopback TCP) with gap
-//! detection, NAK/retransmission, and seeded fault injection.
-//!
-//! The channel link models shipping delay without real sockets: batches
-//! become visible to the receiver only after their `available_at_us`
-//! deadline on the link's [`Clock`]. Latency tests inject a manual clock
-//! and advance virtual time instead of sleeping the delay out.
+//! shipping and ingest stages are agnostic to how redo travels. `imadg-net`
+//! implements both halves: a framed link (in-process pipe or loopback TCP)
+//! with gap detection, NAK/retransmission, and seeded fault injection. This
+//! module keeps the traits and the [`Shipper`] that drains a log buffer
+//! into a sink.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use imadg_common::metrics::{DurabilityMetrics, StalenessTracker, TransportMetrics};
-use imadg_common::{Clock, Error, Result, Scn, WakeToken};
+use imadg_common::{Result, Scn, WakeToken};
 
 use crate::durable::DurableLog;
 use crate::log_buffer::LogBuffer;
@@ -32,7 +27,7 @@ pub trait RedoSink: Send + Sync {
 
     /// Run one quantum of link protocol work — serve NAKs from the
     /// retained window, trim on ACKs, emit liveness pings. Returns whether
-    /// anything was done. The lossless channel has no protocol.
+    /// anything was done.
     fn service(&self) -> Result<bool> {
         Ok(false)
     }
@@ -43,23 +38,11 @@ pub trait RedoSink: Send + Sync {
         false
     }
 
-    /// Wake `token` whenever shipped redo becomes deliverable *now*, so
-    /// the standby's ingest stage parks instead of polling. Latent links
-    /// must not wake on send — the receiver re-arms for the deadline via
-    /// [`RedoSource::time_to_next`].
-    fn set_waker(&self, token: WakeToken);
-
-    /// Lane-addressed waker for fan-out sinks feeding several standbys:
-    /// wake `token` when lane `lane`'s shipped redo becomes deliverable.
-    /// Single-lane sinks only honour lane 0 (identical to [`set_waker`]),
-    /// so single-standby wiring is unchanged.
-    ///
-    /// [`set_waker`]: RedoSink::set_waker
-    fn set_lane_waker(&self, lane: usize, token: WakeToken) {
-        if lane == 0 {
-            self.set_waker(token);
-        }
-    }
+    /// Wake `token` whenever redo shipped onto lane `lane` (one lane per
+    /// standby) becomes deliverable *now*, so that standby's ingest stage
+    /// parks instead of polling. Latent links must not wake on send — the
+    /// receiver re-arms for the deadline via [`RedoSource::time_to_next`].
+    fn set_lane_waker(&self, lane: usize, token: WakeToken);
 
     /// Attach the primary-side transport metrics (retransmits served,
     /// reconnects, pings). Links are built before the owning registry, so
@@ -128,188 +111,6 @@ pub trait RedoSource: Send {
     /// NAK-resolved from the primary's retained window or archive.
     fn reset_for_restart(&mut self) -> Result<()> {
         Ok(())
-    }
-}
-
-struct Batch {
-    records: Vec<RedoRecord>,
-    /// Clock micros at which the batch becomes deliverable.
-    available_at_us: u64,
-}
-
-/// Sending half of the in-process channel link.
-#[derive(Clone)]
-pub struct RedoSender {
-    tx: Sender<Batch>,
-    latency_us: u64,
-    clock: Clock,
-    /// Wakes the receiving stage on every zero-latency send (threaded
-    /// runtime). Shared across clones so the standby can install it after
-    /// link creation.
-    waker: Arc<parking_lot::Mutex<Option<WakeToken>>>,
-}
-
-impl RedoSender {
-    /// See [`RedoSink::set_waker`].
-    pub fn set_waker(&self, token: WakeToken) {
-        *self.waker.lock() = Some(token);
-    }
-
-    /// Ship a batch of records.
-    pub fn send(&self, records: Vec<RedoRecord>) -> Result<()> {
-        self.tx
-            .send(Batch {
-                records,
-                available_at_us: self.clock.now_micros().saturating_add(self.latency_us),
-            })
-            .map_err(|_| Error::TransportClosed)?;
-        // Only a zero-latency batch is deliverable now; waking for a
-        // latent one would be spurious — the receiver finds nothing due
-        // and parks again. The ingest stage re-arms for the delivery
-        // deadline through `time_to_next` instead.
-        if self.latency_us == 0 {
-            if let Some(w) = self.waker.lock().as_ref() {
-                w.wake();
-            }
-        }
-        Ok(())
-    }
-}
-
-impl RedoSink for RedoSender {
-    fn send(&self, records: Vec<RedoRecord>) -> Result<()> {
-        RedoSender::send(self, records)
-    }
-
-    fn set_waker(&self, token: WakeToken) {
-        RedoSender::set_waker(self, token)
-    }
-}
-
-/// Receiving half of the in-process channel link. Single-consumer: owned
-/// by the standby's log merger pump.
-pub struct RedoReceiver {
-    rx: Receiver<Batch>,
-    clock: Clock,
-    /// A batch whose latency deadline has not yet passed.
-    pending: Option<Batch>,
-}
-
-impl RedoReceiver {
-    /// Non-blocking receive honouring shipping latency. `Ok(None)` means
-    /// nothing is deliverable right now.
-    pub fn try_recv(&mut self) -> Result<Option<Vec<RedoRecord>>> {
-        let batch = match self.pending.take() {
-            Some(b) => b,
-            None => match self.rx.try_recv() {
-                Ok(b) => b,
-                Err(TryRecvError::Empty) => return Ok(None),
-                Err(TryRecvError::Disconnected) => return Err(Error::TransportClosed),
-            },
-        };
-        if batch.available_at_us <= self.clock.now_micros() {
-            Ok(Some(batch.records))
-        } else {
-            self.pending = Some(batch);
-            Ok(None)
-        }
-    }
-
-    /// Drain everything currently deliverable.
-    pub fn drain_ready(&mut self) -> Result<Vec<RedoRecord>> {
-        let mut out = Vec::new();
-        while let Some(mut records) = self.try_recv()? {
-            out.append(&mut records);
-        }
-        Ok(out)
-    }
-}
-
-impl RedoSource for RedoReceiver {
-    fn drain_ready(&mut self) -> Result<Vec<RedoRecord>> {
-        RedoReceiver::drain_ready(self)
-    }
-
-    fn transport_pending(&self) -> bool {
-        self.pending.is_some() || !self.rx.is_empty()
-    }
-
-    fn time_to_next(&self) -> Option<Duration> {
-        let b = self.pending.as_ref()?;
-        Some(Duration::from_micros(b.available_at_us.saturating_sub(self.clock.now_micros())))
-    }
-}
-
-/// Create a redo link with the given one-way latency on the real clock.
-pub fn redo_link(latency: Duration) -> (RedoSender, RedoReceiver) {
-    redo_link_with_clock(latency, Clock::Real)
-}
-
-/// Create a redo link measuring its latency against an injected clock
-/// (virtual time in tests).
-pub fn redo_link_with_clock(latency: Duration, clock: Clock) -> (RedoSender, RedoReceiver) {
-    let (tx, rx) = unbounded();
-    (
-        RedoSender {
-            tx,
-            latency_us: latency.as_micros().min(u128::from(u64::MAX)) as u64,
-            clock: clock.clone(),
-            waker: Arc::default(),
-        },
-        RedoReceiver { rx, clock, pending: None },
-    )
-}
-
-/// A lossless fan-out over per-lane sinks: every sent batch is cloned to
-/// each lane. This is the in-process reader-farm link — each standby gets
-/// its own channel, and there is no window/ACK protocol to share (the
-/// framed fan-out with one retained window lives in `imadg-net`).
-pub struct FanoutSink {
-    lanes: Vec<Box<dyn RedoSink>>,
-}
-
-impl FanoutSink {
-    /// Fan out over `lanes` (one per standby, in standby order).
-    pub fn new(lanes: Vec<Box<dyn RedoSink>>) -> FanoutSink {
-        FanoutSink { lanes }
-    }
-}
-
-impl RedoSink for FanoutSink {
-    fn send(&self, records: Vec<RedoRecord>) -> Result<()> {
-        let Some((last, head)) = self.lanes.split_last() else { return Ok(()) };
-        for lane in head {
-            lane.send(records.clone())?;
-        }
-        last.send(records)
-    }
-
-    fn service(&self) -> Result<bool> {
-        let mut moved = false;
-        for lane in &self.lanes {
-            moved |= lane.service()?;
-        }
-        Ok(moved)
-    }
-
-    fn pending(&self) -> bool {
-        self.lanes.iter().any(|l| l.pending())
-    }
-
-    fn set_waker(&self, token: WakeToken) {
-        self.set_lane_waker(0, token);
-    }
-
-    fn set_lane_waker(&self, lane: usize, token: WakeToken) {
-        if let Some(l) = self.lanes.get(lane) {
-            l.set_waker(token);
-        }
-    }
-
-    fn bind_metrics(&self, metrics: Arc<TransportMetrics>) {
-        for lane in &self.lanes {
-            lane.bind_metrics(metrics.clone());
-        }
     }
 }
 
@@ -430,79 +231,38 @@ impl Shipper {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use imadg_common::{RedoThreadId, ScnService};
+    use parking_lot::Mutex;
+    use std::collections::VecDeque;
 
-    fn hb(scn: u64) -> RedoRecord {
-        RedoRecord {
-            thread: RedoThreadId(1),
-            scn: Scn(scn),
-            born_us: 0,
-            payload: RedoPayload::Heartbeat,
+    /// A perfect link for unit tests: one shared queue of shipped batches,
+    /// sink and source at once.
+    #[derive(Clone, Default)]
+    pub(crate) struct VecLink(Arc<Mutex<VecDeque<Vec<RedoRecord>>>>);
+
+    impl RedoSink for VecLink {
+        fn send(&self, records: Vec<RedoRecord>) -> Result<()> {
+            self.0.lock().push_back(records);
+            Ok(())
         }
+
+        fn set_lane_waker(&self, _lane: usize, _token: WakeToken) {}
     }
 
-    #[test]
-    fn zero_latency_delivers_immediately() {
-        let (tx, mut rx) = redo_link(Duration::ZERO);
-        tx.send(vec![hb(1), hb(2)]).unwrap();
-        assert_eq!(rx.drain_ready().unwrap().len(), 2);
-        assert!(rx.try_recv().unwrap().is_none());
-    }
+    impl RedoSource for VecLink {
+        fn drain_ready(&mut self) -> Result<Vec<RedoRecord>> {
+            Ok(self.0.lock().drain(..).flatten().collect())
+        }
 
-    #[test]
-    fn latency_delays_delivery() {
-        // Virtual time: no wall-clock sleeping, no flake.
-        let clock = Clock::manual();
-        let (tx, mut rx) = redo_link_with_clock(Duration::from_millis(30), clock.clone());
-        tx.send(vec![hb(1)]).unwrap();
-        assert!(rx.try_recv().unwrap().is_none(), "not deliverable yet");
-        assert!(RedoSource::transport_pending(&rx), "held batch counts as pending");
-        let eta = RedoSource::time_to_next(&rx).unwrap();
-        assert_eq!(eta, Duration::from_millis(30), "park hint targets the deadline");
-        clock.advance(Duration::from_millis(29));
-        assert!(rx.try_recv().unwrap().is_none(), "still in flight");
-        clock.advance(Duration::from_millis(1));
-        assert_eq!(rx.try_recv().unwrap().unwrap().len(), 1);
-        assert!(!RedoSource::transport_pending(&rx));
-    }
+        fn transport_pending(&self) -> bool {
+            !self.0.lock().is_empty()
+        }
 
-    #[test]
-    fn sender_wakes_receiver_token() {
-        let (tx, _rx) = redo_link(Duration::ZERO);
-        let token = WakeToken::new();
-        tx.set_waker(token.clone());
-        tx.send(vec![hb(1)]).unwrap();
-        assert!(token.park(Duration::from_secs(5)), "send latched a wake");
-    }
-
-    #[test]
-    fn latent_send_does_not_wake() {
-        // The spurious-wake fix: a batch that is not yet deliverable must
-        // not wake the ingest stage — it would find nothing and re-park.
-        let clock = Clock::manual();
-        let (tx, _rx) = redo_link_with_clock(Duration::from_millis(30), clock);
-        let token = WakeToken::new();
-        tx.set_waker(token.clone());
-        tx.send(vec![hb(1)]).unwrap();
-        assert!(!token.park(Duration::ZERO), "no wake latched for a latent batch");
-    }
-
-    #[test]
-    fn ordering_preserved_across_batches() {
-        let (tx, mut rx) = redo_link(Duration::ZERO);
-        tx.send(vec![hb(1)]).unwrap();
-        tx.send(vec![hb(2)]).unwrap();
-        let got = rx.drain_ready().unwrap();
-        assert_eq!(got.iter().map(|r| r.scn.0).collect::<Vec<_>>(), vec![1, 2]);
-    }
-
-    #[test]
-    fn closed_link_errors() {
-        let (tx, rx) = redo_link(Duration::ZERO);
-        drop(rx);
-        assert!(tx.send(vec![hb(1)]).is_err());
+        fn time_to_next(&self) -> Option<Duration> {
+            None
+        }
     }
 
     #[test]
@@ -510,11 +270,11 @@ mod tests {
         let scns = ScnService::new();
         scns.next(); // advance database time
         let buf = LogBuffer::new(RedoThreadId(1));
-        let (tx, mut rx) = redo_link(Duration::ZERO);
+        let mut link = VecLink::default();
         let shipper = Shipper::new(8);
-        let shipped = shipper.ship_once(&buf, &tx, scns.current()).unwrap();
+        let shipped = shipper.ship_once(&buf, &link, scns.current()).unwrap();
         assert_eq!(shipped, 0);
-        let got = rx.drain_ready().unwrap();
+        let got = link.drain_ready().unwrap();
         assert_eq!(got.len(), 1);
         assert!(matches!(got[0].payload, RedoPayload::Heartbeat));
         assert_eq!(got[0].scn, Scn(1));
@@ -525,15 +285,15 @@ mod tests {
         let scns = ScnService::new();
         scns.next();
         let buf = LogBuffer::new(RedoThreadId(1));
-        let (tx, mut rx) = redo_link(Duration::ZERO);
+        let mut link = VecLink::default();
         let shipper = Shipper::new(8);
         for _ in 0..5 {
-            shipper.ship_once(&buf, &tx, scns.current()).unwrap();
+            shipper.ship_once(&buf, &link, scns.current()).unwrap();
         }
-        assert_eq!(rx.drain_ready().unwrap().len(), 1, "one heartbeat per SCN advance");
+        assert_eq!(link.drain_ready().unwrap().len(), 1, "one heartbeat per SCN advance");
         scns.next();
-        shipper.ship_all(&buf, &tx, scns.current()).unwrap();
-        assert_eq!(rx.drain_ready().unwrap().len(), 1, "new SCN earns a fresh heartbeat");
+        shipper.ship_all(&buf, &link, scns.current()).unwrap();
+        assert_eq!(link.drain_ready().unwrap().len(), 1, "new SCN earns a fresh heartbeat");
     }
 
     #[test]
@@ -543,10 +303,10 @@ mod tests {
         for _ in 0..20 {
             buf.log_with(&scns, |_| RedoPayload::Heartbeat);
         }
-        let (tx, mut rx) = redo_link(Duration::ZERO);
-        let shipped = Shipper::new(8).ship_all(&buf, &tx, scns.current()).unwrap();
+        let mut link = VecLink::default();
+        let shipped = Shipper::new(8).ship_all(&buf, &link, scns.current()).unwrap();
         assert_eq!(shipped, 20);
-        assert_eq!(rx.drain_ready().unwrap().len(), 20);
+        assert_eq!(link.drain_ready().unwrap().len(), 20);
         assert_eq!(buf.pending(), 0);
     }
 }

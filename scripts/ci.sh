@@ -39,33 +39,38 @@ cargo test -p imadg-db --test chaos_transport -q
 # Reader-farm gate: the 16-seed multi-standby matrix (2–3 member farms,
 # one faulted fan-out lane; per-member gap accounting closes, faults stay
 # lane-local, the laggard never blocks fresh members' QuerySCN), router
-# determinism under the step scheduler, and promotion under fan-out with
-# zero committed-transaction loss.
+# determinism under the step scheduler, promotion under fan-out with
+# zero committed-transaction loss, and a restarted lane's Hello re-served
+# to that lane alone.
 echo "==> reader farm (multi-standby chaos matrix + router determinism)"
 cargo test -p imadg-db --test chaos_transport farm -q
 cargo test -p imadg-db --test chaos_transport router -q
 cargo test -p imadg-db --test chaos_transport promotion_under_fanout -q
+cargo test -p imadg-net --lib per_lane_nak_is_served_independently -q
 
-# TCP-loopback smoke: the same protocol over a real socket. Sandboxes
-# without loopback sockets skip gracefully — each test detects the failed
-# bind, prints a visible NOTICE, and passes — while real protocol bugs
-# over a working socket still fail the gate.
+# TCP-loopback smoke: the same protocol over a real socket, converging
+# exactly as the framed in-process pipe does. Sandboxes without loopback
+# sockets skip gracefully — each test detects the failed bind, prints a
+# visible NOTICE, and passes — while real protocol bugs over a working
+# socket still fail the gate.
 echo "==> TCP loopback smoke (self-skips with a notice if sockets unavailable)"
 cargo test -p imadg-net tcp -q
 cargo test -p imadg-db --test chaos_transport tcp_loopback -q
 
 # Durability gate: the crash-point matrix (restart from disk only, must
 # converge bit-identically to an uncrashed twin), whole-log replay,
-# double crash, and 16 pinned seeds of promotion under the acceptance
-# fault mix. Uses per-run directories under $TMPDIR; each test removes
-# its own directory on drop, and stale ones from killed runs are swept
-# here first.
+# double crash, 16 pinned seeds of promotion under the acceptance fault
+# mix, and a single-standby promotion whose zero-lane sender lets `sync`
+# return. Uses per-run directories under $TMPDIR; each test removes its
+# own directory on drop, and stale ones from killed runs are swept here
+# first.
 echo "==> durability gate (crash-point matrix + promotion under chaos)"
 rm -rf "${TMPDIR:-/tmp}"/imadg-twin-* "${TMPDIR:-/tmp}"/imadg-crash-* \
     "${TMPDIR:-/tmp}"/imadg-replay-* "${TMPDIR:-/tmp}"/imadg-span-* \
     "${TMPDIR:-/tmp}"/imadg-double-* "${TMPDIR:-/tmp}"/imadg-promo-* \
     "${TMPDIR:-/tmp}"/imadg-roles-*
 cargo test -p imadg-db --test crash_recovery -q
+cargo test -p imadg-db --test crash_recovery sync_after_single_standby_promotion_returns -q
 
 # Scan-engine parity gate: the vectorized bitmap kernels must be
 # bit-identical to the scalar reference engine (ops × encodings × null
