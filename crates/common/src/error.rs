@@ -56,6 +56,10 @@ pub enum Error {
         /// The error message or panic payload.
         reason: String,
     },
+    /// A synchronous drain made no progress within its stall limit while
+    /// the named link sides (the primary sender, standbys by name) still
+    /// reported redo in flight.
+    SyncStalled(String),
 }
 
 impl fmt::Display for Error {
@@ -87,6 +91,9 @@ impl fmt::Display for Error {
             Error::Config(msg) => write!(f, "configuration error: {msg}"),
             Error::StageFailed { stage, reason } => {
                 write!(f, "pipeline stage `{stage}` failed: {reason}")
+            }
+            Error::SyncStalled(sides) => {
+                write!(f, "sync stalled: no progress while redo is pending on {sides}")
             }
         }
     }

@@ -3,8 +3,8 @@
 //! This crate deliberately has no dependency on the rest of the workspace:
 //! it defines the vocabulary the whole system speaks — [`Scn`] (database
 //! time), [`Dba`] (block addresses), object/transaction/tenant identifiers,
-//! the common [`Error`] type, configuration knobs, latency statistics and
-//! the metrics registry every stage reports into.
+//! the common [`Error`] type, configuration knobs and the metrics registry
+//! every stage reports into.
 
 pub mod clock;
 pub mod config;
@@ -17,7 +17,6 @@ pub mod metrics;
 pub mod object_set;
 pub mod profile;
 pub mod runtime;
-pub mod stats;
 pub mod sync;
 
 pub use clock::Clock;
@@ -31,10 +30,9 @@ pub use export::{jsonl_line, prometheus_text};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use ids::{Dba, InstanceId, ObjectId, RedoThreadId, Scn, SlotId, TenantId, TxnId, WorkerId};
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, LogHistogram, LogHistogramSnapshot,
-    MetricsRegistry, MetricsSnapshot, PipelineTrace, RuntimeMetrics, RuntimeSnapshot, ScnTrace,
-    StageRuntimeMetrics, StageRuntimeSnapshot, StalenessSnapshot, StalenessTracker, TraceEvent,
-    TraceStage,
+    Counter, Gauge, LogHistogram, LogHistogramSnapshot, MetricsRegistry, MetricsSnapshot,
+    PipelineTrace, RuntimeMetrics, RuntimeSnapshot, ScnTrace, StageRuntimeMetrics,
+    StageRuntimeSnapshot, StalenessSnapshot, StalenessTracker, TraceEvent, TraceStage,
 };
 pub use object_set::ObjectSet;
 pub use profile::{QueryProfile, UnitTiming};
@@ -42,5 +40,4 @@ pub use runtime::{
     HealthState, Runtime, RuntimeHealth, Stage, StageFailure, StageId, StageOutcome, StepOutcome,
     StepReport, StepScheduler, ThreadedRuntime, WakeToken,
 };
-pub use stats::LatencyStats;
 pub use sync::{QueryScnCell, QuiesceGuard, QuiesceLock, ScnService};

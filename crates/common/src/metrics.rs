@@ -3,21 +3,24 @@
 //! One [`MetricsRegistry`] instance accompanies each deployment side (a
 //! primary instance, a standby cluster). Every pipeline stage — redo
 //! transport, log merger, recovery apply, mining, journal, commit table,
-//! invalidation flush, population, scan engine — holds an `Arc` to its
-//! stage-metrics struct and updates lock-light primitives on the hot path:
+//! invalidation flush, durability, population, cold tier, scan engine —
+//! holds an `Arc` to its stage-metrics struct and updates lock-light
+//! primitives on the hot path:
 //!
-//! * [`Counter`] — a monotonically increasing `AtomicU64`. Its API mirrors
-//!   `AtomicU64` (`fetch_add`, `load` taking an [`Ordering`]) so existing
-//!   call sites keep compiling when a plain atomic field migrates here.
+//! * [`Counter`] — a monotonically increasing count (`add`, `inc`, `get`).
 //! * [`Gauge`] — a last-value cell, refreshed by sampling (queue depths,
 //!   SCNs, table sizes) just before a snapshot is taken.
-//! * [`Histogram`] — fixed power-of-two buckets with count/sum/max. Used
-//!   for durations (recorded in microseconds) and for size distributions
-//!   (commit-table chop sizes).
+//! * [`LogHistogram`] — the one distribution type: log-linear buckets with
+//!   count/sum/max, for durations (recorded in microseconds) and sizes.
 //!
-//! [`MetricsRegistry::snapshot`] projects everything into the plain-data,
-//! serde-serializable [`MetricsSnapshot`] — the single schema shared by
-//! `StandbyStatus`, the exporters in [`crate::export`] and `benchmark/`.
+//! Every stage is declared once, in the `stage_metrics!` block below: one
+//! line per field names it, gives its [`Metric`] kind and its doc. The
+//! macro emits the live struct, its plain-data snapshot (same fields, same
+//! order), the `snapshot()` projection and the stage's display line. The
+//! registry itself is declared the same way, so
+//! [`MetricsRegistry::snapshot`] yields the serde-serializable
+//! [`MetricsSnapshot`] — the single schema shared by `StandbyStatus`, the
+//! exporters in [`crate::export`] and `benchmark/`.
 //!
 //! [`PipelineTrace`] is a bounded ring of [`TraceEvent`]s recording QuerySCN
 //! advancement (and other coarse stage transitions) for post-mortem
@@ -37,12 +40,23 @@ use crate::clock::Clock;
 // Primitives
 // ---------------------------------------------------------------------------
 
+/// What a stage field records into, and the plain data it projects to in a
+/// snapshot.
+pub trait Metric {
+    /// The plain-data projection.
+    type Snapshot: fmt::Debug;
+
+    /// Project to plain data.
+    fn snapshot(&self) -> Self::Snapshot;
+
+    /// Write `s` into a display line: one ` name=value` item for a leaf, a
+    /// whole `name: ...` line for a stage.
+    fn show(s: &Self::Snapshot, name: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, " {name}={s:?}")
+    }
+}
+
 /// A monotonically increasing event counter.
-///
-/// Deliberately `AtomicU64`-shaped: stats structs that used to hold raw
-/// atomics (mining, flush) migrated their fields to `Counter` without any
-/// call-site churn — `stats.mined.fetch_add(1, Ordering::Relaxed)` and
-/// `stats.mined.load(Ordering::Relaxed)` still compile.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
@@ -50,16 +64,6 @@ impl Counter {
     /// A zeroed counter.
     pub const fn new() -> Self {
         Counter(AtomicU64::new(0))
-    }
-
-    /// Add `n`, returning the previous value (AtomicU64-compatible).
-    pub fn fetch_add(&self, n: u64, order: Ordering) -> u64 {
-        self.0.fetch_add(n, order)
-    }
-
-    /// Read the counter (AtomicU64-compatible).
-    pub fn load(&self, order: Ordering) -> u64 {
-        self.0.load(order)
     }
 
     /// Add `n` (relaxed).
@@ -75,6 +79,13 @@ impl Counter {
     /// Read the counter (relaxed).
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
+    }
+}
+
+impl Metric for Counter {
+    type Snapshot = u64;
+    fn snapshot(&self) -> u64 {
+        self.get()
     }
 }
 
@@ -97,130 +108,65 @@ impl Gauge {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
+}
 
-    /// Keep the maximum of the current value and `v`.
-    pub fn set_max(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
+impl Metric for Gauge {
+    type Snapshot = u64;
+    fn snapshot(&self) -> u64 {
+        self.get()
     }
 }
 
-/// Number of power-of-two histogram buckets. Bucket `i` counts values `v`
-/// with `v < 2^i` not already counted by a lower bucket; the last bucket
-/// absorbs everything beyond.
-pub const HISTOGRAM_BUCKETS: usize = 32;
+/// A roster of counters indexed by worker, grown on first use.
+#[derive(Debug, Default)]
+pub struct CounterRoster(Mutex<Vec<Arc<Counter>>>);
 
-/// A lock-free bucketed histogram over `u64` values.
-///
-/// Durations are recorded in microseconds; size distributions record the
-/// raw value. Buckets are upper-bounded at powers of two: value `v` lands
-/// in bucket `ceil(log2(v + 1))`, clamped to the last bucket.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
+impl CounterRoster {
+    /// Counter `i`, growing the roster to hold it.
+    pub fn counter(&self, i: usize) -> Arc<Counter> {
+        let mut v = self.0.lock();
+        while v.len() <= i {
+            v.push(Arc::new(Counter::new()));
         }
+        v[i].clone()
     }
 }
 
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Bucket index for `v`.
-    fn bucket_index(v: u64) -> usize {
-        ((64 - v.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
-    }
-
-    /// Record one value.
-    pub fn record_value(&self, v: u64) {
-        self.buckets[Self::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Record a duration, in microseconds.
-    pub fn record(&self, d: Duration) {
-        self.record_value(d.as_micros().min(u128::from(u64::MAX)) as u64);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Project to plain data.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-            buckets: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-        }
+impl Metric for CounterRoster {
+    type Snapshot = Vec<u64>;
+    fn snapshot(&self) -> Vec<u64> {
+        self.0.lock().iter().map(|c| c.get()).collect()
     }
 }
 
-/// Plain-data projection of a [`Histogram`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HistogramSnapshot {
-    /// Samples recorded.
-    pub count: u64,
-    /// Sum of all recorded values.
-    pub sum: u64,
-    /// Maximum recorded value.
-    pub max: u64,
-    /// Per-bucket counts; bucket `i` holds values in `[2^(i-1), 2^i)`
-    /// (bucket 0 holds zero, the last bucket absorbs overflow).
-    pub buckets: Vec<u64>,
+/// A snapshot-only field: the live struct stores nothing, and the snapshot
+/// reads 0 unless the field's declaration derives it from other leaves.
+#[derive(Debug, Default)]
+pub struct Derived;
+
+impl Metric for Derived {
+    type Snapshot = u64;
+    fn snapshot(&self) -> u64 {
+        0
+    }
 }
 
-impl HistogramSnapshot {
-    /// Arithmetic mean of recorded values, or 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
+/// A fixed label (a stage's name), set when the struct is built.
+impl Metric for String {
+    type Snapshot = String;
+    fn snapshot(&self) -> String {
+        self.clone()
     }
+}
 
-    /// Inclusive upper bound of bucket `i` (`u64::MAX` for the overflow
-    /// bucket).
-    pub fn bucket_bound(i: usize) -> u64 {
-        if i + 1 >= HISTOGRAM_BUCKETS {
-            u64::MAX
-        } else {
-            (1u64 << i) - 1
-        }
+/// A shared stage projects and shows as the stage itself.
+impl<T: Metric> Metric for Arc<T> {
+    type Snapshot = T::Snapshot;
+    fn snapshot(&self) -> T::Snapshot {
+        (**self).snapshot()
     }
-
-    /// Approximate quantile `q` in `[0, 1]` from the bucket upper bounds.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Self::bucket_bound(i).min(self.max);
-            }
-        }
-        self.max
+    fn show(s: &T::Snapshot, name: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        T::show(s, name, f)
     }
 }
 
@@ -237,12 +183,11 @@ pub const LOG_HISTOGRAM_BUCKETS: usize = (64 - LOG_HISTOGRAM_SUB_BITS as usize +
 
 /// A lock-light log-linear (HDR-style) histogram over `u64` values.
 ///
-/// Where [`Histogram`]'s pure power-of-two buckets bound quantiles only to
-/// within 2×, this type keeps 8 linear sub-buckets per octave — accurate
-/// enough to report p50/p90/p99 latencies — while still recording with a
-/// single relaxed atomic increment and no allocation. Snapshots are sparse
-/// (only occupied buckets), serde-able, and mergeable across instances or
-/// runs.
+/// Pure power-of-two buckets would bound quantiles only to within 2×; this
+/// type keeps 8 linear sub-buckets per octave — accurate enough to report
+/// p50/p90/p99 latencies — while still recording with a single relaxed
+/// atomic increment and no allocation. Snapshots are sparse (only occupied
+/// buckets), serde-able, and mergeable across instances or sessions.
 #[derive(Debug)]
 pub struct LogHistogram {
     buckets: [AtomicU64; LOG_HISTOGRAM_BUCKETS],
@@ -414,762 +359,296 @@ impl LogHistogramSnapshot {
     }
 }
 
+impl Metric for LogHistogram {
+    type Snapshot = LogHistogramSnapshot;
+    fn snapshot(&self) -> LogHistogramSnapshot {
+        LogHistogram::snapshot(self)
+    }
+    fn show(s: &LogHistogramSnapshot, name: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, " {name}_p95={}", s.quantile(0.95))
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Stage metrics
 // ---------------------------------------------------------------------------
 
-/// Redo transport. The primary side updates the shipping counters; on a
-/// framed/TCP link the standby side updates the gap-resolution counters
-/// (gaps, retransmits received, NAKs, duplicates) and the primary side the
-/// link-maintenance ones (retransmits served, reconnects, pings).
-#[derive(Debug, Default)]
-pub struct TransportMetrics {
-    /// Data records shipped to the standby (heartbeats excluded).
-    pub records_shipped: Counter,
-    /// Approximate wire bytes shipped (data records).
-    pub bytes_shipped: Counter,
-    /// SCN heartbeats shipped on idle redo threads.
-    pub heartbeats: Counter,
-    /// Batches handed to the link.
-    pub batches_shipped: Counter,
-    /// Records still buffered in the log buffer (sampled).
-    pub queue_depth: Gauge,
-    /// Wire frames sent on a framed link (data + control).
-    pub frames_sent: Counter,
-    /// Wire frames received on a framed link (data + control).
-    pub frames_received: Counter,
-    /// Sequence gaps detected by the receiver (one per missing frame).
-    pub gaps_detected: Counter,
-    /// Gaps closed by a retransmitted frame arriving.
-    pub gaps_resolved: Counter,
-    /// Retransmitted data frames (served on the primary, received on the
-    /// standby — both sides count into their own registry).
-    pub retransmits: Counter,
-    /// NAK frames sent by the receiver to request retransmission.
-    pub naks_sent: Counter,
-    /// Duplicate data frames dropped by the receiver (exactly-once).
-    pub duplicates_dropped: Counter,
-    /// Link reconnects (TCP backoff cycles, injected disconnects).
-    pub reconnects: Counter,
-    /// Link-level liveness pings sent while the sender awaits ACKs.
-    pub link_pings: Counter,
+/// One snapshot field: a derived field's value computed from the live
+/// struct `m`, or else the projection of the field's own [`Metric`].
+macro_rules! leaf {
+    ($this:expr, $field:ident) => {
+        Metric::snapshot(&$this.$field)
+    };
+    ($this:expr, $field:ident, |$m:ident| $derive:expr) => {{
+        let $m = $this;
+        $derive
+    }};
 }
 
-impl TransportMetrics {
-    /// Project to plain data.
-    pub fn snapshot(&self) -> TransportSnapshot {
-        TransportSnapshot {
-            records_shipped: self.records_shipped.get(),
-            bytes_shipped: self.bytes_shipped.get(),
-            heartbeats: self.heartbeats.get(),
-            batches_shipped: self.batches_shipped.get(),
-            queue_depth: self.queue_depth.get(),
-            frames_sent: self.frames_sent.get(),
-            frames_received: self.frames_received.get(),
-            gaps_detected: self.gaps_detected.get(),
-            gaps_resolved: self.gaps_resolved.get(),
-            retransmits: self.retransmits.get(),
-            naks_sent: self.naks_sent.get(),
-            duplicates_dropped: self.duplicates_dropped.get(),
-            reconnects: self.reconnects.get(),
-            link_pings: self.link_pings.get(),
+/// Declares each stage once. A field line gives its name, its [`Metric`]
+/// kind and its doc; a [`Derived`] field may append `=> |m| expr` to
+/// compute its value from the live struct `m`. For every stage this emits
+/// the live struct, the plain-data snapshot struct (same fields, same
+/// order), the `snapshot()` projection, and a [`Metric`] impl that shows
+/// the stage as one `name: field=value ...` line. `pub` is spelled out:
+/// the vendored serde derive does not parse a `$vis` fragment.
+macro_rules! stage_metrics {
+    ($(
+        $(#[$meta:meta])*
+        $metrics:ident => $snapshot:ident {
+            $($field:ident: $kind:ty = $doc:literal $(=> |$m:ident| $derive:expr)?,)*
         }
+    )*) => {$(
+        $(#[$meta])*
+        #[derive(Debug, Default)]
+        pub struct $metrics {
+            $(#[doc = $doc] pub $field: $kind,)*
+        }
+
+        #[doc = concat!("Plain-data projection of [`", stringify!($metrics), "`].")]
+        #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+        pub struct $snapshot {
+            $(#[doc = $doc] pub $field: <$kind as Metric>::Snapshot,)*
+        }
+
+        impl $metrics {
+            /// Project to plain data.
+            pub fn snapshot(&self) -> $snapshot {
+                $snapshot { $($field: leaf!(self, $field $(, |$m| $derive)?),)* }
+            }
+        }
+
+        impl Metric for $metrics {
+            type Snapshot = $snapshot;
+            fn snapshot(&self) -> $snapshot {
+                $metrics::snapshot(self)
+            }
+            fn show(s: &$snapshot, name: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                writeln!(f, "{name}:{s}")
+            }
+        }
+
+        impl fmt::Display for $snapshot {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                $(<$kind as Metric>::show(&self.$field, stringify!($field), f)?;)*
+                Ok(())
+            }
+        }
+    )*};
+}
+
+stage_metrics! {
+    /// Redo transport. The primary side updates the shipping counters; on a
+    /// framed/TCP link the standby side updates the gap-resolution ones and
+    /// the primary side those of link maintenance. Each side counts into its
+    /// own registry.
+    TransportMetrics => TransportSnapshot {
+        records_shipped: Counter = "Data records shipped to the standby (idle SCN pings excluded).",
+        bytes_shipped: Counter = "Approximate wire bytes shipped (data records).",
+        heartbeats: Counter = "SCN heartbeats shipped on idle redo threads.",
+        batches_shipped: Counter = "Batches handed to the link.",
+        queue_depth: Gauge = "Records still buffered in the log buffer (sampled).",
+        frames_sent: Counter = "Wire frames sent on a framed link (data + control).",
+        frames_received: Counter = "Wire frames received on a framed link (data + control).",
+        gaps_detected: Counter = "Sequence gaps detected by the receiver (one per missing frame).",
+        gaps_resolved: Counter = "Gaps closed by a retransmitted frame arriving.",
+        retransmits: Counter = "Data frames retransmitted (served or received, per side).",
+        naks_sent: Counter = "NAK frames sent by the receiver to request retransmission.",
+        duplicates_dropped: Counter = "Duplicate data frames the receiver dropped (exactly-once).",
+        reconnects: Counter = "Link reconnects (TCP backoff cycles, injected disconnects).",
+        link_pings: Counter = "Link-level liveness pings sent while the sender awaits ACKs.",
+    }
+
+    /// Standby log merger.
+    MergerMetrics => MergerSnapshot {
+        merge_batches: Counter = "Batches pushed into the merger.",
+        records_merged: Counter = "Data records released in global SCN order.",
+        heartbeats_seen: Counter = "Heartbeats swallowed (they only advance the merge point).",
+        held_back: Gauge = "Records buffered awaiting the merge point (sampled).",
+        watermark: Gauge = "The merge watermark SCN (sampled).",
+        stream_skew: Gauge = "Max spread between stream last-seen SCNs (sampled): RAC skew.",
+    }
+
+    /// Recovery apply (dispatcher + workers + coordinator progress).
+    ApplyMetrics => ApplySnapshot {
+        records_dispatched: Counter = "Data records handed to the dispatcher (= records merged).",
+        items_applied: Counter = "Work items applied by workers (CVs fan out per record).",
+        worker_cvs: CounterRoster = "CVs applied, per worker (the Fig. 3 parallelism split).",
+        applied_scn: Gauge = "SCN applied through by every worker (sampled).",
+        shipped_scn: Gauge = "Highest SCN seen from any redo stream (sampled).",
+        apply_lag: Gauge = "Apply lag: shipped SCN minus applied SCN (sampled).",
+        query_scn: Gauge = "The published QuerySCN (sampled; 0 before the first publish).",
+    }
+
+    /// Mining component (paper §III.B).
+    MiningMetrics => MiningSnapshot {
+        sniffed: Counter = "CVs inspected.",
+        mined: Counter = "Invalidation records buffered.",
+        commits: Counter = "Commit-table nodes created.",
+        aborts: Counter = "Aborted transactions discarded from the journal.",
+        markers: Counter = "DDL markers buffered.",
+        abort_discarded_records: Counter = "Invalidation records dropped with aborted txns.",
+    }
+
+    /// IM-ADG Journal (paper §III.C).
+    JournalMetrics => JournalSnapshot {
+        anchors_created: Counter = "Anchor nodes created.",
+        bucket_contention: Counter = "Bucket-latch lock acquisitions that had to wait.",
+        journal_txns: Gauge = "Open transactions anchored (sampled).",
+        journal_records: Gauge = "Buffered invalidation records (sampled).",
+    }
+
+    /// IM-ADG Commit Table (paper §III.D.1).
+    CommitTableMetrics => CommitTableSnapshot {
+        inserts: Counter = "Nodes inserted.",
+        chops: Counter = "Chop operations (one per QuerySCN advancement with pending work).",
+        chopped_txns: Counter = "Nodes moved onto worklinks by chop operations.",
+        chop_size: LogHistogram = "Distribution of chop sizes (nodes per chop).",
+        commit_table_pending: Gauge = "Nodes awaiting the next advancement (sampled).",
+    }
+
+    /// Invalidation flush + QuerySCN advancement (paper §III.D).
+    FlushMetrics => FlushSnapshot {
+        flushed_txns: Counter = "Transactions flushed off worklinks.",
+        flushed_records: Counter = "Invalidation records flushed to SMUs.",
+        coarse_invalidations: Counter = "Coarse (per-tenant) invalidations triggered.",
+        ddl_applied: Counter = "DDL redo records processed at advancement.",
+        coop_flushed: Counter = "Worklink nodes flushed by cooperating recovery workers.",
+        coordinator_flushed: Derived = "Worklink nodes flushed by the coordinator itself."
+            => |m| m.flushed_txns.get().saturating_sub(m.coop_flushed.get()),
+        flush_groups: Counter = "Per-object invalidation groups delivered to the flush target.",
+        advances: Counter = "Successful QuerySCN advancements.",
+        quiesce_us: LogHistogram = "Quiesce-period duration per advancement (µs).",
+        published_query_scn: Gauge = "The published QuerySCN (sampled; 0 when none yet).",
+        scn_gap: Gauge = "Primary SCN minus the published QuerySCN (sampled): the lag signal.",
+    }
+
+    /// Redo durability: the on-disk segmented log (group commit + archiver)
+    /// and restart replay. The primary counts its log writes, syncs and
+    /// archive-served retransmissions; the standby also counts replay.
+    DurabilityMetrics => DurabilitySnapshot {
+        appends: Counter = "Batches appended to the durable log (buffered for group commit).",
+        records_persisted: Counter = "Records written and fsynced to segments.",
+        bytes_persisted: Counter = "Bytes written and fsynced to segments.",
+        fsyncs: Counter = "fsync calls: one per group commit of a stage quantum.",
+        segments_sealed: Counter = "Active segments sealed after exceeding the size bound.",
+        segments_archived: Counter = "Sealed segments moved to the archive tier by the archiver.",
+        archive_retransmits: Counter = "NAKs served from disk (sequence past the retained window).",
+        replayed_batches: Counter = "Batches replayed from disk during a hard restart.",
+        replayed_records: Counter = "Records replayed from disk during a hard restart.",
+        mining_skipped: Derived = "Always 0: restart re-mines the log. The benchmark reads it.",
+        durable_seq: Gauge = "Highest sequence fsynced to disk (sampled).",
+        wal_segments: Gauge = "Segment files in the wal tier (sampled).",
+        archived_segments: Gauge = "Segment files in the archive tier (sampled).",
+    }
+
+    /// Population engine (paper §III.A).
+    PopulationMetrics => PopulationSnapshot {
+        imcus_built: Counter = "New IMCUs built.",
+        imcus_repopulated: Counter = "Stale IMCUs rebuilt.",
+        columns_shared: Counter = "Encoded columns a repopulation kept from the unit it replaced.",
+        columns_encoded: Counter = "Encoded columns a repopulation re-encoded.",
+        passes: Counter = "Population passes run.",
+        populated_rows: Gauge = "Rows populated across column stores (sampled).",
+    }
+
+    /// Cold columnar tier: eviction, recall, re-compaction, and cold-unit
+    /// scan activity.
+    TierMetrics => TierSnapshot {
+        tier_evictions: Counter = "Hot IMCUs evicted to the on-disk columnar tier.",
+        tier_recalls: Counter = "Cold units recalled back into DRAM.",
+        tier_recompactions: Counter = "Cold units re-compacted (journal rows merged into a file).",
+        tier_pruned_units: Counter = "Cold units excluded by footer min/max without any file I/O.",
+        tier_cold_reads: Counter = "Cold units served by decoding their columnar file.",
+        tier_read_errors: Counter = "Cold files that failed CRC/decode and fell back to the rows.",
+        tier_bytes_on_disk: Gauge = "Bytes held by the cold tier on disk (sampled).",
+        cold_units: Gauge = "Cold unit count (sampled).",
+    }
+
+    /// The In-Memory Scan Engine as seen by the query API.
+    ScanEngineMetrics => ScanEngineSnapshot {
+        queries: Counter = "Queries executed through the unified query API.",
+        imcs_served: Counter = "Queries served by the IMCS.",
+        row_store_fallback: Counter = "Queries that fell back to a pure row-store scan.",
+        imcu_rows: Counter = "Result rows served from encoded IMCU data.",
+        fallback_rows: Counter = "Result rows served via SMU fallback.",
+        uncovered_rows: Counter = "Result rows served from uncovered blocks.",
+        pruned_units: Counter = "Units skipped by the min/max storage index.",
+        scanned_units: Counter = "Units whose columns were scanned.",
+        parallel_tasks: Counter = "Per-unit scan tasks issued to the query-scoped worker pool.",
+        parallel_queries: Counter = "Queries executed with a parallel degree > 1.",
+        latency_us: LogHistogram = "Query latency distribution (µs).",
+    }
+
+    /// Scheduler-side metrics for one registered stage: how often it ran, how
+    /// long each run quantum took, and how it parked/woke. Stage names align
+    /// with the registry's stages (`transport`, `merger`, `apply.N`, `flush`,
+    /// `population.N`, …), so these land next to the stage's own counters.
+    StageRuntimeMetrics => StageRuntimeSnapshot {
+        stage: String = "Stage name.",
+        runs: Counter = "Run quanta executed.",
+        wakeups: Counter = "Explicit wakeups received while parked (vs park-hint timeouts).",
+        parks: Counter = "Times the stage parked idle.",
+        park_us: LogHistogram = "Time spent parked, per park (µs).",
+        run_quantum_us: LogHistogram = "Run-quantum duration (µs).",
+    }
+
+    /// The per-deployment-side metrics registry: one `Arc`'d stage-metrics
+    /// struct per pipeline stage, plus the trace ring. Components receive
+    /// their stage handle at construction and update it lock-light; gauges
+    /// are refreshed by the owner just before [`MetricsRegistry::snapshot`],
+    /// whose [`MetricsSnapshot`] is the one schema shared by
+    /// `StandbyStatus`, the exporters and `benchmark/`.
+    MetricsRegistry => MetricsSnapshot {
+        transport: Arc<TransportMetrics> = "Redo transport.",
+        merger: Arc<MergerMetrics> = "Log merger.",
+        apply: Arc<ApplyMetrics> = "Recovery apply.",
+        mining: Arc<MiningMetrics> = "Mining component.",
+        journal: Arc<JournalMetrics> = "IM-ADG Journal.",
+        commit_table: Arc<CommitTableMetrics> = "IM-ADG Commit Table.",
+        flush: Arc<FlushMetrics> = "Invalidation flush + advancement.",
+        durability: Arc<DurabilityMetrics> = "Redo durability (on-disk log, restart replay).",
+        population: Arc<PopulationMetrics> = "Population engine.",
+        tier: Arc<TierMetrics> = "Cold columnar tier.",
+        scan: Arc<ScanEngineMetrics> = "Scan engine / query API.",
+        runtime: Arc<RuntimeMetrics> = "Scheduler observability + pipeline health.",
+        staleness: Arc<StalenessTracker> = "Commit-to-queryable staleness tracking.",
+        trace: PipelineTrace = "Recent trace events (bounded ring).",
     }
 }
 
-/// Plain-data projection of [`TransportMetrics`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TransportSnapshot {
-    /// Data records shipped.
-    pub records_shipped: u64,
-    /// Approximate wire bytes shipped.
-    pub bytes_shipped: u64,
-    /// Heartbeats shipped.
-    pub heartbeats: u64,
-    /// Batches shipped.
-    pub batches_shipped: u64,
-    /// Sampled log-buffer depth.
-    pub queue_depth: u64,
-    /// Wire frames sent (framed links).
-    pub frames_sent: u64,
-    /// Wire frames received (framed links).
-    pub frames_received: u64,
-    /// Sequence gaps detected.
-    pub gaps_detected: u64,
-    /// Gaps resolved by retransmission.
-    pub gaps_resolved: u64,
-    /// Retransmitted frames (served or received, per side).
-    pub retransmits: u64,
-    /// NAK frames sent.
-    pub naks_sent: u64,
-    /// Duplicate frames dropped.
-    pub duplicates_dropped: u64,
-    /// Link reconnects.
-    pub reconnects: u64,
-    /// Liveness pings sent.
-    pub link_pings: u64,
-}
-
-/// Standby log merger.
-#[derive(Debug, Default)]
-pub struct MergerMetrics {
-    /// Batches pushed into the merger.
-    pub merge_batches: Counter,
-    /// Data records released in global SCN order.
-    pub records_merged: Counter,
-    /// Heartbeats swallowed (watermark advancement only).
-    pub heartbeats_seen: Counter,
-    /// Records buffered awaiting the watermark (sampled).
-    pub held_back: Gauge,
-    /// The merge watermark SCN (sampled).
-    pub watermark: Gauge,
-    /// Max spread between stream last-seen SCNs (sampled) — RAC stream
-    /// skew the watermark must wait out.
-    pub stream_skew: Gauge,
-}
-
-impl MergerMetrics {
-    /// Project to plain data.
-    pub fn snapshot(&self) -> MergerSnapshot {
-        MergerSnapshot {
-            merge_batches: self.merge_batches.get(),
-            records_merged: self.records_merged.get(),
-            heartbeats_seen: self.heartbeats_seen.get(),
-            held_back: self.held_back.get(),
-            watermark: self.watermark.get(),
-            stream_skew: self.stream_skew.get(),
-        }
+impl MetricsRegistry {
+    /// A fresh registry with the given trace capacity.
+    pub fn with_trace_capacity(capacity: usize) -> Self {
+        MetricsRegistry { trace: PipelineTrace::new(capacity), ..Default::default() }
     }
-}
-
-/// Plain-data projection of [`MergerMetrics`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MergerSnapshot {
-    /// Batches pushed into the merger.
-    pub merge_batches: u64,
-    /// Data records released in SCN order.
-    pub records_merged: u64,
-    /// Heartbeats swallowed.
-    pub heartbeats_seen: u64,
-    /// Sampled held-back record count.
-    pub held_back: u64,
-    /// Sampled merge watermark.
-    pub watermark: u64,
-    /// Sampled stream skew in SCNs.
-    pub stream_skew: u64,
-}
-
-/// Recovery apply (dispatcher + workers + coordinator progress).
-#[derive(Debug, Default)]
-pub struct ApplyMetrics {
-    /// Data records handed to the dispatcher (equals records merged —
-    /// the conservation identity the e2e test checks).
-    pub records_dispatched: Counter,
-    /// Work items applied by workers (CVs fan out per record).
-    pub items_applied: Counter,
-    /// CVs applied, per worker (the Fig. 3 parallelism split).
-    worker_cvs: Mutex<Vec<Arc<Counter>>>,
-    /// SCN applied through by every worker (sampled).
-    pub applied_scn: Gauge,
-    /// Highest SCN seen from any redo stream (sampled).
-    pub shipped_scn: Gauge,
-    /// Apply lag: shipped SCN minus applied SCN (sampled).
-    pub apply_lag: Gauge,
-    /// The published QuerySCN (sampled; 0 before the first publish).
-    pub query_scn: Gauge,
-}
-
-impl ApplyMetrics {
-    /// The CVs-applied counter of worker `i`, growing the roster on first
-    /// use.
-    pub fn worker_counter(&self, i: usize) -> Arc<Counter> {
-        let mut v = self.worker_cvs.lock();
-        while v.len() <= i {
-            v.push(Arc::new(Counter::new()));
-        }
-        v[i].clone()
-    }
-
-    /// Project to plain data.
-    pub fn snapshot(&self) -> ApplySnapshot {
-        ApplySnapshot {
-            records_dispatched: self.records_dispatched.get(),
-            items_applied: self.items_applied.get(),
-            worker_cvs: self.worker_cvs.lock().iter().map(|c| c.get()).collect(),
-            applied_scn: self.applied_scn.get(),
-            shipped_scn: self.shipped_scn.get(),
-            apply_lag: self.apply_lag.get(),
-            query_scn: self.query_scn.get(),
-        }
-    }
-}
-
-/// Plain-data projection of [`ApplyMetrics`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ApplySnapshot {
-    /// Data records handed to the dispatcher.
-    pub records_dispatched: u64,
-    /// Work items applied by workers.
-    pub items_applied: u64,
-    /// CVs applied per worker.
-    pub worker_cvs: Vec<u64>,
-    /// Sampled applied-through SCN.
-    pub applied_scn: u64,
-    /// Sampled highest shipped SCN.
-    pub shipped_scn: u64,
-    /// Sampled apply lag in SCNs.
-    pub apply_lag: u64,
-    /// Sampled published QuerySCN (0 = none yet).
-    pub query_scn: u64,
-}
-
-/// Mining component (paper §III.B).
-#[derive(Debug, Default)]
-pub struct MiningMetrics {
-    /// CVs inspected.
-    pub sniffed: Counter,
-    /// Invalidation records buffered.
-    pub mined: Counter,
-    /// Commit-table nodes created.
-    pub commits: Counter,
-    /// Aborted transactions discarded from the journal.
-    pub aborts: Counter,
-    /// DDL markers buffered.
-    pub markers: Counter,
-    /// Invalidation records discarded by aborts (closes the mined ==
-    /// flushed + discarded + pending conservation identity).
-    pub abort_discarded_records: Counter,
-}
-
-impl MiningMetrics {
-    /// Project to plain data.
-    pub fn snapshot(&self) -> MiningSnapshot {
-        MiningSnapshot {
-            sniffed: self.sniffed.get(),
-            mined: self.mined.get(),
-            commits: self.commits.get(),
-            aborts: self.aborts.get(),
-            markers: self.markers.get(),
-            abort_discarded_records: self.abort_discarded_records.get(),
-        }
-    }
-}
-
-/// Plain-data projection of [`MiningMetrics`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MiningSnapshot {
-    /// CVs inspected.
-    pub sniffed: u64,
-    /// Invalidation records buffered.
-    pub mined: u64,
-    /// Commit-table nodes created.
-    pub commits: u64,
-    /// Aborted transactions discarded.
-    pub aborts: u64,
-    /// DDL markers buffered.
-    pub markers: u64,
-    /// Records discarded by aborts.
-    pub abort_discarded_records: u64,
-}
-
-/// IM-ADG Journal (paper §III.C).
-#[derive(Debug, Default)]
-pub struct JournalMetrics {
-    /// Anchor nodes created.
-    pub anchors_created: Counter,
-    /// Bucket-latch contention: lock acquisitions that had to wait.
-    pub bucket_contention: Counter,
-    /// Open transactions anchored (sampled).
-    pub journal_txns: Gauge,
-    /// Buffered invalidation records (sampled).
-    pub journal_records: Gauge,
-}
-
-impl JournalMetrics {
-    /// Project to plain data.
-    pub fn snapshot(&self) -> JournalSnapshot {
-        JournalSnapshot {
-            anchors_created: self.anchors_created.get(),
-            bucket_contention: self.bucket_contention.get(),
-            journal_txns: self.journal_txns.get(),
-            journal_records: self.journal_records.get(),
-        }
-    }
-}
-
-/// Plain-data projection of [`JournalMetrics`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct JournalSnapshot {
-    /// Anchor nodes created.
-    pub anchors_created: u64,
-    /// Bucket-latch contention events.
-    pub bucket_contention: u64,
-    /// Sampled anchored transactions.
-    pub journal_txns: u64,
-    /// Sampled buffered records.
-    pub journal_records: u64,
-}
-
-/// IM-ADG Commit Table (paper §III.D.1).
-#[derive(Debug, Default)]
-pub struct CommitTableMetrics {
-    /// Nodes inserted.
-    pub inserts: Counter,
-    /// Chop operations (one per QuerySCN advancement with pending work).
-    pub chops: Counter,
-    /// Nodes moved onto worklinks by chops.
-    pub chopped_txns: Counter,
-    /// Distribution of chop sizes (nodes per chop).
-    pub chop_size: Histogram,
-    /// Nodes awaiting the next advancement (sampled).
-    pub commit_table_pending: Gauge,
-}
-
-impl CommitTableMetrics {
-    /// Project to plain data.
-    pub fn snapshot(&self) -> CommitTableSnapshot {
-        CommitTableSnapshot {
-            inserts: self.inserts.get(),
-            chops: self.chops.get(),
-            chopped_txns: self.chopped_txns.get(),
-            chop_size: self.chop_size.snapshot(),
-            commit_table_pending: self.commit_table_pending.get(),
-        }
-    }
-}
-
-/// Plain-data projection of [`CommitTableMetrics`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CommitTableSnapshot {
-    /// Nodes inserted.
-    pub inserts: u64,
-    /// Chop operations.
-    pub chops: u64,
-    /// Nodes chopped onto worklinks.
-    pub chopped_txns: u64,
-    /// Chop-size distribution.
-    pub chop_size: HistogramSnapshot,
-    /// Sampled pending nodes.
-    pub commit_table_pending: u64,
-}
-
-/// Invalidation flush + QuerySCN advancement (paper §III.D).
-#[derive(Debug, Default)]
-pub struct FlushMetrics {
-    /// Transactions flushed off worklinks.
-    pub flushed_txns: Counter,
-    /// Invalidation records flushed to SMUs.
-    pub flushed_records: Counter,
-    /// Coarse (per-tenant) invalidations triggered.
-    pub coarse_invalidations: Counter,
-    /// DDL markers processed at advancement.
-    pub ddl_applied: Counter,
-    /// Worklink nodes flushed by cooperating recovery workers (vs the
-    /// coordinator) — the §III.D.2 ablation metric.
-    pub coop_flushed: Counter,
-    /// Per-object invalidation groups delivered to the flush target.
-    pub flush_groups: Counter,
-    /// Successful QuerySCN advancements.
-    pub advances: Counter,
-    /// Quiesce-period duration per advancement, in microseconds.
-    pub quiesce_us: Histogram,
-    /// The currently published QuerySCN on this standby (sampled).
-    pub published_query_scn: Gauge,
-    /// SCN gap between the primary's current SCN and this standby's
-    /// published QuerySCN (sampled) — the reader farm's lag signal.
-    pub scn_gap: Gauge,
-}
-
-impl FlushMetrics {
-    /// Project to plain data.
-    pub fn snapshot(&self) -> FlushSnapshot {
-        let flushed_txns = self.flushed_txns.get();
-        let coop = self.coop_flushed.get();
-        FlushSnapshot {
-            flushed_txns,
-            flushed_records: self.flushed_records.get(),
-            coarse_invalidations: self.coarse_invalidations.get(),
-            ddl_applied: self.ddl_applied.get(),
-            coop_flushed: coop,
-            coordinator_flushed: flushed_txns.saturating_sub(coop),
-            flush_groups: self.flush_groups.get(),
-            advances: self.advances.get(),
-            quiesce_us: self.quiesce_us.snapshot(),
-            published_query_scn: self.published_query_scn.get(),
-            scn_gap: self.scn_gap.get(),
-        }
-    }
-}
-
-/// Plain-data projection of [`FlushMetrics`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FlushSnapshot {
-    /// Transactions flushed.
-    pub flushed_txns: u64,
-    /// Invalidation records flushed.
-    pub flushed_records: u64,
-    /// Coarse invalidations.
-    pub coarse_invalidations: u64,
-    /// DDL markers applied.
-    pub ddl_applied: u64,
-    /// Nodes flushed cooperatively by recovery workers.
-    pub coop_flushed: u64,
-    /// Nodes flushed by the coordinator itself.
-    pub coordinator_flushed: u64,
-    /// Invalidation groups delivered.
-    pub flush_groups: u64,
-    /// QuerySCN advancements.
-    pub advances: u64,
-    /// Quiesce-duration distribution (µs).
-    pub quiesce_us: HistogramSnapshot,
-    /// The currently published QuerySCN (0 when none yet).
-    pub published_query_scn: u64,
-    /// Primary-SCN minus published QuerySCN at sample time.
-    pub scn_gap: u64,
-}
-
-/// Redo durability: the on-disk segmented log (group commit + archiver)
-/// and restart replay. Each side updates its own registry — the primary
-/// counts wal appends/fsyncs/archive retransmits, the standby additionally
-/// counts replay.
-#[derive(Debug, Default)]
-pub struct DurabilityMetrics {
-    /// Batches appended to the durable log (buffered for group commit).
-    pub appends: Counter,
-    /// Records written and fsynced to segments.
-    pub records_persisted: Counter,
-    /// Bytes written and fsynced to segments.
-    pub bytes_persisted: Counter,
-    /// fsync calls — one per group commit, batching every append of the
-    /// stage quantum.
-    pub fsyncs: Counter,
-    /// Active segments sealed after exceeding the size bound.
-    pub segments_sealed: Counter,
-    /// Sealed segments moved to the archive tier by the archiver.
-    pub segments_archived: Counter,
-    /// NAK gap-resolutions served from the durable log because the
-    /// requested sequence had left the in-memory retained window.
-    pub archive_retransmits: Counter,
-    /// Batches replayed from disk during a hard restart.
-    pub replayed_batches: Counter,
-    /// Records replayed from disk during a hard restart.
-    pub replayed_records: Counter,
-    /// Highest sequence fsynced to disk (sampled).
-    pub durable_seq: Gauge,
-    /// Segment files in the wal tier (sampled).
-    pub wal_segments: Gauge,
-    /// Segment files in the archive tier (sampled).
-    pub archived_segments: Gauge,
-}
-
-impl DurabilityMetrics {
-    /// Project to plain data.
-    pub fn snapshot(&self) -> DurabilitySnapshot {
-        DurabilitySnapshot {
-            appends: self.appends.get(),
-            records_persisted: self.records_persisted.get(),
-            bytes_persisted: self.bytes_persisted.get(),
-            fsyncs: self.fsyncs.get(),
-            segments_sealed: self.segments_sealed.get(),
-            segments_archived: self.segments_archived.get(),
-            archive_retransmits: self.archive_retransmits.get(),
-            replayed_batches: self.replayed_batches.get(),
-            replayed_records: self.replayed_records.get(),
-            mining_skipped: 0,
-            durable_seq: self.durable_seq.get(),
-            wal_segments: self.wal_segments.get(),
-            archived_segments: self.archived_segments.get(),
-        }
-    }
-}
-
-/// Plain-data projection of [`DurabilityMetrics`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DurabilitySnapshot {
-    /// Batches appended.
-    pub appends: u64,
-    /// Records fsynced.
-    pub records_persisted: u64,
-    /// Bytes fsynced.
-    pub bytes_persisted: u64,
-    /// Group-commit fsyncs.
-    pub fsyncs: u64,
-    /// Segments sealed.
-    pub segments_sealed: u64,
-    /// Segments archived.
-    pub segments_archived: u64,
-    /// Retransmits served from the durable log.
-    pub archive_retransmits: u64,
-    /// Batches replayed on restart.
-    pub replayed_batches: u64,
-    /// Records replayed on restart.
-    pub replayed_records: u64,
-    /// Always 0: restart re-mines the whole log, so no observer call is
-    /// skipped. Kept only because the benchmark harness still reads it.
-    pub mining_skipped: u64,
-    /// Sampled durable sequence.
-    pub durable_seq: u64,
-    /// Sampled wal-tier segment count.
-    pub wal_segments: u64,
-    /// Sampled archive-tier segment count.
-    pub archived_segments: u64,
-}
-
-/// Population engine (paper §III.A).
-#[derive(Debug, Default)]
-pub struct PopulationMetrics {
-    /// New IMCUs built.
-    pub imcus_built: Counter,
-    /// Stale IMCUs rebuilt.
-    pub imcus_repopulated: Counter,
-    /// Encoded columns a repopulation shared with the unit it replaced.
-    pub columns_shared: Counter,
-    /// Encoded columns a repopulation re-encoded.
-    pub columns_encoded: Counter,
-    /// Population passes run.
-    pub passes: Counter,
-    /// Rows populated across column stores (sampled).
-    pub populated_rows: Gauge,
-}
-
-impl PopulationMetrics {
-    /// Project to plain data.
-    pub fn snapshot(&self) -> PopulationSnapshot {
-        PopulationSnapshot {
-            imcus_built: self.imcus_built.get(),
-            imcus_repopulated: self.imcus_repopulated.get(),
-            columns_shared: self.columns_shared.get(),
-            columns_encoded: self.columns_encoded.get(),
-            passes: self.passes.get(),
-            populated_rows: self.populated_rows.get(),
-        }
-    }
-}
-
-/// Plain-data projection of [`PopulationMetrics`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PopulationSnapshot {
-    /// New IMCUs built.
-    pub imcus_built: u64,
-    /// Stale IMCUs rebuilt.
-    pub imcus_repopulated: u64,
-    /// Encoded columns repopulations shared with the units they replaced.
-    pub columns_shared: u64,
-    /// Encoded columns repopulations re-encoded.
-    pub columns_encoded: u64,
-    /// Population passes.
-    pub passes: u64,
-    /// Sampled populated rows.
-    pub populated_rows: u64,
-}
-
-/// Cold columnar tier: eviction, recall, re-compaction, and cold-unit
-/// scan activity (ROADMAP item 4).
-#[derive(Debug, Default)]
-pub struct TierMetrics {
-    /// Hot IMCUs evicted to the on-disk columnar tier.
-    pub tier_evictions: Counter,
-    /// Cold units recalled back into DRAM.
-    pub tier_recalls: Counter,
-    /// Cold units re-compacted (journal rows merged into a fresh file).
-    pub tier_recompactions: Counter,
-    /// Cold units excluded by footer min/max without any file I/O.
-    pub tier_pruned_units: Counter,
-    /// Cold units served by decoding their columnar file.
-    pub tier_cold_reads: Counter,
-    /// Cold files that failed CRC/decode and degraded to row-store scans.
-    pub tier_read_errors: Counter,
-    /// Bytes held by the cold tier on disk (sampled).
-    pub tier_bytes_on_disk: Gauge,
-    /// Cold unit count (sampled).
-    pub cold_units: Gauge,
-}
-
-impl TierMetrics {
-    /// Project to plain data.
-    pub fn snapshot(&self) -> TierSnapshot {
-        TierSnapshot {
-            tier_evictions: self.tier_evictions.get(),
-            tier_recalls: self.tier_recalls.get(),
-            tier_recompactions: self.tier_recompactions.get(),
-            tier_pruned_units: self.tier_pruned_units.get(),
-            tier_cold_reads: self.tier_cold_reads.get(),
-            tier_read_errors: self.tier_read_errors.get(),
-            tier_bytes_on_disk: self.tier_bytes_on_disk.get(),
-            cold_units: self.cold_units.get(),
-        }
-    }
-}
-
-/// Plain-data projection of [`TierMetrics`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TierSnapshot {
-    /// IMCUs evicted to disk.
-    pub tier_evictions: u64,
-    /// Cold units recalled to DRAM.
-    pub tier_recalls: u64,
-    /// Cold units re-compacted.
-    pub tier_recompactions: u64,
-    /// Cold units pruned by footer min/max (zero I/O).
-    pub tier_pruned_units: u64,
-    /// Cold units served from disk.
-    pub tier_cold_reads: u64,
-    /// Cold read failures degraded to the row store.
-    pub tier_read_errors: u64,
-    /// Sampled cold-tier bytes on disk.
-    pub tier_bytes_on_disk: u64,
-    /// Sampled cold unit count.
-    pub cold_units: u64,
-}
-
-/// The In-Memory Scan Engine as seen by the query API.
-#[derive(Debug, Default)]
-pub struct ScanEngineMetrics {
-    /// Queries executed through the unified query API.
-    pub queries: Counter,
-    /// Queries served by the IMCS.
-    pub imcs_served: Counter,
-    /// Queries that fell back to a pure row-store scan.
-    pub row_store_fallback: Counter,
-    /// Result rows served from encoded IMCU data.
-    pub imcu_rows: Counter,
-    /// Result rows served via SMU fallback.
-    pub fallback_rows: Counter,
-    /// Result rows served from uncovered blocks.
-    pub uncovered_rows: Counter,
-    /// Units skipped by the min/max storage index.
-    pub pruned_units: Counter,
-    /// Units whose columns were scanned.
-    pub scanned_units: Counter,
-    /// Per-unit scan tasks issued to the query-scoped worker pool.
-    pub parallel_tasks: Counter,
-    /// Queries executed with a parallel degree > 1.
-    pub parallel_queries: Counter,
-    /// Query latency distribution (µs).
-    pub latency_us: Histogram,
-}
-
-impl ScanEngineMetrics {
-    /// Project to plain data.
-    pub fn snapshot(&self) -> ScanEngineSnapshot {
-        ScanEngineSnapshot {
-            queries: self.queries.get(),
-            imcs_served: self.imcs_served.get(),
-            row_store_fallback: self.row_store_fallback.get(),
-            imcu_rows: self.imcu_rows.get(),
-            fallback_rows: self.fallback_rows.get(),
-            uncovered_rows: self.uncovered_rows.get(),
-            pruned_units: self.pruned_units.get(),
-            scanned_units: self.scanned_units.get(),
-            parallel_tasks: self.parallel_tasks.get(),
-            parallel_queries: self.parallel_queries.get(),
-            latency_us: self.latency_us.snapshot(),
-        }
-    }
-}
-
-/// Plain-data projection of [`ScanEngineMetrics`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ScanEngineSnapshot {
-    /// Queries executed.
-    pub queries: u64,
-    /// Queries served by the IMCS.
-    pub imcs_served: u64,
-    /// Queries served by the row store only.
-    pub row_store_fallback: u64,
-    /// Rows from encoded IMCU data.
-    pub imcu_rows: u64,
-    /// Rows via SMU fallback.
-    pub fallback_rows: u64,
-    /// Rows from uncovered blocks.
-    pub uncovered_rows: u64,
-    /// Units pruned by storage indexes.
-    pub pruned_units: u64,
-    /// Units scanned.
-    pub scanned_units: u64,
-    /// Per-unit scan tasks issued to the worker pool.
-    pub parallel_tasks: u64,
-    /// Queries executed with a parallel degree > 1.
-    pub parallel_queries: u64,
-    /// Latency distribution (µs).
-    pub latency_us: HistogramSnapshot,
 }
 
 // ---------------------------------------------------------------------------
 // Runtime (scheduler) observability
 // ---------------------------------------------------------------------------
 
-/// Scheduler-side metrics for one registered stage: how often it ran, how
-/// long each run quantum took, and how it parked/woke. Stage identities
-/// align with the registry's stage ids (`transport`, `merger`, `apply.N`,
-/// `flush`, `population.N`, …), so these land next to the stage's own
-/// counters in the snapshot.
-#[derive(Debug, Default)]
-pub struct StageRuntimeMetrics {
-    /// Run quanta executed.
-    pub runs: Counter,
-    /// Explicit wakeups received while parked (vs park-hint timeouts).
-    pub wakeups: Counter,
-    /// Times the stage parked idle.
-    pub parks: Counter,
-    /// Time spent parked, per park (µs).
-    pub park_us: Histogram,
-    /// Run-quantum duration (µs).
-    pub run_quantum_us: Histogram,
-}
-
-impl StageRuntimeMetrics {
-    /// Project to plain data.
-    pub fn snapshot(&self, stage: &str) -> StageRuntimeSnapshot {
-        StageRuntimeSnapshot {
-            stage: stage.to_string(),
-            runs: self.runs.get(),
-            wakeups: self.wakeups.get(),
-            parks: self.parks.get(),
-            park_us: self.park_us.snapshot(),
-            run_quantum_us: self.run_quantum_us.snapshot(),
-        }
-    }
-}
-
-/// Plain-data projection of [`StageRuntimeMetrics`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StageRuntimeSnapshot {
-    /// Stage id.
-    pub stage: String,
-    /// Run quanta executed.
-    pub runs: u64,
-    /// Explicit wakeups received.
-    pub wakeups: u64,
-    /// Parks taken.
-    pub parks: u64,
-    /// Park-time distribution (µs).
-    pub park_us: HistogramSnapshot,
-    /// Run-quantum distribution (µs).
-    pub run_quantum_us: HistogramSnapshot,
-}
-
 /// Runtime-wide observability for one deployment side: the per-stage
 /// scheduler metrics roster plus the pipeline health cell the schedulers
 /// write failures into.
 #[derive(Debug, Default)]
 pub struct RuntimeMetrics {
-    stages: Mutex<Vec<(String, Arc<StageRuntimeMetrics>)>>,
+    stages: Mutex<Vec<Arc<StageRuntimeMetrics>>>,
     /// Pipeline health; `Failed` once any stage errors or panics.
     pub health: Arc<crate::runtime::HealthState>,
 }
 
 impl RuntimeMetrics {
     /// The scheduler-metrics handle for stage `name`, creating it on first
-    /// use. Re-registering a stage (runtime rebuilt between runs) returns
+    /// use. Re-registering a stage (runtime rebuilt between sessions) returns
     /// the same handle so counters accumulate per side, not per run.
     pub fn stage(&self, name: &str) -> Arc<StageRuntimeMetrics> {
         let mut v = self.stages.lock();
-        if let Some((_, m)) = v.iter().find(|(n, _)| n == name) {
+        if let Some(m) = v.iter().find(|m| m.stage == name) {
             return m.clone();
         }
-        let m = Arc::new(StageRuntimeMetrics::default());
-        v.push((name.to_string(), m.clone()));
+        let m = Arc::new(StageRuntimeMetrics { stage: name.to_string(), ..Default::default() });
+        v.push(m.clone());
         m
     }
 
@@ -1178,8 +657,33 @@ impl RuntimeMetrics {
         RuntimeSnapshot {
             failure: self.health.get().failure().cloned(),
             stalls: self.health.stalls(),
-            stages: self.stages.lock().iter().map(|(n, m)| m.snapshot(n)).collect(),
+            stages: self.stages.lock().iter().map(|m| m.snapshot()).collect(),
         }
+    }
+}
+
+impl Metric for RuntimeMetrics {
+    type Snapshot = RuntimeSnapshot;
+    fn snapshot(&self) -> RuntimeSnapshot {
+        RuntimeMetrics::snapshot(self)
+    }
+    fn show(s: &RuntimeSnapshot, name: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let health = match &s.failure {
+            None => "ok".to_string(),
+            Some(fail) => format!("FAILED[{}]: {}", fail.stage, fail.reason),
+        };
+        writeln!(f, "{name}: health={health} stalls={}", s.stalls.len())?;
+        for w in &s.stalls {
+            writeln!(
+                f,
+                "  STALLED[{}]: idle for {} quanta with input pending",
+                w.stage, w.idle_quanta
+            )?;
+        }
+        for stage in &s.stages {
+            writeln!(f, " {stage}")?;
+        }
+        Ok(())
     }
 }
 
@@ -1297,6 +801,17 @@ impl PipelineTrace {
     }
 }
 
+impl Metric for PipelineTrace {
+    type Snapshot = Vec<TraceEvent>;
+    fn snapshot(&self) -> Vec<TraceEvent> {
+        self.events()
+    }
+    /// Trace events are a log: they stay out of the display lines.
+    fn show(_: &Vec<TraceEvent>, _: &str, _: &mut fmt::Formatter<'_>) -> fmt::Result {
+        Ok(())
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Commit-to-queryable staleness
 // ---------------------------------------------------------------------------
@@ -1311,7 +826,7 @@ struct CommitStamps {
 }
 
 /// Stage-by-stage residency of one traced commit, µs. Produced for the
-/// slowest commits so a laggard can be explained stage by stage.
+/// slowest commit records so a laggard can be explained stage by stage.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScnTrace {
     /// Commit SCN.
@@ -1330,7 +845,7 @@ pub struct ScnTrace {
     pub e2e_us: u64,
 }
 
-/// Bound on tracked in-flight commits; beyond it the oldest is evicted so
+/// Bound on tracked in-flight commit records; beyond it the oldest is evicted so
 /// a stalled standby cannot grow the map without limit.
 const STALENESS_INFLIGHT_CAP: usize = 65_536;
 
@@ -1339,11 +854,11 @@ pub const STALENESS_SLOWEST_CAP: usize = 16;
 
 /// Tracks commit-record latency through the pipeline: per-stage residency
 /// histograms plus the end-to-end commit-to-queryable staleness histogram
-/// (the paper's Fig. 5 analogue), and a ring of the slowest commits traced
+/// (the paper's Fig. 5 analogue), and a ring of the slowest commit records traced
 /// stage by stage.
 ///
 /// All stamps come from the tracker's injectable [`Clock`], so deterministic
-/// `Manual`-clock runs under the `StepScheduler` reproduce bit-identical
+/// `Manual`-clock sessions under the `StepScheduler` reproduce bit-identical
 /// bucket counts. Stamping happens only for commit records (not every redo
 /// change), keeping the hot path to one clock read and one map touch.
 #[derive(Debug, Default)]
@@ -1508,253 +1023,26 @@ pub struct StalenessSnapshot {
     pub publish: LogHistogramSnapshot,
     /// Generation → queryable (commit-to-queryable staleness).
     pub e2e: LogHistogramSnapshot,
-    /// The slowest traced commits, worst first.
+    /// The slowest traced commit records, worst first.
     pub slowest: Vec<ScnTrace>,
 }
 
-// ---------------------------------------------------------------------------
-// Registry + snapshot
-// ---------------------------------------------------------------------------
-
-/// The per-deployment-side metrics registry: one `Arc`'d stage-metrics
-/// struct per pipeline stage, plus the trace ring. Components receive their
-/// stage handle at construction and update it lock-light; gauges are
-/// refreshed by the owner just before [`MetricsRegistry::snapshot`].
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    /// Redo transport.
-    pub transport: Arc<TransportMetrics>,
-    /// Log merger.
-    pub merger: Arc<MergerMetrics>,
-    /// Recovery apply.
-    pub apply: Arc<ApplyMetrics>,
-    /// Mining component.
-    pub mining: Arc<MiningMetrics>,
-    /// IM-ADG Journal.
-    pub journal: Arc<JournalMetrics>,
-    /// IM-ADG Commit Table.
-    pub commit_table: Arc<CommitTableMetrics>,
-    /// Invalidation flush + advancement.
-    pub flush: Arc<FlushMetrics>,
-    /// Redo durability (on-disk log, restart replay).
-    pub durability: Arc<DurabilityMetrics>,
-    /// Population engine.
-    pub population: Arc<PopulationMetrics>,
-    /// Cold columnar tier.
-    pub tier: Arc<TierMetrics>,
-    /// Scan engine / query API.
-    pub scan: Arc<ScanEngineMetrics>,
-    /// Scheduler observability + pipeline health.
-    pub runtime: Arc<RuntimeMetrics>,
-    /// Commit-to-queryable staleness tracking.
-    pub staleness: Arc<StalenessTracker>,
-    /// Trace ring.
-    pub trace: PipelineTrace,
-}
-
-impl MetricsRegistry {
-    /// A fresh registry with the given trace capacity.
-    pub fn with_trace_capacity(capacity: usize) -> Self {
-        MetricsRegistry { trace: PipelineTrace::new(capacity), ..Default::default() }
+impl Metric for StalenessTracker {
+    type Snapshot = StalenessSnapshot;
+    fn snapshot(&self) -> StalenessSnapshot {
+        StalenessTracker::snapshot(self)
     }
-
-    /// Project every stage into one serializable snapshot.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            transport: self.transport.snapshot(),
-            merger: self.merger.snapshot(),
-            apply: self.apply.snapshot(),
-            mining: self.mining.snapshot(),
-            journal: self.journal.snapshot(),
-            commit_table: self.commit_table.snapshot(),
-            flush: self.flush.snapshot(),
-            durability: self.durability.snapshot(),
-            population: self.population.snapshot(),
-            tier: self.tier.snapshot(),
-            scan: self.scan.snapshot(),
-            runtime: self.runtime.snapshot(),
-            staleness: self.staleness.snapshot(),
-            trace: self.trace.events(),
-        }
-    }
-}
-
-/// Point-in-time, serde-serializable projection of every pipeline stage.
-/// This is the one schema shared by `StandbyStatus`, the exporters and
-/// `benchmark/`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct MetricsSnapshot {
-    /// Redo transport.
-    pub transport: TransportSnapshot,
-    /// Log merger.
-    pub merger: MergerSnapshot,
-    /// Recovery apply.
-    pub apply: ApplySnapshot,
-    /// Mining component.
-    pub mining: MiningSnapshot,
-    /// IM-ADG Journal.
-    pub journal: JournalSnapshot,
-    /// IM-ADG Commit Table.
-    pub commit_table: CommitTableSnapshot,
-    /// Invalidation flush + advancement.
-    pub flush: FlushSnapshot,
-    /// Redo durability (on-disk log, restart replay).
-    pub durability: DurabilitySnapshot,
-    /// Population engine.
-    pub population: PopulationSnapshot,
-    /// Cold columnar tier.
-    pub tier: TierSnapshot,
-    /// Scan engine / query API.
-    pub scan: ScanEngineSnapshot,
-    /// Scheduler observability + pipeline health.
-    pub runtime: RuntimeSnapshot,
-    /// Commit-to-queryable staleness histograms + slowest-commit traces.
-    pub staleness: StalenessSnapshot,
-    /// Recent trace events (bounded).
-    pub trace: Vec<TraceEvent>,
-}
-
-impl fmt::Display for MetricsSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    fn show(s: &StalenessSnapshot, name: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let e2e = &s.e2e;
         writeln!(
             f,
-            "transport: records_shipped={} bytes_shipped={} heartbeats={} queue_depth={} \
-             gaps_detected={} gaps_resolved={} retransmits={} naks_sent={} dups_dropped={} \
-             reconnects={}",
-            self.transport.records_shipped,
-            self.transport.bytes_shipped,
-            self.transport.heartbeats,
-            self.transport.queue_depth,
-            self.transport.gaps_detected,
-            self.transport.gaps_resolved,
-            self.transport.retransmits,
-            self.transport.naks_sent,
-            self.transport.duplicates_dropped,
-            self.transport.reconnects,
-        )?;
-        writeln!(
-            f,
-            "merger: records_merged={} held_back={} watermark={} stream_skew={}",
-            self.merger.records_merged,
-            self.merger.held_back,
-            self.merger.watermark,
-            self.merger.stream_skew,
-        )?;
-        writeln!(
-            f,
-            "apply: query_scn={} applied_scn={} apply_lag={} items_applied={} worker_cvs={:?}",
-            self.apply.query_scn,
-            self.apply.applied_scn,
-            self.apply.apply_lag,
-            self.apply.items_applied,
-            self.apply.worker_cvs,
-        )?;
-        writeln!(
-            f,
-            "mining: sniffed={} mined={} commits={} aborts={}",
-            self.mining.sniffed, self.mining.mined, self.mining.commits, self.mining.aborts,
-        )?;
-        writeln!(
-            f,
-            "journal: journal_txns={} journal_records={} bucket_contention={}",
-            self.journal.journal_txns, self.journal.journal_records, self.journal.bucket_contention,
-        )?;
-        writeln!(
-            f,
-            "commit_table: commit_table_pending={} inserts={} chops={} mean_chop={:.1}",
-            self.commit_table.commit_table_pending,
-            self.commit_table.inserts,
-            self.commit_table.chops,
-            self.commit_table.chop_size.mean(),
-        )?;
-        writeln!(
-            f,
-            "flush: advances={} flushed_records={} coarse_invalidations={} coop_flushed={} \
-             coordinator_flushed={} quiesce_p95_us={}",
-            self.flush.advances,
-            self.flush.flushed_records,
-            self.flush.coarse_invalidations,
-            self.flush.coop_flushed,
-            self.flush.coordinator_flushed,
-            self.flush.quiesce_us.quantile(0.95),
-        )?;
-        writeln!(
-            f,
-            "durability: fsyncs={} records_persisted={} durable_seq={} segments_archived={} \
-             archive_retransmits={} replayed_records={}",
-            self.durability.fsyncs,
-            self.durability.records_persisted,
-            self.durability.durable_seq,
-            self.durability.segments_archived,
-            self.durability.archive_retransmits,
-            self.durability.replayed_records,
-        )?;
-        writeln!(
-            f,
-            "population: populated_rows={} imcus_built={} imcus_repopulated={} \
-             columns_shared={} columns_encoded={}",
-            self.population.populated_rows,
-            self.population.imcus_built,
-            self.population.imcus_repopulated,
-            self.population.columns_shared,
-            self.population.columns_encoded,
-        )?;
-        writeln!(
-            f,
-            "tier: evictions={} recalls={} recompactions={} pruned_units={} cold_reads={} \
-             bytes_on_disk={} cold_units={}",
-            self.tier.tier_evictions,
-            self.tier.tier_recalls,
-            self.tier.tier_recompactions,
-            self.tier.tier_pruned_units,
-            self.tier.tier_cold_reads,
-            self.tier.tier_bytes_on_disk,
-            self.tier.cold_units,
-        )?;
-        writeln!(
-            f,
-            "scan: queries={} imcs_served={} row_store_fallback={} pruned_units={} \
-             latency_p95_us={}",
-            self.scan.queries,
-            self.scan.imcs_served,
-            self.scan.row_store_fallback,
-            self.scan.pruned_units,
-            self.scan.latency_us.quantile(0.95),
-        )?;
-        writeln!(
-            f,
-            "staleness: e2e_count={} e2e_p50_us={} e2e_p99_us={} e2e_max_us={} inflight_traces={}",
-            self.staleness.e2e.count,
-            self.staleness.e2e.p50(),
-            self.staleness.e2e.p99(),
-            self.staleness.e2e.max,
-            self.staleness.slowest.len(),
-        )?;
-        let health = match &self.runtime.failure {
-            None => "ok".to_string(),
-            Some(fail) => format!("FAILED[{}]: {}", fail.stage, fail.reason),
-        };
-        write!(f, "runtime: health={health} stalls={}", self.runtime.stalls.len())?;
-        for w in &self.runtime.stalls {
-            write!(
-                f,
-                "\n  STALLED[{}]: idle for {} quanta with input pending",
-                w.stage, w.idle_quanta
-            )?;
-        }
-        for s in &self.runtime.stages {
-            write!(
-                f,
-                "\n  stage {}: runs={} wakeups={} parks={} park_p95_us={} quantum_p95_us={}",
-                s.stage,
-                s.runs,
-                s.wakeups,
-                s.parks,
-                s.park_us.quantile(0.95),
-                s.run_quantum_us.quantile(0.95),
-            )?;
-        }
-        Ok(())
+            "{name}: e2e_count={} e2e_p50_us={} e2e_p99_us={} e2e_max_us={} slowest={}",
+            e2e.count,
+            e2e.p50(),
+            e2e.p99(),
+            e2e.max,
+            s.slowest.len(),
+        )
     }
 }
 
@@ -1764,51 +1052,67 @@ mod tests {
 
     #[test]
     fn counter_is_atomicu64_compatible() {
-        let c = Counter::new();
-        // The exact call shapes mining/flush call sites use.
-        c.fetch_add(1, Ordering::Relaxed);
-        c.fetch_add(4, Ordering::Relaxed);
-        assert_eq!(c.load(Ordering::Relaxed), 5);
-        c.inc();
-        assert_eq!(c.get(), 6);
+        // A counter is one relaxed AtomicU64: adds from many threads are
+        // never lost.
+        let c = Arc::new(Counter::new());
+        let threads: Vec<_> = (0..4)
+            .map(|_| {
+                let c = c.clone();
+                std::thread::spawn(move || {
+                    for _ in 0..1000 {
+                        c.inc();
+                    }
+                    c.add(4);
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(c.get(), 4 * 1004);
+        assert_eq!(c.snapshot(), c.get());
     }
 
     #[test]
     fn gauge_set_and_max() {
+        // A gauge keeps the last value; the running max of a sampled
+        // quantity is a LogHistogram's `max`.
         let g = Gauge::new();
-        g.set(7);
-        g.set_max(3);
-        assert_eq!(g.get(), 7);
-        g.set_max(11);
-        assert_eq!(g.get(), 11);
+        let h = LogHistogram::new();
+        for v in [7u64, 3, 11, 5] {
+            g.set(v);
+            h.record_value(v);
+        }
+        assert_eq!(g.get(), 5, "a gauge keeps the last value, not the max");
+        assert_eq!(g.snapshot(), 5);
+        assert_eq!(h.snapshot().max, 11);
     }
 
     #[test]
     fn histogram_buckets_values() {
-        let h = Histogram::new();
-        h.record_value(0); // bucket 0
-        h.record_value(1); // bucket 1
-        h.record_value(2); // bucket 2
-        h.record_value(3); // bucket 2
-        h.record_value(1000); // bucket 10
+        let h = LogHistogram::new();
+        for v in [0u64, 1, 2, 3, 1000] {
+            h.record_value(v);
+        }
         let s = h.snapshot();
-        assert_eq!(s.count, 5);
-        assert_eq!(s.sum, 1006);
-        assert_eq!(s.max, 1000);
-        assert_eq!(s.buckets[0], 1);
-        assert_eq!(s.buckets[1], 1);
-        assert_eq!(s.buckets[2], 2);
-        assert_eq!(s.buckets[10], 1);
+        assert_eq!((s.count, s.sum, s.max), (5, 1006, 1000));
+        // Identity buckets below 2^SUB_BITS; a recorded 0 lands in bucket 0.
+        for v in 0..4usize {
+            assert_eq!(s.buckets[v], LogBucket { index: v as u32, count: 1 });
+        }
+        assert_eq!(s.buckets[4].index as usize, LogHistogram::bucket_index(1000));
         assert!((s.mean() - 201.2).abs() < 1e-9);
-        assert_eq!(s.quantile(1.0), 1000, "max caps the overflowy bound");
+        assert_eq!(s.quantile(1.0), 1000, "max caps the last bucket bound");
         assert_eq!(s.quantile(0.2), 0);
     }
 
     #[test]
     fn histogram_records_durations_as_micros() {
-        let h = Histogram::new();
+        let h = LogHistogram::new();
         h.record(Duration::from_millis(3));
-        assert_eq!(h.snapshot().sum, 3000);
+        let s = h.snapshot();
+        assert_eq!((s.count, s.sum, s.max), (1, 3000, 3000));
+        assert_eq!(s.quantile(1.0), 3000);
     }
 
     #[test]
@@ -1827,8 +1131,8 @@ mod tests {
     #[test]
     fn per_worker_counters_grow() {
         let a = ApplyMetrics::default();
-        a.worker_counter(2).add(7);
-        a.worker_counter(0).add(1);
+        a.worker_cvs.counter(2).add(7);
+        a.worker_cvs.counter(0).add(1);
         assert_eq!(a.snapshot().worker_cvs, vec![1, 0, 7]);
     }
 
@@ -1842,7 +1146,7 @@ mod tests {
         reg.transport.retransmits.add(2);
         reg.merger.records_merged.add(10);
         reg.apply.records_dispatched.add(10);
-        reg.apply.worker_counter(1).add(6);
+        reg.apply.worker_cvs.counter(1).add(6);
         reg.mining.mined.add(4);
         reg.journal.journal_txns.set(2);
         reg.commit_table.chop_size.record_value(8);
@@ -1874,7 +1178,10 @@ mod tests {
             "flush:",
             "durability:",
             "population:",
+            "tier:",
             "scan:",
+            "runtime:",
+            "staleness:",
         ] {
             assert!(text.contains(needle), "missing {needle} in {text}");
         }

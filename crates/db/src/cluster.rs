@@ -5,6 +5,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use imadg_common::{
     Clock, Error, FaultPlan, InstanceId, ObjectId, RedoThreadId, Result, Runtime, RuntimeHealth,
@@ -21,6 +22,11 @@ use std::collections::{HashMap, HashSet};
 use crate::placement::Placement;
 use crate::primary::PrimaryInstance;
 use crate::standby::StandbyCluster;
+
+/// How long [`AdgCluster::sync`] waits while a link stays pending and
+/// nothing ships, applies, populates or reaches a receiver, before it
+/// reports the link stalled.
+const SYNC_STALL_LIMIT: Duration = Duration::from_secs(5);
 
 /// One named standby cluster in the reader farm.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -402,26 +408,48 @@ impl AdgCluster {
     /// or sitting in a receiver gap awaiting retransmission. Each loop
     /// iteration runs a shipper service quantum (inside `ship_redo`) and a
     /// full pump on every standby, which is exactly the polling the
-    /// NAK/ping protocol needs to converge.
+    /// NAK/ping protocol needs to converge. A link that stays pending with
+    /// nothing moving for 5 s fails the call with [`Error::SyncStalled`]
+    /// naming the pending sides.
     pub fn sync(&self) -> Result<()> {
         let standbys = self.standbys();
+        // Frames that reached a standby's receiver (data or probes).
+        let delivered = || -> u64 {
+            let links = standbys.iter().map(|s| &s.metrics.transport);
+            links.map(|t| t.frames_received.get() + t.link_pings.get()).sum()
+        };
+        let (mut last_delivered, mut last_progress) = (delivered(), Instant::now());
         loop {
             let shipped = self.ship_redo()?;
+            let mut moved = shipped > 0;
             let mut populated_any = false;
             for standby in &standbys {
-                standby.pump_until_idle()?;
+                while standby.pump()? {
+                    moved = true;
+                }
                 populated_any |= standby.populate_until_idle()?.any();
             }
-            let pending = self.primaries.read().iter().any(|p| p.transport_pending())
-                || standbys.iter().any(|s| s.recovery.transport_pending());
+            let primary_pending = self.primaries.read().iter().any(|p| p.transport_pending());
+            let pending: Vec<&Arc<StandbyCluster>> =
+                standbys.iter().filter(|s| s.recovery.transport_pending()).collect();
             // Population may race new shipping in tests; loop until stable.
             if shipped == 0 && !populated_any {
-                if !pending {
+                if !primary_pending && pending.is_empty() {
                     return Ok(());
                 }
                 // Real-time media (TCP, latent channels) needs wall-clock
                 // progress, not just polling.
                 std::thread::yield_now();
+            }
+            let now_delivered = delivered();
+            if moved || populated_any || now_delivered != last_delivered {
+                (last_delivered, last_progress) = (now_delivered, Instant::now());
+            } else if last_progress.elapsed() >= SYNC_STALL_LIMIT {
+                let sides = primary_pending
+                    .then(|| "primary sender".to_string())
+                    .into_iter()
+                    .chain(pending.iter().map(|s| format!("standby `{}`", s.name())));
+                return Err(Error::SyncStalled(sides.collect::<Vec<_>>().join(", ")));
             }
         }
     }

@@ -137,7 +137,7 @@ pub struct StandbyCluster {
     rac_endpoints: Vec<Arc<RacEndpoint>>,
     home: HomeLocationMap,
     /// The cluster-wide metrics registry every pipeline stage reports into.
-    metrics: Arc<MetricsRegistry>,
+    pub(crate) metrics: Arc<MetricsRegistry>,
     /// The IMCS configuration (tier engines are built from it lazily,
     /// once a cold-tier directory is known).
     imcs_config: ImcsConfig,

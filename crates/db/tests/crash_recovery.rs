@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use imadg_common::{FaultPlan, LinkMode};
+use imadg_common::{Error, FaultPlan, LinkMode};
 use imadg_db::{
     AdgCluster, ColumnType, Filter, NodeBuilder, NodeRole, ObjectId, Placement, QueryRequest,
     Schema, TableSpec, TenantId, Value,
@@ -550,4 +550,26 @@ fn sync_after_single_standby_promotion_returns() {
         .unwrap();
     let out = new_primary.query(&QueryRequest::scan(OBJ).filter(Filter::all())).unwrap();
     assert_eq!(out.count(), 15, "pre- and post-promotion rows on the new primary");
+}
+
+/// A link that never delivers must not hang `sync()`: once nothing has
+/// shipped, applied or reached a receiver for the stall limit, it fails
+/// and names the side still holding redo in flight.
+#[test]
+fn sync_reports_a_stalled_link() {
+    let never = FaultPlan { delay_ticks: u32::MAX, ..FaultPlan::default() };
+    let c = cluster(NodeBuilder::new().link(LinkMode::Framed).faults(never));
+    c.primary().insert_one(OBJ, TenantId::DEFAULT, vec![Value::Int(1), Value::Int(1)]).unwrap();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let syncing = c.clone();
+    std::thread::spawn(move || {
+        let _ = done_tx.send(syncing.sync());
+    });
+    let err = done_rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("sync() over a link that never delivers never returned")
+        .unwrap_err();
+    assert!(matches!(err, Error::SyncStalled(_)), "{err}");
+    // The held frames never left the sender's side of the link.
+    assert!(err.to_string().ends_with("pending on primary sender"), "{err}");
 }

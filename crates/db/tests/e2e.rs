@@ -372,7 +372,7 @@ fn restart_mid_transaction_triggers_coarse_invalidation() {
     // invalidation.
     let adg = s.adg.as_ref().unwrap();
     assert!(
-        adg.flush.stats.coarse_invalidations.load(std::sync::atomic::Ordering::Relaxed) >= 1,
+        adg.flush.stats.coarse_invalidations.get() >= 1,
         "missing begin must trigger coarse invalidation"
     );
     // Queries remain correct: rows come from the row store.

@@ -11,8 +11,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use imadg_common::metrics::{FlushMetrics, StalenessTracker, TraceStage};
-use imadg_common::{LatencyStats, MetricsRegistry, PipelineTrace, QueryScnCell, QuiesceLock, Scn};
-use parking_lot::Mutex;
+use imadg_common::{MetricsRegistry, PipelineTrace, QueryScnCell, QuiesceLock, Scn};
 
 use crate::flush::InvalidationFlush;
 use crate::progress::Progress;
@@ -25,11 +24,8 @@ pub struct Coordinator {
     /// The invalidation flush run before each publish; `None` without
     /// DBIM-on-ADG.
     flush: Option<Arc<InvalidationFlush>>,
-    /// Latency of each advancement (flush + publish), for the ablation
-    /// benches on cooperative flush (§III.D.2).
-    advance_latency: Mutex<LatencyStats>,
-    advances: Mutex<u64>,
-    /// Flush-stage metrics (advancement counters, quiesce durations).
+    /// Flush-stage metrics: the advancement count and the quiesce duration
+    /// (flush + publish) of each advancement.
     metrics: Arc<FlushMetrics>,
     /// Commit-to-queryable staleness: settles every in-flight commit at or
     /// below the published SCN.
@@ -53,8 +49,6 @@ impl Coordinator {
             query_scn,
             quiesce,
             flush,
-            advance_latency: Mutex::new(LatencyStats::new()),
-            advances: Mutex::new(0),
             metrics: registry.flush.clone(),
             staleness: registry.staleness.clone(),
             trace: registry.trace.clone(),
@@ -98,9 +92,7 @@ impl Coordinator {
         }
         self.staleness.on_advance(target.0, flush_us, publish_us);
         let elapsed = started.elapsed();
-        self.advance_latency.lock().record(elapsed);
-        *self.advances.lock() += 1;
-        self.metrics.advances.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.metrics.advances.inc();
         self.metrics.quiesce_us.record(elapsed);
         self.trace.record(
             TraceStage::Advance,
@@ -108,16 +100,6 @@ impl Coordinator {
             format!("QuerySCN published after {}µs quiesce", elapsed.as_micros()),
         );
         Some(target)
-    }
-
-    /// Number of successful advancements.
-    pub fn advance_count(&self) -> u64 {
-        *self.advances.lock()
-    }
-
-    /// Summary of advancement latencies.
-    pub fn advance_latency(&self) -> imadg_common::stats::LatencySummary {
-        self.advance_latency.lock().summary()
     }
 }
 
@@ -130,6 +112,7 @@ mod tests {
     use imadg_common::{Dba, ObjectId, ObjectSet, TenantId, TxnId, WorkerId};
     use imadg_redo::CommitRecord;
     use imadg_storage::{ChangeOp, ChangeVector, Row, Store, Value};
+    use parking_lot::Mutex;
 
     fn coord(progress: Arc<Progress>, flush: Option<Arc<InvalidationFlush>>) -> Coordinator {
         Coordinator::new(
@@ -161,7 +144,7 @@ mod tests {
         assert_eq!(c.try_advance(), None, "no new progress");
         p.report(WorkerId(1), Scn(42));
         assert_eq!(c.try_advance(), Some(Scn(10)), "leapfrog to new min");
-        assert_eq!(c.advance_count(), 2);
+        assert_eq!(c.metrics.advances.get(), 2);
     }
 
     /// Records, for every invalidation group it receives, the group's
@@ -228,6 +211,7 @@ mod tests {
         // the invalidation belongs to before the SMU had it.
         assert_eq!(*target.seen.lock(), vec![(Scn(5), None), (Scn(12), Some(Scn(9)))]);
         assert_eq!(query_scn.get(), Some(Scn(20)));
-        assert_eq!(c.advance_latency().count, 2);
+        assert_eq!(registry.flush.advances.get(), 2);
+        assert_eq!(registry.flush.quiesce_us.count(), 2);
     }
 }

@@ -9,7 +9,6 @@
 //! the DDL Information Table are processed first (§III.G). Partially-mined
 //! transactions trigger per-tenant coarse invalidation (§III.E).
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use imadg_common::metrics::FlushMetrics;
@@ -128,18 +127,18 @@ impl InvalidationFlush {
         };
         if partially_mined && node.modified_inmemory != Some(false) {
             self.target.coarse_invalidate(node.tenant);
-            self.stats.coarse_invalidations.fetch_add(1, Ordering::Relaxed);
+            self.stats.coarse_invalidations.inc();
         }
 
         if let Some(anchor) = anchor {
             let records = anchor.drain_records();
-            self.stats.flushed_records.fetch_add(records.len() as u64, Ordering::Relaxed);
+            self.stats.flushed_records.add(records.len() as u64);
             for group in group_records(records, node.commit_scn) {
                 self.target.flush_group(&group);
-                self.stats.flush_groups.fetch_add(1, Ordering::Relaxed);
+                self.stats.flush_groups.inc();
             }
         }
-        self.stats.flushed_txns.fetch_add(1, Ordering::Relaxed);
+        self.stats.flushed_txns.inc();
     }
 
     fn apply_ddl(&self, marker: &imadg_redo::RedoMarker) {
@@ -169,7 +168,7 @@ impl InvalidationFlush {
                 }
             }
         }
-        self.stats.ddl_applied.fetch_add(1, Ordering::Relaxed);
+        self.stats.ddl_applied.inc();
     }
 
     /// Flush everything queries at `target_scn` need to be consistent: the
@@ -216,7 +215,7 @@ impl InvalidationFlush {
             self.flush_node(node);
             wl.complete();
         }
-        self.stats.coop_flushed.fetch_add(batch.len() as u64, Ordering::Relaxed);
+        self.stats.coop_flushed.add(batch.len() as u64);
         batch.len()
     }
 }
@@ -298,8 +297,8 @@ mod tests {
         f.flush_for_advance(Scn(20));
         assert!(handle.smu().read().is_invalid(RowLoc { dba: Dba(10), slot: 1 }));
         assert!(f.journal.is_empty());
-        assert_eq!(f.stats.flushed_txns.load(Ordering::Relaxed), 2);
-        assert_eq!(f.stats.flushed_records.load(Ordering::Relaxed), 2);
+        assert_eq!(f.stats.flushed_txns.get(), 2);
+        assert_eq!(f.stats.flushed_records.get(), 2);
     }
 
     #[test]
@@ -316,7 +315,7 @@ mod tests {
         });
         f.flush_for_advance(Scn(5));
         assert!(handle.smu().read().all_invalid());
-        assert_eq!(f.stats.coarse_invalidations.load(Ordering::Relaxed), 1);
+        assert_eq!(f.stats.coarse_invalidations.get(), 1);
     }
 
     #[test]
@@ -361,7 +360,7 @@ mod tests {
         });
         f.flush_for_advance(Scn(5));
         assert!(!handle.smu().read().all_invalid(), "flag=false: no coarse needed");
-        assert_eq!(f.stats.coarse_invalidations.load(Ordering::Relaxed), 0);
+        assert_eq!(f.stats.coarse_invalidations.get(), 0);
     }
 
     #[test]
@@ -389,7 +388,7 @@ mod tests {
         for h in helpers {
             h.join().unwrap();
         }
-        assert_eq!(f.stats.flushed_txns.load(Ordering::Relaxed), 64);
+        assert_eq!(f.stats.flushed_txns.get(), 64);
         assert!(f.commit_table.is_empty());
         assert!(f.current.read().is_none());
     }
@@ -419,7 +418,7 @@ mod tests {
         f.flush_for_advance(Scn(10));
         assert!(imcs.object(ObjectId(1)).is_none(), "units dropped");
         assert!(f.store.table(ObjectId(1)).unwrap().schema.read().ordinal("n1").is_err());
-        assert_eq!(f.stats.ddl_applied.load(Ordering::Relaxed), 1);
+        assert_eq!(f.stats.ddl_applied.get(), 1);
     }
 
     #[test]

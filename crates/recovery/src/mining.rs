@@ -9,7 +9,6 @@
 //! per-worker area — the "thin layer" the paper requires on the apply
 //! critical path.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use imadg_common::metrics::MiningMetrics;
@@ -57,7 +56,7 @@ impl MiningComponent {
 
     /// `worker` applied a data change vector.
     pub fn on_change(&self, worker: WorkerId, cv: &ChangeVector) {
-        self.stats.sniffed.fetch_add(1, Ordering::Relaxed);
+        self.stats.sniffed.inc();
         if !self.enabled.is_enabled(cv.object) {
             return;
         }
@@ -71,7 +70,7 @@ impl MiningComponent {
             worker,
             InvalidationRecord { object: cv.object, dba: cv.dba, slot, tenant: cv.tenant },
         );
-        self.stats.mined.fetch_add(1, Ordering::Relaxed);
+        self.stats.mined.inc();
     }
 
     /// A transaction-begin control record was applied.
@@ -96,23 +95,21 @@ impl MiningComponent {
             modified_inmemory: record.modified_inmemory,
             anchor,
         });
-        self.stats.commits.fetch_add(1, Ordering::Relaxed);
+        self.stats.commits.inc();
     }
 
     /// An abort record was applied.
     pub fn on_abort(&self, txn: TxnId) {
         if let Some(anchor) = self.journal.remove(txn) {
-            self.stats.aborts.fetch_add(1, Ordering::Relaxed);
-            self.stats
-                .abort_discarded_records
-                .fetch_add(anchor.record_count() as u64, Ordering::Relaxed);
+            self.stats.aborts.inc();
+            self.stats.abort_discarded_records.add(anchor.record_count() as u64);
         }
     }
 
     /// A DDL redo marker was applied at `scn`.
     pub fn on_marker(&self, marker: &RedoMarker, scn: Scn) {
         self.ddl_table.insert(scn, Arc::new(marker.clone()));
-        self.stats.markers.fetch_add(1, Ordering::Relaxed);
+        self.stats.markers.inc();
     }
 }
 
@@ -160,8 +157,8 @@ mod tests {
         let row = Row::new(vec![Value::Int(1)]);
         m.on_change(WorkerId(0), &cv(1, 1, ChangeOp::Insert { slot: 0, row: row.clone() }));
         m.on_change(WorkerId(0), &cv(2, 1, ChangeOp::Insert { slot: 0, row }));
-        assert_eq!(m.stats.sniffed.load(Ordering::Relaxed), 2);
-        assert_eq!(m.stats.mined.load(Ordering::Relaxed), 1);
+        assert_eq!(m.stats.sniffed.get(), 2);
+        assert_eq!(m.stats.mined.get(), 1);
         assert_eq!(m.journal().total_records(), 1);
     }
 
@@ -169,7 +166,7 @@ mod tests {
     fn format_cvs_not_mined() {
         let m = component();
         m.on_change(WorkerId(0), &cv(1, 1, ChangeOp::Format { capacity: 8 }));
-        assert_eq!(m.stats.mined.load(Ordering::Relaxed), 0);
+        assert_eq!(m.stats.mined.get(), 0);
     }
 
     #[test]
@@ -211,7 +208,7 @@ mod tests {
         assert_eq!(m.journal().len(), 1);
         m.on_abort(TxnId(1));
         assert!(m.journal().is_empty());
-        assert_eq!(m.stats.aborts.load(Ordering::Relaxed), 1);
+        assert_eq!(m.stats.aborts.get(), 1);
     }
 
     #[test]
@@ -223,6 +220,6 @@ mod tests {
             ddl: DdlKind::DropColumn { name: "x".into() },
         };
         m.on_marker(&marker, Scn(9));
-        assert_eq!(m.stats.markers.load(Ordering::Relaxed), 1);
+        assert_eq!(m.stats.markers.get(), 1);
     }
 }

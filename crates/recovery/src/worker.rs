@@ -122,7 +122,7 @@ impl Worker {
             last_applied: Scn::ZERO,
             applied_items: 0,
             metrics: registry.apply.clone(),
-            cv_counter: registry.apply.worker_counter(id.0 as usize),
+            cv_counter: registry.apply.worker_cvs.counter(id.0 as usize),
             staleness: registry.staleness.clone(),
         }
     }
@@ -229,7 +229,6 @@ mod tests {
     use imadg_common::{Dba, ObjectId, ObjectSet};
     use imadg_imcs::ImcsStore;
     use imadg_storage::{ChangeOp, ColumnType, Row, Schema, TableSpec, Value};
-    use std::sync::atomic::Ordering;
 
     fn store() -> Arc<Store> {
         let s = Arc::new(Store::new());
@@ -300,7 +299,7 @@ mod tests {
         assert_eq!(w.applied_through(), Scn(9));
         // Both CVs were sniffed; the Format CV carries no row, so the
         // journal holds the insert's one record, linked from the commit.
-        assert_eq!(adg.mining.stats.sniffed.load(Ordering::Relaxed), 2);
+        assert_eq!(adg.mining.stats.sniffed.get(), 2);
         assert_eq!(adg.journal.total_records(), 1);
         assert_eq!(adg.commit_table.len(), 1);
         assert_eq!(
@@ -347,7 +346,7 @@ mod tests {
         }
         w.run_batch(usize::MAX).unwrap();
         // One visit after item 64 and one at the end of the batch.
-        assert_eq!(adg.flush.stats.coop_flushed.load(Ordering::Relaxed), 2 * COOP_BUDGET as u64);
-        assert_eq!(adg.flush.stats.flushed_txns.load(Ordering::Relaxed), 2 * COOP_BUDGET as u64);
+        assert_eq!(adg.flush.stats.coop_flushed.get(), 2 * COOP_BUDGET as u64);
+        assert_eq!(adg.flush.stats.flushed_txns.get(), 2 * COOP_BUDGET as u64);
     }
 }

@@ -137,6 +137,17 @@ cargo test -p imadg-db --test reader_farm -q
 echo "==> metrics exposition (Prometheus text + JSONL)"
 cargo test -p imadg-db --test metrics_api live_exposition_is_well_formed -q
 
+# Schema gate: the sorted `# TYPE` lines of a fully touched registry equal
+# the pinned list, and every stage object in JSONL carries exactly its
+# series' leaves — a renamed, dropped or re-kinded metric fails here.
+echo "==> metrics exposition schema is stable"
+cargo test -p imadg-common --lib exposition_schema_is_stable -q
+
+# Stall gate: sync() over a link that never delivers returns an error
+# naming the pending side instead of spinning forever.
+echo "==> sync() reports a stalled link"
+cargo test -p imadg-db --test crash_recovery sync_reports_a_stalled_link -q
+
 # Convergence gate: after the paper's update+insert mix, the standby holds
 # exactly the load plus every committed insert.
 echo "==> insert mix converges on the standby"

@@ -100,7 +100,7 @@
 //!
 //! | crate | role |
 //! |-------|------|
-//! | [`imadg_common`] | SCNs, DBAs, ids, config, stats |
+//! | [`imadg_common`] | SCNs, DBAs, ids, config, metrics, stage runtime |
 //! | [`imadg_storage`] | MVCC row store, blocks, buffer cache, apply path |
 //! | [`imadg_redo`] | redo records, log buffers, shipping, log merger |
 //! | [`imadg_txn`] | primary transaction manager, row locks |

@@ -3,7 +3,6 @@
 //! invalidation without the commit annotation, multi-tenant scoping, and
 //! journal hygiene.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use imadg::prelude::*;
@@ -101,7 +100,7 @@ fn aborts_clean_the_journal() {
     let standby = c.standby();
     let adg = standby.adg.as_ref().unwrap();
     assert_eq!(adg.journal.len(), 0);
-    assert_eq!(adg.flush.stats.coarse_invalidations.load(Ordering::Relaxed), 0);
+    assert_eq!(adg.flush.stats.coarse_invalidations.get(), 0);
     // The aborted update is invisible.
     let schema = p.store.table(OBJ).unwrap().schema.read().clone();
     let f = Filter::of(Predicate::eq(&schema, "v", Value::Int(5)).unwrap());
@@ -123,9 +122,9 @@ fn no_annotation_is_safe_but_not_needlessly_coarse() {
     let adg = standby.adg.as_ref().unwrap();
     // Fully mined transactions (begin + records all seen) don't trigger
     // coarse invalidation even without the flag.
-    assert_eq!(adg.flush.stats.coarse_invalidations.load(Ordering::Relaxed), 0);
+    assert_eq!(adg.flush.stats.coarse_invalidations.get(), 0);
     // Commit-table nodes are created for every txn (no fast-path skip).
-    assert!(adg.flush.stats.flushed_txns.load(Ordering::Relaxed) > 0);
+    assert!(adg.flush.stats.flushed_txns.get() > 0);
 
     // After a restart mid-transaction, pessimism kicks in.
     let p = c.primary();
@@ -140,7 +139,7 @@ fn no_annotation_is_safe_but_not_needlessly_coarse() {
     c.sync().unwrap();
     let adg = c.standby();
     let adg = adg.adg.as_ref().unwrap();
-    assert!(adg.flush.stats.coarse_invalidations.load(Ordering::Relaxed) >= 1);
+    assert!(adg.flush.stats.coarse_invalidations.get() >= 1);
 }
 
 /// Coarse invalidation is scoped to the offending tenant.
@@ -245,8 +244,8 @@ fn mining_filters_by_enablement() {
     c.sync().unwrap();
     let standby = c.standby();
     let mining = &standby.adg.as_ref().unwrap().mining;
-    let sniffed = mining.stats.sniffed.load(Ordering::Relaxed);
-    let mined = mining.stats.mined.load(Ordering::Relaxed);
+    let sniffed = mining.stats.sniffed.get();
+    let mined = mining.stats.mined.get();
     assert!(sniffed >= 20, "every row CV is sniffed");
     assert_eq!(mined, 10, "only the enabled object's CVs are journaled");
 }
