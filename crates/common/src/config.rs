@@ -52,14 +52,11 @@ pub struct ImcsConfig {
     pub build_pause_micros: u64,
     /// Memory budget for hot (in-DRAM) IMCUs, in approximate column-store
     /// bytes. When the hot tier exceeds the budget, the coldest units are
-    /// evicted to the on-disk columnar tier (ROADMAP item 4; the paper's
-    /// Fig. 2 capacity-expansion story). `0` = unlimited, no eviction.
+    /// evicted to the on-disk columnar tier under
+    /// `<durability dir>/standby-<name>/coldstore/` (the paper's Fig. 2
+    /// capacity-expansion story), so a budget requires a durability dir.
+    /// `0` = unlimited, no eviction.
     pub memory_budget_bytes: usize,
-    /// Directory for cold columnar unit files when no durability dir is
-    /// configured. With durability enabled the tier lives under
-    /// `<durability dir>/standby-<name>/coldstore/` instead so restart can
-    /// find it.
-    pub cold_tier_dir: Option<String>,
 }
 
 impl Default for ImcsConfig {
@@ -70,7 +67,6 @@ impl Default for ImcsConfig {
             repopulate_min_scn_gap: 2000,
             build_pause_micros: 1000,
             memory_budget_bytes: 0,
-            cold_tier_dir: None,
         }
     }
 }
@@ -151,8 +147,6 @@ impl FaultPlan {
 pub struct TransportConfig {
     /// One-way latency added to every shipped redo batch.
     pub latency: Duration,
-    /// Max redo entries per shipped batch.
-    pub batch: usize,
     /// How redo travels to the standby.
     pub mode: LinkMode,
     /// Fault injection for framed links (`None` = clean link).
@@ -172,7 +166,6 @@ impl Default for TransportConfig {
     fn default() -> Self {
         TransportConfig {
             latency: Duration::ZERO,
-            batch: 512,
             mode: LinkMode::Framed,
             faults: None,
             retained_window: 4096,
@@ -185,9 +178,6 @@ impl Default for TransportConfig {
 impl TransportConfig {
     /// Validate the knobs.
     pub fn validate(&self) -> Result<()> {
-        if self.batch == 0 {
-            return Err(Error::Config("transport batch size must be > 0".into()));
-        }
         if self.retained_window == 0 {
             return Err(Error::Config("retained_window must be > 0".into()));
         }
@@ -205,9 +195,10 @@ impl TransportConfig {
 /// archive tier.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DurabilityConfig {
-    /// Root directory for durable state (`<dir>/primary/tN`,
-    /// `<dir>/standby/tN`). `None` disables persistence — redo lives only
-    /// in memory, as before.
+    /// Root directory for durable state: `<dir>/primary/tN` and, per
+    /// standby, `<dir>/standby-<name>/tN` plus its cold tier
+    /// `<dir>/standby-<name>/coldstore/`. `None` disables persistence:
+    /// redo lives only in memory, and no memory budget can be set.
     pub dir: Option<String>,
     /// Size bound after which the active wal segment is sealed and becomes
     /// eligible for archival.
@@ -255,15 +246,9 @@ impl SystemConfig {
         self.imcs.validate()?;
         self.transport.validate()?;
         self.durability.validate()?;
-        if self.imcs.memory_budget_bytes > 0
-            && self.imcs.cold_tier_dir.is_none()
-            && !self.durability.enabled()
-        {
-            // Eviction needs somewhere to put the cold files: either the
-            // durable state tree or an explicit tier directory.
-            return Err(Error::Config(
-                "memory_budget_bytes requires cold_tier_dir or a durability dir".into(),
-            ));
+        if self.imcs.memory_budget_bytes > 0 && !self.durability.enabled() {
+            // Eviction puts the cold files in the durable state tree.
+            return Err(Error::Config("memory_budget_bytes requires a durability dir".into()));
         }
         Ok(())
     }
@@ -320,14 +305,10 @@ mod tests {
     }
 
     #[test]
-    fn budget_without_tier_dir_rejected() {
+    fn budget_without_durability_rejected() {
         let mut c = SystemConfig::default();
         c.imcs.memory_budget_bytes = 1024;
         assert!(c.validate().is_err());
-        c.imcs.cold_tier_dir = Some("/tmp/imadg-tier".into());
-        c.validate().unwrap();
-        // A durability dir also satisfies the requirement.
-        c.imcs.cold_tier_dir = None;
         c.durability.dir = Some("/tmp/imadg".into());
         c.validate().unwrap();
     }

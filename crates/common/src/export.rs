@@ -83,11 +83,15 @@ impl Writer {
     }
 }
 
+/// The one sequence that is a time series: the runtime's per-stage roster,
+/// split into one labelled series per stage.
+const STAGE_ROSTER: &str = "imadg_runtime_stages";
+
 /// Recursive emission: maps extend the metric path, numeric leaves become
-/// gauges, histogram-shaped maps become summaries, sequences of named
-/// maps (per-stage metrics) become label-split series. Sequences of
-/// anything else (trace rings, slowest-commit traces) are event logs, not
-/// time series — they stay in the JSONL format only.
+/// gauges, histogram-shaped maps become summaries, and the runtime's stage
+/// roster becomes label-split series. Every other sequence (the trace
+/// ring, stall warnings) is an event log, not a time series — it stays in
+/// the JSONL format only.
 fn emit(prefix: &str, value: &Content, labels: &[(String, String)], w: &mut Writer) {
     match value {
         Content::Map(fields) => {
@@ -115,24 +119,18 @@ fn emit(prefix: &str, value: &Content, labels: &[(String, String)], w: &mut Writ
             w.type_line(prefix, "gauge");
             w.sample(prefix, labels, if *b { 1.0 } else { 0.0 });
         }
-        Content::Seq(items) => {
+        Content::Seq(items) if prefix == STAGE_ROSTER => {
             for item in items {
-                // Per-stage metrics: split by a `name`/`stage` label.
-                let tag = item.as_map().and_then(|fields| {
-                    fields.iter().find_map(|(k, v)| match (k.as_str(), v) {
-                        ("name" | "stage", Content::Str(s)) => Some(s.clone()),
-                        _ => None,
-                    })
-                });
-                if let Some(tag) = tag {
+                if let Some(Content::Str(stage)) = item.field("stage") {
                     let mut ls = labels.to_vec();
-                    ls.push(("stage".into(), tag));
+                    ls.push(("stage".into(), stage.clone()));
                     emit(prefix, item, &ls, w);
                 }
             }
         }
-        // Strings (stage names, failure messages) and nulls are not series.
-        Content::Str(_) | Content::Null => {}
+        // Strings (stage names, failure messages), nulls and event logs are
+        // not series.
+        Content::Seq(_) | Content::Str(_) | Content::Null => {}
     }
 }
 
@@ -226,6 +224,20 @@ mod tests {
         assert!(text.contains("imadg_runtime_stages_runs{stage=\"merge\"} 1"));
     }
 
+    #[test]
+    fn trace_ring_stays_out_of_exposition() {
+        let r = MetricsRegistry::default();
+        r.trace.record(crate::metrics::TraceStage::Advance, 1, "publish");
+        r.trace.record(crate::metrics::TraceStage::Advance, 2, "publish");
+        let text = prometheus_text(&r.snapshot(), &[("role", "standby")]);
+        assert!(!text.contains("imadg_trace_"), "{text}");
+        let mut series = BTreeSet::new();
+        for line in text.lines().filter(|l| !l.starts_with('#')) {
+            let (series_name, _) = line.rsplit_once(' ').expect("sample has a value");
+            assert!(series.insert(series_name), "series emitted twice: {series_name}");
+        }
+    }
+
     /// Every `# TYPE` line of a fully touched registry, sorted.
     const SCHEMA: &str = "\
 imadg_apply_applied_scn gauge
@@ -316,8 +328,6 @@ imadg_tier_tier_pruned_units gauge
 imadg_tier_tier_read_errors gauge
 imadg_tier_tier_recalls gauge
 imadg_tier_tier_recompactions gauge
-imadg_trace_scn gauge
-imadg_trace_seq gauge
 imadg_transport_batches_shipped gauge
 imadg_transport_bytes_shipped gauge
 imadg_transport_duplicates_dropped gauge

@@ -323,17 +323,16 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// A runtime with a fresh health cell.
-    pub fn new() -> Runtime {
-        Runtime::with_health(Arc::new(HealthState::new()))
-    }
-
-    /// A runtime recording failures into `health` by default. Individual
-    /// stages may override via [`Runtime::register_with_health`] — a
-    /// cluster-wide runtime routes each side's failures to that side's
+    /// A runtime recording failures into a fresh health cell by default.
+    /// Individual stages may override via [`Runtime::register_with_health`]
+    /// — a cluster-wide runtime routes each side's failures to that side's
     /// registry.
-    pub fn with_health(health: Arc<HealthState>) -> Runtime {
-        Runtime { entries: Vec::new(), health, stop: Arc::new(AtomicBool::new(false)) }
+    pub fn new() -> Runtime {
+        Runtime {
+            entries: Vec::new(),
+            health: Arc::new(HealthState::new()),
+            stop: Arc::new(AtomicBool::new(false)),
+        }
     }
 
     /// The default health cell.

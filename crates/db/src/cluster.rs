@@ -1,19 +1,21 @@
 //! The full Active-Data-Guard deployment: a primary cluster fanning redo
 //! out to a farm of named standby clusters (paper Fig. 1, scaled out), plus
-//! the durability lifecycle — hard standby restart from on-disk redo and
-//! standby promotion after primary loss with survivor re-homing.
+//! the durability lifecycle — warm and hard standby restart, and standby
+//! promotion after primary loss with survivor re-homing. Every path builds
+//! its standbys through one assembly function and its primary instances
+//! through another.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use imadg_common::{
-    Clock, Error, FaultPlan, InstanceId, ObjectId, RedoThreadId, Result, Runtime, RuntimeHealth,
-    Scn, ScnService, StepScheduler, SystemConfig, ThreadedRuntime,
+    Clock, Error, FaultPlan, InstanceId, ObjectId, RedoThreadId, Result, Runtime, Scn, ScnService,
+    StepScheduler, SystemConfig, ThreadedRuntime,
 };
 use imadg_imcs::ImcsStore;
 use imadg_net::{build_fanout_link, FanoutLaneSpec};
-use imadg_redo::{DurableLog, LogBuffer, RedoSource, ReplaySource};
+use imadg_redo::{DurableLog, LogBuffer, RedoSink, RedoSource, ReplaySource};
 use imadg_storage::{DbaAllocator, Store, TableSpec};
 use imadg_txn::{InMemoryRegistry, LockTable, TxnIdService, TxnManager};
 use parking_lot::RwLock;
@@ -54,8 +56,8 @@ pub struct ClusterConfig {
     /// RAC instances per standby cluster (instance 0 runs SIRA media
     /// recovery).
     pub standby_instances: usize,
-    /// The reader farm: one named standby cluster per entry. Empty means
-    /// the historical single-standby deployment (one cluster named `sb0`).
+    /// The reader farm: one named standby cluster per entry (default: one
+    /// cluster named `sb0`).
     pub standby_clusters: Vec<StandbySpec>,
     /// Kernel configuration.
     pub system: SystemConfig,
@@ -74,7 +76,7 @@ impl Default for ClusterConfig {
         ClusterConfig {
             primary_instances: 1,
             standby_instances: 1,
-            standby_clusters: Vec::new(),
+            standby_clusters: vec![StandbySpec::named("sb0")],
             system: SystemConfig::default(),
             dbim_on_adg: true,
             commit_annotation: true,
@@ -87,16 +89,16 @@ impl ClusterConfig {
     fn durability_dir(&self) -> Option<PathBuf> {
         self.system.durability.dir.as_ref().map(PathBuf::from)
     }
+}
 
-    /// The effective farm shape: the configured specs, or the historical
-    /// single `sb0` when none were named.
-    fn farm(&self) -> Vec<StandbySpec> {
-        if self.standby_clusters.is_empty() {
-            vec![StandbySpec::named("sb0")]
-        } else {
-            self.standby_clusters.clone()
-        }
-    }
+/// What every instance of one primary cluster shares: the physical store
+/// and the SCN, transaction-id, row-lock and space allocators.
+struct PrimaryShared {
+    store: Arc<Store>,
+    scns: Arc<ScnService>,
+    txn_ids: Arc<TxnIdService>,
+    locks: Arc<LockTable>,
+    dbas: Arc<DbaAllocator>,
 }
 
 /// Outcome of [`AdgCluster::promote`].
@@ -135,7 +137,10 @@ impl AdgCluster {
         if config.primary_instances == 0 {
             return Err(Error::Config("need at least one primary instance".into()));
         }
-        let specs = config.farm();
+        let specs = config.standby_clusters.clone();
+        if specs.is_empty() {
+            return Err(Error::Config("need at least one standby cluster".into()));
+        }
         let mut seen = HashSet::new();
         for s in &specs {
             if s.name.is_empty() {
@@ -145,12 +150,22 @@ impl AdgCluster {
                 return Err(Error::Config(format!("duplicate standby cluster name {:?}", s.name)));
             }
         }
-        let scns = Arc::new(ScnService::new());
-        let txn_ids = Arc::new(TxnIdService::new());
-        let locks = Arc::new(LockTable::new());
-        let dbas = Arc::new(DbaAllocator::default());
-        let annotation = Arc::new(InMemoryRegistry::new());
-        let primary_store = Arc::new(Store::new());
+        let shared = PrimaryShared {
+            store: Arc::new(Store::new()),
+            scns: Arc::new(ScnService::new()),
+            txn_ids: Arc::new(TxnIdService::new()),
+            locks: Arc::new(LockTable::new()),
+            dbas: Arc::new(DbaAllocator::default()),
+        };
+        let cluster = AdgCluster {
+            config,
+            scns: RwLock::new(shared.scns.clone()),
+            primaries: RwLock::new(Vec::new()),
+            standbys: RwLock::new(Vec::new()),
+            annotation: Arc::new(InMemoryRegistry::new()),
+            placements: RwLock::new(HashMap::new()),
+        };
+        let config = &cluster.config;
         let dur_dir = config.durability_dir();
 
         let mut primaries = Vec::with_capacity(config.primary_instances);
@@ -199,65 +214,20 @@ impl AdgCluster {
             for (j, rx) in lane_rx.into_iter().enumerate() {
                 receivers[j].push(rx);
             }
-            let log = Arc::new(LogBuffer::with_clock(thread, config.clock.clone()));
-            let mut txm = TxnManager::new(
-                primary_store.clone(),
-                scns.clone(),
-                log.clone(),
-                txn_ids.clone(),
-                locks.clone(),
-                annotation.clone(),
-                dbas.clone(),
-            );
-            txm.annotate_commits = config.commit_annotation;
-            primaries.push(Arc::new(PrimaryInstance::new(
-                InstanceId(i as u8),
-                primary_store.clone(),
-                txm,
-                scns.clone(),
-                log,
-                sender,
-                &config.system.transport,
-                &config.system.imcs,
-                &config.clock,
-                &column_stores,
-            )?));
+            primaries.push(cluster.assemble_primary(thread, &shared, sender, &column_stores)?);
         }
+        *cluster.primaries.write() = primaries;
 
-        let mut standbys = Vec::with_capacity(specs.len());
-        for (j, (spec, rxs)) in specs.iter().zip(receivers).enumerate() {
-            // A pre-existing durability dir (cold start over surviving redo
-            // files) replays the whole log from disk before going live.
-            let rxs = Self::prepare_receivers(rxs)?;
-            let standby = StandbyCluster::new(
-                &config.system,
-                Arc::new(Store::new()),
-                rxs,
-                config.standby_instances,
-                config.dbim_on_adg,
-                &config.clock,
-                &spec.name,
-                j,
-            )?;
-            standby.set_primary_scn_probe(scns.clone());
-            if let Some(d) = &dur_dir {
-                // Cold columnar files live in the durable state tree; a
-                // cold start over surviving files registers them from
-                // footers alone, and the full replay rebuilds their SMUs.
-                standby.set_cold_tier_dir(Self::cold_tier_dir(d, &spec.name));
-                standby.restore_cold_tier()?;
-            }
-            standbys.push(standby);
-        }
-
-        Ok(Arc::new(AdgCluster {
-            config,
-            scns: RwLock::new(scns),
-            primaries: RwLock::new(primaries),
-            standbys: RwLock::new(standbys),
-            annotation,
-            placements: RwLock::new(HashMap::new()),
-        }))
+        // A pre-existing durability dir (cold start over surviving redo
+        // files) replays the whole log from disk before going live.
+        let standbys = specs
+            .iter()
+            .zip(receivers)
+            .enumerate()
+            .map(|(j, (spec, rxs))| cluster.assemble_standby(&spec.name, j, None, rxs))
+            .collect::<Result<Vec<_>>>()?;
+        *cluster.standbys.write() = standbys;
+        Ok(Arc::new(cluster))
     }
 
     /// Convenience: a default single-instance deployment.
@@ -282,11 +252,6 @@ impl AdgCluster {
         dir.join(format!("standby-{name}"))
     }
 
-    /// The named standby's cold columnar tier inside the durability dir.
-    fn cold_tier_dir(dir: &Path, name: &str) -> PathBuf {
-        Self::standby_dir(dir, name).join("coldstore")
-    }
-
     /// Wrap every receiver that has durable history in a [`ReplaySource`]
     /// (disk batches first, then the live link).
     fn prepare_receivers(receivers: Vec<Box<dyn RedoSource>>) -> Result<Vec<Box<dyn RedoSource>>> {
@@ -306,6 +271,71 @@ impl AdgCluster {
             out.push(wrapped);
         }
         Ok(out)
+    }
+
+    /// Assemble the primary instance of redo thread `thread` over the
+    /// primary cluster's `shared` services, shipping through `sender`.
+    /// `column_stores` holds every instance's column store (see
+    /// [`PrimaryInstance::new`]).
+    fn assemble_primary(
+        &self,
+        thread: RedoThreadId,
+        shared: &PrimaryShared,
+        sender: Box<dyn RedoSink>,
+        column_stores: &[Arc<ImcsStore>],
+    ) -> Result<Arc<PrimaryInstance>> {
+        let log = Arc::new(LogBuffer::with_clock(thread, self.config.clock.clone()));
+        let mut txm = TxnManager::new(
+            shared.store.clone(),
+            shared.scns.clone(),
+            log.clone(),
+            shared.txn_ids.clone(),
+            shared.locks.clone(),
+            self.annotation.clone(),
+            shared.dbas.clone(),
+        );
+        txm.annotate_commits = self.config.commit_annotation;
+        let id = InstanceId(thread.0 - 1);
+        Ok(Arc::new(PrimaryInstance::new(id, txm, log, sender, &self.config, column_stores)?))
+    }
+
+    /// Assemble farm member `name` on fan-out lane `lane` over `receivers`,
+    /// probing the current primary's SCN service, with its cold tier in the
+    /// durability dir and every recorded placement re-applied.
+    ///
+    /// `store` is the physical store a warm restart or re-homing keeps.
+    /// `None` builds a fresh store from the durable redo instead: each
+    /// receiver replays its disk history before the live link, and the
+    /// surviving cold files are registered from their footers before any
+    /// redo replays (the full replay re-mines each file's post-freeze
+    /// commits into its fresh SMU; per-unit absorption discards the rest).
+    fn assemble_standby(
+        &self,
+        name: &str,
+        lane: usize,
+        store: Option<Arc<Store>>,
+        receivers: Vec<Box<dyn RedoSource>>,
+    ) -> Result<Arc<StandbyCluster>> {
+        let fresh = store.is_none();
+        let receivers = if fresh { Self::prepare_receivers(receivers)? } else { receivers };
+        let standby = StandbyCluster::new(
+            &self.config,
+            name,
+            lane,
+            store.unwrap_or_else(|| Arc::new(Store::new())),
+            receivers,
+            self.scns(),
+            self.config.durability_dir().map(|d| Self::standby_dir(&d, name).join("coldstore")),
+        )?;
+        for (&object, placement) in self.placements.read().iter() {
+            if placement.on_standby_named(name) {
+                standby.enable_inmemory(object);
+            }
+        }
+        if fresh {
+            standby.restore_cold_tier()?;
+        }
+        Ok(standby)
     }
 
     /// The primary instances (owned snapshot: promotion swaps the set).
@@ -480,37 +510,12 @@ impl AdgCluster {
         Ok(())
     }
 
-    /// Restart every standby cluster (paper §III.E): storage persists,
-    /// every in-memory structure — journal, commit table, IMCS — is lost,
-    /// and media recovery resumes on the same redo links.
-    pub fn restart_standby(&self) -> Result<()> {
-        // Take the length first: a `for` loop's iterator temporaries live
-        // for the whole loop, and restart_standby_at needs the write lock.
-        let farm_size = self.standbys.read().len();
-        for idx in 0..farm_size {
-            self.restart_standby_at(idx)?;
-        }
-        Ok(())
-    }
-
-    /// Restart one standby cluster by farm index.
-    pub fn restart_standby_at(&self, idx: usize) -> Result<()> {
-        let old = self.standby_at(idx)?;
-        let receivers = old.recovery.take_receivers();
-        let new = StandbyCluster::new(
-            &self.config.system,
-            old.store.clone(),
-            receivers,
-            self.config.standby_instances,
-            self.config.dbim_on_adg,
-            &self.config.clock,
-            old.name(),
-            old.lane(),
-        )?;
-        new.set_primary_scn_probe(self.scns());
-        self.arm_standby(&new)?;
-        self.standbys.write()[idx] = new;
-        Ok(())
+    /// Restart one standby cluster by farm index (paper §III.E): storage
+    /// persists, every in-memory structure — journal, commit table, IMCS —
+    /// is lost, and media recovery resumes on the same redo links. The
+    /// rest of the farm keeps applying undisturbed.
+    pub fn restart_standby(&self, idx: usize) -> Result<()> {
+        self.restart(idx, false)
     }
 
     /// Hard-crash one standby cluster and restart it from disk: the
@@ -521,52 +526,30 @@ impl AdgCluster {
     /// retained window and archived logs. The rest of the farm keeps
     /// applying undisturbed. Requires durability (a framed or TCP link).
     pub fn crash_restart_standby(&self, idx: usize) -> Result<()> {
-        if self.config.durability_dir().is_none() {
+        self.restart(idx, true)
+    }
+
+    fn restart(&self, idx: usize, crash: bool) -> Result<()> {
+        if crash && self.config.durability_dir().is_none() {
             return Err(Error::Config(
                 "crash restart requires durability (NodeBuilder::durability)".into(),
             ));
         }
         let old = self.standby_at(idx)?;
         let mut receivers = old.recovery.take_receivers();
-        for rx in receivers.iter_mut() {
-            // The crash loses the unsynced tee buffer and all reassembly
-            // state; the link rewinds to the durable position and
-            // announces it to the sender.
-            rx.reset_for_restart()?;
-        }
-        let receivers = Self::prepare_receivers(receivers)?;
-        let new = StandbyCluster::new(
-            &self.config.system,
-            Arc::new(Store::new()),
-            receivers,
-            self.config.standby_instances,
-            self.config.dbim_on_adg,
-            &self.config.clock,
-            old.name(),
-            old.lane(),
-        )?;
-        new.set_primary_scn_probe(self.scns());
-        self.arm_standby(&new)?;
-        // Instant re-population: register every surviving cold file from
-        // its footer before any redo replays. The durable log replays in
-        // full, so each file's post-freeze commits re-mine into its fresh
-        // SMU (per-unit absorption discards the rest).
-        new.restore_cold_tier()?;
-        self.standbys.write()[idx] = new;
-        Ok(())
-    }
-
-    /// Re-apply recorded placements (and the durable cold-tier directory)
-    /// to a fresh standby cluster.
-    fn arm_standby(&self, standby: &Arc<StandbyCluster>) -> Result<()> {
-        if let Some(d) = self.config.durability_dir() {
-            standby.set_cold_tier_dir(Self::cold_tier_dir(&d, standby.name()));
-        }
-        for (&object, placement) in self.placements.read().iter() {
-            if placement.on_standby_named(standby.name()) {
-                standby.enable_inmemory(object);
+        let store = if crash {
+            for rx in receivers.iter_mut() {
+                // The crash loses the unsynced tee buffer and all
+                // reassembly state; the link rewinds to the durable
+                // position and announces it to the sender.
+                rx.reset_for_restart()?;
             }
-        }
+            None
+        } else {
+            Some(old.store.clone())
+        };
+        let new = self.assemble_standby(old.name(), old.lane(), store, receivers)?;
+        self.standbys.write()[idx] = new;
         Ok(())
     }
 
@@ -615,7 +598,6 @@ impl AdgCluster {
         // segment's insert cursor from block occupancy before the first
         // local transaction, or new rows would shadow replayed slots.
         store.reset_insert_cursors()?;
-        let scns = Arc::new(ScnService::starting_at(Scn(applied.raw() + 1)));
         // Seed the space layer past every block recovery materialized.
         let mut max_dba = 0u64;
         for id in store.object_ids() {
@@ -623,23 +605,16 @@ impl AdgCluster {
                 max_dba = max_dba.max(dba.0);
             }
         }
-        let dbas = Arc::new(DbaAllocator::new(max_dba + 1));
-        // Never reuse a replayed transaction id: a collision would
-        // resurrect orphaned uncommitted versions.
-        let txn_ids = Arc::new(TxnIdService::starting_at(store.txns().max_txn_id().0 + 1));
-        let locks = Arc::new(LockTable::new());
+        let shared = PrimaryShared {
+            scns: Arc::new(ScnService::starting_at(Scn(applied.raw() + 1))),
+            // Never reuse a replayed transaction id: a collision would
+            // resurrect orphaned uncommitted versions.
+            txn_ids: Arc::new(TxnIdService::starting_at(store.txns().max_txn_id().0 + 1)),
+            locks: Arc::new(LockTable::new()),
+            dbas: Arc::new(DbaAllocator::new(max_dba + 1)),
+            store,
+        };
         let thread = RedoThreadId(1);
-        let log = Arc::new(LogBuffer::with_clock(thread, self.config.clock.clone()));
-        let mut txm = TxnManager::new(
-            store.clone(),
-            scns.clone(),
-            log.clone(),
-            txn_ids,
-            locks,
-            self.annotation.clone(),
-            dbas,
-        );
-        txm.annotate_commits = self.config.commit_annotation;
 
         // Survivors re-home: a fresh framed fan-out link from the promoted
         // primary, one clean zero-latency lane per surviving standby, with
@@ -659,18 +634,8 @@ impl AdgCluster {
             .collect();
         let (sender, lane_rx) =
             build_fanout_link(thread, &rehome_cfg, self.config.clock.clone(), None, lanes)?;
-        let promoted = Arc::new(PrimaryInstance::new(
-            InstanceId(0),
-            store,
-            txm,
-            scns.clone(),
-            log,
-            sender,
-            &self.config.system.transport,
-            &self.config.system.imcs,
-            &self.config.clock,
-            &[Arc::new(ImcsStore::new())],
-        )?);
+        let promoted =
+            self.assemble_primary(thread, &shared, sender, &[Arc::new(ImcsStore::new())])?;
         // The promoted side now populates its own column store for every
         // object that was in-memory anywhere.
         for (&object, placement) in self.placements.read().iter() {
@@ -679,7 +644,7 @@ impl AdgCluster {
             }
         }
         promoted.population.run_until_idle()?;
-        *self.scns.write() = scns.clone();
+        *self.scns.write() = shared.scns.clone();
         *self.primaries.write() = vec![promoted];
 
         // Rebuild each survivor over its existing store, attached to its
@@ -690,20 +655,9 @@ impl AdgCluster {
         for ((lane, &idx), rx) in survivors.iter().enumerate().zip(lane_rx) {
             let old = &standbys[idx];
             // Drop the old in-memory pipeline; keep the datafiles.
-            let replacement = StandbyCluster::new(
-                &self.config.system,
-                old.store.clone(),
-                vec![rx],
-                self.config.standby_instances,
-                self.config.dbim_on_adg,
-                &self.config.clock,
-                old.name(),
-                lane,
-            )?;
-            replacement.set_primary_scn_probe(scns.clone());
-            self.arm_standby(&replacement)?;
+            new_farm[idx] =
+                self.assemble_standby(old.name(), lane, Some(old.store.clone()), vec![rx])?;
             rehomed.push(old.name().to_string());
-            new_farm[idx] = replacement;
         }
         *self.standbys.write() = new_farm;
         Ok(PromotionReport {
@@ -744,7 +698,7 @@ impl AdgCluster {
     /// Spawn the full threaded deployment: redo shippers on every primary
     /// plus every standby's recovery, population and RAC stages.
     pub fn start(&self) -> ClusterThreads {
-        ClusterThreads { inner: self.build_runtime().start_threaded() }
+        self.build_runtime().start_threaded()
     }
 
     /// A deterministic single-thread scheduler over the full deployment:
@@ -756,18 +710,114 @@ impl AdgCluster {
 
 /// Guard over the deployment's background threads; drains and stops them
 /// on drop.
-pub struct ClusterThreads {
-    inner: ThreadedRuntime,
-}
+pub type ClusterThreads = ThreadedRuntime;
 
-impl ClusterThreads {
-    /// Current deployment health (both sides).
-    pub fn health(&self) -> RuntimeHealth {
-        self.inner.health()
+#[cfg(test)]
+mod tests {
+    use imadg_common::{MetricsRegistry, TenantId};
+    use imadg_imcs::{CmpOp, Filter, Predicate};
+    use imadg_storage::{ColumnType, Row, RowLoc, Schema, Value};
+    use imadg_txn::InvalidationSink;
+    use parking_lot::Mutex;
+
+    use super::*;
+    use crate::query::{execute_request, QueryRequest};
+    use crate::NodeBuilder;
+
+    /// Wraps the primary's invalidation: before each location goes stale, a
+    /// primary IMCS query must agree with the row store at the same
+    /// snapshot.
+    struct CheckedSink {
+        imcs: Arc<ImcsStore>,
+        store: Arc<Store>,
+        scns: Arc<ScnService>,
+        req: QueryRequest,
+        filter: Filter,
+        mismatches: Mutex<Vec<String>>,
     }
 
-    /// Drain every stage, join the threads, and return the final health.
-    pub fn shutdown(self) -> RuntimeHealth {
-        self.inner.shutdown()
+    impl InvalidationSink for CheckedSink {
+        fn invalidate(&self, object: ObjectId, loc: RowLoc, commit_scn: Scn) {
+            let snapshot = self.scns.current();
+            let m = MetricsRegistry::default();
+            let imcs = [self.imcs.clone()];
+            let out = execute_request(
+                &imcs,
+                &self.store,
+                &self.req,
+                snapshot,
+                &m.scan,
+                &m.tier,
+                &m.trace,
+            )
+            .expect("primary query");
+            let served: HashSet<Row> = out.rows.into_iter().collect();
+            let mut rows = HashSet::new();
+            self.store
+                .scan_object(object, snapshot, None, |_, row| {
+                    if self.filter.eval_row(row) {
+                        rows.insert(row.clone());
+                    }
+                })
+                .expect("row-store scan");
+            if served != rows {
+                self.mismatches.lock().push(format!(
+                    "at SCN {} (commit {}): IMCS served {served:?}, row store has {rows:?}",
+                    snapshot.raw(),
+                    commit_scn.raw()
+                ));
+            }
+            self.imcs.invalidate(object, loc, commit_scn);
+        }
+    }
+
+    /// A primary query whose snapshot covers a commit must never read the
+    /// commit's rows from a cell that is still marked valid: the column
+    /// store learns of the commit before the txn table makes it visible.
+    #[test]
+    fn primary_commit_invalidates_before_it_becomes_visible() {
+        let cluster = NodeBuilder::new().build().unwrap();
+        let obj = ObjectId(1);
+        let schema = Schema::of(&[("id", ColumnType::Int), ("v", ColumnType::Int)]);
+        cluster
+            .create_table(TableSpec {
+                id: obj,
+                name: "t".into(),
+                tenant: TenantId::DEFAULT,
+                schema: schema.clone(),
+                key_ordinal: 0,
+                rows_per_block: 64,
+            })
+            .unwrap();
+        cluster.set_placement(obj, Placement::PrimaryOnly).unwrap();
+        for i in 0..20 {
+            cluster.primary().insert_one(obj, TenantId::DEFAULT, vec![Value::Int(i); 2]).unwrap();
+        }
+        cluster.populate_primary().unwrap();
+
+        let filter = Filter::of(Predicate::new(&schema, "v", CmpOp::Ge, Value::Int(50)).unwrap());
+        let req = QueryRequest::scan(obj).filter(filter.clone());
+        let p = cluster.primary();
+        assert!(p.imcs.populated_rows() > 0, "the unit is populated before the commit");
+        let sink = Arc::new(CheckedSink {
+            imcs: p.imcs.clone(),
+            store: p.store.clone(),
+            scns: p.txm.scns().clone(),
+            req: req.clone(),
+            filter,
+            mismatches: Mutex::new(Vec::new()),
+        });
+        drop(p);
+        {
+            let mut primaries = cluster.primaries.write();
+            let p = Arc::get_mut(&mut primaries[0]).expect("no other handle on the primary");
+            p.txm.set_invalidation_sink(sink.clone());
+        }
+
+        // The new image starts to match the predicate.
+        cluster.primary().update_one(obj, TenantId::DEFAULT, 3, "v", Value::Int(99)).unwrap();
+        let mismatches = sink.mismatches.lock();
+        assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+        assert_eq!(cluster.primary().query(&req).unwrap().rows.len(), 1);
     }
 }

@@ -6,6 +6,11 @@
 //! standby's column store consistent at every published QuerySCN, and the
 //! placement policies (Fig. 2) that split the in-memory working set across
 //! the two sides.
+//!
+//! A deployment is configured through [`NodeBuilder`], which sets each knob
+//! one way, and is assembled by [`AdgCluster`]: one function builds every
+//! standby and one every primary instance, whether at provisioning, on a
+//! warm or crash restart, or on promotion.
 
 pub mod cluster;
 pub mod node;
@@ -21,7 +26,7 @@ pub use placement::{Placement, StandbySelector};
 pub use primary::PrimaryInstance;
 pub use query::{execute_request, QueryOutput, QueryRequest};
 pub use router::{FallbackReason, RouteDecision, RouteTarget, StandbyEstimate};
-pub use standby::{StandbyCluster, StandbyInstance, StandbyStatus, StandbyThreads};
+pub use standby::{StandbyCluster, StandbyInstance, StandbyStatus};
 
 // Re-export the vocabulary users need to drive a cluster.
 pub use imadg_common::{

@@ -1,5 +1,6 @@
 //! The unified node-role API: every deployment is built by one
-//! [`NodeBuilder`] and handled through role-typed [`Node`]s.
+//! [`NodeBuilder`], which has one way to set each knob, and handled
+//! through role-typed [`Node`]s.
 //!
 //! The paper's operational story (§I) is symmetric: a database *node* is
 //! primary or standby by **role**, not by type — promotion turns a standby
@@ -7,10 +8,8 @@
 //! that: one handle, one `query()`, one `metrics()`, with the role
 //! deciding the route.
 
-use std::sync::Arc;
-use std::time::Duration;
-
 use imadg_common::{FaultPlan, LinkMode, MetricsSnapshot, Result, SystemConfig};
+use std::sync::Arc;
 
 use crate::cluster::{AdgCluster, ClusterConfig, PromotionReport, StandbySpec};
 use crate::query::{QueryOutput, QueryRequest};
@@ -143,6 +142,11 @@ impl AdgCluster {
 
 /// Named-setter builder for a full deployment.
 ///
+/// Each field has one way to be set: a named setter for the deployment
+/// shape ([`ClusterConfig`]'s own fields), [`NodeBuilder::link`] and
+/// [`NodeBuilder::durability`] for the medium and the state directory,
+/// and [`NodeBuilder::tune`] for every other [`SystemConfig`] knob.
+///
 /// ```
 /// use imadg_db::{NodeBuilder, LinkMode};
 ///
@@ -184,19 +188,9 @@ impl NodeBuilder {
         self
     }
 
-    /// Append one named standby cluster to the farm.
-    pub fn standby_cluster(mut self, name: impl Into<String>) -> Self {
-        self.config.standby_clusters.push(StandbySpec::named(name));
-        self
-    }
-
     /// Seeded fault injection on one farm member's redo lanes only (by
-    /// farm index); the other lanes stay clean. Materializes the default
-    /// single `sb0` farm if none was configured yet.
+    /// farm index); the other lanes stay clean.
     pub fn standby_faults(mut self, idx: usize, plan: FaultPlan) -> Self {
-        if self.config.standby_clusters.is_empty() {
-            self.config.standby_clusters = vec![StandbySpec::named("sb0")];
-        }
         if let Some(spec) = self.config.standby_clusters.get_mut(idx) {
             spec.faults = Some(plan);
         }
@@ -215,63 +209,9 @@ impl NodeBuilder {
         self
     }
 
-    /// Replace the whole kernel configuration at once.
-    pub fn system(mut self, system: SystemConfig) -> Self {
-        self.config.system = system;
-        self
-    }
-
-    /// Replace the column-store section.
-    pub fn imcs(mut self, imcs: imadg_common::ImcsConfig) -> Self {
-        self.config.system.imcs = imcs;
-        self
-    }
-
-    /// Replace the transport section.
-    pub fn transport(mut self, transport: imadg_common::TransportConfig) -> Self {
-        self.config.system.transport = transport;
-        self
-    }
-
     /// How redo travels to the standby.
     pub fn link(mut self, mode: LinkMode) -> Self {
         self.config.system.transport.mode = mode;
-        self
-    }
-
-    /// One-way latency added to every shipped redo batch.
-    pub fn latency(mut self, latency: Duration) -> Self {
-        self.config.system.transport.latency = latency;
-        self
-    }
-
-    /// Max redo entries per shipped batch.
-    pub fn batch(mut self, batch: usize) -> Self {
-        self.config.system.transport.batch = batch;
-        self
-    }
-
-    /// Seeded fault injection on the redo links (framed/TCP modes only).
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.config.system.transport.faults = Some(plan);
-        self
-    }
-
-    /// Max sent frames retained on the primary for serving NAKs.
-    pub fn retained_window(mut self, frames: usize) -> Self {
-        self.config.system.transport.retained_window = frames;
-        self
-    }
-
-    /// Receiver polls between NAK retries while a gap stays open.
-    pub fn nak_retry_polls(mut self, polls: u32) -> Self {
-        self.config.system.transport.nak_retry_polls = polls;
-        self
-    }
-
-    /// Sender idle polls before a liveness ping.
-    pub fn ping_idle_polls(mut self, polls: u32) -> Self {
-        self.config.system.transport.ping_idle_polls = polls;
         self
     }
 
@@ -279,28 +219,6 @@ impl NodeBuilder {
     /// TCP link.
     pub fn durability(mut self, dir: impl Into<String>) -> Self {
         self.config.system.durability.dir = Some(dir.into());
-        self
-    }
-
-    /// Size bound after which a wal segment seals (durability tier).
-    pub fn segment_bytes(mut self, bytes: u64) -> Self {
-        self.config.system.durability.segment_max_bytes = bytes;
-        self
-    }
-
-    /// Cap hot (in-DRAM) IMCU bytes per standby: when the hot tier
-    /// exceeds the budget, the coldest units are evicted to the on-disk
-    /// columnar tier (requires durability or [`NodeBuilder::cold_tier_dir`]).
-    /// `0` = unlimited, no eviction.
-    pub fn memory_budget(mut self, bytes: usize) -> Self {
-        self.config.system.imcs.memory_budget_bytes = bytes;
-        self
-    }
-
-    /// Directory for cold columnar unit files when durability is off (with
-    /// durability the tier lives inside the durable state tree).
-    pub fn cold_tier_dir(mut self, dir: impl Into<String>) -> Self {
-        self.config.system.imcs.cold_tier_dir = Some(dir.into());
         self
     }
 
@@ -313,8 +231,9 @@ impl NodeBuilder {
         self
     }
 
-    /// Tune any kernel knob in place (escape hatch for settings without a
-    /// dedicated setter).
+    /// Set any other kernel knob in place: transport cadences, latency and
+    /// faults, segment size, memory budget, recovery workers, population
+    /// thresholds.
     pub fn tune(mut self, f: impl FnOnce(&mut SystemConfig)) -> Self {
         f(&mut self.config.system);
         self
@@ -334,6 +253,8 @@ impl NodeBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
     use imadg_common::{ObjectId, TenantId};
     use imadg_imcs::Filter;
     use imadg_storage::{ColumnType, Schema, TableSpec, Value};
@@ -415,7 +336,11 @@ mod tests {
 
     #[test]
     fn duplicate_farm_names_rejected() {
-        assert!(NodeBuilder::new().standby_cluster("a").standby_cluster("a").build().is_err());
+        let farm = vec![StandbySpec::named("a"), StandbySpec::named("a")];
+        assert!(AdgCluster::new(ClusterConfig { standby_clusters: farm, ..Default::default() })
+            .is_err());
+        // An empty farm has no standby to serve or promote.
+        assert!(NodeBuilder::new().reader_farm(0).build().is_err());
     }
 
     #[test]
@@ -461,33 +386,30 @@ mod tests {
 
     #[test]
     fn builder_sets_every_knob() {
+        let fault = FaultPlan { seed: 7, ..FaultPlan::default() };
         let b = NodeBuilder::new()
             .primaries(2)
             .standbys(3)
+            .reader_farm(2)
+            .standby_faults(1, fault.clone())
             .dbim_on_adg(false)
             .commit_annotation(false)
-            .link(LinkMode::Framed)
-            .latency(Duration::from_millis(1))
-            .batch(64)
-            .retained_window(32)
-            .nak_retry_polls(4)
-            .ping_idle_polls(9)
-            .segment_bytes(4096)
+            .clock(imadg_common::Clock::manual())
+            .link(LinkMode::Tcp)
             .durability("/tmp/unused")
-            .clock(imadg_common::Clock::manual());
+            .tune(|s| s.transport.nak_retry_polls = 4);
         let c = b.config();
         assert_eq!(c.primary_instances, 2);
         assert_eq!(c.standby_instances, 3);
+        let names: Vec<&str> = c.standby_clusters.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["sb0", "sb1"]);
+        assert_eq!(c.standby_clusters[0].faults, None);
+        assert_eq!(c.standby_clusters[1].faults, Some(fault));
         assert!(!c.dbim_on_adg);
         assert!(!c.commit_annotation);
-        assert_eq!(c.system.transport.mode, LinkMode::Framed);
-        assert_eq!(c.system.transport.latency, Duration::from_millis(1));
-        assert_eq!(c.system.transport.batch, 64);
-        assert_eq!(c.system.transport.retained_window, 32);
-        assert_eq!(c.system.transport.nak_retry_polls, 4);
-        assert_eq!(c.system.transport.ping_idle_polls, 9);
-        assert_eq!(c.system.durability.segment_max_bytes, 4096);
-        assert_eq!(c.system.durability.dir.as_deref(), Some("/tmp/unused"));
         assert!(matches!(c.clock, imadg_common::Clock::Manual(_)));
+        assert_eq!(c.system.transport.mode, LinkMode::Tcp);
+        assert_eq!(c.system.durability.dir.as_deref(), Some("/tmp/unused"));
+        assert_eq!(c.system.transport.nak_retry_polls, 4);
     }
 }

@@ -5,15 +5,19 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use imadg_common::{
-    Clock, ImcsConfig, InstanceId, MetricsRegistry, MetricsSnapshot, ObjectId, Result, Runtime,
-    Scn, ScnService, Stage, StageId, StageOutcome, TenantId, TransportConfig, WakeToken,
+    InstanceId, MetricsRegistry, MetricsSnapshot, ObjectId, Result, Runtime, Scn, ScnService,
+    Stage, StageId, StageOutcome, TenantId, WakeToken,
 };
 use imadg_imcs::{ImcsStore, PopulationEngine, SnapshotSource};
 use imadg_redo::{LogBuffer, RedoSink, Shipper};
 use imadg_storage::{Row, RowLoc, Store};
 use imadg_txn::{InvalidationSink, TxnManager};
 
+use crate::cluster::ClusterConfig;
 use crate::query::{execute_request, QueryOutput, QueryRequest};
+
+/// Max redo entries per shipped batch.
+const SHIP_BATCH: usize = 512;
 
 /// Commit-time bridge from one instance's transaction manager into the
 /// column store of *every* primary instance: committed row locations go
@@ -52,29 +56,26 @@ pub struct PrimaryInstance {
 }
 
 impl PrimaryInstance {
-    /// Assemble one primary instance over the shared store. `column_stores`
+    /// Assemble one primary instance around `txm`, whose store and SCN
+    /// service it shares, shipping `log` through `sender`. `column_stores`
     /// holds every primary instance's column store, indexed by instance id:
     /// this instance scans its own and invalidates all of them on commit.
     ///
     /// Crate-internal: deployments are assembled through
     /// [`crate::NodeBuilder`] / [`crate::AdgCluster`].
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         id: InstanceId,
-        store: Arc<Store>,
         mut txm: TxnManager,
-        scns: Arc<ScnService>,
         log: Arc<LogBuffer>,
         sender: Box<dyn RedoSink>,
-        transport: &TransportConfig,
-        imcs_config: &ImcsConfig,
-        clock: &Clock,
+        config: &ClusterConfig,
         column_stores: &[Arc<ImcsStore>],
     ) -> Result<PrimaryInstance> {
+        let (store, scns) = (txm.store().clone(), txm.scns().clone());
         let metrics = Arc::new(MetricsRegistry::default());
         // Ship-stage residency stamps read the deployment clock, so manual
         // clock runs trace deterministically.
-        metrics.staleness.set_clock(clock.clone());
+        metrics.staleness.set_clock(config.clock.clone());
         // Sender-side link counters (frames sent, retransmits served,
         // reconnects, pings) land in this instance's registry.
         sender.bind_metrics(metrics.transport.clone());
@@ -87,7 +88,7 @@ impl PrimaryInstance {
             store.clone(),
             imcs.clone(),
             SnapshotSource::Primary(scns.clone()),
-            imcs_config.clone(),
+            config.system.imcs.clone(),
         )?;
         population.set_metrics(metrics.population.clone());
         txm.set_invalidation_sink(Arc::new(ImcsInvalidation(column_stores.to_vec())));
@@ -97,7 +98,7 @@ impl PrimaryInstance {
             txm,
             scns,
             log,
-            shipper: Shipper::with_metrics(transport.batch, metrics.transport.clone())
+            shipper: Shipper::with_metrics(SHIP_BATCH, metrics.transport.clone())
                 .with_staleness(metrics.staleness.clone()),
             sender,
             imcs,

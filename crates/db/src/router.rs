@@ -117,7 +117,7 @@ impl AdgCluster {
             let published = s.query_scn.get().is_some();
             let staleness_us = if !covered || s.is_frozen() || !published {
                 None
-            } else if s.scn_gap() == Some(0) {
+            } else if s.scn_gap() == 0 {
                 Some(0)
             } else {
                 let e2e = s.e2e_staleness();

@@ -10,9 +10,9 @@ use std::time::Duration;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use imadg_common::{
-    Clock, Counter, Error, ImcsConfig, InstanceId, LogHistogramSnapshot, MetricsRegistry,
-    MetricsSnapshot, ObjectId, ObjectSet, QueryScnCell, QuiesceLock, Result, Runtime,
-    RuntimeHealth, Scn, ScnService, Stage, StageOutcome, SystemConfig, ThreadedRuntime,
+    Counter, Error, InstanceId, LogHistogramSnapshot, MetricsRegistry, MetricsSnapshot, ObjectId,
+    ObjectSet, QueryScnCell, QuiesceLock, Result, Runtime, RuntimeHealth, Scn, ScnService, Stage,
+    StageOutcome,
 };
 use imadg_imcs::{
     ColdTier, ImcsStore, PopulationEngine, PopulationReport, SnapshotSource, TierReport,
@@ -23,8 +23,8 @@ use imadg_recovery::{
 };
 use imadg_redo::RedoSource;
 use imadg_storage::{Row, RowLoc, Store};
-use parking_lot::Mutex;
 
+use crate::cluster::ClusterConfig;
 use crate::query::{execute_request, QueryOutput, QueryRequest};
 
 /// Invalidation records per RAC invalidation-group message from the
@@ -42,7 +42,7 @@ pub struct StandbyStatus {
     /// SCN media recovery has applied through (≥ QuerySCN).
     pub applied_scn: imadg_common::Scn,
     /// SCN gap between the primary's current SCN and the published
-    /// QuerySCN at sample time (0 when fully caught up or unprobed).
+    /// QuerySCN at sample time (0 when fully caught up).
     pub scn_gap: u64,
     /// Successful QuerySCN advancements so far.
     pub advances: u64,
@@ -115,9 +115,8 @@ pub struct StandbyCluster {
     /// at its frozen QuerySCN but no longer receives redo, and the router
     /// skips it.
     frozen: AtomicBool,
-    /// The primary's SCN service, probed for the current-SCN gap (reset on
-    /// promotion to the new primary's service).
-    primary_scn: Mutex<Option<Arc<ScnService>>>,
+    /// The primary's SCN service, probed for the current-SCN gap.
+    primary_scn: Arc<ScnService>,
     /// Queries the staleness-bounded router sent here (its load signal).
     routed: Counter,
     /// The shared physical standby database (datafiles — survives instance
@@ -138,43 +137,40 @@ pub struct StandbyCluster {
     home: HomeLocationMap,
     /// The cluster-wide metrics registry every pipeline stage reports into.
     pub(crate) metrics: Arc<MetricsRegistry>,
-    /// The IMCS configuration (tier engines are built from it lazily,
-    /// once a cold-tier directory is known).
-    imcs_config: ImcsConfig,
-    /// One cold-tier engine per instance (empty until a tier directory is
-    /// installed via config `cold_tier_dir` or the durability tree).
-    tiers: Mutex<Vec<Arc<ColdTier>>>,
+    /// One cold-tier engine per instance (empty without a durability dir).
+    tiers: Vec<Arc<ColdTier>>,
 }
 
 impl StandbyCluster {
-    /// Assemble a standby over `receivers` (one per primary redo thread).
+    /// Assemble a standby over `receivers` (one per primary redo thread),
+    /// probing `primary_scn` for its lag and keeping cold columnar files
+    /// under `cold_tier_dir` (one `inst-<N>` directory per instance; no
+    /// tier without one).
     ///
-    /// `dbim_on_adg` toggles the paper's feature; when false, recovery runs
-    /// with no mining and no invalidation flush — the paper's "without
-    /// DBIM-on-ADG" baseline.
+    /// `config.dbim_on_adg` toggles the paper's feature; when false,
+    /// recovery runs with no mining and no invalidation flush — the
+    /// paper's "without DBIM-on-ADG" baseline.
     ///
     /// Crate-internal: deployments are assembled through
     /// [`crate::NodeBuilder`] / [`crate::AdgCluster`].
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        config: &SystemConfig,
-        store: Arc<Store>,
-        mut receivers: Vec<Box<dyn RedoSource>>,
-        instances: usize,
-        dbim_on_adg: bool,
-        clock: &Clock,
+        config: &ClusterConfig,
         name: &str,
         lane: usize,
+        store: Arc<Store>,
+        mut receivers: Vec<Box<dyn RedoSource>>,
+        primary_scn: Arc<ScnService>,
+        cold_tier_dir: Option<PathBuf>,
     ) -> Result<Arc<StandbyCluster>> {
-        config.validate()?;
-        let instances = instances.max(1);
+        let system = &config.system;
+        let instances = config.standby_instances.max(1);
         let query_scn = Arc::new(QueryScnCell::new());
         let quiesce = Arc::new(QuiesceLock::new());
         let enabled = Arc::new(ObjectSet::new());
         let metrics = Arc::new(MetricsRegistry::default());
         // Staleness residency stamps (receive/merge/apply/publish) read the
         // deployment clock; a shared Manual clock makes them deterministic.
-        metrics.staleness.set_clock(clock.clone());
+        metrics.staleness.set_clock(config.clock.clone());
         // Receiver-side link counters (gaps detected/resolved, NAKs sent,
         // duplicates dropped) land in the standby's registry. Rebinding on
         // restart is deliberate: a fresh standby starts fresh counters.
@@ -208,9 +204,9 @@ impl StandbyCluster {
                 (Arc::new(t), eps)
             };
 
-        let adg = if dbim_on_adg {
+        let adg = if config.dbim_on_adg {
             Some(Arc::new(DbimAdg::new(
-                config.recovery.workers,
+                system.recovery.workers,
                 enabled.clone(),
                 store.clone(),
                 target,
@@ -221,14 +217,14 @@ impl StandbyCluster {
         };
 
         let recovery = MediaRecovery::new(
-            &config.recovery,
+            &system.recovery,
             store.clone(),
             receivers,
             adg.clone(),
             query_scn.clone(),
             quiesce.clone(),
             &metrics,
-        )?;
+        );
 
         // Instances with population engines.
         let mut insts = Vec::with_capacity(instances);
@@ -237,7 +233,7 @@ impl StandbyCluster {
                 store.clone(),
                 stores[&id].clone(),
                 SnapshotSource::Standby { query_scn: query_scn.clone(), quiesce: quiesce.clone() },
-                config.imcs.clone(),
+                system.imcs.clone(),
             )?;
             engine.set_metrics(metrics.population.clone());
             if home.is_clustered() {
@@ -251,11 +247,31 @@ impl StandbyCluster {
             }));
         }
 
-        let cluster = Arc::new(StandbyCluster {
+        let tiers = match cold_tier_dir {
+            Some(dir) => insts
+                .iter()
+                .map(|inst| {
+                    Arc::new(ColdTier::new(
+                        store.clone(),
+                        inst.imcs.clone(),
+                        SnapshotSource::Standby {
+                            query_scn: query_scn.clone(),
+                            quiesce: quiesce.clone(),
+                        },
+                        system.imcs.clone(),
+                        dir.join(format!("inst-{}", inst.id.0)),
+                        metrics.tier.clone(),
+                    ))
+                })
+                .collect(),
+            None => Vec::new(),
+        };
+
+        Ok(Arc::new(StandbyCluster {
             name: name.to_string(),
             lane,
             frozen: AtomicBool::new(false),
-            primary_scn: Mutex::new(None),
+            primary_scn,
             routed: Counter::default(),
             store,
             recovery,
@@ -267,59 +283,30 @@ impl StandbyCluster {
             rac_endpoints,
             home,
             metrics,
-            imcs_config: config.imcs.clone(),
-            tiers: Mutex::new(Vec::new()),
-        });
-        // An explicit tier directory activates tiering immediately; the
-        // durability tree (when configured) overrides it from the cluster
-        // assembly so restart can find the files.
-        if let Some(d) = &cluster.imcs_config.cold_tier_dir {
-            cluster.set_cold_tier_dir(PathBuf::from(d).join(format!("standby-{name}")));
-        }
-        Ok(cluster)
-    }
-
-    /// Install (or move) the cold-tier directory and build one tier engine
-    /// per instance under it (`<dir>/inst-<N>`).
-    pub fn set_cold_tier_dir(&self, dir: PathBuf) {
-        let mut tiers = Vec::with_capacity(self.instances.len());
-        for inst in &self.instances {
-            tiers.push(Arc::new(ColdTier::new(
-                self.store.clone(),
-                inst.imcs.clone(),
-                SnapshotSource::Standby {
-                    query_scn: self.query_scn.clone(),
-                    quiesce: self.quiesce.clone(),
-                },
-                self.imcs_config.clone(),
-                dir.join(format!("inst-{}", inst.id.0)),
-                self.metrics.tier.clone(),
-            )));
-        }
-        *self.tiers.lock() = tiers;
+            tiers,
+        }))
     }
 
     /// Run one cold-tier pass (orphan sweep, re-compaction, recall,
     /// eviction) on every instance.
     pub fn tier_once(&self) -> Result<TierReport> {
-        let tiers = self.tiers.lock().clone();
         let mut total = TierReport::default();
-        for t in &tiers {
+        for t in &self.tiers {
             let r = t.run_once()?;
             total.evicted += r.evicted;
             total.recalled += r.recalled;
             total.recompacted += r.recompacted;
             total.orphans_cleared += r.orphans_cleared;
         }
-        self.refresh_tier_gauges(&tiers);
+        self.refresh_tier_gauges();
         Ok(total)
     }
 
     /// The shared gauges must sum over every instance's engine (each
     /// engine's own refresh only sees its own instance).
-    fn refresh_tier_gauges(&self, tiers: &[Arc<ColdTier>]) {
+    fn refresh_tier_gauges(&self) {
         let (mut bytes, mut units) = (0u64, 0u64);
-        for t in tiers {
+        for t in &self.tiers {
             let (b, u) = t.sample();
             bytes += b;
             units += u;
@@ -350,13 +337,12 @@ impl StandbyCluster {
     /// absorption drops what the file already holds. Returns units
     /// restored.
     pub fn restore_cold_tier(&self) -> Result<usize> {
-        let tiers = self.tiers.lock().clone();
         let mut restored = 0usize;
-        for t in &tiers {
+        for t in &self.tiers {
             restored +=
                 imadg_imcs::restore_cold_tier(t.imcs(), &self.store, t.dir(), &self.metrics.tier)?;
         }
-        self.refresh_tier_gauges(&tiers);
+        self.refresh_tier_gauges();
         Ok(restored)
     }
 
@@ -365,12 +351,6 @@ impl StandbyCluster {
     /// harness still calls it.
     pub fn maybe_checkpoint(&self) -> Result<bool> {
         Ok(false)
-    }
-
-    /// Install the primary's SCN service as the lag probe (re-pointed at
-    /// the new primary's service after a promotion).
-    pub(crate) fn set_primary_scn_probe(&self, scns: Arc<ScnService>) {
-        *self.primary_scn.lock() = Some(scns);
     }
 
     /// This standby cluster's farm name.
@@ -394,13 +374,11 @@ impl StandbyCluster {
     }
 
     /// SCN gap between the primary's current SCN and the published
-    /// QuerySCN (None when no primary probe is installed). Before the
-    /// first publish the whole primary history counts as the gap.
-    pub fn scn_gap(&self) -> Option<u64> {
-        let guard = self.primary_scn.lock();
-        let scns = guard.as_ref()?;
-        let current = scns.current().raw();
-        Some(current.saturating_sub(self.query_scn.get().map(|s| s.raw()).unwrap_or(0)))
+    /// QuerySCN. Before the first publish the whole primary history counts
+    /// as the gap.
+    pub fn scn_gap(&self) -> u64 {
+        let current = self.primary_scn.current().raw();
+        current.saturating_sub(self.query_scn.get().map(|s| s.raw()).unwrap_or(0))
     }
 
     /// The commit-to-queryable staleness histogram (PR-8 e2e tracing) —
@@ -572,7 +550,7 @@ impl StandbyCluster {
             .flush
             .published_query_scn
             .set(self.query_scn.get().map(|s| s.raw()).unwrap_or(0));
-        self.metrics.flush.scn_gap.set(self.scn_gap().unwrap_or(0));
+        self.metrics.flush.scn_gap.set(self.scn_gap());
         self.metrics.snapshot()
     }
 
@@ -623,7 +601,7 @@ impl StandbyCluster {
             );
             rt.wire(ids.coordinator, pop);
         }
-        for (i, tier) in self.tiers.lock().iter().enumerate() {
+        for (i, tier) in self.tiers.iter().enumerate() {
             let name = format!("tier.{i}");
             let id = rt.register_with_health(
                 Arc::new(TierStage {
@@ -646,14 +624,6 @@ impl StandbyCluster {
             ep.set_waker(rt.wake_token(id));
         }
         ids
-    }
-
-    /// Spawn the standby's background threads on the stage runtime.
-    /// Returns a guard that drains and stops them on drop.
-    pub fn start(self: &Arc<Self>) -> StandbyThreads {
-        let mut rt = Runtime::with_health(self.metrics.runtime.health.clone());
-        self.register_stages(&mut rt);
-        StandbyThreads { _inner: rt.start_threaded() }
     }
 }
 
@@ -702,8 +672,7 @@ impl Stage for TierStage {
     fn run_once(&self) -> Result<StageOutcome> {
         let moved = self.tier.run_once()?.any();
         // The shared gauges sum over every instance's engine.
-        let tiers = self.cluster.tiers.lock().clone();
-        self.cluster.refresh_tier_gauges(&tiers);
+        self.cluster.refresh_tier_gauges();
         Ok(if moved { StageOutcome::Progress } else { StageOutcome::Idle })
     }
 
@@ -714,9 +683,4 @@ impl Stage for TierStage {
     fn throttle(&self) -> Option<Duration> {
         Some(Duration::from_millis(1))
     }
-}
-
-/// Guard over standby background threads.
-pub struct StandbyThreads {
-    _inner: ThreadedRuntime,
 }

@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use imadg_common::{FaultPlan, LinkMode, Scn, WorkerId};
+use imadg_common::{FaultPlan, LinkMode, Scn, SystemConfig, WorkerId};
 use imadg_db::{
     AdgCluster, ColumnType, Filter, NodeBuilder, ObjectId, Placement, QueryRequest, Schema,
     StandbyCluster, TableSpec, TenantId, Value,
@@ -146,10 +146,16 @@ fn chaos_builder(seed: u64) -> NodeBuilder {
         .primaries(1 + (seed as usize % 2))
         .standbys(1 + ((seed as usize / 2) % 2))
         .link(LinkMode::Framed)
-        .faults(fault_plan(seed))
-        // Tighter protocol cadences keep step-mode convergence short.
-        .nak_retry_polls(4)
-        .ping_idle_polls(8)
+        .tune(|s| {
+            s.transport.faults = Some(fault_plan(seed));
+            tight_cadences(s);
+        })
+}
+
+/// Tighter protocol cadences keep step-mode convergence short.
+fn tight_cadences(s: &mut SystemConfig) {
+    s.transport.nak_retry_polls = 4;
+    s.transport.ping_idle_polls = 8;
 }
 
 /// Whether any link still holds undelivered state (unacked frames on a
@@ -301,12 +307,14 @@ fn acceptance_chaos_matches_clean_run() {
     let clean = NodeBuilder::new().link(LinkMode::Framed);
     let (clean_q, clean_rows, clean_state) = scripted_outcome(clean);
 
-    let chaos = NodeBuilder::new().link(LinkMode::Framed).faults(FaultPlan {
-        seed: 0xADC0_FFEE,
-        drop_per_mille: 50,
-        duplicate_per_mille: 20,
-        reorder_window: 8,
-        ..FaultPlan::default()
+    let chaos = NodeBuilder::new().link(LinkMode::Framed).tune(|s| {
+        s.transport.faults = Some(FaultPlan {
+            seed: 0xADC0_FFEE,
+            drop_per_mille: 50,
+            duplicate_per_mille: 20,
+            reorder_window: 8,
+            ..FaultPlan::default()
+        })
     });
     let c = cluster(chaos);
     let p = c.primary();
@@ -377,13 +385,14 @@ fn chaos_staleness_conserved_and_consistent() {
     };
 
     let (clean_commits, clean) = script(NodeBuilder::new().link(LinkMode::Framed));
-    let (chaos_commits, chaos) =
-        script(NodeBuilder::new().link(LinkMode::Framed).faults(FaultPlan {
+    let (chaos_commits, chaos) = script(NodeBuilder::new().link(LinkMode::Framed).tune(|s| {
+        s.transport.faults = Some(FaultPlan {
             seed: 0x57A1_E0E5,
             drop_per_mille: 50,
             reorder_window: 8,
             ..FaultPlan::default()
-        }));
+        })
+    }));
     assert_eq!(clean_commits, chaos_commits, "same script, same commit count");
 
     for (tag, s) in [("clean", &clean), ("chaos", &chaos)] {
@@ -446,8 +455,7 @@ fn run_farm_chaos_seed(seed: u64) -> (u64, u64) {
             .reader_farm(farm)
             .standby_faults(faulted, fault_plan(seed))
             .link(LinkMode::Framed)
-            .nak_retry_polls(4)
-            .ping_idle_polls(8),
+            .tune(tight_cadences),
     );
     let mut step = c.step_scheduler(seed);
     let mut rng = Mix(seed ^ 0xFA43_FA43);
@@ -565,8 +573,7 @@ fn router_decisions_deterministic_under_step_scheduler() {
                 .reader_farm(3)
                 .standby_faults(1, fault_plan(seed))
                 .link(LinkMode::Framed)
-                .nak_retry_polls(4)
-                .ping_idle_polls(8),
+                .tune(tight_cadences),
         );
         let mut step = c.step_scheduler(seed);
         let mut rng = Mix(seed ^ 0x2007_E5D1);
@@ -625,8 +632,7 @@ fn promotion_under_fanout_loses_no_committed_txns() {
             .reader_farm(3)
             .standby_faults(1, fault_plan(7))
             .link(LinkMode::Framed)
-            .nak_retry_polls(4)
-            .ping_idle_polls(8),
+            .tune(tight_cadences),
     );
     let p = c.primary();
     for key in 0..ROWS {
@@ -667,12 +673,14 @@ fn promotion_under_fanout_loses_no_committed_txns() {
 /// replaces step counting, heartbeat cadence drives the protocol quanta.
 #[test]
 fn threaded_chaos_converges() {
-    let c = cluster(NodeBuilder::new().link(LinkMode::Framed).faults(FaultPlan {
-        seed: 0x7E_ADED,
-        drop_per_mille: 50,
-        duplicate_per_mille: 20,
-        reorder_window: 8,
-        ..FaultPlan::default()
+    let c = cluster(NodeBuilder::new().link(LinkMode::Framed).tune(|s| {
+        s.transport.faults = Some(FaultPlan {
+            seed: 0x7E_ADED,
+            drop_per_mille: 50,
+            duplicate_per_mille: 20,
+            reorder_window: 8,
+            ..FaultPlan::default()
+        })
     }));
     let threads = c.start();
     let p = c.primary();

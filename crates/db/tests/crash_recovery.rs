@@ -73,12 +73,11 @@ impl Drop for Tmp {
 /// Durable framed deployment: small segments so the archiver really moves
 /// data, tight protocol cadences for step mode.
 fn durable_builder(dir: &Tmp) -> NodeBuilder {
-    NodeBuilder::new()
-        .link(LinkMode::Framed)
-        .durability(dir.0.to_string_lossy())
-        .segment_bytes(2 * 1024)
-        .nak_retry_polls(4)
-        .ping_idle_polls(8)
+    NodeBuilder::new().link(LinkMode::Framed).durability(dir.0.to_string_lossy()).tune(|s| {
+        s.durability.segment_max_bytes = 2 * 1024;
+        s.transport.nak_retry_polls = 4;
+        s.transport.ping_idle_polls = 8;
+    })
 }
 
 fn cluster(builder: NodeBuilder) -> Arc<AdgCluster> {
@@ -339,7 +338,8 @@ const TIERED_UNIT_ROWS: usize = 32;
 /// 1-byte memory budget), loaded with [`TIERED_ROWS`] committed rows, and
 /// the model of those rows.
 fn cold_tiered_cluster(dir: &Tmp) -> (Arc<AdgCluster>, BTreeMap<i64, i64>) {
-    let c = cluster(durable_builder(dir).memory_budget(1).tune(|s| {
+    let c = cluster(durable_builder(dir).tune(|s| {
+        s.imcs.memory_budget_bytes = 1;
         s.imcs.imcu_max_rows = TIERED_UNIT_ROWS;
         s.imcs.repopulate_min_scn_gap = 0;
     }));
@@ -456,7 +456,8 @@ fn promo_faults(seed: u64) -> FaultPlan {
 fn promotion_under_chaos_loses_no_commits() {
     for seed in 0..PROMO_SEEDS {
         let dir = Tmp::seeded("promo", seed);
-        let c = cluster(durable_builder(&dir).faults(promo_faults(seed)));
+        let c =
+            cluster(durable_builder(&dir).tune(|s| s.transport.faults = Some(promo_faults(seed))));
         let mut rng = Mix(seed ^ 0x9107_0CAF);
         let mut model = BTreeMap::new();
         let mut next_key = 0i64;
@@ -558,7 +559,9 @@ fn sync_after_single_standby_promotion_returns() {
 #[test]
 fn sync_reports_a_stalled_link() {
     let never = FaultPlan { delay_ticks: u32::MAX, ..FaultPlan::default() };
-    let c = cluster(NodeBuilder::new().link(LinkMode::Framed).faults(never));
+    let c = cluster(
+        NodeBuilder::new().link(LinkMode::Framed).tune(|s| s.transport.faults = Some(never)),
+    );
     c.primary().insert_one(OBJ, TenantId::DEFAULT, vec![Value::Int(1), Value::Int(1)]).unwrap();
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     let syncing = c.clone();

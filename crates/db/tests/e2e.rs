@@ -328,7 +328,7 @@ fn standby_restart_resumes_and_preserves_consistency() {
     assert!(c.standby().query(&QueryRequest::scan(OBJ).filter(Filter::all())).unwrap().used_imcs);
 
     // Restart: IMCS and journal state lost; storage persists.
-    c.restart_standby().unwrap();
+    c.restart_standby(0).unwrap();
 
     // More DML after the restart.
     c.primary().update_one(OBJ, TenantId::DEFAULT, 1, "n1", Value::Int(42)).unwrap();
@@ -339,6 +339,41 @@ fn standby_restart_resumes_and_preserves_consistency() {
     assert_eq!(out.count(), 1);
     let out = s.query(&QueryRequest::scan(OBJ).filter(Filter::all())).unwrap();
     assert_eq!(out.count(), 60);
+}
+
+/// A warm restart by farm index rebuilds that member alone: its rows
+/// survive and its in-memory state starts over, while the other member's
+/// QuerySCN and apply counters do not move.
+#[test]
+fn warm_restart_rebuilds_only_the_indexed_member() {
+    let c = cluster(NodeBuilder::new().reader_farm(2));
+    seed(&c, 0, 60);
+    c.sync().unwrap();
+    let (sb0, sb1) = (c.standby_at(0).unwrap(), c.standby_at(1).unwrap());
+    let sb0_before = (sb0.query_scn.get(), sb0.metrics().apply);
+    assert!(sb1.metrics().apply.items_applied > 0);
+
+    c.restart_standby(1).unwrap();
+
+    assert!(Arc::ptr_eq(&c.standby_at(0).unwrap(), &sb0), "sb0 is not rebuilt");
+    assert_eq!((sb0.query_scn.get(), sb0.metrics().apply), sb0_before, "sb0 did not move");
+    let new1 = c.standby_at(1).unwrap();
+    assert!(!Arc::ptr_eq(&new1, &sb1));
+    assert_eq!((new1.name(), new1.lane()), ("sb1", 1));
+    assert!(Arc::ptr_eq(&new1.store, &sb1.store), "storage persists");
+    assert_eq!(new1.query_scn.get(), None, "the QuerySCN restarts");
+    assert_eq!(new1.metrics().apply.items_applied, 0, "in-memory counters restart");
+
+    // The rebuilt member resumes on its own lane and serves every row.
+    c.primary().update_one(OBJ, TenantId::DEFAULT, 1, "n1", Value::Int(42)).unwrap();
+    c.sync().unwrap();
+    for idx in 0..2 {
+        let s = c.standby_at(idx).unwrap();
+        let out = s.query(&QueryRequest::scan(OBJ).filter(Filter::all())).unwrap();
+        assert_eq!(out.count(), 60, "standby {idx}");
+        let f = filter(&c, "n1", Value::Int(42));
+        assert_eq!(s.query(&QueryRequest::scan(OBJ).filter(f)).unwrap().count(), 1);
+    }
 }
 
 #[test]
@@ -355,7 +390,7 @@ fn restart_mid_transaction_triggers_coarse_invalidation() {
     c.ship_redo().unwrap();
     c.standby().pump_until_idle().unwrap();
 
-    c.restart_standby().unwrap();
+    c.restart_standby(0).unwrap();
     // Populate the fresh IMCS *before* the commit is applied, so units
     // exist for coarse invalidation to hit.
     c.standby().pump_until_idle().unwrap();
@@ -610,7 +645,9 @@ fn update_only_repopulation_shares_untouched_columns() {
 
 #[test]
 fn shipping_latency_delays_visibility() {
-    let c = cluster(NodeBuilder::new().latency(std::time::Duration::from_millis(60)));
+    let c = cluster(
+        NodeBuilder::new().tune(|s| s.transport.latency = std::time::Duration::from_millis(60)),
+    );
     seed(&c, 0, 10);
     c.ship_redo().unwrap();
     // Immediately after shipping, nothing is deliverable yet.
@@ -630,7 +667,9 @@ fn shipping_latency_delays_visibility() {
 /// ingest stage's park hint re-arms at the next delivery deadline.
 #[test]
 fn latent_link_never_spuriously_wakes_ingest() {
-    let c = cluster(NodeBuilder::new().latency(std::time::Duration::from_millis(10)));
+    let c = cluster(
+        NodeBuilder::new().tune(|s| s.transport.latency = std::time::Duration::from_millis(10)),
+    );
     let threads = c.start();
     seed(&c, 0, 50);
     let final_scn = c.primary().current_scn();

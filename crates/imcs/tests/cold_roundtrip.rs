@@ -103,7 +103,6 @@ fn tier(f: &Fixture, budget: usize) -> ColdTier {
             imcu_max_rows: 16,
             repopulate_min_scn_gap: 0,
             memory_budget_bytes: budget,
-            cold_tier_dir: Some(f.dir.to_string_lossy().into_owned()),
             ..Default::default()
         },
         f.dir.clone(),

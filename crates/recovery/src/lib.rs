@@ -50,7 +50,7 @@ pub use home_location::HomeLocationMap;
 pub use invalidation::{group_records, InvalidationGroup, InvalidationRecord};
 pub use journal::{AnchorNode, Journal};
 pub use mining::MiningComponent;
-pub use pipeline::{MediaRecovery, RecoveryStageIds, RecoveryThreads};
+pub use pipeline::{MediaRecovery, RecoveryStageIds};
 pub use progress::Progress;
 pub use rac::{RacEndpoint, RacFlushTarget, RacMessage};
 pub use worker::{work_queue, WorkItem, Worker};

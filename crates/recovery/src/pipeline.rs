@@ -3,14 +3,13 @@
 //!
 //! The pipeline runs in two modes with identical logic:
 //! * **step mode** — [`MediaRecovery::pump`] drains every stage on the
-//!   caller's thread in a fixed order, or [`MediaRecovery::register_stages`]
-//!   hands the stages to a seeded `StepScheduler` for randomized
-//!   interleavings (tests);
-//! * **threaded mode** — [`MediaRecovery::start`] registers the same stages
-//!   with the shared runtime's threaded scheduler: the ingest stage wakes
-//!   the workers, the workers wake the coordinator, and an error or panic
-//!   in any stage trips the pipeline health state instead of dying in a
-//!   detached thread.
+//!   caller's thread in a fixed order;
+//! * **scheduled mode** — [`MediaRecovery::register_stages`] hands the same
+//!   stages to a `Runtime`, which runs them on threads or under a seeded
+//!   `StepScheduler` for randomized interleavings (tests): the ingest stage
+//!   wakes the workers, the workers wake the coordinator, and an error or
+//!   panic in any stage trips the pipeline health state instead of dying in
+//!   a detached thread.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -18,7 +17,7 @@ use std::time::Duration;
 use imadg_common::metrics::{ApplyMetrics, MergerMetrics, RuntimeMetrics, StalenessTracker};
 use imadg_common::{
     MetricsRegistry, QueryScnCell, QuiesceLock, RecoveryConfig, Result, Runtime, RuntimeHealth,
-    Scn, Stage, StageId, StageOutcome, ThreadedRuntime, WorkerId,
+    Scn, Stage, StageId, StageOutcome, WorkerId,
 };
 use imadg_redo::{LogMerger, RedoPayload, RedoSource};
 use imadg_storage::Store;
@@ -65,8 +64,7 @@ impl MediaRecovery {
         query_scn: Arc<QueryScnCell>,
         quiesce: Arc<QuiesceLock>,
         registry: &MetricsRegistry,
-    ) -> Result<Arc<MediaRecovery>> {
-        config.validate()?;
+    ) -> Arc<MediaRecovery> {
         for rx in receivers.iter_mut() {
             rx.bind_durability_metrics(registry.durability.clone());
         }
@@ -87,7 +85,7 @@ impl MediaRecovery {
             adg.as_ref().map(|a| a.flush.clone()),
             registry,
         ));
-        Ok(Arc::new(MediaRecovery {
+        Arc::new(MediaRecovery {
             receivers: Mutex::new(receivers),
             protocol_activity: std::sync::atomic::AtomicBool::new(false),
             merger: Mutex::new(LogMerger::new(streams)),
@@ -99,7 +97,7 @@ impl MediaRecovery {
             apply_metrics: registry.apply.clone(),
             runtime_metrics: registry.runtime.clone(),
             staleness: registry.staleness.clone(),
-        }))
+        })
     }
 
     /// The coordinator (QuerySCN access, advancement stats).
@@ -226,15 +224,6 @@ impl MediaRecovery {
             workers.push(id);
         }
         RecoveryStageIds { ingest, workers, coordinator }
-    }
-
-    /// Spawn background threads for the recovery stages alone (standalone
-    /// pipelines; `StandbyCluster` registers into a wider runtime instead).
-    /// Returns a guard that drains and joins them on drop.
-    pub fn start(self: &Arc<Self>) -> RecoveryThreads {
-        let mut rt = Runtime::with_health(self.runtime_metrics.health.clone());
-        self.register_stages(&mut rt);
-        RecoveryThreads { inner: Some(rt.start_threaded()) }
     }
 
     /// Current pipeline health (`Failed` once any stage errors or panics).
@@ -375,17 +364,5 @@ impl Stage for WorkerStage {
         drop(guard);
         self.progress.report(id, through);
         Ok(if n > 0 { StageOutcome::Progress } else { StageOutcome::Idle })
-    }
-}
-
-/// Guard over a standalone recovery pipeline's background threads.
-pub struct RecoveryThreads {
-    inner: Option<ThreadedRuntime>,
-}
-
-impl RecoveryThreads {
-    /// Drain every stage, join the threads, and return the final health.
-    pub fn shutdown(mut self) -> RuntimeHealth {
-        self.inner.take().expect("threads joined once").shutdown()
     }
 }

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use imadg_common::{
     MetricsRegistry, ObjectId, QueryScnCell, QuiesceLock, RecoveryConfig, RedoThreadId, Result,
-    Scn, ScnService, TenantId, WakeToken,
+    Runtime, Scn, ScnService, TenantId, WakeToken,
 };
 use imadg_recovery::MediaRecovery;
 use imadg_redo::{LogBuffer, RedoRecord, RedoSink, RedoSource, Shipper};
@@ -98,8 +98,7 @@ fn harness(workers: usize) -> Harness {
         Arc::new(QueryScnCell::new()),
         Arc::new(QuiesceLock::new()),
         &MetricsRegistry::default(),
-    )
-    .unwrap();
+    );
 
     Harness { txm, scns, log, shipper: Shipper::new(64), sender, standby_store, recovery }
 }
@@ -205,7 +204,9 @@ fn query_scn_only_moves_forward_and_leapfrogs() {
 #[test]
 fn threaded_recovery_converges() {
     let h = harness(4);
-    let threads = h.recovery.start();
+    let mut rt = Runtime::new();
+    h.recovery.register_stages(&mut rt);
+    let threads = rt.start_threaded();
     let mut expected = Vec::new();
     for round in 0..20i64 {
         let mut tx = h.txm.begin(TenantId::DEFAULT);

@@ -51,7 +51,9 @@ pub type InMemoryRegistry = imadg_common::ObjectSet;
 /// the frozen columnar image. The standby's equivalent is the DBIM-on-ADG
 /// flush; the primary wires its [`ImcsStore`] in directly.
 pub trait InvalidationSink: Send + Sync {
-    /// Mark one committed row location stale as of `commit_scn`.
+    /// Mark one row location stale as of `commit_scn`. Called inside the
+    /// commit's redo latch, before the transaction table makes the commit
+    /// visible, so it must not generate redo.
     fn invalidate(&self, object: ObjectId, loc: RowLoc, commit_scn: Scn);
 }
 
@@ -307,18 +309,23 @@ impl TxnManager {
         let txn = tx.id;
         let tenant = tx.tenant;
         let store = self.store.clone();
+        let (sink, writes) = (self.invalidation.as_deref(), &tx.writes);
         let commit_scn = self.log.log_with(&self.scns, |scn| {
+            // Invalidation never lags publication: every touched location
+            // goes stale in the column store before the txn table makes
+            // the commit visible, or a reader whose snapshot covers the
+            // commit would read its rows from a cell still marked valid.
+            if let Some(sink) = sink {
+                for &(object, loc) in writes {
+                    sink.invalidate(object, loc, scn);
+                }
+            }
             // The commit CV is "applied to a special block" at the commit
             // SCN: update the transaction table inside the latch window so
             // no reader can observe a commit record SCN before the table.
             store.txns().commit(txn, scn);
             RedoPayload::Commit(CommitRecord { txn, tenant, commit_scn: scn, modified_inmemory })
         });
-        if let Some(sink) = &self.invalidation {
-            for &(object, loc) in &tx.writes {
-                sink.invalidate(object, loc, commit_scn);
-            }
-        }
         self.locks.release_all(&tx.locked, tx.id);
         tx.finished = true;
         commit_scn

@@ -28,7 +28,7 @@ fn main() -> Result<()> {
     let cluster = NodeBuilder::new()
         .link(LinkMode::Framed)
         .durability(dir.to_string_lossy())
-        .segment_bytes(4 * 1024)
+        .tune(|s| s.durability.segment_max_bytes = 4 * 1024)
         .build()?;
 
     cluster.create_table(TableSpec {

@@ -22,12 +22,14 @@ fn main() -> Result<()> {
     // 3% of the remaining frames drop anyway.
     let cluster = NodeBuilder::new()
         .link(LinkMode::Framed)
-        .faults(FaultPlan {
-            seed: 0x0B_AD11,
-            drop_per_mille: 30,
-            partition_every: 40,
-            partition_ticks: 12,
-            ..FaultPlan::default()
+        .tune(|s| {
+            s.transport.faults = Some(FaultPlan {
+                seed: 0x0B_AD11,
+                drop_per_mille: 30,
+                partition_every: 40,
+                partition_ticks: 12,
+                ..FaultPlan::default()
+            })
         })
         .build()?;
 

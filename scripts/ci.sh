@@ -143,6 +143,11 @@ cargo test -p imadg-db --test metrics_api live_exposition_is_well_formed -q
 echo "==> metrics exposition schema is stable"
 cargo test -p imadg-common --lib exposition_schema_is_stable -q
 
+# Event-log gate: the trace ring stays in JSONL only. Two trace events of
+# one stage add no `imadg_trace_` series, and no series is emitted twice.
+echo "==> trace ring stays out of the Prometheus exposition"
+cargo test -p imadg-common --lib trace_ring_stays_out_of_exposition -q
+
 # Stall gate: sync() over a link that never delivers returns an error
 # naming the pending side instead of spinning forever.
 echo "==> sync() reports a stalled link"
@@ -160,6 +165,18 @@ cargo test --test workload_driver insert_mix_grows_the_table_consistently -q
 echo "==> flush before publish + DBIM-on-ADG-off baseline"
 cargo test -p imadg-recovery --lib flush_lands_before_publish -q
 cargo test -p imadg-db --test e2e without_dbim_standby_scans_row_store -q
+
+# Primary commit-visibility gate: a primary IMCS query run just before a
+# committed location goes stale agrees with the row store at the same
+# snapshot, because the column store learns of the commit before the txn
+# table makes it visible.
+echo "==> primary commit invalidates before it becomes visible"
+cargo test -p imadg-db --lib primary_commit_invalidates_before_it_becomes_visible -q
+
+# One-assembly-path gate: a warm restart by farm index rebuilds that
+# member alone; its rows survive and the other member does not move.
+echo "==> warm restart rebuilds only the indexed farm member"
+cargo test -p imadg-db --test e2e warm_restart_rebuilds_only_the_indexed_member -q
 
 if [[ "$fast" == 0 ]]; then
     echo "==> cargo build --release"

@@ -132,7 +132,7 @@ fn no_annotation_is_safe_but_not_needlessly_coarse() {
     p.txm.update_column_by_key(&mut tx, OBJ, 1, "v", Value::Int(100)).unwrap();
     c.ship_redo().unwrap();
     standby.pump_until_idle().unwrap();
-    c.restart_standby().unwrap();
+    c.restart_standby(0).unwrap();
     c.standby().pump_until_idle().unwrap();
     c.standby().populate_until_idle().unwrap();
     p.txm.commit(tx);
@@ -172,7 +172,7 @@ fn coarse_invalidation_is_tenant_scoped() {
     p.txm.update_column_by_key(&mut tx, ObjectId(1), 1, "v", Value::Int(7)).unwrap();
     c.ship_redo().unwrap();
     c.standby().pump_until_idle().unwrap();
-    c.restart_standby().unwrap();
+    c.restart_standby(0).unwrap();
     // Unrelated tenant-2 activity re-establishes a QuerySCN so the fresh
     // IMCS can populate before the straddling commit arrives.
     let mut filler = p.txm.begin(TenantId(2));
