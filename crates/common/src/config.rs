@@ -2,12 +2,10 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 
 /// Parallel redo apply configuration (standby media recovery).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryConfig {
     /// Number of recovery worker processes. CVs are distributed to workers
     /// by hashing the DBA (paper Fig. 3).
@@ -31,7 +29,7 @@ impl RecoveryConfig {
 }
 
 /// In-Memory Column Store configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImcsConfig {
     /// Max rows packed into a single IMCU.
     pub imcu_max_rows: usize,
@@ -87,7 +85,7 @@ impl ImcsConfig {
 /// How redo travels from a primary instance to the standby. Both modes
 /// run the same framed protocol: length-prefixed, checksummed,
 /// sequence-numbered frames with gap detection and NAK/retransmission.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum LinkMode {
     /// Framed link over an in-process byte pipe. The [`FaultPlan`]
     /// injects loss here; with no plan the link is perfect.
@@ -102,7 +100,7 @@ pub enum LinkMode {
 /// expressed per mille so the plan stays exactly reproducible from its
 /// seed; windows count link *ticks* (one tick per frame sent or service
 /// call), keeping the plan deterministic under the step scheduler.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// PRNG seed for every per-frame decision.
     pub seed: u64,
@@ -143,7 +141,7 @@ impl FaultPlan {
 }
 
 /// Redo shipping transport configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransportConfig {
     /// One-way latency added to every shipped redo batch.
     pub latency: Duration,
@@ -193,7 +191,7 @@ impl TransportConfig {
 
 /// Redo durability configuration: the segmented on-disk log and the
 /// archive tier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DurabilityConfig {
     /// Root directory for durable state: `<dir>/primary/tN` and, per
     /// standby, `<dir>/standby-<name>/tN` plus its cold tier
@@ -227,7 +225,7 @@ impl DurabilityConfig {
 }
 
 /// Top-level system configuration.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SystemConfig {
     /// Media-recovery settings.
     pub recovery: RecoveryConfig,
@@ -311,13 +309,5 @@ mod tests {
         assert!(c.validate().is_err());
         c.durability.dir = Some("/tmp/imadg".into());
         c.validate().unwrap();
-    }
-
-    #[test]
-    fn config_roundtrips_serde() {
-        let c = SystemConfig::default();
-        let s = serde_json::to_string(&c).unwrap();
-        let back: SystemConfig = serde_json::from_str(&s).unwrap();
-        assert_eq!(back, c);
     }
 }

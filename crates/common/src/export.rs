@@ -1,26 +1,31 @@
 //! Machine-readable metrics exposition.
 //!
-//! Two formats over the same [`MetricsSnapshot`]:
+//! Two formats over the same [`MetricsSnapshot`], each a [`Sink`] that the
+//! snapshot's declared walk ([`Record::fields`]) feeds field by field:
 //!
-//! * **Prometheus text format** ([`prometheus_text`]) — every numeric leaf
-//!   of the snapshot becomes a gauge named by its field path
-//!   (`imadg_transport_records_shipped`), and every duration histogram
-//!   becomes a summary with `p50`/`p90`/`p99` quantile series plus
-//!   `_count`/`_sum`/`_max`. Caller-supplied labels (typically
-//!   `role="standby"`) ride on every series.
+//! * **Prometheus text format** ([`prometheus_text`]) — every counter,
+//!   gauge and derived value becomes a gauge named by its field path
+//!   (`imadg_transport_records_shipped`), and every histogram becomes a
+//!   summary with `p50`/`p90`/`p99` quantile series plus
+//!   `_count`/`_sum`/`_max`. The runtime's scheduler stages share one
+//!   series per field, told apart by a `stage` label. Caller-supplied
+//!   labels (typically `role="standby"`) ride on every series. Text
+//!   labels, the per-worker roster and event logs are not series and stay
+//!   out.
 //! * **JSONL** ([`jsonl_line`]) — one self-contained JSON object per line
-//!   (`{"role": ..., "metrics": {...}}`), append-friendly for trajectory
-//!   files and diffable line by line.
+//!   (`{"role": ..., "metrics": {...}}`) carrying every field in
+//!   declaration order, append-friendly for trajectory files and diffable
+//!   line by line.
 //!
-//! The walker is driven by the snapshot's own serde shape (its
-//! [`Content`] tree), so new counters added to any stage appear in both
-//! formats without touching this module.
+//! A field added to a `stage_metrics!` declaration appears in both formats
+//! without touching this module.
 
 use std::collections::BTreeSet;
+use std::fmt::Write;
 
-use serde::{Content, Serialize};
+use serde::Content;
 
-use crate::metrics::{LogBucket, LogHistogramSnapshot, MetricsSnapshot};
+use crate::metrics::{LogHistogramSnapshot, MetricsSnapshot, Record, Sink};
 
 /// Quantiles emitted for every histogram summary.
 const QUANTILES: [(f64, &str); 3] = [(0.50, "0.5"), (0.90, "0.9"), (0.99, "0.99")];
@@ -29,12 +34,14 @@ const QUANTILES: [(f64, &str); 3] = [(0.50, "0.5"), (0.90, "0.9"), (0.99, "0.99"
 /// (name/value pairs, already sane — no quotes or newlines) are attached
 /// to every series.
 pub fn prometheus_text(snapshot: &MetricsSnapshot, labels: &[(&str, &str)]) -> String {
-    let content = snapshot.to_content();
-    let base: Vec<(String, String)> =
-        labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
-    let mut w = Writer { out: String::new(), typed: BTreeSet::new() };
-    emit("imadg", &content, &base, &mut w);
-    w.out
+    let mut p = Prometheus {
+        prefix: "imadg".into(),
+        labels: labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
+        out: String::new(),
+        typed: BTreeSet::new(),
+    };
+    snapshot.fields(&mut p);
+    p.out
 }
 
 /// One JSONL record: `{"role": <role>, "metrics": <snapshot>}`, no
@@ -42,136 +49,159 @@ pub fn prometheus_text(snapshot: &MetricsSnapshot, labels: &[(&str, &str)]) -> S
 pub fn jsonl_line(role: &str, snapshot: &MetricsSnapshot) -> String {
     let envelope = Content::Map(vec![
         ("role".to_string(), Content::Str(role.to_string())),
-        ("metrics".to_string(), snapshot.to_content()),
+        ("metrics".to_string(), object(snapshot)),
     ]);
     serde_json::to_string(&envelope).expect("metrics snapshot serializes")
 }
 
-struct Writer {
+struct Prometheus {
+    /// The series name so far: `imadg`, then `_<field>` per enclosing group.
+    prefix: String,
+    /// Caller labels, then the enclosing group's `stage` label, if any.
+    labels: Vec<(String, String)>,
     out: String,
     /// Metric names that already got their `# TYPE` header (label-split
     /// series share one).
     typed: BTreeSet<String>,
 }
 
-impl Writer {
+impl Prometheus {
     fn type_line(&mut self, name: &str, kind: &str) {
         if self.typed.insert(name.to_string()) {
-            self.out.push_str(&format!("# TYPE {name} {kind}\n"));
+            let _ = writeln!(self.out, "# TYPE {name} {kind}");
         }
     }
 
-    fn sample(&mut self, name: &str, labels: &[(String, String)], value: f64) {
+    /// One sample line: `name{labels[,quantile="q"]} value`.
+    fn sample(&mut self, name: &str, quantile: Option<&str>, value: f64) {
         self.out.push_str(name);
-        if !labels.is_empty() {
-            self.out.push('{');
-            for (i, (k, v)) in labels.iter().enumerate() {
-                if i > 0 {
-                    self.out.push(',');
-                }
-                self.out.push_str(&format!("{k}=\"{v}\""));
-            }
+        let quantile = quantile.map(|q| ("quantile", q));
+        let mut sep = '{';
+        for (k, v) in self.labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).chain(quantile) {
+            let _ = write!(self.out, "{sep}{k}=\"{v}\"");
+            sep = ',';
+        }
+        if sep == ',' {
             self.out.push('}');
         }
         // u64 counters round-trip exactly through f64 well past any
         // realistic count; format integral values without a fraction.
         if value.fract() == 0.0 && value.abs() < 9.0e15 {
-            self.out.push_str(&format!(" {}\n", value as i64));
+            let _ = writeln!(self.out, " {}", value as i64);
         } else {
-            self.out.push_str(&format!(" {value}\n"));
+            let _ = writeln!(self.out, " {value}");
         }
     }
 }
 
-/// The one sequence that is a time series: the runtime's per-stage roster,
-/// split into one labelled series per stage.
-const STAGE_ROSTER: &str = "imadg_runtime_stages";
+impl Sink for Prometheus {
+    fn number(&mut self, name: &str, v: u64) {
+        let name = format!("{}_{name}", self.prefix);
+        self.type_line(&name, "gauge");
+        self.sample(&name, None, v as f64);
+    }
 
-/// Recursive emission: maps extend the metric path, numeric leaves become
-/// gauges, histogram-shaped maps become summaries, and the runtime's stage
-/// roster becomes label-split series. Every other sequence (the trace
-/// ring, stall warnings) is an event log, not a time series — it stays in
-/// the JSONL format only.
-fn emit(prefix: &str, value: &Content, labels: &[(String, String)], w: &mut Writer) {
-    match value {
-        Content::Map(fields) => {
-            if let Some(h) = histogram_of(fields) {
-                emit_summary(prefix, &h, labels, w);
-                return;
-            }
-            for (key, v) in fields {
-                emit(&format!("{prefix}_{key}"), v, labels, w);
-            }
+    fn histogram(&mut self, name: &str, h: &LogHistogramSnapshot) {
+        let name = format!("{}_{name}", self.prefix);
+        self.type_line(&name, "summary");
+        for (q, tag) in QUANTILES {
+            self.sample(&name, Some(tag), h.quantile(q) as f64);
         }
-        Content::U64(v) => {
-            w.type_line(prefix, "gauge");
-            w.sample(prefix, labels, *v as f64);
+        self.sample(&format!("{name}_count"), None, h.count as f64);
+        self.sample(&format!("{name}_sum"), None, h.sum as f64);
+        self.sample(&format!("{name}_max"), None, h.max as f64);
+    }
+
+    /// Walk `fields` with `_<name>` appended to the series prefix.
+    fn group(&mut self, name: &str, fields: &dyn Record) {
+        let len = self.prefix.len();
+        self.prefix.push('_');
+        self.prefix.push_str(name);
+        fields.fields(self);
+        self.prefix.truncate(len);
+    }
+
+    fn groups(&mut self, name: &str, label: &str, items: &[(&str, &dyn Record)]) {
+        for (value, fields) in items {
+            self.labels.push((label.to_string(), value.to_string()));
+            self.group(name, *fields);
+            self.labels.pop();
         }
-        Content::I64(v) => {
-            w.type_line(prefix, "gauge");
-            w.sample(prefix, labels, *v as f64);
-        }
-        Content::F64(v) => {
-            w.type_line(prefix, "gauge");
-            w.sample(prefix, labels, *v);
-        }
-        Content::Bool(b) => {
-            w.type_line(prefix, "gauge");
-            w.sample(prefix, labels, if *b { 1.0 } else { 0.0 });
-        }
-        Content::Seq(items) if prefix == STAGE_ROSTER => {
-            for item in items {
-                if let Some(Content::Str(stage)) = item.field("stage") {
-                    let mut ls = labels.to_vec();
-                    ls.push(("stage".into(), stage.clone()));
-                    emit(prefix, item, &ls, w);
-                }
-            }
-        }
-        // Strings (stage names, failure messages), nulls and event logs are
-        // not series.
-        Content::Seq(_) | Content::Str(_) | Content::Null => {}
+    }
+
+    // Not series: they stay in JSONL only.
+    fn roster(&mut self, _: &str, _: &[u64]) {}
+    fn text(&mut self, _: &str, _: &str) {}
+    fn event(&mut self, _: &str, _: Option<&dyn Record>) {}
+    fn events(&mut self, _: &str, _: &[&dyn Record]) {}
+}
+
+/// The JSON object of `fields`: the [`Content`] that `serde_json` writes.
+fn object(fields: &dyn Record) -> Content {
+    let mut json = Json(Vec::new());
+    fields.fields(&mut json);
+    Content::Map(json.0)
+}
+
+/// Collects one object's fields in walk order.
+struct Json(Vec<(String, Content)>);
+
+impl Json {
+    fn put(&mut self, name: &str, v: Content) {
+        self.0.push((name.to_string(), v));
     }
 }
 
-/// Recognize a serialized [`LogHistogramSnapshot`]: `{count, sum, max,
-/// buckets}` with sparse `{index, count}` buckets.
-fn histogram_of(fields: &[(String, Content)]) -> Option<LogHistogramSnapshot> {
-    if fields.len() != 4 {
-        return None;
+impl Sink for Json {
+    fn number(&mut self, name: &str, v: u64) {
+        self.put(name, Content::U64(v));
     }
-    let field = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    let count = field("count")?.as_u64()?;
-    let sum = field("sum")?.as_u64()?;
-    let max = field("max")?.as_u64()?;
-    let buckets = field("buckets")?
-        .as_seq()?
-        .iter()
-        .map(|b| {
-            let index = u32::try_from(b.field("index")?.as_u64()?).ok()?;
-            Some(LogBucket { index, count: b.field("count")?.as_u64()? })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    Some(LogHistogramSnapshot { count, sum, max, buckets })
-}
 
-fn emit_summary(name: &str, h: &LogHistogramSnapshot, labels: &[(String, String)], w: &mut Writer) {
-    w.type_line(name, "summary");
-    for (q, tag) in QUANTILES {
-        let mut ls = labels.to_vec();
-        ls.push(("quantile".into(), tag.to_string()));
-        w.sample(name, &ls, h.quantile(q) as f64);
+    fn histogram(&mut self, name: &str, h: &LogHistogramSnapshot) {
+        let field = |k: &str, v: u64| (k.to_string(), Content::U64(v));
+        let buckets = h
+            .buckets
+            .iter()
+            .map(|b| Content::Map(vec![field("index", b.index.into()), field("count", b.count)]))
+            .collect();
+        let summary = vec![
+            field("count", h.count),
+            field("sum", h.sum),
+            field("max", h.max),
+            ("buckets".to_string(), Content::Seq(buckets)),
+        ];
+        self.put(name, Content::Map(summary));
     }
-    w.sample(&format!("{name}_count"), labels, h.count as f64);
-    w.sample(&format!("{name}_sum"), labels, h.sum as f64);
-    w.sample(&format!("{name}_max"), labels, h.max as f64);
+
+    fn roster(&mut self, name: &str, v: &[u64]) {
+        self.put(name, Content::Seq(v.iter().map(|&c| Content::U64(c)).collect()));
+    }
+
+    fn text(&mut self, name: &str, v: &str) {
+        self.put(name, Content::Str(v.to_string()));
+    }
+
+    fn group(&mut self, name: &str, fields: &dyn Record) {
+        self.put(name, object(fields));
+    }
+
+    fn groups(&mut self, name: &str, _: &str, items: &[(&str, &dyn Record)]) {
+        self.put(name, Content::Seq(items.iter().map(|(_, fields)| object(*fields)).collect()));
+    }
+
+    fn event(&mut self, name: &str, event: Option<&dyn Record>) {
+        self.put(name, event.map_or(Content::Null, object));
+    }
+
+    fn events(&mut self, name: &str, events: &[&dyn Record]) {
+        self.put(name, Content::Seq(events.iter().map(|e| object(*e)).collect()));
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::MetricsRegistry;
-    use serde::Deserialize;
     use std::time::Duration;
 
     fn snapshot_with_data() -> MetricsSnapshot {
@@ -237,6 +267,55 @@ mod tests {
             assert!(series.insert(series_name), "series emitted twice: {series_name}");
         }
     }
+
+    /// The JSONL record of `golden_snapshot()`: field order, escaping, `null`
+    /// and variant names, byte for byte.
+    const GOLDEN_JSONL: &str = "\
+        {\"role\":\"standby\",\"metrics\":{\"transport\":{\"records_shipped\":1,\
+        \"bytes_shipped\":1,\"heartbeats\":1,\"batches_shipped\":1,\"queue_depth\":1,\
+        \"frames_sent\":1,\"frames_received\":1,\"gaps_detected\":1,\"gaps_resolved\":1,\
+        \"retransmits\":1,\"naks_sent\":1,\"duplicates_dropped\":1,\"reconnects\":1,\
+        \"link_pings\":1},\"merger\":{\"merge_batches\":1,\"records_merged\":1,\
+        \"heartbeats_seen\":1,\"held_back\":1,\"watermark\":1,\"stream_skew\":1},\
+        \"apply\":{\"records_dispatched\":1,\"items_applied\":1,\"worker_cvs\":[1,3],\
+        \"applied_scn\":1,\"shipped_scn\":1,\"apply_lag\":1,\"query_scn\":1},\
+        \"mining\":{\"sniffed\":1,\"mined\":1,\"commits\":1,\"aborts\":1,\"markers\":1,\
+        \"abort_discarded_records\":1},\"journal\":{\"anchors_created\":1,\
+        \"bucket_contention\":1,\"journal_txns\":1,\"journal_records\":1},\
+        \"commit_table\":{\"inserts\":1,\"chops\":1,\"chopped_txns\":1,\
+        \"chop_size\":{\"count\":1,\"sum\":1,\"max\":1,\"buckets\":[{\"index\":1,\"count\":1}]},\
+        \"commit_table_pending\":1},\"flush\":{\"flushed_txns\":1,\"flushed_records\":1,\
+        \"coarse_invalidations\":1,\"ddl_applied\":1,\"coop_flushed\":1,\
+        \"coordinator_flushed\":0,\"flush_groups\":1,\"advances\":1,\"quiesce_us\":{\"count\":1,\
+        \"sum\":1,\"max\":1,\"buckets\":[{\"index\":1,\"count\":1}]},\"published_query_scn\":1,\
+        \"scn_gap\":1},\"durability\":{\"appends\":1,\"records_persisted\":1,\
+        \"bytes_persisted\":1,\"fsyncs\":1,\"segments_sealed\":1,\"segments_archived\":1,\
+        \"archive_retransmits\":1,\"replayed_batches\":1,\"replayed_records\":1,\
+        \"mining_skipped\":0,\"durable_seq\":1,\"wal_segments\":1,\"archived_segments\":1},\
+        \"population\":{\"imcus_built\":1,\"imcus_repopulated\":1,\"columns_shared\":1,\
+        \"columns_encoded\":1,\"passes\":1,\"populated_rows\":1},\"tier\":{\"tier_evictions\":1,\
+        \"tier_recalls\":1,\"tier_recompactions\":1,\"tier_pruned_units\":1,\
+        \"tier_cold_reads\":1,\"tier_read_errors\":1,\"tier_bytes_on_disk\":1,\"cold_units\":1},\
+        \"scan\":{\"queries\":1,\"imcs_served\":1,\"row_store_fallback\":1,\"imcu_rows\":1,\
+        \"fallback_rows\":1,\"uncovered_rows\":1,\"pruned_units\":1,\"scanned_units\":1,\
+        \"parallel_tasks\":1,\"parallel_queries\":1,\"latency_us\":{\"count\":1,\"sum\":1,\
+        \"max\":1,\"buckets\":[{\"index\":1,\"count\":1}]}},\
+        \"runtime\":{\"failure\":{\"stage\":\"apply.0\",\
+        \"reason\":\"bad \\\"redo\\\" at C:\\\\wal\\nline 2\"},\"stalls\":[{\"stage\":\"merge\",\
+        \"idle_quanta\":64}],\"stages\":[{\"stage\":\"transport\",\"runs\":1,\"wakeups\":1,\
+        \"parks\":1,\"park_us\":{\"count\":1,\"sum\":1,\"max\":1,\"buckets\":[{\"index\":1,\
+        \"count\":1}]},\"run_quantum_us\":{\"count\":1,\"sum\":1,\"max\":1,\
+        \"buckets\":[{\"index\":1,\"count\":1}]}}]},\"staleness\":{\"ship\":{\"count\":1,\
+        \"sum\":0,\"max\":0,\"buckets\":[{\"index\":0,\"count\":1}]},\"receive\":{\"count\":1,\
+        \"sum\":0,\"max\":0,\"buckets\":[{\"index\":0,\"count\":1}]},\"merge\":{\"count\":1,\
+        \"sum\":0,\"max\":0,\"buckets\":[{\"index\":0,\"count\":1}]},\"apply\":{\"count\":1,\
+        \"sum\":0,\"max\":0,\"buckets\":[{\"index\":0,\"count\":1}]},\"flush\":{\"count\":1,\
+        \"sum\":0,\"max\":0,\"buckets\":[{\"index\":0,\"count\":1}]},\"publish\":{\"count\":1,\
+        \"sum\":0,\"max\":0,\"buckets\":[{\"index\":0,\"count\":1}]},\"e2e\":{\"count\":1,\
+        \"sum\":0,\"max\":0,\"buckets\":[{\"index\":0,\"count\":1}]},\"slowest\":[{\"scn\":1,\
+        \"transit_us\":0,\"merge_wait_us\":0,\"apply_us\":0,\"flush_us\":0,\"publish_us\":0,\
+        \"e2e_us\":0}]},\"trace\":[{\"seq\":0,\"stage\":\"Advance\",\"scn\":1,\
+        \"detail\":\"publish\"},{\"seq\":1,\"stage\":\"Query\",\"scn\":2,\"detail\":\"scan\"}]}}";
 
     /// Every `# TYPE` line of a fully touched registry, sorted.
     const SCHEMA: &str = "\
@@ -346,6 +425,22 @@ imadg_transport_retransmits gauge";
     /// Touch every stage leaf of a fresh registry, plus one runtime stage
     /// and one settled staleness commit.
     fn fully_touched() -> MetricsSnapshot {
+        touched_registry().snapshot()
+    }
+
+    /// `fully_touched()` plus every JSON-only shape: a stage failure whose
+    /// reason needs escaping, a stall, a second trace event and a
+    /// two-worker roster.
+    fn golden_snapshot() -> MetricsSnapshot {
+        let r = touched_registry();
+        r.runtime.health.record("apply.0", "bad \"redo\" at C:\\wal\nline 2");
+        r.runtime.health.record_stall("merge", 64);
+        r.trace.record(crate::metrics::TraceStage::Query, 2, "scan");
+        r.apply.worker_cvs.counter(1).add(3);
+        r.snapshot()
+    }
+
+    fn touched_registry() -> MetricsRegistry {
         let r = MetricsRegistry::default();
         let (t, m, a, j) = (&r.transport, &r.merger, &r.apply, &r.journal);
         for c in [&t.records_shipped, &t.bytes_shipped, &t.heartbeats, &t.batches_shipped]
@@ -414,7 +509,12 @@ imadg_transport_retransmits gauge";
         r.staleness.on_apply(1);
         r.staleness.on_advance(1, 0, 0);
         r.trace.record(crate::metrics::TraceStage::Advance, 1, "publish");
-        r.snapshot()
+        r
+    }
+
+    #[test]
+    fn jsonl_golden() {
+        assert_eq!(jsonl_line("standby", &golden_snapshot()), GOLDEN_JSONL);
     }
 
     #[test]
@@ -474,16 +574,15 @@ imadg_transport_retransmits gauge";
 
     #[test]
     fn jsonl_is_one_parseable_line() {
-        #[derive(Deserialize)]
-        struct Line {
-            role: String,
-            metrics: MetricsSnapshot,
-        }
         let line = jsonl_line("primary", &snapshot_with_data());
         assert!(!line.contains('\n'));
-        let parsed: Line = serde_json::from_str(&line).unwrap();
-        assert_eq!(parsed.role, "primary");
-        assert_eq!(parsed.metrics.transport.records_shipped, 42);
-        assert_eq!(parsed.metrics.staleness.e2e.count, 1);
+        let parsed: Content = serde_json::from_str(&line).unwrap();
+        assert_eq!(parsed.field("role"), Some(&Content::Str("primary".into())));
+        let metrics = parsed.field("metrics").unwrap();
+        let leaf = |path: &[&str]| {
+            path.iter().try_fold(metrics, |c, k| c.field(k)).and_then(Content::as_u64)
+        };
+        assert_eq!(leaf(&["transport", "records_shipped"]), Some(42));
+        assert_eq!(leaf(&["staleness", "e2e", "count"]), Some(1));
     }
 }

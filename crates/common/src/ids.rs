@@ -6,14 +6,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// System Change Number: the logical clock of the database.
 ///
 /// Every redo record is stamped with the SCN at which its changes were made;
 /// a transaction's changes become visible atomically at its *commit SCN*.
 /// SCNs are totally ordered and strictly increasing on the primary.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Scn(pub u64);
 
 impl Scn {
@@ -51,7 +49,7 @@ impl fmt::Display for Scn {
 ///
 /// Redo change vectors target exactly one DBA, and parallel redo apply
 /// partitions work by hashing the DBA (paper §II.A, Fig. 3).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Dba(pub u64);
 
 impl Dba {
@@ -79,7 +77,7 @@ impl fmt::Debug for Dba {
 }
 
 /// Identifier of a schema object (a table or table partition segment).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ObjectId(pub u32);
 
 impl fmt::Debug for ObjectId {
@@ -89,7 +87,7 @@ impl fmt::Debug for ObjectId {
 }
 
 /// Transaction identifier, unique across the life of the primary database.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TxnId(pub u64);
 
 impl TxnId {
@@ -112,7 +110,7 @@ impl fmt::Debug for TxnId {
 /// DBIM-on-ADG runs under multi-tenant Oracle; invalidation records carry
 /// the tenant, and coarse invalidation after a standby restart is scoped to
 /// one tenant (paper §III.B, §III.E).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TenantId(pub u16);
 
 impl TenantId {
@@ -127,7 +125,7 @@ impl fmt::Debug for TenantId {
 }
 
 /// Identifier of a database instance within a (RAC) cluster.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct InstanceId(pub u8);
 
 impl InstanceId {
@@ -142,7 +140,7 @@ impl fmt::Debug for InstanceId {
 }
 
 /// Identifier of a redo thread (one per primary RAC instance).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RedoThreadId(pub u8);
 
 impl fmt::Debug for RedoThreadId {
@@ -152,7 +150,7 @@ impl fmt::Debug for RedoThreadId {
 }
 
 /// Index of a recovery worker process on the standby.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct WorkerId(pub u16);
 
 impl fmt::Debug for WorkerId {

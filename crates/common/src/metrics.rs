@@ -16,11 +16,16 @@
 //! Every stage is declared once, in the `stage_metrics!` block below: one
 //! line per field names it, gives its [`Metric`] kind and its doc. The
 //! macro emits the live struct, its plain-data snapshot (same fields, same
-//! order), the `snapshot()` projection and the stage's display line. The
-//! registry itself is declared the same way, so
-//! [`MetricsRegistry::snapshot`] yields the serde-serializable
-//! [`MetricsSnapshot`] — the single schema shared by `StandbyStatus`, the
-//! exporters in [`crate::export`] and `benchmark/`.
+//! order), the `snapshot()` projection, the stage's display line and its
+//! [`Record`] walk. The registry itself is declared the same way, so
+//! [`MetricsRegistry::snapshot`] yields the [`MetricsSnapshot`] — the
+//! single schema shared by `StandbyStatus`, the exporters in
+//! [`crate::export`] and `benchmark/`.
+//!
+//! Export is a walk by declared kind: [`Metric::export`] hands each field
+//! to a [`Sink`] as a number, a histogram, a roster, a text label, a group
+//! of fields, or an event log. The Prometheus and JSONL writers are the two
+//! sinks, so neither infers a kind from a value's shape.
 //!
 //! [`PipelineTrace`] is a bounded ring of [`TraceEvent`]s recording QuerySCN
 //! advancement (and other coarse stage transitions) for post-mortem
@@ -32,7 +37,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use crate::clock::Clock;
 
@@ -54,6 +58,43 @@ pub trait Metric {
     fn show(s: &Self::Snapshot, name: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, " {name}={s:?}")
     }
+
+    /// Hand `s` to `sink` as field `name`, by this metric's kind.
+    fn export(s: &Self::Snapshot, name: &str, sink: &mut dyn Sink);
+}
+
+/// A writer the snapshot walk feeds, one call per field. The Prometheus
+/// sink turns numbers and histograms into series and skips the rest; the
+/// JSON sink keeps every field.
+pub trait Sink {
+    /// A counter, gauge or derived value.
+    fn number(&mut self, name: &str, v: u64);
+    /// A distribution.
+    fn histogram(&mut self, name: &str, h: &LogHistogramSnapshot);
+    /// A per-worker roster of counts (not a series).
+    fn roster(&mut self, name: &str, v: &[u64]);
+    /// A text label (not a series).
+    fn text(&mut self, name: &str, v: &str);
+    /// A stage: `fields` nested under `name`.
+    fn group(&mut self, name: &str, fields: &dyn Record);
+    /// One group per `(value, fields)` item under the one `name`, each
+    /// told apart by `label="value"`.
+    fn groups(&mut self, name: &str, label: &str, items: &[(&str, &dyn Record)]);
+    /// An optional event (not a series): `None` is `null`.
+    fn event(&mut self, name: &str, event: Option<&dyn Record>);
+    /// An event log (not a series).
+    fn events(&mut self, name: &str, events: &[&dyn Record]);
+}
+
+/// A plain value the exporters write as one object: its fields, in order.
+pub trait Record {
+    /// Hand each field to `sink`.
+    fn fields(&self, sink: &mut dyn Sink);
+}
+
+/// `items` as the records an event log takes.
+fn records<T: Record>(items: &[T]) -> Vec<&dyn Record> {
+    items.iter().map(|r| r as &dyn Record).collect()
 }
 
 /// A monotonically increasing event counter.
@@ -87,6 +128,9 @@ impl Metric for Counter {
     fn snapshot(&self) -> u64 {
         self.get()
     }
+    fn export(s: &u64, name: &str, sink: &mut dyn Sink) {
+        sink.number(name, *s)
+    }
 }
 
 /// A sampled last-value cell (queue depth, SCN, table size).
@@ -115,6 +159,9 @@ impl Metric for Gauge {
     fn snapshot(&self) -> u64 {
         self.get()
     }
+    fn export(s: &u64, name: &str, sink: &mut dyn Sink) {
+        sink.number(name, *s)
+    }
 }
 
 /// A roster of counters indexed by worker, grown on first use.
@@ -137,6 +184,9 @@ impl Metric for CounterRoster {
     fn snapshot(&self) -> Vec<u64> {
         self.0.lock().iter().map(|c| c.get()).collect()
     }
+    fn export(s: &Vec<u64>, name: &str, sink: &mut dyn Sink) {
+        sink.roster(name, s)
+    }
 }
 
 /// A snapshot-only field: the live struct stores nothing, and the snapshot
@@ -149,6 +199,9 @@ impl Metric for Derived {
     fn snapshot(&self) -> u64 {
         0
     }
+    fn export(s: &u64, name: &str, sink: &mut dyn Sink) {
+        sink.number(name, *s)
+    }
 }
 
 /// A fixed label (a stage's name), set when the struct is built.
@@ -156,6 +209,9 @@ impl Metric for String {
     type Snapshot = String;
     fn snapshot(&self) -> String {
         self.clone()
+    }
+    fn export(s: &String, name: &str, sink: &mut dyn Sink) {
+        sink.text(name, s)
     }
 }
 
@@ -167,6 +223,9 @@ impl<T: Metric> Metric for Arc<T> {
     }
     fn show(s: &T::Snapshot, name: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         T::show(s, name, f)
+    }
+    fn export(s: &T::Snapshot, name: &str, sink: &mut dyn Sink) {
+        T::export(s, name, sink)
     }
 }
 
@@ -187,7 +246,7 @@ pub const LOG_HISTOGRAM_BUCKETS: usize = (64 - LOG_HISTOGRAM_SUB_BITS as usize +
 /// type keeps 8 linear sub-buckets per octave — accurate enough to report
 /// p50/p90/p99 latencies — while still recording with a single relaxed
 /// atomic increment and no allocation. Snapshots are sparse (only occupied
-/// buckets), serde-able, and mergeable across instances or sessions.
+/// buckets) and mergeable across instances or sessions.
 #[derive(Debug)]
 pub struct LogHistogram {
     buckets: [AtomicU64; LOG_HISTOGRAM_BUCKETS],
@@ -280,7 +339,7 @@ impl LogHistogram {
 }
 
 /// One occupied bucket of a [`LogHistogramSnapshot`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LogBucket {
     /// Bucket index (see [`LogHistogram`] bucket layout).
     pub index: u32,
@@ -291,7 +350,7 @@ pub struct LogBucket {
 /// Sparse plain-data projection of a [`LogHistogram`]. Mergeable: summing
 /// two snapshots bucket-by-bucket equals recording both sample streams
 /// into one histogram.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LogHistogramSnapshot {
     /// Samples recorded.
     pub count: u64,
@@ -367,6 +426,9 @@ impl Metric for LogHistogram {
     fn show(s: &LogHistogramSnapshot, name: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, " {name}_p95={}", s.quantile(0.95))
     }
+    fn export(s: &LogHistogramSnapshot, name: &str, sink: &mut dyn Sink) {
+        sink.histogram(name, s)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -389,9 +451,9 @@ macro_rules! leaf {
 /// kind and its doc; a [`Derived`] field may append `=> |m| expr` to
 /// compute its value from the live struct `m`. For every stage this emits
 /// the live struct, the plain-data snapshot struct (same fields, same
-/// order), the `snapshot()` projection, and a [`Metric`] impl that shows
-/// the stage as one `name: field=value ...` line. `pub` is spelled out:
-/// the vendored serde derive does not parse a `$vis` fragment.
+/// order), the `snapshot()` projection, a [`Metric`] impl that shows the
+/// stage as one `name: field=value ...` line and exports it as a group,
+/// and the snapshot's [`Record`] walk over its fields in declaration order.
 macro_rules! stage_metrics {
     ($(
         $(#[$meta:meta])*
@@ -406,7 +468,7 @@ macro_rules! stage_metrics {
         }
 
         #[doc = concat!("Plain-data projection of [`", stringify!($metrics), "`].")]
-        #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
         pub struct $snapshot {
             $(#[doc = $doc] pub $field: <$kind as Metric>::Snapshot,)*
         }
@@ -425,6 +487,15 @@ macro_rules! stage_metrics {
             }
             fn show(s: &$snapshot, name: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
                 writeln!(f, "{name}:{s}")
+            }
+            fn export(s: &$snapshot, name: &str, sink: &mut dyn Sink) {
+                sink.group(name, s)
+            }
+        }
+
+        impl Record for $snapshot {
+            fn fields(&self, sink: &mut dyn Sink) {
+                $(<$kind as Metric>::export(&self.$field, stringify!($field), sink);)*
             }
         }
 
@@ -685,10 +756,13 @@ impl Metric for RuntimeMetrics {
         }
         Ok(())
     }
+    fn export(s: &RuntimeSnapshot, name: &str, sink: &mut dyn Sink) {
+        sink.group(name, s)
+    }
 }
 
 /// Plain-data projection of [`RuntimeMetrics`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RuntimeSnapshot {
     /// The first stage failure, if any (`None` = healthy).
     pub failure: Option<crate::runtime::StageFailure>,
@@ -707,12 +781,24 @@ impl RuntimeSnapshot {
     }
 }
 
+/// The failure and stalls are events; each scheduler stage is one group,
+/// labelled `stage="<name>"`.
+impl Record for RuntimeSnapshot {
+    fn fields(&self, sink: &mut dyn Sink) {
+        sink.event("failure", self.failure.as_ref().map(|f| f as &dyn Record));
+        sink.events("stalls", &records(&self.stalls));
+        let stages: Vec<(&str, &dyn Record)> =
+            self.stages.iter().map(|s| (s.stage.as_str(), s as &dyn Record)).collect();
+        sink.groups("stages", "stage", &stages);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Tracing
 // ---------------------------------------------------------------------------
 
 /// Which pipeline stage emitted a trace event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceStage {
     /// Redo shipping (primary).
     Ship,
@@ -731,7 +817,7 @@ pub enum TraceStage {
 }
 
 /// One traced stage transition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Monotonic sequence number within the ring's lifetime.
     pub seq: u64,
@@ -741,6 +827,16 @@ pub struct TraceEvent {
     pub scn: u64,
     /// Free-form detail.
     pub detail: String,
+}
+
+impl Record for TraceEvent {
+    fn fields(&self, sink: &mut dyn Sink) {
+        sink.number("seq", self.seq);
+        // A unit variant's `Debug` is its name.
+        sink.text("stage", &format!("{:?}", self.stage));
+        sink.number("scn", self.scn);
+        sink.text("detail", &self.detail);
+    }
 }
 
 #[derive(Debug, Default)]
@@ -810,6 +906,9 @@ impl Metric for PipelineTrace {
     fn show(_: &Vec<TraceEvent>, _: &str, _: &mut fmt::Formatter<'_>) -> fmt::Result {
         Ok(())
     }
+    fn export(s: &Vec<TraceEvent>, name: &str, sink: &mut dyn Sink) {
+        sink.events(name, &records(s))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -827,7 +926,7 @@ struct CommitStamps {
 
 /// Stage-by-stage residency of one traced commit, µs. Produced for the
 /// slowest commit records so a laggard can be explained stage by stage.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScnTrace {
     /// Commit SCN.
     pub scn: u64,
@@ -843,6 +942,18 @@ pub struct ScnTrace {
     pub publish_us: u64,
     /// Generation → queryable (the paper's Fig. 5 staleness).
     pub e2e_us: u64,
+}
+
+impl Record for ScnTrace {
+    fn fields(&self, sink: &mut dyn Sink) {
+        sink.number("scn", self.scn);
+        sink.number("transit_us", self.transit_us);
+        sink.number("merge_wait_us", self.merge_wait_us);
+        sink.number("apply_us", self.apply_us);
+        sink.number("flush_us", self.flush_us);
+        sink.number("publish_us", self.publish_us);
+        sink.number("e2e_us", self.e2e_us);
+    }
 }
 
 /// Bound on tracked in-flight commit records; beyond it the oldest is evicted so
@@ -1007,7 +1118,7 @@ impl StalenessTracker {
 }
 
 /// Plain-data projection of [`StalenessTracker`]. All histograms are in µs.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StalenessSnapshot {
     /// Generation → ship handoff (primary side).
     pub ship: LogHistogramSnapshot,
@@ -1027,6 +1138,19 @@ pub struct StalenessSnapshot {
     pub slowest: Vec<ScnTrace>,
 }
 
+impl Record for StalenessSnapshot {
+    fn fields(&self, sink: &mut dyn Sink) {
+        sink.histogram("ship", &self.ship);
+        sink.histogram("receive", &self.receive);
+        sink.histogram("merge", &self.merge);
+        sink.histogram("apply", &self.apply);
+        sink.histogram("flush", &self.flush);
+        sink.histogram("publish", &self.publish);
+        sink.histogram("e2e", &self.e2e);
+        sink.events("slowest", &records(&self.slowest));
+    }
+}
+
 impl Metric for StalenessTracker {
     type Snapshot = StalenessSnapshot;
     fn snapshot(&self) -> StalenessSnapshot {
@@ -1043,6 +1167,9 @@ impl Metric for StalenessTracker {
             e2e.max,
             s.slowest.len(),
         )
+    }
+    fn export(s: &StalenessSnapshot, name: &str, sink: &mut dyn Sink) {
+        sink.group(name, s)
     }
 }
 
@@ -1137,7 +1264,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_through_json() {
+    fn snapshot_and_display_cover_every_stage() {
         let reg = MetricsRegistry::default();
         reg.transport.records_shipped.add(10);
         reg.transport.bytes_shipped.add(4096);
@@ -1157,15 +1284,12 @@ mod tests {
         reg.scan.latency_us.record(Duration::from_micros(50));
         reg.trace.record(TraceStage::Advance, 42, "publish");
         let snap = reg.snapshot();
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap);
-        assert_eq!(back.transport.records_shipped, 10);
-        assert_eq!(back.transport.gaps_detected, 3);
-        assert_eq!(back.transport.retransmits, 2);
+        assert_eq!(snap.transport.records_shipped, 10);
+        assert_eq!(snap.transport.gaps_detected, 3);
+        assert_eq!(snap.transport.retransmits, 2);
         assert!(snap.to_string().contains("gaps_detected=3"));
-        assert_eq!(back.apply.worker_cvs, vec![0, 6]);
-        assert_eq!(back.trace[0].stage, TraceStage::Advance);
+        assert_eq!(snap.apply.worker_cvs, vec![0, 6]);
+        assert_eq!(snap.trace[0].stage, TraceStage::Advance);
         // Display covers every stage line.
         let text = snap.to_string();
         for needle in [
@@ -1255,15 +1379,12 @@ mod tests {
     }
 
     #[test]
-    fn log_histogram_snapshot_round_trips_sparse() {
+    fn log_histogram_snapshot_is_sparse() {
         let h = LogHistogram::new();
         h.record_value(7);
         h.record_value(12_345);
         let s = h.snapshot();
-        assert_eq!(s.buckets.len(), 2, "sparse: only occupied buckets serialize");
-        let json = serde_json::to_string(&s).unwrap();
-        let back: LogHistogramSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
+        assert_eq!(s.buckets.len(), 2, "sparse: only occupied buckets are kept");
     }
 
     #[test]

@@ -4,15 +4,11 @@
 //! across the scan engine's phases — storage-index pruning, columnar
 //! kernels, SMU journal merge, row-store fallback, the uncovered-block
 //! frontier sweep — plus one [`UnitTiming`] per parallel per-unit task so
-//! skew across the worker pool is observable. Everything is serde-able:
-//! profiles travel through the same machine-readable export path as the
-//! metrics snapshots.
-
-use serde::{Deserialize, Serialize};
+//! skew across the worker pool is observable.
 
 /// Timing breakdown of one per-unit scan task (one slot of the parallel
 /// driver's task array, in unit order).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UnitTiming {
     /// Task index in unit order (stable across parallel degrees).
     pub unit: usize,
@@ -43,7 +39,7 @@ pub struct UnitTiming {
 
 /// A per-query phase breakdown, returned when the request set
 /// `QueryRequest::profile()`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryProfile {
     /// Storage-index evaluation time over units the index pruned.
     pub pruning_us: u64,
@@ -152,16 +148,5 @@ mod tests {
         let p = QueryProfile::default();
         assert_eq!(p.task_skew(), 1.0);
         assert!(p.slowest_task().is_none());
-    }
-
-    #[test]
-    fn profile_round_trips_through_serde() {
-        let mut p = QueryProfile::default();
-        p.absorb_task(task(0, 10, 7, false));
-        p.uncovered_us = 5;
-        p.parallel_degree = 4;
-        let json = serde_json::to_string(&p).unwrap();
-        let back: QueryProfile = serde_json::from_str(&json).unwrap();
-        assert_eq!(p, back);
     }
 }

@@ -33,10 +33,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
-use crate::metrics::StageRuntimeMetrics;
+use crate::metrics::{Record, Sink, StageRuntimeMetrics};
 
 // ---------------------------------------------------------------------------
 // Stage contract
@@ -157,12 +155,19 @@ impl std::fmt::Debug for WakeToken {
 // ---------------------------------------------------------------------------
 
 /// The first failure recorded by a pipeline stage.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StageFailure {
     /// Name of the failing stage.
     pub stage: String,
     /// The error message or panic payload.
     pub reason: String,
+}
+
+impl Record for StageFailure {
+    fn fields(&self, sink: &mut dyn Sink) {
+        sink.text("stage", &self.stage);
+        sink.text("reason", &self.reason);
+    }
 }
 
 /// Pipeline health as surfaced by `StandbyStatus` and `MetricsSnapshot`.
@@ -203,12 +208,19 @@ impl std::fmt::Display for RuntimeHealth {
 /// quanta while its input queue reported pending work. Unlike a
 /// [`StageFailure`] this does not stop the pipeline — it flags a wedged or
 /// starved stage for the operator.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StallWarning {
     /// Name of the stalled stage.
     pub stage: String,
     /// Idle quanta observed when the warning fired.
     pub idle_quanta: u64,
+}
+
+impl Record for StallWarning {
+    fn fields(&self, sink: &mut dyn Sink) {
+        sink.text("stage", &self.stage);
+        sink.number("idle_quanta", self.idle_quanta);
+    }
 }
 
 /// Shared health cell written by the schedulers, read by status/metrics

@@ -513,7 +513,8 @@ impl AdgCluster {
     /// Restart one standby cluster by farm index (paper §III.E): storage
     /// persists, every in-memory structure — journal, commit table, IMCS —
     /// is lost, and media recovery resumes on the same redo links. The
-    /// rest of the farm keeps applying undisturbed.
+    /// rest of the farm keeps applying undisturbed. A promoted-from member
+    /// stays frozen: both restarts refuse it with `Error::Config`.
     pub fn restart_standby(&self, idx: usize) -> Result<()> {
         self.restart(idx, false)
     }
@@ -530,12 +531,20 @@ impl AdgCluster {
     }
 
     fn restart(&self, idx: usize, crash: bool) -> Result<()> {
+        let old = self.standby_at(idx)?;
+        // A promoted-from member has no lane left and serves its frozen
+        // QuerySCN; a rebuild would lose both.
+        if old.is_frozen() {
+            return Err(Error::Config(format!(
+                "standby {} was promoted from and stays frozen; it cannot restart",
+                old.name()
+            )));
+        }
         if crash && self.config.durability_dir().is_none() {
             return Err(Error::Config(
                 "crash restart requires durability (NodeBuilder::durability)".into(),
             ));
         }
-        let old = self.standby_at(idx)?;
         let mut receivers = old.recovery.take_receivers();
         let store = if crash {
             for rx in receivers.iter_mut() {

@@ -151,7 +151,7 @@ impl AdgCluster {
 /// use imadg_db::{NodeBuilder, LinkMode};
 ///
 /// let cluster = NodeBuilder::new()
-///     .primaries(2)
+///     .primary_instances(2)
 ///     .link(LinkMode::Framed)
 ///     .build()
 ///     .unwrap();
@@ -169,13 +169,13 @@ impl NodeBuilder {
     }
 
     /// Number of primary RAC instances (redo threads).
-    pub fn primaries(mut self, n: usize) -> Self {
+    pub fn primary_instances(mut self, n: usize) -> Self {
         self.config.primary_instances = n;
         self
     }
 
     /// Number of RAC instances per standby cluster.
-    pub fn standbys(mut self, n: usize) -> Self {
+    pub fn standby_instances(mut self, n: usize) -> Self {
         self.config.standby_instances = n;
         self
     }
@@ -388,8 +388,8 @@ mod tests {
     fn builder_sets_every_knob() {
         let fault = FaultPlan { seed: 7, ..FaultPlan::default() };
         let b = NodeBuilder::new()
-            .primaries(2)
-            .standbys(3)
+            .primary_instances(2)
+            .standby_instances(3)
             .reader_farm(2)
             .standby_faults(1, fault.clone())
             .dbim_on_adg(false)

@@ -143,8 +143,8 @@ fn fault_plan(seed: u64) -> FaultPlan {
 /// Topology + framed link + fault plan for one seed.
 fn chaos_builder(seed: u64) -> NodeBuilder {
     NodeBuilder::new()
-        .primaries(1 + (seed as usize % 2))
-        .standbys(1 + ((seed as usize / 2) % 2))
+        .primary_instances(1 + (seed as usize % 2))
+        .standby_instances(1 + ((seed as usize / 2) % 2))
         .link(LinkMode::Framed)
         .tune(|s| {
             s.transport.faults = Some(fault_plan(seed));

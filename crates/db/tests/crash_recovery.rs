@@ -25,7 +25,7 @@ use std::sync::Arc;
 use imadg_common::{Error, FaultPlan, LinkMode};
 use imadg_db::{
     AdgCluster, ColumnType, Filter, NodeBuilder, NodeRole, ObjectId, Placement, QueryRequest,
-    Schema, TableSpec, TenantId, Value,
+    RouteTarget, Schema, TableSpec, TenantId, Value,
 };
 
 const OBJ: ObjectId = ObjectId(7);
@@ -551,6 +551,45 @@ fn sync_after_single_standby_promotion_returns() {
         .unwrap();
     let out = new_primary.query(&QueryRequest::scan(OBJ).filter(Filter::all())).unwrap();
     assert_eq!(out.count(), 15, "pre- and post-promotion rows on the new primary");
+}
+
+/// A promoted-from member stays frozen at its last QuerySCN. Neither
+/// restart may rebuild it: that would drop the frozen flag and leave a
+/// member with no lane and no QuerySCN. Both refuse, and the member keeps
+/// answering its pre-promotion snapshot, out of the router's reach.
+#[test]
+fn restart_refuses_a_frozen_member() {
+    let dir = Tmp::new("frozen");
+    let c = cluster(durable_builder(&dir).reader_farm(2));
+    let p = c.primary();
+    for key in 0..20i64 {
+        p.insert_one(OBJ, TenantId::DEFAULT, vec![Value::Int(key), Value::Int(key)]).unwrap();
+    }
+    c.sync().unwrap();
+    let report = c.promote().unwrap();
+    let idx = c.standbys().iter().position(|s| s.name() == report.promoted_from).unwrap();
+    let p = c.primary();
+    for key in 100..105i64 {
+        p.insert_one(OBJ, TenantId::DEFAULT, vec![Value::Int(key), Value::Int(1)]).unwrap();
+    }
+    c.sync().unwrap();
+
+    let warm = c.restart_standby(idx);
+    let crash = c.crash_restart_standby(idx);
+    assert!(matches!(warm, Err(Error::Config(_))), "warm restart of a frozen member: {warm:?}");
+    assert!(matches!(crash, Err(Error::Config(_))), "crash restart of a frozen member: {crash:?}");
+
+    let frozen = c.standby_at(idx).unwrap();
+    assert!(frozen.is_frozen(), "a refused restart leaves the member frozen");
+    assert_eq!(frozen.query_scn.get(), report.frozen_query_scn);
+    let out = frozen.query(&QueryRequest::scan(OBJ).filter(Filter::all())).unwrap();
+    assert_eq!(out.count(), 20, "the frozen member answers with its pre-promotion rows");
+    let decision = c.route(&QueryRequest::scan(OBJ));
+    assert!(!decision.estimates[idx].eligible, "{decision:?}");
+    assert!(
+        !matches!(decision.target, RouteTarget::Standby { index, .. } if index == idx),
+        "the router sent a query to the frozen member: {decision:?}"
+    );
 }
 
 /// A link that never delivers must not hang `sync()`: once nothing has

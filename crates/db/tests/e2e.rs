@@ -217,7 +217,7 @@ fn capacity_expansion_placement_split() {
 
 #[test]
 fn rac_primary_two_redo_streams() {
-    let c = cluster(NodeBuilder::new().primaries(2));
+    let c = cluster(NodeBuilder::new().primary_instances(2));
     // Interleave transactions across the two primary instances.
     for k in 0..60i64 {
         let p = &c.primaries()[(k % 2) as usize];
@@ -239,7 +239,7 @@ fn rac_primary_two_redo_streams() {
 /// exactly the row-store images at the scan's SCN.
 #[test]
 fn rac_primary_scan_sees_other_instance_updates() {
-    let c = cluster(NodeBuilder::new().primaries(2));
+    let c = cluster(NodeBuilder::new().primary_instances(2));
     c.set_placement(OBJ, Placement::Both).unwrap();
     seed(&c, 0, 100);
     c.sync().unwrap();
@@ -269,7 +269,7 @@ fn rac_primary_scan_sees_other_instance_updates() {
 
 #[test]
 fn rac_standby_distributes_units_and_scans_cluster_wide() {
-    let c = cluster(NodeBuilder::new().standbys(2));
+    let c = cluster(NodeBuilder::new().standby_instances(2));
     seed(&c, 0, 400);
     c.sync().unwrap();
 

@@ -126,8 +126,8 @@ fn check_p5(c: &AdgCluster, last: &mut [Scn]) {
 fn run_seed(seed: u64) {
     let c = cluster(
         NodeBuilder::new()
-            .primaries(1 + (seed as usize % 2))
-            .standbys(1 + ((seed as usize / 2) % 2)),
+            .primary_instances(1 + (seed as usize % 2))
+            .standby_instances(1 + ((seed as usize / 2) % 2)),
     );
     let mut step = c.step_scheduler(seed);
     let mut rng = Mix(seed ^ 0x5eed_cafe);

@@ -1,15 +1,15 @@
 //! E2e tests of the metrics/tracing layer and the unified query API:
-//! record conservation across the pipeline after a full sync, serde
-//! round-trips of the snapshot, well-formed Prometheus and JSONL
+//! record conservation across the pipeline after a full sync, scan and
+//! trace counters in the snapshot, well-formed Prometheus and JSONL
 //! exposition, and `query()` parity with a row-store oracle.
 
 use std::sync::Arc;
 
 use imadg_db::{
-    AdgCluster, ColumnType, Filter, MetricsSnapshot, NodeBuilder, NodeRole, ObjectId, Placement,
-    Predicate, QueryRequest, Schema, Scn, TableSpec, TenantId, TraceStage, Value,
+    AdgCluster, ColumnType, Filter, NodeBuilder, NodeRole, ObjectId, Placement, Predicate,
+    QueryRequest, Schema, Scn, TableSpec, TenantId, TraceStage, Value,
 };
-use serde::{Content, Deserialize};
+use serde::Content;
 
 const OBJ: ObjectId = ObjectId(100);
 const ROW_OBJ: ObjectId = ObjectId(101);
@@ -115,7 +115,7 @@ fn pipeline_metrics_conserve_records_across_sync() {
 }
 
 #[test]
-fn metrics_snapshot_round_trips_through_serde() {
+fn metrics_snapshot_counts_queries_and_traces() {
     let c = cluster();
     seed(&c, OBJ, 0, 100);
     c.sync().unwrap();
@@ -130,20 +130,9 @@ fn metrics_snapshot_round_trips_through_serde() {
     assert_eq!(snap.scan.queries, snap.scan.imcs_served + snap.scan.row_store_fallback);
     assert!(snap.scan.latency_us.count >= 2);
 
-    let json = serde_json::to_string(&snap).unwrap();
-    let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
-    assert_eq!(snap, back, "snapshot must survive a serde round-trip");
-
     // The trace ring recorded both the advancement and the queries.
     assert!(snap.trace.iter().any(|e| e.stage == TraceStage::Advance));
     assert!(snap.trace.iter().any(|e| e.stage == TraceStage::Query));
-}
-
-/// One parsed JSONL exposition record.
-#[derive(Deserialize)]
-struct JsonlRecord {
-    role: String,
-    metrics: MetricsSnapshot,
 }
 
 /// Visit every leaf of a serialized metrics tree with its dotted path.
@@ -165,9 +154,9 @@ fn walk_leaves(path: &str, c: &Content, visit: &mut dyn FnMut(&str, &Content)) {
 
 /// Both export formats of a live two-role deployment that ran DML and a
 /// scan are well formed: every Prometheus sample line is a valid metric
-/// name with a finite, non-negative value; every JSONL record round-trips
-/// through serde_json byte for byte; and no numeric leaf, histogram
-/// buckets included, is negative or NaN.
+/// name with a finite, non-negative value; every JSONL record parses and
+/// re-serializes through serde_json byte for byte; and no numeric leaf,
+/// histogram buckets included, is negative or NaN.
 #[test]
 fn live_exposition_is_well_formed() {
     let c = cluster();
@@ -201,17 +190,18 @@ fn live_exposition_is_well_formed() {
 
         let line = node.metrics_jsonl();
         assert!(!line.contains('\n'), "a JSONL record is one line");
-        let record: JsonlRecord = serde_json::from_str(&line)
+        let tree: Content = serde_json::from_str(&line)
             .unwrap_or_else(|e| panic!("{role:?}: unparseable JSONL record: {e}"));
-        assert_eq!(record.role, if role == NodeRole::Primary { "primary" } else { "standby" });
+        let tag = if role == NodeRole::Primary { "primary" } else { "standby" };
+        assert_eq!(tree.field("role"), Some(&Content::Str(tag.into())));
+        assert!(tree.field("metrics").and_then(Content::as_map).is_some(), "{role:?}: no metrics");
         assert_eq!(
-            imadg_common::jsonl_line(&record.role, &record.metrics),
+            serde_json::to_string(&tree).unwrap(),
             line,
-            "{role:?}: the JSONL record must round-trip through serde_json"
+            "{role:?}: the JSONL record must re-serialize byte for byte"
         );
-        let tree: Content = serde_json::from_str(&line).unwrap();
         let mut leaves = 0;
-        walk_leaves(&record.role, &tree, &mut |path, leaf| {
+        walk_leaves(tag, &tree, &mut |path, leaf| {
             match leaf {
                 Content::F64(v) => assert!(v.is_finite() && *v >= 0.0, "{path} = {v}"),
                 Content::I64(v) => panic!("{path} = {v} is negative"),
@@ -356,11 +346,6 @@ fn profiled_query_reports_phase_breakdown() {
     let fbprof = fb.profile.unwrap();
     assert!(fbprof.tasks.is_empty(), "row-store execution has no per-unit tasks");
     assert_eq!(fbprof.parallel_degree, 1);
-
-    // Profiles are machine-readable: serde round-trip.
-    let json = serde_json::to_string(prof).unwrap();
-    let back: imadg_db::QueryProfile = serde_json::from_str(&json).unwrap();
-    assert_eq!(*prof, back);
 }
 
 #[test]

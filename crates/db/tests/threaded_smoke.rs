@@ -26,7 +26,7 @@ fn thread_count() -> usize {
 fn start_burst_drain_shutdown_leaks_no_threads() {
     let baseline = thread_count();
 
-    let c = NodeBuilder::new().primaries(2).standbys(2).build().unwrap();
+    let c = NodeBuilder::new().primary_instances(2).standby_instances(2).build().unwrap();
     c.create_table(TableSpec {
         id: OBJ,
         name: "smoke".into(),

@@ -12,7 +12,7 @@ use imadg::prelude::*;
 const T: ObjectId = ObjectId(1);
 
 fn main() -> Result<()> {
-    let cluster = NodeBuilder::new().primaries(2).standbys(2).build()?;
+    let cluster = NodeBuilder::new().primary_instances(2).standby_instances(2).build()?;
     cluster.create_table(TableSpec {
         id: T,
         name: "orders".into(),

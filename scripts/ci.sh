@@ -68,7 +68,7 @@ echo "==> durability gate (crash-point matrix + promotion under chaos)"
 rm -rf "${TMPDIR:-/tmp}"/imadg-twin-* "${TMPDIR:-/tmp}"/imadg-crash-* \
     "${TMPDIR:-/tmp}"/imadg-replay-* "${TMPDIR:-/tmp}"/imadg-span-* \
     "${TMPDIR:-/tmp}"/imadg-double-* "${TMPDIR:-/tmp}"/imadg-promo-* \
-    "${TMPDIR:-/tmp}"/imadg-roles-*
+    "${TMPDIR:-/tmp}"/imadg-roles-* "${TMPDIR:-/tmp}"/imadg-frozen-*
 cargo test -p imadg-db --test crash_recovery -q
 cargo test -p imadg-db --test crash_recovery sync_after_single_standby_promotion_returns -q
 
@@ -133,7 +133,7 @@ cargo test -p imadg-db --test reader_farm -q
 
 # Exposition gate: both export formats from a live two-role deployment are
 # well formed (finite non-negative Prometheus samples, JSONL records that
-# round-trip, no negative or NaN histogram bucket).
+# re-serialize byte for byte, no negative or NaN histogram bucket).
 echo "==> metrics exposition (Prometheus text + JSONL)"
 cargo test -p imadg-db --test metrics_api live_exposition_is_well_formed -q
 
@@ -147,6 +147,19 @@ cargo test -p imadg-common --lib exposition_schema_is_stable -q
 # one stage add no `imadg_trace_` series, and no series is emitted twice.
 echo "==> trace ring stays out of the Prometheus exposition"
 cargo test -p imadg-common --lib trace_ring_stays_out_of_exposition -q
+
+# JSONL golden gate: the record of a snapshot carrying every JSON-only shape
+# (a failure reason with a quote, backslash and newline, a stall, two trace
+# events, a two-worker roster, a settled staleness commit) equals its pinned
+# bytes, so the walk by declared kind writes what the serde derive wrote.
+echo "==> metrics JSONL golden bytes"
+cargo test -p imadg-common --lib jsonl_golden -q
+
+# Frozen-member gate: after a promotion, both restarts of the promoted-from
+# member refuse with a config error; it stays frozen, answers its
+# pre-promotion snapshot, and the router still skips it.
+echo "==> restart refuses a frozen (promoted-from) member"
+cargo test -p imadg-db --test crash_recovery restart_refuses_a_frozen_member -q
 
 # Stall gate: sync() over a link that never delivers returns an error
 # naming the pending side instead of spinning forever.

@@ -65,7 +65,7 @@ fn run_history(steps: Vec<Step>, standby_instances: usize) {
 /// `churn` forces tiny units plus repopulation on every pass, maximizing
 /// unit-swap / carry-over traffic during the history.
 fn run_history_with(steps: Vec<Step>, standby_instances: usize, churn: bool) {
-    let mut builder = NodeBuilder::new().standbys(standby_instances);
+    let mut builder = NodeBuilder::new().standby_instances(standby_instances);
     if churn {
         builder = builder.tune(|s| {
             s.imcs.imcu_max_rows = 8;
