@@ -37,6 +37,14 @@ pub enum Error {
     StandbyReadOnly,
     /// The standby instance has no published QuerySCN yet.
     NoQueryScn,
+    /// A standby query asked for a snapshot above the published QuerySCN:
+    /// the standby has not made that snapshot consistent yet.
+    SnapshotAhead {
+        /// The requested snapshot.
+        requested: Scn,
+        /// The standby's published QuerySCN.
+        query_scn: Scn,
+    },
     /// The in-memory store has no usable data for the object on this instance.
     NotPopulated(ObjectId),
     /// Transport endpoint disconnected.
@@ -84,6 +92,9 @@ impl fmt::Display for Error {
             Error::TypeMismatch { column } => write!(f, "type mismatch for column `{column}`"),
             Error::StandbyReadOnly => write!(f, "standby database is read-only"),
             Error::NoQueryScn => write!(f, "no QuerySCN published yet"),
+            Error::SnapshotAhead { requested, query_scn } => {
+                write!(f, "snapshot {requested:?} is ahead of the QuerySCN {query_scn:?}")
+            }
             Error::NotPopulated(o) => write!(f, "object {o:?} not populated in the IMCS"),
             Error::TransportClosed => write!(f, "redo transport closed"),
             Error::WireCorrupt(msg) => write!(f, "corrupt wire frame: {msg}"),

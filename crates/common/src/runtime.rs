@@ -312,17 +312,50 @@ struct StageEntry {
     global_health: Arc<HealthState>,
     /// Tokens woken whenever this stage reports `Progress`.
     downstream: Vec<WakeToken>,
+    /// Cleared once the stage reports `Shutdown`.
+    live: bool,
+    /// Consecutive idle quanta with input pending (stall detection).
+    idle_streak: u64,
 }
 
 impl StageEntry {
-    fn record_failure(&self, stage: &str, reason: String) {
-        self.health.record(stage, reason.clone());
-        self.global_health.record(stage, reason);
-    }
-
-    fn record_stall(&self, stage: &str, idle_quanta: u64) {
-        self.health.record_stall(stage, idle_quanta);
-        self.global_health.record_stall(stage, idle_quanta);
+    /// Run one quantum of the stage — the body both schedulers share: time
+    /// it, record an error or panic in both health cells, and flag a stall
+    /// once the stage has idled [`STALL_IDLE_QUANTA`] quanta in a row with
+    /// input pending.
+    fn run_quantum(&mut self) -> StepOutcome {
+        let t0 = Instant::now();
+        let outcome = catch_unwind(AssertUnwindSafe(|| self.stage.run_once()));
+        self.metrics.runs.inc();
+        self.metrics.run_quantum_us.record(t0.elapsed());
+        let name = self.stage.name();
+        let failure = match outcome {
+            Err(payload) => panic_reason(payload),
+            Ok(Err(e)) => e.to_string(),
+            Ok(Ok(StageOutcome::Progress)) => {
+                self.idle_streak = 0;
+                return StepOutcome::Progress;
+            }
+            Ok(Ok(StageOutcome::Idle)) => {
+                if self.stage.input_pending() == Some(true) {
+                    self.idle_streak += 1;
+                    if self.idle_streak == STALL_IDLE_QUANTA {
+                        self.health.record_stall(name, self.idle_streak);
+                        self.global_health.record_stall(name, self.idle_streak);
+                    }
+                } else {
+                    self.idle_streak = 0;
+                }
+                return StepOutcome::Idle;
+            }
+            Ok(Ok(StageOutcome::Shutdown)) => {
+                self.live = false;
+                return StepOutcome::Shutdown;
+            }
+        };
+        self.health.record(name, failure.clone());
+        self.global_health.record(name, failure);
+        StepOutcome::Failed
     }
 }
 
@@ -376,6 +409,8 @@ impl Runtime {
             health,
             global_health: self.health.clone(),
             downstream: Vec::new(),
+            live: true,
+            idle_streak: 0,
         });
         StageId(self.entries.len() - 1)
     }
@@ -397,11 +432,6 @@ impl Runtime {
     /// Wire a producer to an arbitrary wake token (cross-runtime edges).
     pub fn wire_token(&mut self, from: StageId, token: WakeToken) {
         self.entries[from.0].downstream.push(token);
-    }
-
-    /// Number of registered stages.
-    pub fn stage_count(&self) -> usize {
-        self.entries.len()
     }
 
     /// Spawn one scheduler thread per stage (threaded deployments).
@@ -428,17 +458,7 @@ impl Runtime {
     /// `seed` (step deployments, interleaving tests).
     pub fn into_step(self, seed: u64) -> StepScheduler {
         StepScheduler {
-            entries: self
-                .entries
-                .into_iter()
-                .map(|e| StepEntry {
-                    stage: e.stage,
-                    metrics: e.metrics,
-                    health: e.health,
-                    live: true,
-                    idle_streak: 0,
-                })
-                .collect(),
+            entries: self.entries,
             rng: SplitMix64::new(seed),
             health: self.health,
             stopped: false,
@@ -461,30 +481,17 @@ impl Default for Runtime {
 /// hang shutdown while still letting normal stages drain their queues.
 const DRAIN_QUANTA: usize = 100_000;
 
-fn stage_loop(entry: StageEntry, stop: Arc<AtomicBool>, all_tokens: Vec<WakeToken>) {
-    let name = entry.stage.name().to_string();
+fn stage_loop(mut entry: StageEntry, stop: Arc<AtomicBool>, all_tokens: Vec<WakeToken>) {
     let mut drain_budget = DRAIN_QUANTA;
-    let mut idle_streak = 0u64;
     loop {
         let stopping = stop.load(Ordering::Acquire);
-        let t0 = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| entry.stage.run_once()));
-        entry.metrics.runs.inc();
-        entry.metrics.run_quantum_us.record(t0.elapsed());
-        match outcome {
-            Err(payload) => {
-                entry.record_failure(&name, panic_reason(payload));
+        match entry.run_quantum() {
+            StepOutcome::Failed => {
                 stop_all(&stop, &all_tokens);
                 break;
             }
-            Ok(Err(e)) => {
-                entry.record_failure(&name, e.to_string());
-                stop_all(&stop, &all_tokens);
-                break;
-            }
-            Ok(Ok(StageOutcome::Shutdown)) => break,
-            Ok(Ok(StageOutcome::Progress)) => {
-                idle_streak = 0;
+            StepOutcome::Shutdown => break,
+            StepOutcome::Progress => {
                 for t in &entry.downstream {
                     t.wake();
                 }
@@ -499,18 +506,10 @@ fn stage_loop(entry: StageEntry, stop: Arc<AtomicBool>, all_tokens: Vec<WakeToke
                     park(&entry, pause);
                 }
             }
-            Ok(Ok(StageOutcome::Idle)) => {
+            StepOutcome::Idle => {
                 if stopping {
                     // Drained: queue empty at stop time — graceful exit.
                     break;
-                }
-                if entry.stage.input_pending() == Some(true) {
-                    idle_streak += 1;
-                    if idle_streak == STALL_IDLE_QUANTA {
-                        entry.record_stall(&name, idle_streak);
-                    }
-                } else {
-                    idle_streak = 0;
                 }
                 park(&entry, entry.stage.park_hint());
             }
@@ -607,14 +606,6 @@ impl SplitMix64 {
     }
 }
 
-struct StepEntry {
-    stage: Arc<dyn Stage>,
-    metrics: Arc<StageRuntimeMetrics>,
-    health: Arc<HealthState>,
-    live: bool,
-    idle_streak: u64,
-}
-
 /// What one [`StepScheduler::step`] did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StepReport {
@@ -644,7 +635,7 @@ pub enum StepOutcome {
 /// seed chooses the interleaving, so the same seed replays the same
 /// schedule bit-for-bit.
 pub struct StepScheduler {
-    entries: Vec<StepEntry>,
+    entries: Vec<StageEntry>,
     rng: SplitMix64,
     health: Arc<HealthState>,
     stopped: bool,
@@ -715,47 +706,9 @@ impl StepScheduler {
     }
 
     fn run_entry(&mut self, i: usize) -> StepOutcome {
-        let entry = &mut self.entries[i];
-        let name = entry.stage.name().to_string();
-        let t0 = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| entry.stage.run_once()));
-        entry.metrics.runs.inc();
-        entry.metrics.run_quantum_us.record(t0.elapsed());
-        match outcome {
-            Err(payload) => {
-                let reason = panic_reason(payload);
-                entry.health.record(&name, reason.clone());
-                self.health.record(&name, reason);
-                self.stopped = true;
-                StepOutcome::Failed
-            }
-            Ok(Err(e)) => {
-                entry.health.record(&name, e.to_string());
-                self.health.record(&name, e.to_string());
-                self.stopped = true;
-                StepOutcome::Failed
-            }
-            Ok(Ok(StageOutcome::Progress)) => {
-                entry.idle_streak = 0;
-                StepOutcome::Progress
-            }
-            Ok(Ok(StageOutcome::Idle)) => {
-                if entry.stage.input_pending() == Some(true) {
-                    entry.idle_streak += 1;
-                    if entry.idle_streak == STALL_IDLE_QUANTA {
-                        entry.health.record_stall(&name, entry.idle_streak);
-                        self.health.record_stall(&name, entry.idle_streak);
-                    }
-                } else {
-                    entry.idle_streak = 0;
-                }
-                StepOutcome::Idle
-            }
-            Ok(Ok(StageOutcome::Shutdown)) => {
-                entry.live = false;
-                StepOutcome::Shutdown
-            }
-        }
+        let outcome = self.entries[i].run_quantum();
+        self.stopped |= outcome == StepOutcome::Failed;
+        outcome
     }
 }
 

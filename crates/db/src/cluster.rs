@@ -15,7 +15,7 @@ use imadg_common::{
 };
 use imadg_imcs::ImcsStore;
 use imadg_net::{build_fanout_link, FanoutLaneSpec};
-use imadg_redo::{DurableLog, LogBuffer, RedoSink, RedoSource, ReplaySource};
+use imadg_redo::{DurableLog, LogBuffer, RedoSink, RedoSource};
 use imadg_storage::{DbaAllocator, Store, TableSpec};
 use imadg_txn::{InMemoryRegistry, LockTable, TxnIdService, TxnManager};
 use parking_lot::RwLock;
@@ -218,8 +218,9 @@ impl AdgCluster {
         }
         *cluster.primaries.write() = primaries;
 
-        // A pre-existing durability dir (cold start over surviving redo
-        // files) replays the whole log from disk before going live.
+        // Over a pre-existing durability dir (cold start over surviving
+        // redo files), each receiver replays its log from disk before
+        // going live.
         let standbys = specs
             .iter()
             .zip(receivers)
@@ -250,27 +251,6 @@ impl AdgCluster {
     /// The named standby's durability directory.
     fn standby_dir(dir: &Path, name: &str) -> PathBuf {
         dir.join(format!("standby-{name}"))
-    }
-
-    /// Wrap every receiver that has durable history in a [`ReplaySource`]
-    /// (disk batches first, then the live link).
-    fn prepare_receivers(receivers: Vec<Box<dyn RedoSource>>) -> Result<Vec<Box<dyn RedoSource>>> {
-        let mut out = Vec::with_capacity(receivers.len());
-        for rx in receivers {
-            let wrapped = match rx.durable_log() {
-                Some(log) => {
-                    let batches = log.read_from(1)?;
-                    if batches.is_empty() {
-                        rx
-                    } else {
-                        Box::new(ReplaySource::new(batches, rx)) as Box<dyn RedoSource>
-                    }
-                }
-                None => rx,
-            };
-            out.push(wrapped);
-        }
-        Ok(out)
     }
 
     /// Assemble the primary instance of redo thread `thread` over the
@@ -305,10 +285,11 @@ impl AdgCluster {
     ///
     /// `store` is the physical store a warm restart or re-homing keeps.
     /// `None` builds a fresh store from the durable redo instead: each
-    /// receiver replays its disk history before the live link, and the
-    /// surviving cold files are registered from their footers before any
-    /// redo replays (the full replay re-mines each file's post-freeze
-    /// commits into its fresh SMU; per-unit absorption discards the rest).
+    /// receiver already holds a replay cursor over its disk history (see
+    /// `ReliableReceiver`), and the surviving cold files are registered
+    /// from their footers before the first drain replays any redo (the
+    /// full replay re-mines each file's post-freeze commits into its fresh
+    /// SMU; per-unit absorption discards the rest).
     fn assemble_standby(
         &self,
         name: &str,
@@ -317,7 +298,6 @@ impl AdgCluster {
         receivers: Vec<Box<dyn RedoSource>>,
     ) -> Result<Arc<StandbyCluster>> {
         let fresh = store.is_none();
-        let receivers = if fresh { Self::prepare_receivers(receivers)? } else { receivers };
         let standby = StandbyCluster::new(
             &self.config,
             name,
@@ -549,8 +529,9 @@ impl AdgCluster {
         let store = if crash {
             for rx in receivers.iter_mut() {
                 // The crash loses the unsynced tee buffer and all
-                // reassembly state; the link rewinds to the durable
-                // position and announces it to the sender.
+                // reassembly state; the receiver replays its disk history,
+                // and the link rewinds to the durable position and
+                // announces it to the sender.
                 rx.reset_for_restart()?;
             }
             None
@@ -559,6 +540,11 @@ impl AdgCluster {
         };
         let new = self.assemble_standby(old.name(), old.lane(), store, receivers)?;
         self.standbys.write()[idx] = new;
+        // The lost incarnation's memory is reclaimed the way a dead
+        // process's is, off the restart path: freeing a loaded row store
+        // and column store takes seconds, and the new member needs none of
+        // it. If no thread can be spawned, it is freed here.
+        let _ = std::thread::Builder::new().name("imadg-teardown".into()).spawn(move || drop(old));
         Ok(())
     }
 

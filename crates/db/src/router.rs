@@ -89,7 +89,8 @@ impl AdgCluster {
     ///
     /// Eligibility: the standby is not frozen, the object's placement does
     /// not pin it to the primary service alone, and the standby has
-    /// published a QuerySCN. Freshness: a zero SCN gap estimates zero
+    /// published a QuerySCN — at or above the request's explicit snapshot,
+    /// if it carries one. Freshness: a zero SCN gap estimates zero
     /// staleness (the standby has applied and published everything the
     /// primary has committed); otherwise the p99 of the standby's e2e
     /// commit-to-queryable histogram — a standby with a non-zero gap and
@@ -114,7 +115,10 @@ impl AdgCluster {
             // Objects with no in-memory standby placement still answer
             // from any standby's row store at the QuerySCN.
             let covered = !placement.on_standby() || placement.on_standby_named(s.name());
-            let published = s.query_scn.get().is_some();
+            // An explicit snapshot is a floor: a member whose QuerySCN
+            // has not reached it cannot serve the request.
+            let published =
+                s.query_scn.get().is_some_and(|q| req.snapshot().is_none_or(|at| at <= q));
             let staleness_us = if !covered || s.is_frozen() || !published {
                 None
             } else if s.scn_gap() == 0 {

@@ -477,12 +477,15 @@ impl StandbyCluster {
 
     /// Execute a [`QueryRequest`] at the published QuerySCN (or the
     /// request's explicit snapshot), fanning out across every instance's
-    /// column store (cross-instance PX).
+    /// column store (cross-instance PX). An explicit snapshot above the
+    /// QuerySCN is refused with [`Error::SnapshotAhead`]: redo past the
+    /// QuerySCN may be only partly applied.
     pub fn query(&self, req: &QueryRequest) -> Result<QueryOutput> {
-        let snapshot = match req.snapshot() {
-            Some(s) => s,
-            None => self.current_query_scn()?,
-        };
+        let query_scn = self.current_query_scn()?;
+        let snapshot = req.snapshot().unwrap_or(query_scn);
+        if snapshot > query_scn {
+            return Err(Error::SnapshotAhead { requested: snapshot, query_scn });
+        }
         let stores: Vec<Arc<ImcsStore>> = self.instances.iter().map(|i| i.imcs.clone()).collect();
         execute_request(
             &stores,

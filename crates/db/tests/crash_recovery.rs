@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use imadg_common::{Error, FaultPlan, LinkMode};
+use imadg_common::{envelope, Error, FaultPlan, LinkMode};
 use imadg_db::{
     AdgCluster, ColumnType, Filter, NodeBuilder, NodeRole, ObjectId, Placement, QueryRequest,
     RouteTarget, Schema, TableSpec, TenantId, Value,
@@ -254,6 +254,84 @@ fn restart_replays_whole_log() {
     assert!(after.replayed_records > 0, "restart must replay from disk");
     let out = c.standby().query(&QueryRequest::scan(OBJ).filter(Filter::all())).unwrap();
     assert_eq!(out.count(), 60, "every committed row survives the crash");
+}
+
+/// A cluster built over a surviving durability directory replays the
+/// standby's redo from disk before the live link: the standby answers
+/// every row the dropped cluster committed.
+#[test]
+fn cold_start_over_surviving_redo_replays_it() {
+    let dir = Tmp::new("coldstart");
+    {
+        let c = cluster(durable_builder(&dir));
+        let p = c.primary();
+        for key in 0..60i64 {
+            p.insert_one(OBJ, TenantId::DEFAULT, vec![Value::Int(key), Value::Int(key % 9)])
+                .unwrap();
+        }
+        c.sync().unwrap();
+    }
+    let c = durable_builder(&dir).build().unwrap();
+    c.set_placement(OBJ, Placement::StandbyOnly).unwrap();
+    c.sync().unwrap();
+    let replayed = c.standby().metrics().durability.replayed_records;
+    assert!(replayed >= 60, "the surviving log replays ({replayed} records)");
+    let out = c.standby().query(&QueryRequest::scan(OBJ).filter(Filter::all())).unwrap();
+    assert_eq!(out.count(), 60, "every committed row comes back from disk");
+}
+
+/// A corrupt entry met in replay after a crash restart — its CRC resealed,
+/// so only the record decode catches it — fails `sync` with `WireCorrupt`
+/// instead of hanging, and the QuerySCN stays below the entry's SCN.
+#[test]
+fn corrupt_redo_met_in_replay_surfaces() {
+    let dir = Tmp::new("corruptreplay");
+    let c = cluster(durable_builder(&dir));
+    let probe = ObjectId(8);
+    let schema = Schema::of(&[("id", ColumnType::Int), ("s", ColumnType::Varchar)]);
+    c.create_table(TableSpec { schema, ..table_spec(probe) }).unwrap();
+    let p = c.primary();
+    let mut probe_scn = None;
+    for key in 0..110i64 {
+        if key == 100 {
+            let row = vec![Value::Int(1), Value::str("PROBE")];
+            probe_scn = Some(p.insert_one(probe, TenantId::DEFAULT, row).unwrap());
+        }
+        p.insert_one(OBJ, TenantId::DEFAULT, vec![Value::Int(key), Value::Int(0)]).unwrap();
+        c.sync().unwrap();
+    }
+    c.crash_restart_standby(0).unwrap();
+
+    // Damage the probe string in the standby's own log, then reseal the
+    // CRC of the entry holding it.
+    let seg = ["wal", "archive"]
+        .iter()
+        .flat_map(|t| std::fs::read_dir(dir.0.join("standby-sb0/t1").join(t)).unwrap())
+        .map(|e| e.unwrap().path())
+        .find(|path| std::fs::read(path).unwrap().windows(5).any(|w| w == b"PROBE"))
+        .unwrap();
+    let mut bytes = std::fs::read(&seg).unwrap();
+    let at = bytes.windows(5).position(|w| w == b"PROBE").unwrap();
+    bytes[at] = 0xFF;
+    let mut entry = 8; // past the segment header
+    loop {
+        let len = u32::from_le_bytes(bytes[entry..entry + 4].try_into().unwrap()) as usize;
+        let end = entry + envelope::HEADER + len;
+        if at < end {
+            let crc = envelope::crc32(&bytes[entry + envelope::HEADER..end]);
+            bytes[entry + 4..entry + envelope::HEADER].copy_from_slice(&crc.to_le_bytes());
+            break;
+        }
+        entry = end;
+    }
+    std::fs::write(&seg, &bytes).unwrap();
+
+    assert!(matches!(c.sync(), Err(Error::WireCorrupt(_))), "replay must surface the entry");
+    let standby = c.standby();
+    let replayed = standby.metrics().durability.replayed_batches;
+    assert!(replayed > 64, "the entry lies past the first drain ({replayed} replayed)");
+    let q = standby.current_query_scn().ok();
+    assert!(q < probe_scn, "QuerySCN {q:?} must stay below the entry's SCN {probe_scn:?}");
 }
 
 /// Restart, then drive the replay one quantum per layer with population

@@ -4,6 +4,7 @@
 
 use std::sync::Arc;
 
+use imadg_common::Error;
 use imadg_db::{
     AdgCluster, CmpOp, ColumnType, Filter, NodeBuilder, ObjectId, Placement, Predicate,
     QueryRequest, Schema, TableSpec, TenantId, Value,
@@ -318,6 +319,43 @@ fn ddl_drop_column_propagates_and_drops_units() {
     let out = s.query(&QueryRequest::scan(OBJ).filter(Filter::all())).unwrap();
     assert!(out.used_imcs);
     assert_eq!(out.count(), 50);
+}
+
+/// A standby refuses an explicit snapshot above its published QuerySCN:
+/// redo up to that snapshot is applied, but the column store has not had
+/// its invalidations yet. The router treats the snapshot as a floor and
+/// lets the primary answer.
+#[test]
+fn standby_refuses_a_snapshot_it_has_not_published() {
+    let c = cluster(NodeBuilder::new());
+    let p = c.primary();
+    for k in 0..100 {
+        p.insert_one(OBJ, TenantId::DEFAULT, vec![Value::Int(k), Value::Int(0), Value::str("c")])
+            .unwrap();
+    }
+    c.sync().unwrap();
+    for k in 0..100 {
+        p.update_one(OBJ, TenantId::DEFAULT, k, "n1", Value::Int(1)).unwrap();
+    }
+    // Ship, ingest and apply every update, but publish no QuerySCN.
+    c.ship_redo().unwrap();
+    let standby = c.standby();
+    while standby.recovery.ingest_once().unwrap() + standby.recovery.drain_workers().unwrap() > 0 {}
+    let applied = standby.recovery.applied_scn();
+    let query_scn = standby.current_query_scn().unwrap();
+    assert!(applied > query_scn, "applied {applied:?} runs ahead of QuerySCN {query_scn:?}");
+
+    let req = QueryRequest::scan(OBJ).filter(filter(&c, "n1", Value::Int(1))).at(applied);
+    match standby.query(&req) {
+        Err(e) => assert_eq!(e, Error::SnapshotAhead { requested: applied, query_scn }),
+        Ok(out) => panic!("standby answered {} rows above its QuerySCN", out.count()),
+    }
+    assert_eq!(c.primary().query(&req).unwrap().count(), 100);
+    let (out, decision) = c.route_query(&req).unwrap();
+    assert!(!decision.offloaded(), "no member has published {applied:?}");
+    assert_eq!(out.count(), 100);
+    // At its own QuerySCN the standby still answers.
+    assert_eq!(standby.query(&QueryRequest::scan(OBJ).at(query_scn)).unwrap().count(), 100);
 }
 
 #[test]

@@ -284,15 +284,9 @@ impl RedoSink for FanoutSender {
         drop(s);
         if let Some(log) = durable {
             // Group commit: one fsync covers every batch sent since the
-            // last service quantum. The archiver quantum rides along,
-            // moving sealed segments to the archive tier.
-            if log.sync_if_pending()? {
-                progressed = true;
-            }
-            if log.archive_pending() {
-                log.archive_sealed()?;
-                progressed = true;
-            }
+            // last service quantum, and sealed segments move to the
+            // archive tier.
+            progressed |= log.group_commit()?;
         }
         Ok(medium_moved || progressed)
     }
@@ -457,10 +451,11 @@ mod tests {
         assert_eq!(standby_logs[1].durable_seq(), 5, "lane 1 synced only 1..=5");
 
         // Lane 1 crashes: its unsynced 6..=8 are gone, and it announces
-        // resume at 6.
+        // resume at 6. It first replays its own durable 1..=5 from disk.
         rxs[1].reset_for_restart().unwrap();
         tx.service().unwrap();
         assert_eq!(tx.state.lock().lanes[0].acked_through, 8, "lane 0's ACK stands");
+        assert_eq!(seqs(rxs[1].drain_ready().unwrap()), (1..=5).collect::<Vec<_>>());
         assert_eq!(
             seqs(rxs[1].drain_ready().unwrap()),
             vec![6, 7, 8],

@@ -122,7 +122,7 @@ pub fn build_fanout_link(
 mod tests {
     use super::*;
     use imadg_common::config::FaultPlan;
-    use imadg_common::metrics::TransportMetrics;
+    use imadg_common::metrics::{DurabilityMetrics, TransportMetrics};
     use imadg_common::Scn;
     use imadg_redo::record::{RedoPayload, RedoRecord};
 
@@ -198,16 +198,18 @@ mod tests {
         }
     }
 
-    /// Standby crash with an unsynced tail: replay the durable prefix
-    /// from disk, then let the sender's liveness ping drive NAKs for the
-    /// lost tail — served from the retained window plus the primary's
-    /// archive (retained_window=4 keeps only the newest seqs in memory).
+    /// Standby crash with an unsynced tail: the receiver alone replays
+    /// its durable prefix from disk — several segments, at most 64
+    /// batches per drain, pending throughout — and only then takes the
+    /// lost tail from the live link, NAK-served from the retained window
+    /// plus the primary's archive (retained_window=4 keeps only the newest
+    /// seqs in memory).
     #[test]
     fn durable_link_replays_and_catches_up_after_receiver_restart() {
         let base = std::env::temp_dir().join(format!("imadg-netdur-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&base);
-        let p_log = Arc::new(DurableLog::open(base.join("p"), 4 * 1024).unwrap());
-        let s_log = Arc::new(DurableLog::open(base.join("s"), 4 * 1024).unwrap());
+        let p_log = Arc::new(DurableLog::open(base.join("p"), 1024).unwrap());
+        let s_log = Arc::new(DurableLog::open(base.join("s"), 1024).unwrap());
         let cfg = TransportConfig {
             mode: LinkMode::Framed,
             retained_window: 4,
@@ -216,40 +218,48 @@ mod tests {
             ..TransportConfig::default()
         };
         let (tx, mut rx) = one_lane(&cfg, Some(p_log.clone()), Some(s_log.clone()));
+        let m: Arc<DurabilityMetrics> = Arc::default();
+        rx.bind_durability_metrics(m.clone());
 
         let mut live = Vec::new();
-        for scn in 1..=60u64 {
+        for scn in 1..=170u64 {
             tx.send(vec![rec(scn)]).unwrap();
             tx.service().unwrap();
             live.extend(rx.drain_ready().unwrap());
+            if scn % 10 == 0 && scn <= 130 {
+                rx.durable_sync().unwrap();
+            }
         }
-        rx.durable_sync().unwrap();
-        assert_eq!(s_log.durable_seq(), 60, "group commit persisted the drained prefix");
-        for scn in 61..=100u64 {
-            tx.send(vec![rec(scn)]).unwrap();
-            tx.service().unwrap();
-            live.extend(rx.drain_ready().unwrap());
-        }
-        assert_eq!(live.len(), 100);
+        assert_eq!(live.len(), 170);
+        assert_eq!(s_log.durable_seq(), 130, "group commit persisted the drained prefix");
+        let tiers = ["wal", "archive"].map(|t| std::fs::read_dir(base.join("s").join(t)));
+        assert!(tiers.into_iter().map(|d| d.unwrap().count()).sum::<usize>() >= 3);
 
-        // Crash: the unsynced standby tail (61..=100) is gone; reassembly
-        // state rewinds to the durable position.
+        // Crash: the unsynced standby tail (131..=170) is gone; reassembly
+        // state rewinds to the durable position. The receiver alone must
+        // deliver everything again, exactly once and in order.
         rx.reset_for_restart().unwrap();
-        let replayed: Vec<RedoRecord> =
-            s_log.read_from(1).unwrap().into_iter().flat_map(|(_, r)| r).collect();
-        assert_eq!(replayed.len(), 60);
-        assert_eq!(replayed.last().unwrap().scn.0, 60);
-
-        let mut caught = Vec::new();
+        let (mut caught, mut replay_drains) = (Vec::new(), Vec::new());
         for _ in 0..50_000 {
+            let replaying = caught.len() < 130;
+            if replaying {
+                assert!(rx.transport_pending(), "pending until the last disk batch");
+                assert_eq!(rx.time_to_next(), Some(Duration::ZERO));
+            }
             tx.service().unwrap();
-            caught.extend(rx.drain_ready().unwrap());
-            if replayed.len() + caught.len() == 100 && !rx.transport_pending() {
+            let got = rx.drain_ready().unwrap();
+            if replaying {
+                replay_drains.push(got.len());
+            }
+            caught.extend(got);
+            if caught.len() >= 170 && !rx.transport_pending() {
                 break;
             }
         }
-        let scns: Vec<u64> = replayed.iter().chain(caught.iter()).map(|r| r.scn.0).collect();
-        assert_eq!(scns, (1..=100).collect::<Vec<_>>(), "disk replay + NAK catch-up is lossless");
+        assert_eq!(replay_drains, vec![64, 64, 2], "disk batches replay 64 per drain");
+        assert_eq!(m.replayed_batches.get(), 130);
+        let scns: Vec<u64> = caught.iter().map(|r| r.scn.0).collect();
+        assert_eq!(scns, (1..=170).collect::<Vec<_>>(), "disk replay + NAK catch-up is lossless");
         let _ = std::fs::remove_dir_all(&base);
     }
 

@@ -20,19 +20,39 @@
 //!   retransmits can themselves be lost).
 //! * `Ping` — primary → standby when frames stay unacknowledged with a
 //!   silent control path; recovers from lost ACKs.
+//!
+//! A receiver whose durable log already holds history — a cold start over
+//! a surviving directory, or [`RedoSource::reset_for_restart`] after a
+//! crash — first replays that history from disk through a cursor, one
+//! decoded segment at a time, and only then drains the live link.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
 use imadg_common::config::TransportConfig;
 use imadg_common::metrics::{DurabilityMetrics, TransportMetrics};
-use imadg_common::{RedoThreadId, Result};
+use imadg_common::{Error, RedoThreadId, Result};
 use imadg_redo::record::RedoRecord;
-use imadg_redo::{DurableLog, RedoSource};
+use imadg_redo::{DiskBatch, DurableLog, RedoSource};
 
 use crate::pipe::{FrameRx, FrameTx};
 use crate::wire::{self, Frame};
+
+/// Batches replayed per `drain_ready` call, so the recovery pipeline
+/// breathes (merge / dispatch / apply) between replay quanta instead of
+/// swallowing the whole log as one batch.
+const REPLAY_BATCHES_PER_DRAIN: usize = 64;
+
+/// Restart replay's position in the durable log: the batches
+/// `next..=end` still to deliver before the live link.
+struct Replay {
+    log: Arc<DurableLog>,
+    next: u64,
+    end: u64,
+    /// The decoded batches of the segment holding `next`, from `next` on.
+    segment: VecDeque<DiskBatch>,
+}
 
 /// Standby-side endpoint of a reliable framed link.
 pub struct ReliableReceiver {
@@ -56,6 +76,8 @@ pub struct ReliableReceiver {
     /// appended here (keyed by link sequence) and group-committed by the
     /// recovery pipeline's `durable_sync` quantum.
     durable: Option<Arc<DurableLog>>,
+    /// Open while durable history is still replaying from disk.
+    replay: Option<Replay>,
 }
 
 impl ReliableReceiver {
@@ -79,6 +101,7 @@ impl ReliableReceiver {
             protocol_activity: false,
             metrics: Arc::default(),
             durable: None,
+            replay: None,
         }
     }
 
@@ -91,7 +114,48 @@ impl ReliableReceiver {
         if durable + 1 > self.expected {
             self.expected = durable + 1;
         }
+        self.replay = Self::replay_through(&log, durable);
         self.durable = Some(log);
+    }
+
+    /// A replay cursor over `log`'s `1..=durable`, if there is any history.
+    fn replay_through(log: &Arc<DurableLog>, durable: u64) -> Option<Replay> {
+        (durable > 0).then(|| Replay {
+            log: log.clone(),
+            next: 1,
+            end: durable,
+            segment: VecDeque::new(),
+        })
+    }
+
+    /// Deliver up to [`REPLAY_BATCHES_PER_DRAIN`] disk batches, decoding
+    /// the next segment when the current one runs out. The drain after
+    /// the last disk batch is the first live one.
+    fn drain_replay(&mut self) -> Result<Vec<RedoRecord>> {
+        let Some(replay) = &mut self.replay else { return Ok(Vec::new()) };
+        let metrics = replay.log.metrics();
+        let mut out = Vec::new();
+        for _ in 0..REPLAY_BATCHES_PER_DRAIN {
+            if replay.segment.is_empty() {
+                replay.segment = replay.log.read_segment_from(replay.next)?.into();
+            }
+            match replay.segment.pop_front() {
+                Some((seq, records)) if seq == replay.next => {
+                    metrics.replayed_batches.inc();
+                    metrics.replayed_records.add(records.len() as u64);
+                    out.extend(records);
+                }
+                _ => {
+                    return Err(Error::Io(format!("durable log has no batch {}", replay.next)));
+                }
+            }
+            replay.next += 1;
+            if replay.next > replay.end {
+                self.replay = None;
+                break;
+            }
+        }
+        Ok(out)
     }
 
     fn send_ack(&mut self) -> Result<()> {
@@ -182,6 +246,9 @@ impl ReliableReceiver {
 
 impl RedoSource for ReliableReceiver {
     fn drain_ready(&mut self) -> Result<Vec<RedoRecord>> {
+        if self.replay.is_some() {
+            return self.drain_replay();
+        }
         let frames = self.data_rx.recv_ready()?;
         let mut out = Vec::new();
         let mut answer_ack = false;
@@ -227,7 +294,10 @@ impl RedoSource for ReliableReceiver {
     }
 
     fn transport_pending(&self) -> bool {
-        !self.ooo.is_empty() || !self.missing.is_empty() || self.data_rx.pending()
+        self.replay.is_some()
+            || !self.ooo.is_empty()
+            || !self.missing.is_empty()
+            || self.data_rx.pending()
     }
 
     fn take_protocol_activity(&mut self) -> bool {
@@ -235,7 +305,10 @@ impl RedoSource for ReliableReceiver {
     }
 
     fn time_to_next(&self) -> Option<Duration> {
-        self.data_rx.time_to_next()
+        match self.replay {
+            Some(_) => Some(Duration::ZERO),
+            None => self.data_rx.time_to_next(),
+        }
     }
 
     fn bind_metrics(&mut self, metrics: Arc<TransportMetrics>) {
@@ -250,13 +323,9 @@ impl RedoSource for ReliableReceiver {
 
     fn durable_sync(&mut self) -> Result<bool> {
         match &self.durable {
-            Some(log) => log.sync_if_pending(),
+            Some(log) => log.group_commit(),
             None => Ok(false),
         }
-    }
-
-    fn durable_log(&self) -> Option<Arc<DurableLog>> {
-        self.durable.clone()
     }
 
     fn reset_for_restart(&mut self) -> Result<()> {
@@ -264,12 +333,16 @@ impl RedoSource for ReliableReceiver {
             return Ok(());
         };
         // The process died: the unsynced tee buffer and all in-memory
-        // reassembly state are gone. Delivery resumes at the durable
-        // position; anything the old incarnation had ACKed past it will
-        // arrive again (dup-dropped by sequence) or be re-NAKed from the
-        // primary's retained window and archive.
+        // reassembly state are gone. The durable history replays from
+        // disk (from the start: the rebuilt standby has nothing), then
+        // live delivery resumes at the durable position; anything the old
+        // incarnation had ACKed past it will arrive again (dup-dropped by
+        // sequence) or be re-NAKed from the primary's retained window and
+        // archive.
         log.drop_unsynced();
-        self.expected = log.durable_seq() + 1;
+        let durable = log.durable_seq();
+        self.expected = durable + 1;
+        self.replay = Self::replay_through(log, durable);
         self.ooo.clear();
         self.missing.clear();
         self.polls_since_nak = 0;

@@ -177,7 +177,7 @@ fn wal_segment_bytes_are_pinned() {
     let segment = dir.0.join("wal").join(format!("seg-{:020}.log", 1));
     let bytes = std::fs::read(&segment).unwrap();
     assert_golden("WAL segment", &bytes, WAL_SEGMENT);
-    let back = log.read_from(1).unwrap();
+    let back = log.read_range(1, 1).unwrap();
     assert_eq!(format!("{back:?}"), format!("{:?}", vec![(1u64, records[1..].to_vec())]));
 }
 

@@ -123,15 +123,10 @@ impl MediaRecovery {
                 self.protocol_activity.store(true, std::sync::atomic::Ordering::Relaxed);
             }
             // Group commit of the standby redo tee: one fsync per ingest
-            // quantum covers every batch this drain delivered, and the
-            // archiver quantum moves sealed segments to the archive tier.
+            // quantum covers every batch this drain delivered, and sealed
+            // segments move to the archive tier.
             if rx.durable_sync()? {
                 self.protocol_activity.store(true, std::sync::atomic::Ordering::Relaxed);
-            }
-            if let Some(log) = rx.durable_log() {
-                if log.archive_pending() {
-                    log.archive_sealed()?;
-                }
             }
             if !records.is_empty() {
                 let heartbeats =

@@ -1,11 +1,13 @@
 //! On-disk redo persistence: segmented write-ahead files with group
-//! commit, a sealed-segment archive tier, and restart replay.
+//! commit, a sealed-segment archive tier, and reads bounded by segment.
 //!
 //! Both link endpoints tee through a [`DurableLog`]: the primary persists
 //! every shipped batch (so NAK gap-resolution can be served from archived
 //! logs after the in-memory retained window evicts), and the standby
-//! persists every in-order delivered batch (so a crashed standby restarts
-//! from disk and re-joins the link at its durable position).
+//! persists every in-order delivered batch (so a crashed standby replays
+//! its own history from disk and re-joins the link at its durable
+//! position — the receiver's replay cursor reads one segment at a time
+//! through [`DurableLog::read_segment_from`]).
 //!
 //! ## Segment format
 //!
@@ -14,17 +16,20 @@
 //! — the envelope wire frames use too — where the CRC covers the payload:
 //! `[seq u64][count u32][record…]` in the [`crate::codec`] encoding —
 //! bit-identical to the records that travelled the link. Segments are
-//! named by their first sequence number; when the active segment exceeds
-//! `segment_max_bytes` it is sealed and becomes eligible for archival
-//! (a rename from `wal/` to `archive/`).
+//! named by their first sequence number (`seg-{first_seq:020}.log`); when
+//! the active segment exceeds `segment_max_bytes` it is sealed and becomes
+//! eligible for archival (a rename from `wal/` to `archive/`). The log
+//! keeps an index of its segments by first sequence, so a read decodes
+//! only the segments whose range overlaps the sequences it asks for.
 //!
 //! ## Group commit
 //!
-//! [`DurableLog::append_batch`] only buffers; [`DurableLog::sync_if_pending`]
-//! writes and fsyncs everything buffered since the last call. The callers
-//! are stage `run_once` quanta, so one fsync covers every batch of the
-//! quantum — fsync batching behind the existing Stage runtime, no extra
-//! threads or timers.
+//! [`DurableLog::append_batch`] only buffers; [`DurableLog::group_commit`]
+//! writes and fsyncs everything buffered since the last call, then moves
+//! sealed segments to the archive tier. The callers are stage `run_once`
+//! quanta (the sender's `service`, the receiver's `durable_sync`), so one
+//! fsync covers every batch of the quantum — fsync batching behind the
+//! existing Stage runtime, no extra threads or timers.
 //!
 //! ## Torn tails
 //!
@@ -33,12 +38,11 @@
 //! and truncates the file back to the last complete entry; everything
 //! before it is trusted (CRC-verified on read).
 
-use std::collections::VecDeque;
+use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
 use imadg_common::metrics::DurabilityMetrics;
 use imadg_common::{envelope, Error, Result};
@@ -46,7 +50,6 @@ use parking_lot::Mutex;
 
 use crate::codec;
 use crate::record::RedoRecord;
-use crate::transport::RedoSource;
 
 /// Segment file magic: `IMRL` ("in-memory redo log").
 const SEGMENT_MAGIC: u32 = 0x4C52_4D49;
@@ -128,7 +131,7 @@ fn read_segment(path: &Path) -> Result<(Vec<DiskBatch>, u64)> {
 
 struct ActiveSegment {
     file: File,
-    path: PathBuf,
+    first: u64,
     bytes: u64,
 }
 
@@ -146,8 +149,26 @@ struct LogInner {
     appended_seq: u64,
     /// Highest sequence fsynced to disk.
     durable_seq: u64,
-    /// Sealed wal segments awaiting the archiver.
-    sealed: Vec<PathBuf>,
+    /// Every segment file by first sequence, at its current path in
+    /// either tier — the index reads select segments from.
+    segments: BTreeMap<u64, PathBuf>,
+    /// How many of `segments` sit in the archive tier.
+    archived: u64,
+    /// First sequences of the sealed wal segments awaiting the archiver.
+    sealed: Vec<u64>,
+}
+
+impl LogInner {
+    /// Paths of the segments whose sequence range overlaps `from..=to`,
+    /// in sequence order: the one holding `from`, then every segment
+    /// starting in `from + 1..=to`.
+    fn overlapping(&self, from: u64, to: u64) -> Vec<PathBuf> {
+        if from > to {
+            return Vec::new();
+        }
+        let start = self.segments.range(..=from).next_back().map_or(from, |(&first, _)| first);
+        self.segments.range(start..=to).map(|(_, path)| path.clone()).collect()
+    }
 }
 
 /// A segmented, group-committed on-disk redo log for one redo thread.
@@ -167,19 +188,22 @@ impl DurableLog {
         fs::create_dir_all(&archive_dir).map_err(|e| io_err("create archive dir", e))?;
 
         let mut durable_seq = 0u64;
-        for (_, path) in list_segments(&archive_dir)? {
+        let mut segments = BTreeMap::new();
+        for (first, path) in list_segments(&archive_dir)? {
             let (batches, _) = read_segment(&path)?;
             if let Some(&(seq, _)) = batches.last() {
                 durable_seq = durable_seq.max(seq);
             }
+            segments.insert(first, path);
         }
+        let archived = segments.len() as u64;
         // Every existing wal segment is sealed from this process's point of
         // view (a restart performs a log switch); the newest may carry a
         // torn tail from the crash — truncate it back to the last complete
         // entry so later reads see only whole, checksummed batches.
         let wal = list_segments(&wal_dir)?;
         let mut sealed = Vec::new();
-        for (i, (_, path)) in wal.iter().enumerate() {
+        for (i, (first, path)) in wal.iter().enumerate() {
             let (batches, good_len) = read_segment(path)?;
             if let Some(&(seq, _)) = batches.last() {
                 durable_seq = durable_seq.max(seq);
@@ -203,7 +227,8 @@ impl DurableLog {
                     f.sync_data().map_err(|e| io_err("sync truncated segment", e))?;
                 }
             }
-            sealed.push(path.clone());
+            sealed.push(*first);
+            segments.insert(*first, path.clone());
         }
         Ok(DurableLog {
             inner: Mutex::new(LogInner {
@@ -216,6 +241,8 @@ impl DurableLog {
                 buf_records: 0,
                 appended_seq: durable_seq,
                 durable_seq,
+                segments,
+                archived,
                 sealed,
             }),
             metrics: Mutex::new(Arc::default()),
@@ -227,7 +254,8 @@ impl DurableLog {
         *self.metrics.lock() = metrics;
     }
 
-    fn metrics(&self) -> Arc<DurabilityMetrics> {
+    /// The durability stage this log reports into.
+    pub fn metrics(&self) -> Arc<DurabilityMetrics> {
         self.metrics.lock().clone()
     }
 
@@ -256,9 +284,17 @@ impl DurableLog {
         Ok(())
     }
 
-    /// Group commit: write and fsync everything buffered since the last
-    /// call. One call per stage quantum batches every append of the
-    /// quantum behind a single fsync. Returns whether anything was synced.
+    /// One group-commit quantum: fsync everything buffered, then move
+    /// sealed segments to the archive tier. Returns whether either did
+    /// work.
+    pub fn group_commit(&self) -> Result<bool> {
+        let synced = self.sync_if_pending()?;
+        Ok(self.archive_sealed()? || synced)
+    }
+
+    /// Write and fsync everything buffered since the last call. One call
+    /// per stage quantum batches every append of the quantum behind a
+    /// single fsync. Returns whether anything was synced.
     pub fn sync_if_pending(&self) -> Result<bool> {
         let mut inner = self.inner.lock();
         if inner.buf.is_empty() {
@@ -275,7 +311,9 @@ impl DurableLog {
             codec::put_u32(&mut header, SEGMENT_MAGIC);
             codec::put_u32(&mut header, SEGMENT_VERSION);
             file.write_all(&header).map_err(|e| io_err("write segment header", e))?;
-            inner.active = Some(ActiveSegment { file, path, bytes: SEGMENT_HEADER });
+            let first = inner.buf_first_seq;
+            inner.segments.insert(first, path.clone());
+            inner.active = Some(ActiveSegment { file, first, bytes: SEGMENT_HEADER });
         }
         let buf = std::mem::take(&mut inner.buf);
         let records = std::mem::take(&mut inner.buf_records);
@@ -294,36 +332,33 @@ impl DurableLog {
         m.durable_seq.set(seq);
         if inner.active.as_ref().is_some_and(|a| a.bytes >= inner.segment_max_bytes) {
             let active = inner.active.take().expect("active segment open");
-            inner.sealed.push(active.path);
+            inner.sealed.push(active.first);
             m.segments_sealed.inc();
         }
-        m.wal_segments.set(list_segments(&inner.wal_dir)?.len() as u64);
+        m.wal_segments.set(inner.segments.len() as u64 - inner.archived);
         Ok(true)
     }
 
     /// Move sealed segments from the wal tier to the archive tier (the
-    /// background archiver's quantum). Returns segments moved.
-    pub fn archive_sealed(&self) -> Result<usize> {
+    /// archiver's half of the group-commit quantum). Returns whether any
+    /// segment moved.
+    fn archive_sealed(&self) -> Result<bool> {
         let mut inner = self.inner.lock();
         let sealed = std::mem::take(&mut inner.sealed);
-        let n = sealed.len();
-        for path in sealed {
-            let name = path.file_name().expect("segment has a name").to_owned();
-            let dst = inner.archive_dir.join(name);
-            fs::rename(&path, &dst).map_err(|e| io_err("archive segment", e))?;
+        if sealed.is_empty() {
+            return Ok(false);
         }
-        if n > 0 {
-            let m = self.metrics();
-            m.segments_archived.add(n as u64);
-            m.wal_segments.set(list_segments(&inner.wal_dir)?.len() as u64);
-            m.archived_segments.set(list_segments(&inner.archive_dir)?.len() as u64);
+        for &first in &sealed {
+            let dst = inner.archive_dir.join(segment_name(first));
+            fs::rename(&inner.segments[&first], &dst).map_err(|e| io_err("archive segment", e))?;
+            inner.segments.insert(first, dst);
+            inner.archived += 1;
         }
-        Ok(n)
-    }
-
-    /// Whether sealed segments are waiting for [`DurableLog::archive_sealed`].
-    pub fn archive_pending(&self) -> bool {
-        !self.inner.lock().sealed.is_empty()
+        let m = self.metrics();
+        m.segments_archived.add(sealed.len() as u64);
+        m.wal_segments.set(inner.segments.len() as u64 - inner.archived);
+        m.archived_segments.set(inner.archived);
+        Ok(true)
     }
 
     /// Highest sequence number fsynced to disk.
@@ -345,115 +380,29 @@ impl DurableLog {
         inner.appended_seq = inner.durable_seq;
     }
 
-    /// Read every durable batch with sequence `>= from`, in sequence
-    /// order, spanning the archive tier and the wal tier.
-    pub fn read_from(&self, from: u64) -> Result<Vec<DiskBatch>> {
-        let inner = self.inner.lock();
-        let mut segments = list_segments(&inner.archive_dir)?;
-        segments.extend(list_segments(&inner.wal_dir)?);
-        segments.sort();
-        let mut out = Vec::new();
-        for (_, path) in segments {
-            let (batches, _) = read_segment(&path)?;
-            out.extend(batches.into_iter().filter(|&(seq, _)| seq >= from));
-        }
-        out.sort_by_key(|&(seq, _)| seq);
-        Ok(out)
-    }
-
-    /// Read the durable batches in `from..=to` (NAK gap-resolution beyond
-    /// the in-memory retained window).
+    /// Read the durable batches in `from..=to`, in sequence order,
+    /// decoding only the segments whose range overlaps it (NAK
+    /// gap-resolution beyond the in-memory retained window).
     pub fn read_range(&self, from: u64, to: u64) -> Result<Vec<DiskBatch>> {
-        let mut batches = self.read_from(from)?;
-        batches.retain(|&(seq, _)| seq <= to);
-        Ok(batches)
-    }
-}
-
-// ---- restart replay ------------------------------------------------------
-
-/// Batches replayed per `drain_ready` call, so the recovery pipeline
-/// breathes (merge / dispatch / apply) between replay quanta instead of
-/// swallowing the whole log as one batch.
-const REPLAY_BATCHES_PER_DRAIN: usize = 64;
-
-/// A [`RedoSource`] that first replays durable on-disk batches in sequence
-/// order, then hands over to the live link — the hard-restart ingest path:
-/// local redo files cover everything synced before the crash, and the
-/// reset link (NAK gap resolution from the primary's archive) covers the
-/// unsynced tail.
-pub struct ReplaySource {
-    batches: VecDeque<DiskBatch>,
-    live: Box<dyn RedoSource>,
-    metrics: Arc<DurabilityMetrics>,
-}
-
-impl ReplaySource {
-    /// Wrap `live`, replaying `batches` first.
-    pub fn new(batches: Vec<DiskBatch>, live: Box<dyn RedoSource>) -> ReplaySource {
-        ReplaySource { batches: batches.into(), live, metrics: Arc::default() }
-    }
-
-    /// Batches still waiting to replay.
-    pub fn replay_remaining(&self) -> usize {
-        self.batches.len()
-    }
-}
-
-impl RedoSource for ReplaySource {
-    fn drain_ready(&mut self) -> Result<Vec<RedoRecord>> {
-        if self.batches.is_empty() {
-            return self.live.drain_ready();
-        }
+        let inner = self.inner.lock();
         let mut out = Vec::new();
-        for _ in 0..REPLAY_BATCHES_PER_DRAIN {
-            let Some((_, records)) = self.batches.pop_front() else { break };
-            self.metrics.replayed_batches.inc();
-            self.metrics.replayed_records.add(records.len() as u64);
-            out.extend(records);
+        for path in inner.overlapping(from, to) {
+            let (batches, _) = read_segment(&path)?;
+            out.extend(batches.into_iter().filter(|&(seq, _)| (from..=to).contains(&seq)));
         }
         Ok(out)
     }
 
-    fn transport_pending(&self) -> bool {
-        !self.batches.is_empty() || self.live.transport_pending()
-    }
-
-    fn take_protocol_activity(&mut self) -> bool {
-        self.live.take_protocol_activity()
-    }
-
-    fn time_to_next(&self) -> Option<Duration> {
-        if self.batches.is_empty() {
-            self.live.time_to_next()
-        } else {
-            Some(Duration::ZERO)
+    /// Read the durable batches from `seq` to the end of the one segment
+    /// holding it — restart replay's unit of decoding.
+    pub fn read_segment_from(&self, seq: u64) -> Result<Vec<DiskBatch>> {
+        let inner = self.inner.lock();
+        let mut out = Vec::new();
+        for path in inner.overlapping(seq, seq) {
+            let (batches, _) = read_segment(&path)?;
+            out.extend(batches.into_iter().filter(|&(s, _)| s >= seq));
         }
-    }
-
-    fn bind_metrics(&mut self, metrics: Arc<imadg_common::metrics::TransportMetrics>) {
-        self.live.bind_metrics(metrics);
-    }
-
-    fn bind_durability_metrics(&mut self, metrics: Arc<DurabilityMetrics>) {
-        self.metrics = metrics.clone();
-        self.live.bind_durability_metrics(metrics);
-    }
-
-    fn durable_sync(&mut self) -> Result<bool> {
-        self.live.durable_sync()
-    }
-
-    fn durable_log(&self) -> Option<Arc<DurableLog>> {
-        self.live.durable_log()
-    }
-
-    fn reset_for_restart(&mut self) -> Result<()> {
-        // The restart builds its own full-disk replay over this source; any
-        // replay still pending in this now-stale wrapper must not deliver a
-        // second time (the merger would see SCNs run backwards).
-        self.batches.clear();
-        self.live.reset_for_restart()
+        Ok(out)
     }
 }
 
@@ -461,8 +410,6 @@ impl RedoSource for ReplaySource {
 mod tests {
     use super::*;
     use crate::record::RedoPayload;
-    use crate::transport::tests::VecLink;
-    use crate::transport::RedoSink;
     use imadg_common::{RedoThreadId, Scn};
 
     fn rec(scn: u64) -> RedoRecord {
@@ -492,12 +439,12 @@ mod tests {
         assert!(log.sync_if_pending().unwrap());
         assert!(!log.sync_if_pending().unwrap(), "nothing pending after sync");
         assert_eq!(log.durable_seq(), 2);
-        let got = log.read_from(1).unwrap();
+        let got = log.read_range(1, u64::MAX).unwrap();
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].0, 1);
         assert_eq!(got[0].1.len(), 2);
         assert_eq!(got[1].1[0].scn, Scn(12));
-        assert_eq!(log.read_from(2).unwrap().len(), 1);
+        assert_eq!(log.read_range(2, u64::MAX).unwrap().len(), 1);
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -510,7 +457,7 @@ mod tests {
         log.sync_if_pending().unwrap();
         log.append_batch(1, &[rec(1)]).unwrap();
         assert!(!log.sync_if_pending().unwrap(), "retransmit of durable seq dropped");
-        assert_eq!(log.read_from(1).unwrap().len(), 1);
+        assert_eq!(log.read_range(1, u64::MAX).unwrap().len(), 1);
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -528,11 +475,11 @@ mod tests {
         }
         let log = DurableLog::open(&dir, 1 << 20).unwrap();
         assert_eq!(log.durable_seq(), 5);
-        assert_eq!(log.read_from(1).unwrap().len(), 5);
+        assert_eq!(log.read_range(1, u64::MAX).unwrap().len(), 5);
         // New appends after the log switch land in a fresh segment.
         log.append_batch(6, &[rec(60)]).unwrap();
         log.sync_if_pending().unwrap();
-        assert_eq!(log.read_from(1).unwrap().len(), 6);
+        assert_eq!(log.read_range(1, u64::MAX).unwrap().len(), 6);
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -553,7 +500,7 @@ mod tests {
         drop(f);
         let log = DurableLog::open(&dir, 1 << 20).unwrap();
         assert_eq!(log.durable_seq(), 3, "complete entries survive the torn tail");
-        assert_eq!(log.read_from(1).unwrap().len(), 3);
+        assert_eq!(log.read_range(1, u64::MAX).unwrap().len(), 3);
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -605,7 +552,7 @@ mod tests {
             fs::write(&seg, &bytes).unwrap();
 
             assert!(
-                matches!(log.read_from(1), Err(Error::WireCorrupt(_))),
+                matches!(log.read_range(1, u64::MAX), Err(Error::WireCorrupt(_))),
                 "{what}: replay must surface the corrupt entry"
             );
             drop(log);
@@ -626,15 +573,44 @@ mod tests {
             log.append_batch(seq, &[rec(seq), rec(seq + 100)]).unwrap();
             log.sync_if_pending().unwrap();
         }
-        assert!(log.archive_pending());
-        let moved = log.archive_sealed().unwrap();
+        assert!(log.group_commit().unwrap(), "sealed segments move to the archive");
+        assert!(!log.group_commit().unwrap(), "nothing left to sync or archive");
+        let moved = list_segments(&dir.join("archive")).unwrap().len();
         assert!(moved >= 2, "tiny segments sealed as the bound is crossed (moved {moved})");
-        assert!(!log.archive_pending());
-        assert!(!list_segments(&dir.join("archive")).unwrap().is_empty());
         // Reads span both tiers, in order.
-        let got = log.read_from(1).unwrap();
+        let got = log.read_range(1, u64::MAX).unwrap();
         assert_eq!(got.iter().map(|b| b.0).collect::<Vec<_>>(), vec![1, 2, 3, 4]);
         assert_eq!(log.read_range(2, 3).unwrap().len(), 2);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    /// A read decodes only the segments its range overlaps: a damaged
+    /// segment outside the range goes unread, one inside it fails the read.
+    #[test]
+    fn range_read_opens_only_overlapping_segments() {
+        let dir = tmpdir("range");
+        // Eight records per batch outgrow the clamped minimum segment, so
+        // every sync seals a one-batch segment.
+        let log = DurableLog::open(&dir, SEGMENT_HEADER + 64).unwrap();
+        for seq in 1..=6u64 {
+            let batch: Vec<RedoRecord> = (0..8).map(|k| rec(seq * 10 + k)).collect();
+            log.append_batch(seq, &batch).unwrap();
+            log.group_commit().unwrap();
+        }
+        assert!(list_segments(&dir.join("archive")).unwrap().len() >= 4);
+        let seg1 = dir.join("archive").join(segment_name(1));
+        let mut bytes = fs::read(&seg1).unwrap();
+        bytes[0..4].copy_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
+        fs::write(&seg1, &bytes).unwrap();
+
+        let seqs = |got: Vec<DiskBatch>| got.iter().map(|b| b.0).collect::<Vec<_>>();
+        assert_eq!(seqs(log.read_range(2, 6).unwrap()), vec![2, 3, 4, 5, 6]);
+        assert_eq!(log.read_range(3, 4).unwrap()[1].1[0].scn, Scn(40));
+        assert_eq!(seqs(log.read_segment_from(4).unwrap()), vec![4]);
+        for (from, to) in [(1, 1), (1, 3)] {
+            let err = log.read_range(from, to).unwrap_err();
+            assert!(err.to_string().contains("bad segment magic"), "{from}..={to}: {err}");
+        }
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -654,25 +630,6 @@ mod tests {
         log.append_batch(2, &[rec(2)]).unwrap();
         log.sync_if_pending().unwrap();
         assert_eq!(log.durable_seq(), 2);
-        let _ = fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn replay_source_drains_disk_then_delegates() {
-        let dir = tmpdir("replay");
-        let log = DurableLog::open(&dir, 1 << 20).unwrap();
-        for seq in 1..=3 {
-            log.append_batch(seq, &[rec(seq)]).unwrap();
-        }
-        log.sync_if_pending().unwrap();
-        let live = VecLink::default();
-        live.send(vec![rec(100)]).unwrap();
-        let mut src = ReplaySource::new(log.read_from(1).unwrap(), Box::new(live));
-        assert!(src.transport_pending());
-        let replayed = src.drain_ready().unwrap();
-        assert_eq!(replayed.iter().map(|r| r.scn.0).collect::<Vec<_>>(), vec![1, 2, 3]);
-        let live = src.drain_ready().unwrap();
-        assert_eq!(live[0].scn, Scn(100));
         let _ = fs::remove_dir_all(dir);
     }
 }
@@ -724,11 +681,19 @@ mod review_repro {
             // have removed the entry-less torn file so this is fresh.
             log.append_batch(2, &batch(10)).unwrap();
             log.sync_if_pending().unwrap();
-            assert_eq!(log.read_from(1).unwrap().len(), 2, "both batches readable pre-reopen");
+            assert_eq!(
+                log.read_range(1, u64::MAX).unwrap().len(),
+                2,
+                "both batches readable pre-reopen"
+            );
         }
         let log = DurableLog::open(&dir, 1 << 20).unwrap();
         assert_eq!(log.durable_seq(), 2, "seq 2 must survive the second reopen");
-        assert_eq!(log.read_from(1).unwrap().len(), 2, "seq 2 must be readable after reopen");
+        assert_eq!(
+            log.read_range(1, u64::MAX).unwrap().len(),
+            2,
+            "seq 2 must be readable after reopen"
+        );
         let _ = fs::remove_dir_all(dir);
     }
 }

@@ -15,7 +15,7 @@ pub mod merger;
 pub mod record;
 pub mod transport;
 
-pub use durable::{DiskBatch, DurableLog, ReplaySource};
+pub use durable::{DiskBatch, DurableLog};
 pub use log_buffer::{LogBuffer, LogStats};
 pub use marker::{DdlKind, RedoMarker};
 pub use merger::LogMerger;

@@ -4,9 +4,10 @@
 //! (§I). The link is abstracted behind [`RedoSink`] / [`RedoSource`] so the
 //! shipping and ingest stages are agnostic to how redo travels. `imadg-net`
 //! implements both halves: a framed link (in-process pipe or loopback TCP)
-//! with gap detection, NAK/retransmission, and seeded fault injection. This
-//! module keeps the traits and the [`Shipper`] that drains a log buffer
-//! into a sink.
+//! with gap detection, NAK/retransmission, seeded fault injection, and —
+//! on the receiver — restart replay of the standby's own durable redo
+//! before the live link resumes. This module keeps the traits and the
+//! [`Shipper`] that drains a log buffer into a sink.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -15,7 +16,6 @@ use std::time::Duration;
 use imadg_common::metrics::{DurabilityMetrics, StalenessTracker, TransportMetrics};
 use imadg_common::{Result, Scn, WakeToken};
 
-use crate::durable::DurableLog;
 use crate::log_buffer::LogBuffer;
 use crate::record::{RedoPayload, RedoRecord};
 
@@ -93,22 +93,19 @@ pub trait RedoSource: Send {
         let _ = metrics;
     }
 
-    /// Group-commit the standby-side durable tee: one fsync covering every
-    /// batch accepted since the last call. Returns whether anything was
-    /// synced. Sources without a durable log do nothing.
+    /// One group-commit quantum of the standby-side durable tee: one fsync
+    /// covering every batch accepted since the last call, then archival of
+    /// sealed segments. Returns whether either did work. Sources without a
+    /// durable log do nothing.
     fn durable_sync(&mut self) -> Result<bool> {
         Ok(false)
     }
 
-    /// The durable log teeing this source's accepted batches, if any.
-    fn durable_log(&self) -> Option<Arc<DurableLog>> {
-        None
-    }
-
     /// Model a hard process restart over a surviving medium: discard the
-    /// unsynced tee buffer and all in-memory reassembly state, and resume
-    /// delivery just past the durable sequence — subsequent gaps are
-    /// NAK-resolved from the primary's retained window or archive.
+    /// unsynced tee buffer and all in-memory reassembly state, replay the
+    /// durable history from disk, and resume live delivery just past the
+    /// durable sequence — subsequent gaps are NAK-resolved from the
+    /// primary's retained window or archive.
     fn reset_for_restart(&mut self) -> Result<()> {
         Ok(())
     }
@@ -231,7 +228,7 @@ impl Shipper {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use imadg_common::{RedoThreadId, ScnService};
     use parking_lot::Mutex;
@@ -240,7 +237,7 @@ pub(crate) mod tests {
     /// A perfect link for unit tests: one shared queue of shipped batches,
     /// sink and source at once.
     #[derive(Clone, Default)]
-    pub(crate) struct VecLink(Arc<Mutex<VecDeque<Vec<RedoRecord>>>>);
+    struct VecLink(Arc<Mutex<VecDeque<Vec<RedoRecord>>>>);
 
     impl RedoSink for VecLink {
         fn send(&self, records: Vec<RedoRecord>) -> Result<()> {

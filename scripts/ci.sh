@@ -61,16 +61,25 @@ cargo test -p imadg-db --test chaos_transport tcp_loopback -q
 # converge bit-identically to an uncrashed twin), whole-log replay,
 # double crash, 16 pinned seeds of promotion under the acceptance fault
 # mix, and a single-standby promotion whose zero-lane sender lets `sync`
-# return. Uses per-run directories under $TMPDIR; each test removes its
-# own directory on drop, and stale ones from killed runs are swept here
-# first.
+# return. By name: a range read decodes only the segments it overlaps, a
+# cluster built over surviving redo replays it, a corrupt entry met in
+# replay fails `sync` instead of hanging, and a standby refuses a
+# snapshot above its QuerySCN (the router sends it to the primary). Uses
+# per-run directories under $TMPDIR; each test removes its own directory
+# on drop, and stale ones from killed runs are swept here first.
 echo "==> durability gate (crash-point matrix + promotion under chaos)"
 rm -rf "${TMPDIR:-/tmp}"/imadg-twin-* "${TMPDIR:-/tmp}"/imadg-crash-* \
     "${TMPDIR:-/tmp}"/imadg-replay-* "${TMPDIR:-/tmp}"/imadg-span-* \
     "${TMPDIR:-/tmp}"/imadg-double-* "${TMPDIR:-/tmp}"/imadg-promo-* \
-    "${TMPDIR:-/tmp}"/imadg-roles-* "${TMPDIR:-/tmp}"/imadg-frozen-*
+    "${TMPDIR:-/tmp}"/imadg-roles-* "${TMPDIR:-/tmp}"/imadg-frozen-* \
+    "${TMPDIR:-/tmp}"/imadg-coldstart-* "${TMPDIR:-/tmp}"/imadg-corruptreplay-* \
+    "${TMPDIR:-/tmp}"/imadg-durable-range-* "${TMPDIR:-/tmp}"/imadg-rxreplay-*
 cargo test -p imadg-db --test crash_recovery -q
 cargo test -p imadg-db --test crash_recovery sync_after_single_standby_promotion_returns -q
+cargo test -p imadg-redo --lib range_read_opens_only_overlapping_segments -q
+cargo test -p imadg-db --test crash_recovery cold_start_over_surviving_redo_replays_it -q
+cargo test -p imadg-db --test crash_recovery corrupt_redo_met_in_replay_surfaces -q
+cargo test -p imadg-db --test e2e standby_refuses_a_snapshot_it_has_not_published -q
 
 # Scan-engine parity gate: the vectorized bitmap kernels must be
 # bit-identical to the scalar reference engine (ops × encodings × null
