@@ -631,9 +631,10 @@ pub enum StepOutcome {
 
 /// Deterministic single-thread scheduler: each [`StepScheduler::step`]
 /// picks one live stage from the seeded RNG and runs one quantum on the
-/// caller's thread. Subsumes the old fixed-order `pump()` drivers — the
-/// seed chooses the interleaving, so the same seed replays the same
-/// schedule bit-for-bit.
+/// caller's thread. The seed chooses the interleaving, so the same seed
+/// replays the same schedule bit-for-bit. The fixed-order
+/// `MediaRecovery::pump()` drivers remain beside it for `sync()` and for
+/// tests that apply without populating.
 pub struct StepScheduler {
     entries: Vec<StageEntry>,
     rng: SplitMix64,

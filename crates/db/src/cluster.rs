@@ -14,8 +14,8 @@ use imadg_common::{
     StepScheduler, SystemConfig, ThreadedRuntime,
 };
 use imadg_imcs::ImcsStore;
-use imadg_net::{build_fanout_link, FanoutLaneSpec};
-use imadg_redo::{DurableLog, LogBuffer, RedoSink, RedoSource};
+use imadg_net::{build_fanout_link, FanoutLaneSpec, FanoutSender, ReliableReceiver};
+use imadg_redo::{DurableLog, LogBuffer};
 use imadg_storage::{DbaAllocator, Store, TableSpec};
 use imadg_txn::{InMemoryRegistry, LockTable, TxnIdService, TxnManager};
 use parking_lot::RwLock;
@@ -174,7 +174,7 @@ impl AdgCluster {
         let column_stores: Vec<Arc<ImcsStore>> =
             (0..config.primary_instances).map(|_| Arc::new(ImcsStore::new())).collect();
         // receivers[j] collects standby j's lane, one per primary thread.
-        let mut receivers: Vec<Vec<Box<dyn RedoSource>>> =
+        let mut receivers: Vec<Vec<ReliableReceiver>> =
             specs.iter().map(|_| Vec::with_capacity(config.primary_instances)).collect();
         for i in 0..config.primary_instances {
             // One fan-out link per redo thread: a shared retained-redo
@@ -261,7 +261,7 @@ impl AdgCluster {
         &self,
         thread: RedoThreadId,
         shared: &PrimaryShared,
-        sender: Box<dyn RedoSink>,
+        sender: FanoutSender,
         column_stores: &[Arc<ImcsStore>],
     ) -> Result<Arc<PrimaryInstance>> {
         let log = Arc::new(LogBuffer::with_clock(thread, self.config.clock.clone()));
@@ -295,7 +295,7 @@ impl AdgCluster {
         name: &str,
         lane: usize,
         store: Option<Arc<Store>>,
-        receivers: Vec<Box<dyn RedoSource>>,
+        receivers: Vec<ReliableReceiver>,
     ) -> Result<Arc<StandbyCluster>> {
         let fresh = store.is_none();
         let standby = StandbyCluster::new(

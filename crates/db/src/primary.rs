@@ -9,15 +9,13 @@ use imadg_common::{
     Stage, StageId, StageOutcome, TenantId, WakeToken,
 };
 use imadg_imcs::{ImcsStore, PopulationEngine, SnapshotSource};
-use imadg_redo::{LogBuffer, RedoSink, Shipper};
+use imadg_net::FanoutSender;
+use imadg_redo::LogBuffer;
 use imadg_storage::{Row, RowLoc, Store};
 use imadg_txn::{InvalidationSink, TxnManager};
 
 use crate::cluster::ClusterConfig;
 use crate::query::{execute_request, QueryOutput, QueryRequest};
-
-/// Max redo entries per shipped batch.
-const SHIP_BATCH: usize = 512;
 
 /// Commit-time bridge from one instance's transaction manager into the
 /// column store of *every* primary instance: committed row locations go
@@ -45,8 +43,7 @@ pub struct PrimaryInstance {
     pub txm: TxnManager,
     scns: Arc<ScnService>,
     log: Arc<LogBuffer>,
-    shipper: Shipper,
-    sender: Box<dyn RedoSink>,
+    sender: FanoutSender,
     /// This instance's column store (primary-side DBIM).
     pub imcs: Arc<ImcsStore>,
     /// This instance's population engine.
@@ -67,7 +64,7 @@ impl PrimaryInstance {
         id: InstanceId,
         mut txm: TxnManager,
         log: Arc<LogBuffer>,
-        sender: Box<dyn RedoSink>,
+        sender: FanoutSender,
         config: &ClusterConfig,
         column_stores: &[Arc<ImcsStore>],
     ) -> Result<PrimaryInstance> {
@@ -76,13 +73,11 @@ impl PrimaryInstance {
         // Ship-stage residency stamps read the deployment clock, so manual
         // clock runs trace deterministically.
         metrics.staleness.set_clock(config.clock.clone());
-        // Sender-side link counters (frames sent, retransmits served,
-        // reconnects, pings) land in this instance's registry.
-        sender.bind_metrics(metrics.transport.clone());
-        // Durability counters too (wal appends/fsyncs, archive
-        // retransmits) — previously unbound, so archive-served gap fills
-        // vanished into a detached default registry.
-        sender.bind_durability_metrics(metrics.durability.clone());
+        // Sender-side link counters (shipped, frames sent, retransmits
+        // served, pings), durability counters (wal appends/fsyncs,
+        // archive retransmits) and ship staleness land in this instance's
+        // registry.
+        sender.bind_metrics(&metrics);
         let imcs = column_stores[id.0 as usize].clone();
         let mut population = PopulationEngine::new(
             store.clone(),
@@ -98,8 +93,6 @@ impl PrimaryInstance {
             txm,
             scns,
             log,
-            shipper: Shipper::with_metrics(SHIP_BATCH, metrics.transport.clone())
-                .with_staleness(metrics.staleness.clone()),
             sender,
             imcs,
             population: Arc::new(population),
@@ -122,21 +115,18 @@ impl PrimaryInstance {
         self.log.last_scn()
     }
 
-    /// Ship all buffered redo to the standby (step mode). Emits a
-    /// heartbeat when the buffer was idle.
+    /// Ship all buffered redo to the standby (step mode): run shipper
+    /// quanta until one ships nothing — that last one heartbeats if
+    /// database time moved past everything shipped. Returns the records
+    /// shipped.
     pub fn ship_redo(&self) -> Result<usize> {
-        self.shipper.ship_all(&self.log, self.sender.as_ref(), self.scns.current())
-    }
-
-    /// Ship one batch (threaded shipper loop).
-    pub fn ship_once(&self) -> Result<usize> {
-        self.shipper.ship_once(&self.log, self.sender.as_ref(), self.scns.current())
-    }
-
-    /// Run one quantum of link protocol work (ACK/NAK processing,
-    /// retransmits, liveness pings). Returns whether anything moved.
-    pub fn transport_service(&self) -> Result<bool> {
-        self.sender.service()
+        let mut total = 0;
+        loop {
+            match self.sender.ship(&self.log, self.scns.current())? {
+                (0, _) => return Ok(total),
+                (shipped, _) => total += shipped,
+            }
+        }
     }
 
     /// Whether this instance's link still has frames in flight or unacked
@@ -250,10 +240,9 @@ impl Stage for ShipperStage {
     }
 
     fn run_once(&self) -> Result<StageOutcome> {
-        let shipped = self.0.ship_once()?;
+        let (shipped, serviced) = self.0.sender.ship(&self.0.log, self.0.scns.current())?;
         // Protocol work (a retransmit served, a ping sent) is progress too:
         // gap resolution must not stall behind an idle log buffer.
-        let serviced = self.0.transport_service()?;
         Ok(if shipped > 0 || serviced { StageOutcome::Progress } else { StageOutcome::Idle })
     }
 

@@ -17,11 +17,11 @@ use imadg_common::{
 use imadg_imcs::{
     ColdTier, ImcsStore, PopulationEngine, PopulationReport, SnapshotSource, TierReport,
 };
+use imadg_net::ReliableReceiver;
 use imadg_recovery::{
     DbimAdg, FlushTarget, HomeLocationMap, LocalFlushTarget, MediaRecovery, RacEndpoint,
     RacFlushTarget, RecoveryStageIds,
 };
-use imadg_redo::RedoSource;
 use imadg_storage::{Row, RowLoc, Store};
 
 use crate::cluster::ClusterConfig;
@@ -158,7 +158,7 @@ impl StandbyCluster {
         name: &str,
         lane: usize,
         store: Arc<Store>,
-        mut receivers: Vec<Box<dyn RedoSource>>,
+        receivers: Vec<ReliableReceiver>,
         primary_scn: Arc<ScnService>,
         cold_tier_dir: Option<PathBuf>,
     ) -> Result<Arc<StandbyCluster>> {
@@ -171,12 +171,6 @@ impl StandbyCluster {
         // Staleness residency stamps (receive/merge/apply/publish) read the
         // deployment clock; a shared Manual clock makes them deterministic.
         metrics.staleness.set_clock(config.clock.clone());
-        // Receiver-side link counters (gaps detected/resolved, NAKs sent,
-        // duplicates dropped) land in the standby's registry. Rebinding on
-        // restart is deliberate: a fresh standby starts fresh counters.
-        for rx in &mut receivers {
-            rx.bind_metrics(metrics.transport.clone());
-        }
 
         // Per-instance column stores; IMCUs distribute by home location.
         let ids: Vec<InstanceId> = (0..instances).map(|i| InstanceId(i as u8)).collect();
@@ -199,7 +193,6 @@ impl StandbyCluster {
                     InstanceId::MASTER,
                     stores.clone(),
                     INVALIDATION_BATCH,
-                    Duration::ZERO,
                 );
                 (Arc::new(t), eps)
             };

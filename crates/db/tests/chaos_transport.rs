@@ -760,3 +760,18 @@ fn tcp_loopback_matches_framed_link() {
     let t = tcp_cluster.standby().metrics().transport;
     assert!(t.frames_received > 0, "no frames crossed the TCP link");
 }
+
+/// One shipper quantum services the link exactly once: with only the
+/// primary's stage running, a lane that never ACKs is pinged once every
+/// `ping_idle_polls` quanta — 8 quanta at a cadence of 4 send 2 pings.
+#[test]
+fn shipper_quantum_services_the_link_once() {
+    let c = cluster(NodeBuilder::new().tune(|s| s.transport.ping_idle_polls = 4));
+    c.primary().insert_one(OBJ, TenantId::DEFAULT, vec![Value::Int(1), Value::Int(1)]).unwrap();
+    let mut rt = imadg_common::Runtime::new();
+    c.primary().register_stages(&mut rt);
+    let mut step = rt.into_step(1);
+    step.step_n(8);
+    assert!(step.health().is_healthy(), "pipeline failed: {}", step.health());
+    assert_eq!(c.primary().metrics().transport.link_pings, 2, "one service per quantum");
+}

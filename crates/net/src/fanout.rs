@@ -15,19 +15,27 @@
 //! Per-lane protocol state (ACK position, ping pacing) is tracked
 //! independently, so a partitioned lane keeps being pinged and NAK-served
 //! while fresh lanes ack and advance without waiting for it.
+//!
+//! The sender is also the primary's shipping process (paper §II.A):
+//! [`FanoutSender::ship`] is one quantum of it — drain one batch from the
+//! log buffer (or, idle, heartbeat the current SCN so the standby's merge
+//! watermark keeps advancing), then service the link once.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use imadg_common::config::TransportConfig;
-use imadg_common::metrics::{DurabilityMetrics, TransportMetrics};
-use imadg_common::{RedoThreadId, Result, WakeToken};
-use imadg_redo::record::RedoRecord;
-use imadg_redo::{DurableLog, RedoSink};
+use imadg_common::metrics::{DurabilityMetrics, StalenessTracker, TransportMetrics};
+use imadg_common::{MetricsRegistry, RedoThreadId, Result, Scn, WakeToken};
+use imadg_redo::record::{RedoPayload, RedoRecord};
+use imadg_redo::{DurableLog, LogBuffer};
 use parking_lot::Mutex;
 
 use crate::pipe::{FrameRx, FrameTx};
 use crate::wire::{self, Frame};
+
+/// Max redo records per shipped batch.
+const SHIP_BATCH: usize = 512;
 
 /// One standby's endpoint bundle inside the fan-out sender.
 pub struct FanoutLane {
@@ -47,6 +55,12 @@ struct LaneState {
 }
 
 struct FanoutState {
+    /// Highest SCN already signalled down the link (data or heartbeat). A
+    /// heartbeat is sent only when database time has advanced past it —
+    /// re-sending the same SCN adds no watermark information and would
+    /// keep generating frames (and ACK round-trips) forever, so an idle
+    /// pipeline could never quiesce.
+    signalled_scn: u64,
     /// Next unsent sequence number (shared across lanes; sequences start
     /// at 1 and every lane sees the same numbering).
     next_seq: u64,
@@ -55,6 +69,8 @@ struct FanoutState {
     retained: VecDeque<(u64, Vec<RedoRecord>)>,
     lanes: Vec<LaneState>,
     metrics: Arc<TransportMetrics>,
+    /// Records commit-record generation→ship residency.
+    staleness: Arc<StalenessTracker>,
     /// Primary-side durable tee shared by every lane: group-committed in
     /// `service`, serving NAKs evicted from the shared window.
     durable: Option<Arc<DurableLog>>,
@@ -94,6 +110,7 @@ impl FanoutSender {
             retained_window: cfg.retained_window.max(1),
             ping_idle_polls: cfg.ping_idle_polls.max(1),
             state: Mutex::new(FanoutState {
+                signalled_scn: 0,
                 next_seq: 1,
                 retained: VecDeque::new(),
                 lanes: lanes
@@ -106,6 +123,7 @@ impl FanoutSender {
                     })
                     .collect(),
                 metrics: Arc::default(),
+                staleness: Arc::default(),
                 durable: None,
                 durability_metrics: Arc::default(),
             }),
@@ -127,6 +145,55 @@ impl FanoutSender {
             }
         }
         s.durable = Some(log);
+    }
+
+    /// Report into `registry`: the transport stage (frames, retransmits
+    /// served, pings, shipped counts), the durability stage (wal appends,
+    /// fsyncs, archive retransmits) and ship-stage staleness.
+    pub fn bind_metrics(&self, registry: &MetricsRegistry) {
+        let mut s = self.state.lock();
+        s.metrics = registry.transport.clone();
+        s.staleness = registry.staleness.clone();
+        s.durability_metrics = registry.durability.clone();
+        if let Some(log) = &s.durable {
+            log.set_metrics(registry.durability.clone());
+        }
+    }
+
+    /// One shipper quantum: ship at most one batch drained from `log` —
+    /// or, with the buffer idle, a heartbeat at `current_scn` if database
+    /// time moved past everything already signalled — then service the
+    /// link once. Returns the data records shipped and whether the service
+    /// did protocol work.
+    pub fn ship(&self, log: &LogBuffer, current_scn: Scn) -> Result<(usize, bool)> {
+        let records = log.drain(SHIP_BATCH);
+        let shipped = records.len();
+        let mut s = self.state.lock();
+        if let Some(max) = records.iter().map(|r| r.scn.0).max() {
+            s.signalled_scn = s.signalled_scn.max(max);
+            s.metrics.records_shipped.add(shipped as u64);
+            s.metrics.bytes_shipped.add(records.iter().map(|r| r.approx_bytes() as u64).sum());
+            s.metrics.batches_shipped.inc();
+            for r in &records {
+                if matches!(r.payload, RedoPayload::Commit(_)) {
+                    s.staleness.on_ship(r.scn.0, r.born_us);
+                }
+            }
+            self.send_locked(&mut s, records)?;
+        } else if current_scn.0 > s.signalled_scn {
+            s.signalled_scn = current_scn.0;
+            s.metrics.heartbeats.inc();
+            s.metrics.batches_shipped.inc();
+            let heartbeat = RedoRecord {
+                thread: self.thread,
+                scn: current_scn,
+                born_us: 0,
+                payload: RedoPayload::Heartbeat,
+            };
+            self.send_locked(&mut s, vec![heartbeat])?;
+        }
+        drop(s);
+        Ok((shipped, self.service()?))
     }
 
     /// Serve `[from, to]` to lane `lane` from the shared retained window,
@@ -181,11 +248,16 @@ impl FanoutSender {
         s.durability_metrics.archive_retransmits.add(archive_served);
         Ok(())
     }
-}
 
-impl RedoSink for FanoutSender {
-    fn send(&self, records: Vec<RedoRecord>) -> Result<()> {
-        let mut s = self.state.lock();
+    /// Send one raw batch outside a shipper quantum (protocol tests).
+    #[cfg(test)]
+    pub(crate) fn send(&self, records: Vec<RedoRecord>) -> Result<()> {
+        self.send_locked(&mut self.state.lock(), records)
+    }
+
+    /// Send one batch down every lane, retaining it for NAKs and teeing
+    /// it to the durable log.
+    fn send_locked(&self, s: &mut FanoutState, records: Vec<RedoRecord>) -> Result<()> {
         let seq = s.next_seq;
         s.next_seq += 1;
         s.retained.push_back((seq, records.clone()));
@@ -214,7 +286,11 @@ impl RedoSink for FanoutSender {
         s.lanes[last].data_tx.send(frame)
     }
 
-    fn service(&self) -> Result<bool> {
+    /// Run one quantum of link protocol work — serve NAKs from the
+    /// retained window and archive, trim on ACKs, answer Hellos, emit
+    /// liveness pings, group-commit the durable tee. Returns whether
+    /// anything was done.
+    pub(crate) fn service(&self) -> Result<bool> {
         let mut progressed = false;
         let mut s = self.state.lock();
         let thread = self.thread;
@@ -291,28 +367,23 @@ impl RedoSink for FanoutSender {
         Ok(medium_moved || progressed)
     }
 
-    fn pending(&self) -> bool {
+    /// Whether any lane still has frames unacknowledged or in flight
+    /// (quiesce must wait for them).
+    pub fn pending(&self) -> bool {
         let s = self.state.lock();
         s.lanes.iter().any(|l| s.next_seq - 1 > l.acked_through || l.data_tx.in_flight())
     }
 
-    fn set_lane_waker(&self, lane: usize, token: WakeToken) {
+    /// Wake `token` whenever redo shipped onto lane `lane` (one lane per
+    /// standby) becomes deliverable *now*, so that standby's ingest stage
+    /// parks instead of polling. Latent lanes do not wake on send — the
+    /// receiver re-arms for the deadline via
+    /// [`crate::ReliableReceiver::time_to_next`].
+    pub fn set_lane_waker(&self, lane: usize, token: WakeToken) {
         let s = self.state.lock();
         if let Some(l) = s.lanes.get(lane) {
             l.data_tx.set_waker(token);
         }
-    }
-
-    fn bind_metrics(&self, metrics: Arc<TransportMetrics>) {
-        self.state.lock().metrics = metrics;
-    }
-
-    fn bind_durability_metrics(&self, metrics: Arc<DurabilityMetrics>) {
-        let mut s = self.state.lock();
-        if let Some(log) = &s.durable {
-            log.set_metrics(metrics.clone());
-        }
-        s.durability_metrics = metrics;
     }
 }
 
@@ -322,8 +393,6 @@ mod tests {
     use crate::pipe::channel_pipe;
     use crate::reliable::ReliableReceiver;
     use imadg_common::{Clock, Scn};
-    use imadg_redo::record::RedoPayload;
-    use imadg_redo::RedoSource;
     use std::time::Duration;
 
     fn rec(scn: u64) -> RedoRecord {

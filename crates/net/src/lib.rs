@@ -11,12 +11,14 @@
 //! * [`fault`] — a composable, seeded [`fault::FaultInjector`] medium
 //!   wrapper (drop / duplicate / reorder / delay / partition / carrier
 //!   drop) that replays bit-for-bit under the step scheduler;
-//! * [`fanout`] — the one primary-side sender: sequence numbers, a
-//!   bounded retained-redo window shared by 0..N standby lanes, archive-
-//!   served NAKs, and per-lane liveness pings;
+//! * [`fanout`] — the one primary-side sender, which is also the shipping
+//!   process: one [`FanoutSender::ship`] quantum drains a batch of redo (or
+//!   heartbeats) and services the link once — sequence numbers, a bounded
+//!   retained-redo window shared by 0..N standby lanes, archive-served
+//!   NAKs, and per-lane liveness pings;
 //! * [`reliable`] — the standby-side receiver: gap detection, NAKs,
-//!   cumulative ACKs, producing an exactly-once in-order
-//!   [`imadg_redo::RedoSource`] no matter what the medium does.
+//!   cumulative ACKs and restart replay, delivering redo exactly once and
+//!   in order no matter what the medium does.
 //!
 //! [`build_fanout_link`] assembles the stack per [`LinkMode`];
 //! `imadg-db`'s cluster wiring picks the mode from `TransportConfig`.
@@ -33,7 +35,7 @@ use std::time::Duration;
 
 use imadg_common::config::{FaultPlan, LinkMode, TransportConfig};
 use imadg_common::{Clock, RedoThreadId, Result};
-use imadg_redo::{DurableLog, RedoSink, RedoSource};
+use imadg_redo::DurableLog;
 
 pub use fanout::{FanoutLane, FanoutSender};
 pub use fault::FaultInjector;
@@ -56,9 +58,9 @@ pub struct FanoutLaneSpec {
     pub standby_log: Option<Arc<DurableLog>>,
 }
 
-/// A built fan-out link: the primary-side sink plus one source per lane,
-/// in lane order.
-pub type FanoutEndpoints = (Box<dyn RedoSink>, Vec<Box<dyn RedoSource>>);
+/// A built fan-out link: the primary-side sender plus one receiver per
+/// lane, in lane order.
+pub type FanoutEndpoints = (FanoutSender, Vec<ReliableReceiver>);
 
 /// One lane's transport plumbing: data tx/rx plus the reverse control
 /// channel (ACK/NAK/Hello) tx/rx.
@@ -79,7 +81,7 @@ pub fn build_fanout_link(
     lanes: Vec<FanoutLaneSpec>,
 ) -> Result<FanoutEndpoints> {
     let mut built = Vec::with_capacity(lanes.len());
-    let mut sources: Vec<Box<dyn RedoSource>> = Vec::with_capacity(lanes.len());
+    let mut receivers = Vec::with_capacity(lanes.len());
     for spec in lanes {
         let (data_tx, data_rx, ctrl_tx, ctrl_rx): LanePipes = match cfg.mode {
             LinkMode::Framed => {
@@ -108,23 +110,23 @@ pub fn build_fanout_link(
         if let Some(log) = spec.standby_log {
             rx.set_durable_log(log);
         }
-        sources.push(Box::new(rx));
+        receivers.push(rx);
         built.push(FanoutLane { data_tx, ctrl_rx });
     }
     let tx = FanoutSender::new(thread, built, cfg);
     if let Some(log) = primary_log {
         tx.set_durable_log(log);
     }
-    Ok((Box::new(tx), sources))
+    Ok((tx, receivers))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use imadg_common::config::FaultPlan;
-    use imadg_common::metrics::{DurabilityMetrics, TransportMetrics};
-    use imadg_common::Scn;
+    use imadg_common::{MetricsRegistry, Scn, ScnService};
     use imadg_redo::record::{RedoPayload, RedoRecord};
+    use imadg_redo::LogBuffer;
 
     fn rec(scn: u64) -> RedoRecord {
         RedoRecord {
@@ -152,11 +154,60 @@ mod tests {
         cfg: &TransportConfig,
         primary_log: Option<Arc<DurableLog>>,
         standby_log: Option<Arc<DurableLog>>,
-    ) -> (Box<dyn RedoSink>, Box<dyn RedoSource>) {
+    ) -> (FanoutSender, ReliableReceiver) {
         let lane = FanoutLaneSpec { faults: None, fault_seed: 0, standby_log };
         let (tx, mut rxs) =
             build_fanout_link(RedoThreadId(1), cfg, Clock::Real, primary_log, vec![lane]).unwrap();
         (tx, rxs.remove(0))
+    }
+
+    #[test]
+    fn shipper_heartbeats_idle_buffer() {
+        let scns = ScnService::new();
+        scns.next(); // advance database time
+        let buf = LogBuffer::new(RedoThreadId(1));
+        let (tx, mut rx) = one_lane(&TransportConfig::default(), None, None);
+        let (shipped, _) = tx.ship(&buf, scns.current()).unwrap();
+        assert_eq!(shipped, 0);
+        let got = rx.drain_ready().unwrap();
+        assert_eq!(got.len(), 1);
+        assert!(matches!(got[0].payload, RedoPayload::Heartbeat));
+        assert_eq!(got[0].scn, Scn(1));
+    }
+
+    #[test]
+    fn shipper_dedups_heartbeats_at_same_scn() {
+        let scns = ScnService::new();
+        scns.next();
+        let buf = LogBuffer::new(RedoThreadId(1));
+        let (tx, mut rx) = one_lane(&TransportConfig::default(), None, None);
+        for _ in 0..5 {
+            tx.ship(&buf, scns.current()).unwrap();
+        }
+        assert_eq!(rx.drain_ready().unwrap().len(), 1, "one heartbeat per SCN advance");
+        scns.next();
+        tx.ship(&buf, scns.current()).unwrap();
+        assert_eq!(rx.drain_ready().unwrap().len(), 1, "new SCN earns a fresh heartbeat");
+    }
+
+    #[test]
+    fn shipper_drains_buffer() {
+        let scns = ScnService::new();
+        let buf = LogBuffer::new(RedoThreadId(1));
+        for _ in 0..20 {
+            buf.log_with(&scns, |_| RedoPayload::Heartbeat);
+        }
+        let (tx, mut rx) = one_lane(&TransportConfig::default(), None, None);
+        let mut shipped = 0;
+        loop {
+            match tx.ship(&buf, scns.current()).unwrap() {
+                (0, _) => break,
+                (n, _) => shipped += n,
+            }
+        }
+        assert_eq!(shipped, 20);
+        assert_eq!(rx.drain_ready().unwrap().len(), 20);
+        assert_eq!(buf.pending(), 0);
     }
 
     #[test]
@@ -170,8 +221,9 @@ mod tests {
                 ..TransportConfig::default()
             };
             let (tx, mut rx) = one_lane(&cfg, None, None);
-            let m: Arc<TransportMetrics> = Arc::default();
-            rx.bind_metrics(m.clone());
+            let registry = MetricsRegistry::default();
+            rx.bind_metrics(&registry);
+            let m = &registry.transport;
 
             let mut got = Vec::new();
             for scn in 1..=500u64 {
@@ -218,8 +270,9 @@ mod tests {
             ..TransportConfig::default()
         };
         let (tx, mut rx) = one_lane(&cfg, Some(p_log.clone()), Some(s_log.clone()));
-        let m: Arc<DurabilityMetrics> = Arc::default();
-        rx.bind_durability_metrics(m.clone());
+        let registry = MetricsRegistry::default();
+        rx.bind_metrics(&registry);
+        let m = &registry.durability;
 
         let mut live = Vec::new();
         for scn in 1..=170u64 {
@@ -284,10 +337,11 @@ mod tests {
                 .collect();
             let (tx, mut rxs) =
                 build_fanout_link(RedoThreadId(1), &cfg, Clock::Real, None, lanes).unwrap();
-            let metrics: Vec<Arc<TransportMetrics>> = (0..3).map(|_| Arc::default()).collect();
-            for (rx, m) in rxs.iter_mut().zip(&metrics) {
-                rx.bind_metrics(m.clone());
+            let registries: Vec<MetricsRegistry> = (0..3).map(|_| Default::default()).collect();
+            for (rx, r) in rxs.iter_mut().zip(&registries) {
+                rx.bind_metrics(r);
             }
+            let metrics: Vec<_> = registries.iter().map(|r| &r.transport).collect();
             let mut got = [Vec::new(), Vec::new(), Vec::new()];
             for scn in 1..=300u64 {
                 tx.send(vec![rec(scn)]).unwrap();

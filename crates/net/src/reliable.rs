@@ -22,7 +22,7 @@
 //!   silent control path; recovers from lost ACKs.
 //!
 //! A receiver whose durable log already holds history — a cold start over
-//! a surviving directory, or [`RedoSource::reset_for_restart`] after a
+//! a surviving directory, or [`ReliableReceiver::reset_for_restart`] after a
 //! crash — first replays that history from disk through a cursor, one
 //! decoded segment at a time, and only then drains the live link.
 
@@ -31,10 +31,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use imadg_common::config::TransportConfig;
-use imadg_common::metrics::{DurabilityMetrics, TransportMetrics};
-use imadg_common::{Error, RedoThreadId, Result};
+use imadg_common::metrics::TransportMetrics;
+use imadg_common::{Error, MetricsRegistry, RedoThreadId, Result};
 use imadg_redo::record::RedoRecord;
-use imadg_redo::{DiskBatch, DurableLog, RedoSource};
+use imadg_redo::{DiskBatch, DurableLog};
 
 use crate::pipe::{FrameRx, FrameTx};
 use crate::wire::{self, Frame};
@@ -242,10 +242,12 @@ impl ReliableReceiver {
         }
         Ok(())
     }
-}
 
-impl RedoSource for ReliableReceiver {
-    fn drain_ready(&mut self) -> Result<Vec<RedoRecord>> {
+    /// Drain everything currently deliverable, exactly once and in
+    /// sequence order — the log merger downstream asserts per-thread SCN
+    /// monotonicity. While a restart replay is open, up to
+    /// `REPLAY_BATCHES_PER_DRAIN` disk batches come out instead.
+    pub fn drain_ready(&mut self) -> Result<Vec<RedoRecord>> {
         if self.replay.is_some() {
             return self.drain_replay();
         }
@@ -293,42 +295,59 @@ impl RedoSource for ReliableReceiver {
         Ok(out)
     }
 
-    fn transport_pending(&self) -> bool {
+    /// Whether the link still holds undelivered or unresolved state — a
+    /// replay in progress, a latent batch in flight, an open gap, or
+    /// out-of-order frames buffered.
+    pub fn transport_pending(&self) -> bool {
         self.replay.is_some()
             || !self.ooo.is_empty()
             || !self.missing.is_empty()
             || self.data_rx.pending()
     }
 
-    fn take_protocol_activity(&mut self) -> bool {
+    /// Whether a drain since the last call did protocol work (sent a NAK
+    /// or ACK) even if no records came out. Protocol activity counts as
+    /// stage progress so the step scheduler keeps driving gap resolution.
+    pub fn take_protocol_activity(&mut self) -> bool {
         std::mem::take(&mut self.protocol_activity)
     }
 
-    fn time_to_next(&self) -> Option<Duration> {
+    /// Time until the next held batch becomes deliverable: zero while
+    /// replaying, the medium's latency deadline otherwise. Drives the
+    /// ingest stage's park hint so delayed redo is picked up on time.
+    pub fn time_to_next(&self) -> Option<Duration> {
         match self.replay {
             Some(_) => Some(Duration::ZERO),
             None => self.data_rx.time_to_next(),
         }
     }
 
-    fn bind_metrics(&mut self, metrics: Arc<TransportMetrics>) {
-        self.metrics = metrics;
-    }
-
-    fn bind_durability_metrics(&mut self, metrics: Arc<DurabilityMetrics>) {
+    /// Report into `registry`: the transport stage (gaps, NAKs,
+    /// duplicates) and the durability stage (tee appends, fsyncs, restart
+    /// replay).
+    pub fn bind_metrics(&mut self, registry: &MetricsRegistry) {
+        self.metrics = registry.transport.clone();
         if let Some(log) = &self.durable {
-            log.set_metrics(metrics);
+            log.set_metrics(registry.durability.clone());
         }
     }
 
-    fn durable_sync(&mut self) -> Result<bool> {
+    /// One group-commit quantum of the durable tee: one fsync covering
+    /// every batch accepted since the last call, then archival of sealed
+    /// segments. Returns whether either did work.
+    pub fn durable_sync(&mut self) -> Result<bool> {
         match &self.durable {
             Some(log) => log.group_commit(),
             None => Ok(false),
         }
     }
 
-    fn reset_for_restart(&mut self) -> Result<()> {
+    /// Model a hard process restart over a surviving medium: discard the
+    /// unsynced tee buffer and all in-memory reassembly state, replay the
+    /// durable history from disk, and resume live delivery just past the
+    /// durable sequence — later gaps are NAK-resolved from the primary's
+    /// retained window or archive. Without a durable log, nothing happens.
+    pub fn reset_for_restart(&mut self) -> Result<()> {
         let Some(log) = &self.durable else {
             return Ok(());
         };
@@ -364,7 +383,6 @@ mod tests {
     use imadg_common::config::FaultPlan;
     use imadg_common::{Clock, Scn};
     use imadg_redo::record::RedoPayload;
-    use imadg_redo::RedoSink;
 
     fn cfg() -> TransportConfig {
         TransportConfig { nak_retry_polls: 2, ping_idle_polls: 3, ..TransportConfig::default() }
@@ -416,8 +434,9 @@ mod tests {
         let (dtx, drx) = channel_pipe(Duration::ZERO, Clock::Real);
         let (ctx, _crx) = channel_pipe(Duration::ZERO, Clock::Real);
         let mut rx = ReliableReceiver::new(RedoThreadId(1), Box::new(drx), Box::new(ctx), &cfg);
-        let m: Arc<TransportMetrics> = Arc::default();
-        rx.bind_metrics(m.clone());
+        let registry = MetricsRegistry::default();
+        rx.bind_metrics(&registry);
+        let m = &registry.transport;
 
         let frame = |seq: u64| {
             wire::encode(&Frame::Data {
@@ -462,8 +481,9 @@ mod tests {
             );
             let tx = sender(Box::new(inj), Box::new(crx));
             let mut rx = ReliableReceiver::new(RedoThreadId(1), Box::new(drx), Box::new(ctx), &cfg);
-            let m: Arc<TransportMetrics> = Arc::default();
-            rx.bind_metrics(m.clone());
+            let registry = MetricsRegistry::default();
+            rx.bind_metrics(&registry);
+            let m = &registry.transport;
 
             let mut got = Vec::new();
             for scn in 1..=10u64 {
@@ -506,8 +526,9 @@ mod tests {
         let (_ctx2, crx_starved) = channel_pipe(Duration::ZERO, Clock::Real);
         let tx = sender(Box::new(dtx), Box::new(crx_starved));
         let mut rx = ReliableReceiver::new(RedoThreadId(1), Box::new(drx), Box::new(ctx), &cfg);
-        let m: Arc<TransportMetrics> = Arc::default();
-        tx.bind_metrics(m.clone());
+        let registry = MetricsRegistry::default();
+        tx.bind_metrics(&registry);
+        let m = &registry.transport;
 
         tx.send(vec![rec(1)]).unwrap();
         assert_eq!(rx.drain_ready().unwrap().len(), 1);

@@ -19,7 +19,8 @@ use imadg_common::{
     MetricsRegistry, QueryScnCell, QuiesceLock, RecoveryConfig, Result, Runtime, RuntimeHealth,
     Scn, Stage, StageId, StageOutcome, WorkerId,
 };
-use imadg_redo::{LogMerger, RedoPayload, RedoSource};
+use imadg_net::ReliableReceiver;
+use imadg_redo::{LogMerger, RedoPayload};
 use imadg_storage::Store;
 use parking_lot::Mutex;
 
@@ -31,7 +32,7 @@ use crate::worker::{work_queue, Worker};
 
 /// The standby's media-recovery engine.
 pub struct MediaRecovery {
-    receivers: Mutex<Vec<Box<dyn RedoSource>>>,
+    receivers: Mutex<Vec<ReliableReceiver>>,
     /// Latched when a drain performed link protocol work (ACK/NAK) even
     /// though no records came out; consumed by the ingest stage so gap
     /// resolution counts as progress under the step scheduler.
@@ -51,22 +52,25 @@ impl MediaRecovery {
     /// Assemble the pipeline, reporting into the merger/apply/flush stages
     /// and trace ring of `registry`.
     ///
-    /// * `receivers` — one [`RedoSource`] per primary redo thread (RAC
-    ///   streams): framed links over in-process pipes or TCP.
+    /// * `receivers` — one [`ReliableReceiver`] per primary redo thread
+    ///   (RAC streams): framed links over in-process pipes or TCP. Each
+    ///   reports its link and durability counters into `registry` —
+    ///   rebinding on a restart is deliberate: a fresh standby starts
+    ///   fresh counters.
     /// * `adg` — the DBIM-on-ADG infrastructure every worker mines into and
     ///   helps flush, and whose invalidation flush the coordinator runs
     ///   before each QuerySCN publish; `None` for recovery without it.
     pub fn new(
         config: &RecoveryConfig,
         store: Arc<Store>,
-        mut receivers: Vec<Box<dyn RedoSource>>,
+        mut receivers: Vec<ReliableReceiver>,
         adg: Option<Arc<DbimAdg>>,
         query_scn: Arc<QueryScnCell>,
         quiesce: Arc<QuiesceLock>,
         registry: &MetricsRegistry,
     ) -> Arc<MediaRecovery> {
         for rx in receivers.iter_mut() {
-            rx.bind_durability_metrics(registry.durability.clone());
+            rx.bind_metrics(registry);
         }
         let streams = receivers.len().max(1);
         let progress = Arc::new(Progress::new(config.workers));
@@ -253,7 +257,7 @@ impl MediaRecovery {
     /// Detach the redo receivers from this (stopped) pipeline so a restarted
     /// standby instance can resume recovery on the same links. Models an
     /// ADG instance restart: storage persists, in-memory state is lost.
-    pub fn take_receivers(&self) -> Vec<Box<dyn RedoSource>> {
+    pub fn take_receivers(&self) -> Vec<ReliableReceiver> {
         std::mem::take(&mut *self.receivers.lock())
     }
 
@@ -264,7 +268,7 @@ impl MediaRecovery {
         self.protocol_activity.swap(false, std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Whether any redo source still holds undelivered transport state —
+    /// Whether any receiver still holds undelivered transport state —
     /// a latent batch in flight, an open gap, or out-of-order frames
     /// buffered. Quiesce checks must not declare the standby caught up
     /// while this is true.
@@ -272,7 +276,7 @@ impl MediaRecovery {
         self.receivers.lock().iter().any(|r| r.transport_pending())
     }
 
-    /// The soonest delivery deadline across sources holding a latent
+    /// The soonest delivery deadline across receivers holding a latent
     /// batch, if any. Drives the ingest stage's park hint so delayed redo
     /// is picked up right when it becomes due instead of on a poll tick.
     pub fn next_transport_deadline(&self) -> Option<Duration> {

@@ -12,7 +12,6 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use imadg_common::{InstanceId, ObjectId, Result, Stage, StageOutcome, TenantId, WakeToken};
@@ -44,9 +43,6 @@ pub struct RacEndpoint {
     rx: Mutex<Receiver<RacMessage>>,
     imcs: Arc<ImcsStore>,
     acked: Arc<AtomicU64>,
-    /// Simulated per-message processing/network cost.
-    per_message_cost: Duration,
-    processed: AtomicU64,
     /// Woken by the master's flush target on every send.
     waker: Mutex<Option<WakeToken>>,
 }
@@ -74,9 +70,6 @@ impl RacEndpoint {
         let rx = self.rx.lock();
         let mut n = 0;
         while let Ok(msg) = rx.try_recv() {
-            if !self.per_message_cost.is_zero() {
-                std::thread::sleep(self.per_message_cost);
-            }
             match msg {
                 RacMessage::Invalidate(groups) => {
                     for g in groups {
@@ -96,11 +89,6 @@ impl RacEndpoint {
             n += 1;
         }
         n
-    }
-
-    /// Total messages processed.
-    pub fn processed(&self) -> u64 {
-        self.processed.load(Ordering::Relaxed).max(self.acked.load(Ordering::Relaxed))
     }
 }
 
@@ -133,9 +121,6 @@ pub struct RacFlushTarget {
     batch: usize,
     /// Buffered groups awaiting a full batch, per remote instance.
     pending: Mutex<HashMap<InstanceId, Vec<InvalidationGroup>>>,
-    /// When true, `synchronize` pumps remote endpoints inline (step mode);
-    /// in threaded deployments the instances pump themselves.
-    pub inline_pump: bool,
     /// Interconnect messages sent (batching ablation metric).
     pub messages_sent: AtomicU64,
 }
@@ -151,7 +136,6 @@ impl RacFlushTarget {
         local_instance: InstanceId,
         stores: HashMap<InstanceId, Arc<ImcsStore>>,
         batch: usize,
-        per_message_cost: Duration,
     ) -> (RacFlushTarget, Vec<Arc<RacEndpoint>>) {
         let local = stores.get(&local_instance).expect("master has a store").clone();
         let mut remotes = HashMap::new();
@@ -168,8 +152,6 @@ impl RacFlushTarget {
                 rx: Mutex::new(rx),
                 imcs: store.clone(),
                 acked: acked.clone(),
-                per_message_cost,
-                processed: AtomicU64::new(0),
                 waker: Mutex::new(None),
             });
             endpoints.push(endpoint.clone());
@@ -183,7 +165,6 @@ impl RacFlushTarget {
                 remotes,
                 batch: batch.max(1),
                 pending: Mutex::new(HashMap::new()),
-                inline_pump: true,
                 messages_sent: AtomicU64::new(0),
             },
             endpoints,
@@ -276,7 +257,9 @@ impl FlushTarget for RacFlushTarget {
 
     fn synchronize(&self) {
         self.flush_pending();
-        // Wait until every instance acknowledged everything we sent.
+        // Drain the endpoints inline until every instance acknowledged
+        // everything we sent; endpoints running as their own stages may
+        // drain concurrently.
         loop {
             let all_acked = self
                 .remotes
@@ -285,12 +268,8 @@ impl FlushTarget for RacFlushTarget {
             if all_acked {
                 return;
             }
-            if self.inline_pump {
-                for link in self.remotes.values() {
-                    link.endpoint.process_pending();
-                }
-            } else {
-                std::thread::yield_now();
+            for link in self.remotes.values() {
+                link.endpoint.process_pending();
             }
         }
     }
@@ -310,8 +289,7 @@ mod tests {
         }
         // Stripe 4: DBAs 0..4 → inst 0 (master), 4..8 → inst 1.
         let home = HomeLocationMap::new(vec![InstanceId(0), InstanceId(1)], 4);
-        let (target, endpoints) =
-            RacFlushTarget::new(home, InstanceId(0), stores.clone(), 2, Duration::ZERO);
+        let (target, endpoints) = RacFlushTarget::new(home, InstanceId(0), stores.clone(), 2);
         (target, endpoints, stores)
     }
 
@@ -391,9 +369,8 @@ mod tests {
     }
 
     #[test]
-    fn threaded_endpoints_ack_without_inline_pump() {
-        let (mut target, endpoints, stores) = cluster();
-        target.inline_pump = false;
+    fn threaded_endpoints_ack_alongside_inline_drain() {
+        let (target, endpoints, stores) = cluster();
         let h1 = unit_on(&stores[&InstanceId(1)], 1, &[5]);
         // Endpoints run as runtime stages, woken by the master's sends.
         let mut rt = imadg_common::Runtime::new();

@@ -2,56 +2,29 @@
 //! standby media recovery. Verifies that the standby's storage converges to
 //! the primary's and that QuerySCN semantics hold.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
 use imadg_common::{
-    MetricsRegistry, ObjectId, QueryScnCell, QuiesceLock, RecoveryConfig, RedoThreadId, Result,
-    Runtime, Scn, ScnService, TenantId, WakeToken,
+    Clock, MetricsRegistry, ObjectId, QueryScnCell, QuiesceLock, RecoveryConfig, RedoThreadId,
+    Runtime, Scn, ScnService, TenantId, TransportConfig,
 };
+use imadg_net::{build_fanout_link, FanoutLaneSpec, FanoutSender};
 use imadg_recovery::MediaRecovery;
-use imadg_redo::{LogBuffer, RedoRecord, RedoSink, RedoSource, Shipper};
+use imadg_redo::LogBuffer;
 use imadg_storage::{ColumnType, DbaAllocator, Schema, Store, TableSpec, Value};
 use imadg_txn::{InMemoryRegistry, LockTable, TxnIdService, TxnManager};
-use parking_lot::Mutex;
 
 const OBJ: ObjectId = ObjectId(1);
 
-/// A perfect link: one shared queue of shipped batches, sink and source
-/// at once. The framed protocol has its own suites; this one checks apply.
-#[derive(Clone, Default)]
-struct VecLink(Arc<Mutex<VecDeque<Vec<RedoRecord>>>>);
-
-impl RedoSink for VecLink {
-    fn send(&self, records: Vec<RedoRecord>) -> Result<()> {
-        self.0.lock().push_back(records);
-        Ok(())
-    }
-
-    fn set_lane_waker(&self, _lane: usize, _token: WakeToken) {}
-}
-
-impl RedoSource for VecLink {
-    fn drain_ready(&mut self) -> Result<Vec<RedoRecord>> {
-        Ok(self.0.lock().drain(..).flatten().collect())
-    }
-
-    fn transport_pending(&self) -> bool {
-        !self.0.lock().is_empty()
-    }
-
-    fn time_to_next(&self) -> Option<Duration> {
-        None
-    }
-}
-
+/// Primary and standby joined by a clean one-lane framed link (no faults,
+/// no latency). The framed protocol has its own suites; this one checks
+/// apply.
 struct Harness {
     txm: TxnManager,
     scns: Arc<ScnService>,
     log: Arc<LogBuffer>,
-    shipper: Shipper,
-    sender: VecLink,
+    sender: FanoutSender,
     standby_store: Arc<Store>,
     recovery: Arc<MediaRecovery>,
 }
@@ -89,23 +62,36 @@ fn harness(workers: usize) -> Harness {
         Arc::new(DbaAllocator::default()),
     );
 
-    let sender = VecLink::default();
+    let lane = FanoutLaneSpec { faults: None, fault_seed: 0, standby_log: None };
+    let (sender, receivers) = build_fanout_link(
+        RedoThreadId(1),
+        &TransportConfig::default(),
+        Clock::Real,
+        None,
+        vec![lane],
+    )
+    .unwrap();
     let recovery = MediaRecovery::new(
         &RecoveryConfig { workers },
         standby_store.clone(),
-        vec![Box::new(sender.clone()) as Box<dyn RedoSource>],
+        receivers,
         None,
         Arc::new(QueryScnCell::new()),
         Arc::new(QuiesceLock::new()),
         &MetricsRegistry::default(),
     );
 
-    Harness { txm, scns, log, shipper: Shipper::new(64), sender, standby_store, recovery }
+    Harness { txm, scns, log, sender, standby_store, recovery }
 }
 
 impl Harness {
+    /// Ship every buffered record: shipper quanta until one ships nothing.
+    fn ship(&self) {
+        while self.sender.ship(&self.log, self.scns.current()).unwrap().0 > 0 {}
+    }
+
     fn sync(&self) {
-        self.shipper.ship_all(&self.log, &self.sender, self.scns.current()).unwrap();
+        self.ship();
         self.recovery.pump_until_idle().unwrap();
     }
 
@@ -213,7 +199,7 @@ fn threaded_recovery_converges() {
         h.txm.insert(&mut tx, OBJ, row(round, round * 2, "t")).unwrap();
         let cscn = h.txm.commit(tx);
         expected.push((round, round * 2));
-        h.shipper.ship_all(&h.log, &h.sender, h.scns.current()).unwrap();
+        h.ship();
         if round == 19 {
             // Wait for the standby to reach the final commit.
             let deadline = std::time::Instant::now() + Duration::from_secs(10);

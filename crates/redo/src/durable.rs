@@ -35,8 +35,10 @@
 //!
 //! A crash can leave a half-written entry at the end of the newest
 //! segment. [`DurableLog::open`] detects it via the length/CRC envelope
-//! and truncates the file back to the last complete entry; everything
-//! before it is trusted (CRC-verified on read).
+//! and truncates the newest wal segment back to the last complete entry.
+//! That is the only entry a scan may skip: anywhere else — a sealed or
+//! archived segment, or any read after open — an entry that fails its
+//! envelope is damage, and the read fails rather than come back short.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -92,12 +94,12 @@ fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
     Ok(out)
 }
 
-/// Decode every complete entry in one segment file. Returns the batches
-/// and the byte offset just past the last complete entry. A torn tail
-/// (truncated or checksum-failing final bytes) stops the scan; corruption
-/// *before* the tail is only distinguishable by `strict` callers that know
-/// the file is sealed.
-fn read_segment(path: &Path) -> Result<(Vec<DiskBatch>, u64)> {
+/// Decode every entry in one segment file. Returns the batches and the
+/// byte offset just past the last complete entry. An entry failing its
+/// envelope (truncated or checksum-failing bytes) ends the scan; unless
+/// `torn_tail_ok` — the newest wal segment at open, which a crash may
+/// have torn — that fails the read.
+fn read_segment(path: &Path, torn_tail_ok: bool) -> Result<(Vec<DiskBatch>, u64)> {
     let bytes = fs::read(path).map_err(|e| io_err("read segment", e))?;
     if bytes.len() < SEGMENT_HEADER as usize {
         return Ok((Vec::new(), SEGMENT_HEADER.min(bytes.len() as u64)));
@@ -112,9 +114,17 @@ fn read_segment(path: &Path) -> Result<(Vec<DiskBatch>, u64)> {
     }
     let mut batches = Vec::new();
     let mut rest = &bytes[SEGMENT_HEADER as usize..];
-    // A torn tail — a length running past the file, or an entry half
-    // written when the crash hit — fails the envelope and ends the scan.
-    while let Ok((payload, tail)) = envelope::read(rest) {
+    while !rest.is_empty() {
+        // A torn tail — a length running past the file, or an entry half
+        // written when the crash hit — fails the envelope.
+        let (payload, tail) = match envelope::read(rest) {
+            Ok(entry) => entry,
+            Err(_) if torn_tail_ok => break,
+            Err(e) => {
+                let at = bytes.len() - rest.len();
+                return Err(Error::Io(format!("{}: entry at byte {at}: {e}", path.display())));
+            }
+        };
         let mut c = codec::Cur::new(payload);
         let seq = c.u64()?;
         let count = c.u32()? as usize;
@@ -190,7 +200,7 @@ impl DurableLog {
         let mut durable_seq = 0u64;
         let mut segments = BTreeMap::new();
         for (first, path) in list_segments(&archive_dir)? {
-            let (batches, _) = read_segment(&path)?;
+            let (batches, _) = read_segment(&path, false)?;
             if let Some(&(seq, _)) = batches.last() {
                 durable_seq = durable_seq.max(seq);
             }
@@ -204,7 +214,8 @@ impl DurableLog {
         let wal = list_segments(&wal_dir)?;
         let mut sealed = Vec::new();
         for (i, (first, path)) in wal.iter().enumerate() {
-            let (batches, good_len) = read_segment(path)?;
+            let newest = i == wal.len() - 1;
+            let (batches, good_len) = read_segment(path, newest)?;
             if let Some(&(seq, _)) = batches.last() {
                 durable_seq = durable_seq.max(seq);
             }
@@ -216,7 +227,7 @@ impl DurableLog {
                 fs::remove_file(path).map_err(|e| io_err("remove empty segment", e))?;
                 continue;
             }
-            if i == wal.len() - 1 {
+            if newest {
                 let actual = fs::metadata(path).map_err(|e| io_err("stat segment", e))?.len();
                 if actual > good_len {
                     let f = OpenOptions::new()
@@ -387,7 +398,7 @@ impl DurableLog {
         let inner = self.inner.lock();
         let mut out = Vec::new();
         for path in inner.overlapping(from, to) {
-            let (batches, _) = read_segment(&path)?;
+            let (batches, _) = read_segment(&path, false)?;
             out.extend(batches.into_iter().filter(|&(seq, _)| (from..=to).contains(&seq)));
         }
         Ok(out)
@@ -399,7 +410,7 @@ impl DurableLog {
         let inner = self.inner.lock();
         let mut out = Vec::new();
         for path in inner.overlapping(seq, seq) {
-            let (batches, _) = read_segment(&path)?;
+            let (batches, _) = read_segment(&path, false)?;
             out.extend(batches.into_iter().filter(|&(s, _)| s >= seq));
         }
         Ok(out)
@@ -611,6 +622,29 @@ mod tests {
             let err = log.read_range(from, to).unwrap_err();
             assert!(err.to_string().contains("bad segment magic"), "{from}..={to}: {err}");
         }
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    /// A damaged entry inside a sealed archive segment fails the read
+    /// instead of returning the rest of that segment missing: an
+    /// archive-served NAK would otherwise re-serve fewer frames than asked.
+    #[test]
+    fn damaged_archive_entry_fails_range_read() {
+        let dir = tmpdir("damaged");
+        let log = DurableLog::open(&dir, 1024).unwrap();
+        for seq in 1..=60u64 {
+            log.append_batch(seq, &[rec(seq)]).unwrap();
+            log.group_commit().unwrap();
+        }
+        let seg1 = dir.join("archive").join(segment_name(1));
+        let mut bytes = fs::read(&seg1).unwrap();
+        bytes[120] ^= 1;
+        fs::write(&seg1, &bytes).unwrap();
+
+        let got = log.read_range(1, 60);
+        let seqs = got.as_ref().map(|b| b.iter().map(|b| b.0).collect::<Vec<_>>());
+        assert!(seqs.is_err(), "a damaged entry must fail the read, got {seqs:?}");
+        assert!(log.read_segment_from(1).is_err(), "replay must fail on it too");
         let _ = fs::remove_dir_all(dir);
     }
 

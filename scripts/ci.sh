@@ -48,6 +48,11 @@ cargo test -p imadg-db --test chaos_transport router -q
 cargo test -p imadg-db --test chaos_transport promotion_under_fanout -q
 cargo test -p imadg-net --lib per_lane_nak_is_served_independently -q
 
+# One-quantum gate: a shipper quantum services the link exactly once, so
+# a lane that never ACKs is pinged once every `ping_idle_polls` quanta.
+echo "==> one shipper quantum services the link once"
+cargo test -p imadg-db --test chaos_transport shipper_quantum_services_the_link_once -q
+
 # TCP-loopback smoke: the same protocol over a real socket, converging
 # exactly as the framed in-process pipe does. Sandboxes without loopback
 # sockets skip gracefully — each test detects the failed bind, prints a
@@ -62,6 +67,7 @@ cargo test -p imadg-db --test chaos_transport tcp_loopback -q
 # double crash, 16 pinned seeds of promotion under the acceptance fault
 # mix, and a single-standby promotion whose zero-lane sender lets `sync`
 # return. By name: a range read decodes only the segments it overlaps, a
+# damaged archived entry fails the read instead of shortening it, a
 # cluster built over surviving redo replays it, a corrupt entry met in
 # replay fails `sync` instead of hanging, and a standby refuses a
 # snapshot above its QuerySCN (the router sends it to the primary). Uses
@@ -73,10 +79,12 @@ rm -rf "${TMPDIR:-/tmp}"/imadg-twin-* "${TMPDIR:-/tmp}"/imadg-crash-* \
     "${TMPDIR:-/tmp}"/imadg-double-* "${TMPDIR:-/tmp}"/imadg-promo-* \
     "${TMPDIR:-/tmp}"/imadg-roles-* "${TMPDIR:-/tmp}"/imadg-frozen-* \
     "${TMPDIR:-/tmp}"/imadg-coldstart-* "${TMPDIR:-/tmp}"/imadg-corruptreplay-* \
-    "${TMPDIR:-/tmp}"/imadg-durable-range-* "${TMPDIR:-/tmp}"/imadg-rxreplay-*
+    "${TMPDIR:-/tmp}"/imadg-durable-range-* "${TMPDIR:-/tmp}"/imadg-rxreplay-* \
+    "${TMPDIR:-/tmp}"/imadg-durable-damaged-*
 cargo test -p imadg-db --test crash_recovery -q
 cargo test -p imadg-db --test crash_recovery sync_after_single_standby_promotion_returns -q
 cargo test -p imadg-redo --lib range_read_opens_only_overlapping_segments -q
+cargo test -p imadg-redo --lib damaged_archive_entry_fails_range_read -q
 cargo test -p imadg-db --test crash_recovery cold_start_over_surviving_redo_replays_it -q
 cargo test -p imadg-db --test crash_recovery corrupt_redo_met_in_replay_surfaces -q
 cargo test -p imadg-db --test e2e standby_refuses_a_snapshot_it_has_not_published -q
